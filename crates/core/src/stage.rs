@@ -40,12 +40,13 @@ use pd_crawler::crawl::RetailerCrawlStats;
 use pd_crawler::{select_targets, Crawler};
 use pd_currency::Locale;
 use pd_extract::HighlightExtractor;
+use pd_html::Selector;
 use pd_net::clock::SimTime;
 use pd_net::geo::{Country, Location};
 use pd_sheriff::cleaning::{clean, CleaningReport};
 use pd_sheriff::personas::{self, LoginExperiment, PersonaExperiment};
 use pd_sheriff::MeasurementStore;
-use pd_web::template::price_selector;
+use pd_web::template::{price_selector, FAMILY_COUNT};
 use pd_web::Request;
 use serde::{Deserialize, Serialize};
 
@@ -145,6 +146,8 @@ fn clean_crowd_store(
     let web = &world.web;
     let crowd = &world.crowd;
     let fx = web.fx();
+    // One parsed highlight selector per template family, not per refetch.
+    let selectors: Vec<Selector> = (0..FAMILY_COUNT).map(price_selector).collect();
     let (mut cleaned, mut report) = clean(raw, fx, |m| {
         // Refetch the URI as the user's own browser would and re-extract
         // with the retailer's template highlight.
@@ -160,11 +163,9 @@ fn clean_crowd_store(
         if resp.status.code() != 200 {
             return None;
         }
-        let doc = pd_html::parse(&resp.body);
-        let ex = HighlightExtractor::from_highlight(
-            &doc,
-            &price_selector(server.spec().template_style),
-        )?;
+        let doc = pd_html::parse_pooled(&resp.body);
+        let family = usize::from(server.spec().template_style % FAMILY_COUNT);
+        let ex = HighlightExtractor::from_highlight(&doc, &selectors[family])?;
         ex.extract(&doc, Some(Locale::of_country(user.location.country)))
             .ok()
             .map(|e| e.price)
@@ -224,7 +225,8 @@ pub fn is_tax_explained(world: &World, config: &ExperimentConfig, domain: &str) 
     let Some(product) = server.catalog().iter().next() else {
         return false;
     };
-    let style = server.spec().template_style;
+    let selector = price_selector(server.spec().template_style);
+    let amount_cells = Selector::parse("td.line-amount").expect("static selector");
     let probe_a = world.vantage_by_label("USA - Boston");
     let probe_b = world.vantage_by_label("Germany - Berlin");
     let (Some(a), Some(b)) = (probe_a, probe_b) else {
@@ -240,8 +242,8 @@ pub fn is_tax_explained(world: &World, config: &ExperimentConfig, domain: &str) 
         if resp.status.code() != 200 {
             return None;
         }
-        let doc = pd_html::parse(&resp.body);
-        let ex = HighlightExtractor::from_highlight(&doc, &price_selector(style))?;
+        let doc = pd_html::parse_pooled(&resp.body);
+        let ex = HighlightExtractor::from_highlight(&doc, &selector)?;
         ex.extract(&doc, Some(Locale::of_country(country)))
             .ok()
             .map(|e| e.price)
@@ -253,10 +255,8 @@ pub fn is_tax_explained(world: &World, config: &ExperimentConfig, domain: &str) 
         if resp.status.code() != 200 {
             return None;
         }
-        let doc = pd_html::parse(&resp.body);
-        let cells = pd_html::Selector::parse("td.line-amount")
-            .expect("static selector")
-            .query_all(&doc);
+        let doc = pd_html::parse_pooled(&resp.body);
+        let cells = amount_cells.query_all(&doc);
         let first = cells.first()?;
         Locale::of_country(country)
             .parse(doc.text_content(*first).trim())

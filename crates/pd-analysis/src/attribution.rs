@@ -132,7 +132,7 @@ pub fn attribute(
     base_day: u64,
 ) -> Option<Attribution> {
     let server = world.server_by_domain(domain)?;
-    let style = server.spec().template_style;
+    let selector = price_selector(server.spec().template_style);
     let slugs: Vec<String> = server
         .catalog()
         .iter()
@@ -159,8 +159,8 @@ pub fn attribute(
         if resp.status.code() != 200 {
             return None;
         }
-        let doc = pd_html::parse(&resp.body);
-        let ex = HighlightExtractor::from_highlight(&doc, &price_selector(style))?;
+        let doc = pd_html::parse_pooled(&resp.body);
+        let ex = HighlightExtractor::from_highlight(&doc, &selector)?;
         ex.extract(&doc, Some(Locale::of_country(country)))
             .ok()
             .map(|e| e.price)

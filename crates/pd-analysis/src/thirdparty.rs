@@ -52,7 +52,7 @@ pub fn scan_third_parties(
             continue;
         }
         scanned += 1;
-        let doc = pd_html::parse(&resp.body);
+        let doc = pd_html::parse_pooled(&resp.body);
         let srcs: Vec<String> = script_sel
             .query_all(&doc)
             .into_iter()

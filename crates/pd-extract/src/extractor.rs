@@ -88,11 +88,10 @@ impl HighlightExtractor {
         doc: &Document,
         locale_hint: Option<Locale>,
     ) -> Result<Extracted, ExtractError> {
-        let node = self.path.resolve(doc).ok_or(ExtractError::NodeNotFound)?;
-        let strategy = self
+        let (node, strategy) = self
             .path
-            .resolve_strategy(doc)
-            .expect("resolve succeeded, strategy exists");
+            .resolve_with_strategy(doc)
+            .ok_or(ExtractError::NodeNotFound)?;
         let text = doc.text_content(node);
         let trimmed = text.trim();
         if trimmed.is_empty() {
@@ -120,10 +119,10 @@ impl HighlightExtractor {
 #[must_use]
 pub fn extract_naive(doc: &Document) -> Option<Price> {
     for node in doc.descendants(pd_html::NodeId::ROOT) {
-        if let pd_html::NodeData::Text(t) = &doc.node(node).data {
+        if let pd_html::NodeData::Text(t) = doc.data(node) {
             // Skip script/style text: currency strings inside tracking
             // code are not prices.
-            let parent_tag = doc.node(node).parent.and_then(|p| doc.tag(p)).unwrap_or("");
+            let parent_tag = doc.parent(node).and_then(|p| doc.tag(p)).unwrap_or("");
             if parent_tag == "script" || parent_tag == "style" {
                 continue;
             }

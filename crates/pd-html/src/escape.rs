@@ -18,17 +18,26 @@ pub fn escape_text(input: &str) -> Cow<'_, str> {
         return Cow::Borrowed(input);
     }
     let mut out = String::with_capacity(input.len() + 8);
-    for ch in input.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            c => out.push(c),
-        }
-    }
+    escape_into(input, &mut out);
     Cow::Owned(out)
+}
+
+/// Appends [`escape_text`]`(input)` to `out` without an intermediate
+/// allocation.
+pub(crate) fn escape_into(input: &str, out: &mut String) {
+    let mut rest = input;
+    while let Some(at) = rest.find(['&', '<', '>', '"', '\'']) {
+        out.push_str(&rest[..at]);
+        out.push_str(match rest.as_bytes()[at] {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            _ => "&#39;",
+        });
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
 }
 
 /// The named entities that occur in retail price markup, plus the HTML
@@ -70,41 +79,35 @@ pub fn unescape(input: &str) -> Cow<'_, str> {
         return Cow::Borrowed(input);
     }
     let mut out = String::with_capacity(input.len());
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'&' {
-            // Advance over one UTF-8 scalar.
-            let ch_len = utf8_len(bytes[i]);
-            out.push_str(&input[i..i + ch_len]);
-            i += ch_len;
-            continue;
-        }
+    unescape_into(input, &mut out);
+    Cow::Owned(out)
+}
+
+/// Appends [`unescape`]`(input)` to `out` without an intermediate
+/// allocation.
+pub(crate) fn unescape_into(input: &str, out: &mut String) {
+    let mut rest = input;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        let after = &rest[amp + 1..];
         // Find the terminating ';' within a sane distance.
-        let end = input[i + 1..]
+        let end = after
             .char_indices()
             .take(32)
             .find(|(_, c)| *c == ';')
-            .map(|(off, _)| i + 1 + off);
-        let Some(end) = end else {
-            out.push('&');
-            i += 1;
-            continue;
-        };
-        let body = &input[i + 1..end];
-        let decoded = decode_entity(body);
-        match decoded {
-            Some(c) => {
+            .map(|(off, _)| off);
+        match end.and_then(|end| Some((end, decode_entity(&after[..end])?))) {
+            Some((end, c)) => {
                 out.push(c);
-                i = end + 1;
+                rest = &after[end + 1..];
             }
             None => {
                 out.push('&');
-                i += 1;
+                rest = after;
             }
         }
     }
-    Cow::Owned(out)
+    out.push_str(rest);
 }
 
 fn decode_entity(body: &str) -> Option<char> {
@@ -117,15 +120,6 @@ fn decode_entity(body: &str) -> Option<char> {
         char::from_u32(code)
     } else {
         named_entity(body)
-    }
-}
-
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        b if b < 0x80 => 1,
-        b if b >> 5 == 0b110 => 2,
-        b if b >> 4 == 0b1110 => 3,
-        _ => 4,
     }
 }
 
@@ -183,6 +177,16 @@ mod tests {
             let escaped = escape_text(&s);
             let unescaped = unescape(&escaped);
             prop_assert_eq!(unescaped.as_ref(), s.as_str());
+        }
+
+        #[test]
+        fn prop_in_place_variants_match(s in "[a-z&;#x0-9<>\"' ]{0,64}") {
+            let mut escaped = String::from("keep");
+            escape_into(&s, &mut escaped);
+            prop_assert_eq!(&escaped[4..], escape_text(&s).as_ref());
+            let mut unescaped = String::from("keep");
+            unescape_into(&s, &mut unescaped);
+            prop_assert_eq!(&unescaped[4..], unescape(&s).as_ref());
         }
 
         #[test]

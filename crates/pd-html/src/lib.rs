@@ -13,15 +13,16 @@
 //! provides, dependency-free:
 //!
 //! * [`escape`] — entity escaping/unescaping,
-//! * [`token`] — a streaming tokenizer,
-//! * [`dom`] — an arena-backed document tree,
-//! * [`parser`] — tree construction from tokens,
+//! * [`token`] — a streaming tokenizer whose tokens borrow the input,
+//! * [`dom`] — an arena-backed document tree over one string buffer,
+//! * [`parser`] — tree construction from tokens, and [`parse_pooled`],
+//!   which reuses each thread's documents across pages,
 //! * [`selector`] — a CSS-like selector engine (tag / `#id` / `.class` /
 //!   `[attr]`, descendant and child combinators),
 //! * [`path`] — structural node paths, the representation of a user's
 //!   highlight that travels to the other vantage points,
-//! * [`build`] — an ergonomic document builder used by the synthetic
-//!   retailer templates.
+//! * [`build`] — the [`HtmlSink`] the synthetic retailer templates are
+//!   written against, with a document-building and an HTML-writing sink.
 //!
 //! The parser targets the well-formed-but-sloppy HTML that 2013 retail
 //! templates produce: unquoted attributes, void elements, unclosed `<li>`
@@ -36,11 +37,13 @@ pub mod dom;
 pub mod escape;
 pub mod parser;
 pub mod path;
+mod pool;
 pub mod selector;
 pub mod token;
 
-pub use build::DocBuilder;
-pub use dom::{Document, Node, NodeData, NodeId};
+pub use build::{write_page, DocBuilder, HtmlSink, HtmlWriter};
+pub use dom::{Document, NodeData, NodeId};
 pub use parser::parse;
 pub use path::NodePath;
+pub use pool::{parse_pooled, pooled_live, PooledDocument};
 pub use selector::Selector;

@@ -3,15 +3,19 @@
 //! A pragmatic subset of the HTML5 tree-building rules, sufficient for the
 //! sloppy-but-sane markup of 2013 retail templates:
 //!
-//! * void elements never push onto the open-element stack,
+//! * void elements never become the insertion point,
 //! * `<li>`, `<p>`, `<option>`, `<tr>`, `<td>`, `<th>` close an open
 //!   element of the same tag implicitly,
 //! * stray end tags are ignored,
 //! * unclosed elements are closed at end of input,
 //! * raw `<script>`/`<style>` text arrives pre-chunked from the tokenizer.
+//!
+//! Tokens are consumed as the tokenizer produces them. The open-element
+//! stack is the insertion point's ancestor chain, so the parser walks
+//! parent links instead of keeping a stack of its own.
 
 use crate::dom::{is_void, Document, NodeData, NodeId};
-use crate::token::{tokenize, Token};
+use crate::token::{Token, Tokenizer};
 
 /// Parses HTML text into a document. Total: never fails, never panics;
 /// arbitrarily broken input yields a best-effort tree.
@@ -28,11 +32,19 @@ use crate::token::{tokenize, Token};
 /// ```
 #[must_use]
 pub fn parse(input: &str) -> Document {
-    let mut doc = Document::new();
-    let mut stack: Vec<NodeId> = vec![NodeId::ROOT];
+    let mut doc = Document::with_capacity_for(input.len());
+    parse_into(input, &mut doc);
+    doc
+}
 
-    for token in tokenize(input) {
-        let top = *stack.last().expect("stack never empty");
+/// Builds the tree of `input` under the root of `doc`, which must hold
+/// only its root.
+pub(crate) fn parse_into(input: &str, doc: &mut Document) {
+    debug_assert_eq!(doc.len(), 1, "parse_into needs an empty document");
+    let mut tokens = Tokenizer::new(input);
+    // The insertion point: the innermost open element (or the root).
+    let mut top = NodeId::ROOT;
+    while let Some(token) = tokens.next() {
         match token {
             Token::Doctype(d) => {
                 doc.append(NodeId::ROOT, NodeData::Doctype(d));
@@ -45,7 +57,7 @@ pub fn parse(input: &str) -> Document {
                 // content whitespace (inside inline elements) survives
                 // because it always neighbours non-space characters.
                 if !t.trim().is_empty() || doc.tag(top).is_some_and(is_phrasing_container) {
-                    doc.append_text(top, &t);
+                    doc.append_text(top, t);
                 }
             }
             Token::StartTag {
@@ -53,36 +65,46 @@ pub fn parse(input: &str) -> Document {
                 attrs,
                 self_closing,
             } => {
-                // Implicit close: a new <li> closes the previous <li>, etc.
+                // Implicit close: a new <li> closes the previous <li>, etc.,
+                // unless a list/table container sits between them.
                 if implicitly_self_nesting(&name) {
-                    if let Some(pos) = stack.iter().rposition(|&n| doc.tag(n) == Some(&*name)) {
-                        // Only close if the match is above the nearest
-                        // scoping ancestor (a list/table container).
-                        let blocked = stack[pos + 1..]
-                            .iter()
-                            .any(|&n| doc.tag(n).is_some_and(is_scope_boundary));
-                        if !blocked {
-                            stack.truncate(pos);
-                        }
+                    if let Some(open) = open_element(doc, top, &name, is_scope_boundary) {
+                        top = doc.parent(open).expect("an open element has a parent");
                     }
                 }
-                let parent = *stack.last().expect("stack never empty");
-                let id = doc.append_element(parent, &name, attrs);
+                let id = doc.append_element(top, &name, attrs.iter().map(|a| (&*a.name, a.value)));
+                tokens.recycle(attrs);
                 if !self_closing && !is_void(&name) {
-                    stack.push(id);
+                    top = id;
                 }
             }
             Token::EndTag { name } => {
-                if let Some(pos) = stack.iter().rposition(|&n| doc.tag(n) == Some(&*name)) {
-                    if pos > 0 {
-                        stack.truncate(pos);
-                    }
+                // Stray end tags match nothing and are ignored.
+                if let Some(open) = open_element(doc, top, &name, |_| false) {
+                    top = doc.parent(open).expect("an open element has a parent");
                 }
-                // Stray end tag: ignored.
             }
         }
     }
-    doc
+}
+
+/// The innermost open element named `tag` — `top` or one of its
+/// ancestors — unless an element satisfying `blocks` comes first.
+fn open_element(
+    doc: &Document,
+    top: NodeId,
+    tag: &str,
+    blocks: impl Fn(&str) -> bool,
+) -> Option<NodeId> {
+    let mut cur = Some(top);
+    while let Some(n) = cur {
+        match doc.tag(n) {
+            Some(t) if t == tag => return Some(n),
+            Some(t) if blocks(t) => return None,
+            _ => cur = doc.parent(n),
+        }
+    }
+    None
 }
 
 /// Elements whose start tag implicitly closes a same-tag ancestor.
@@ -126,11 +148,8 @@ mod tests {
     #[test]
     fn doctype_recorded() {
         let doc = parse("<!DOCTYPE html><html></html>");
-        let root_children = &doc.node(NodeId::ROOT).children;
-        assert!(matches!(
-            doc.node(root_children[0]).data,
-            NodeData::Doctype(_)
-        ));
+        let first = doc.children(NodeId::ROOT).next().unwrap();
+        assert_eq!(doc.data(first), NodeData::Doctype("html"));
     }
 
     #[test]
@@ -203,7 +222,7 @@ mod tests {
         let doc = parse("<div>\n  <p>a</p>\n  <p>b</p>\n</div>");
         let div = Selector::parse("div").unwrap().query_first(&doc).unwrap();
         // Children: exactly the two <p>, no whitespace text nodes.
-        assert_eq!(doc.node(div).children.len(), 2);
+        assert_eq!(doc.children(div).count(), 2);
     }
 
     #[test]

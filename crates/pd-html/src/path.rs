@@ -13,11 +13,12 @@
 //! 2. **Class signature** — the element's tag and class list,
 //! 3. **Absolute steps** — tag + same-tag sibling index from the root.
 //!
-//! [`NodePath::resolve`] tries the strategies in that order. The layered
-//! design is what makes extraction robust when a foreign copy inserts or
-//! removes sibling elements — exactly the noise the paper had to survive.
+//! [`NodePath::resolve_with_strategy`] tries the strategies in that
+//! order, in one pass, without allocating. The layered design is what
+//! makes extraction robust when a foreign copy inserts or removes
+//! sibling elements — exactly the noise the paper had to survive.
 
-use crate::dom::{Document, NodeData, NodeId};
+use crate::dom::{Document, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -62,39 +63,18 @@ impl NodePath {
         classes.sort();
 
         // Absolute steps root → el.
-        let mut chain = Vec::new();
-        let mut cur = Some(el);
-        while let Some(n) = cur {
-            if let NodeData::Element { tag, .. } = &doc.node(n).data {
-                chain.push(Step {
-                    tag: tag.clone(),
-                    index: doc.same_tag_sibling_index(n),
-                });
-            }
-            cur = doc.node(n).parent;
-        }
-        chain.reverse();
+        let chain = steps_up_to(doc, el, None);
 
-        // Anchor: nearest ancestor (or self) with an id.
+        // Anchor: nearest ancestor (or self) with an id, and the steps
+        // from it down to the element.
         let mut anchor = None;
-        let mut steps_below = Vec::new();
         let mut cur = Some(el);
         while let Some(n) = cur {
             if let Some(id) = doc.element_id(n) {
-                anchor = Some((id.to_owned(), {
-                    let mut s = steps_below.clone();
-                    s.reverse();
-                    s
-                }));
+                anchor = Some((id.to_owned(), steps_up_to(doc, el, Some(n))));
                 break;
             }
-            if let NodeData::Element { tag, .. } = &doc.node(n).data {
-                steps_below.push(Step {
-                    tag: tag.clone(),
-                    index: doc.same_tag_sibling_index(n),
-                });
-            }
-            cur = doc.node(n).parent;
+            cur = doc.parent(n);
         }
 
         NodePath {
@@ -112,23 +92,28 @@ impl NodePath {
     /// then recorded as an extraction failure, as $heriff did.
     #[must_use]
     pub fn resolve(&self, doc: &Document) -> Option<NodeId> {
-        self.resolve_by_anchor(doc)
-            .or_else(|| self.resolve_by_classes(doc))
-            .or_else(|| self.resolve_by_absolute(doc))
+        self.resolve_with_strategy(doc).map(|(node, _)| node)
     }
 
     /// Which strategy [`NodePath::resolve`] would use on `doc`, for
     /// diagnostics and the extraction-robustness ablation.
     #[must_use]
     pub fn resolve_strategy(&self, doc: &Document) -> Option<ResolveStrategy> {
-        if self.resolve_by_anchor(doc).is_some() {
-            Some(ResolveStrategy::Anchor)
-        } else if self.resolve_by_classes(doc).is_some() {
-            Some(ResolveStrategy::ClassSignature)
-        } else if self.resolve_by_absolute(doc).is_some() {
-            Some(ResolveStrategy::Absolute)
+        self.resolve_with_strategy(doc)
+            .map(|(_, strategy)| strategy)
+    }
+
+    /// Resolves the path and reports the strategy that matched, in one
+    /// pass over the document.
+    #[must_use]
+    pub fn resolve_with_strategy(&self, doc: &Document) -> Option<(NodeId, ResolveStrategy)> {
+        if let Some(node) = self.resolve_by_anchor(doc) {
+            Some((node, ResolveStrategy::Anchor))
+        } else if let Some(node) = self.resolve_by_classes(doc) {
+            Some((node, ResolveStrategy::ClassSignature))
         } else {
-            None
+            walk_steps(doc, NodeId::ROOT, &self.absolute)
+                .map(|node| (node, ResolveStrategy::Absolute))
         }
     }
 
@@ -136,7 +121,6 @@ impl NodePath {
         let (id, steps) = self.anchor.as_ref()?;
         let anchor = doc
             .elements()
-            .into_iter()
             .find(|&el| doc.element_id(el) == Some(id.as_str()))?;
         let target = walk_steps(doc, anchor, steps)?;
         // The target must still look like what was highlighted.
@@ -147,13 +131,8 @@ impl NodePath {
         if self.classes.is_empty() {
             return None;
         }
-        let mut hits = doc.elements().into_iter().filter(|&el| {
-            if doc.tag(el) != Some(self.tag.as_str()) {
-                return false;
-            }
-            let mut cls: Vec<String> = doc.classes(el).map(str::to_owned).collect();
-            cls.sort();
-            cls == self.classes
+        let mut hits = doc.elements().filter(|&el| {
+            doc.tag(el) == Some(self.tag.as_str()) && self.same_classes(doc.classes(el))
         });
         let first = hits.next()?;
         // Ambiguity (several same-class nodes, e.g. recommended products)
@@ -164,9 +143,14 @@ impl NodePath {
         Some(first)
     }
 
-    fn resolve_by_absolute(&self, doc: &Document) -> Option<NodeId> {
-        // The root's element chain starts below ROOT.
-        walk_steps(doc, NodeId::ROOT, &self.absolute)
+    /// Whether `classes` is the captured class list as a multiset: the
+    /// same length, and every captured class occurring as often.
+    fn same_classes<'d>(&self, classes: impl Iterator<Item = &'d str> + Clone) -> bool {
+        classes.clone().count() == self.classes.len()
+            && self.classes.iter().all(|c| {
+                let wanted = self.classes.iter().filter(|x| *x == c).count();
+                classes.clone().filter(|x| *x == c.as_str()).count() == wanted
+            })
     }
 }
 
@@ -184,14 +168,29 @@ pub enum ResolveStrategy {
 fn walk_steps(doc: &Document, from: NodeId, steps: &[Step]) -> Option<NodeId> {
     let mut cur = from;
     for step in steps {
-        cur = *doc
-            .node(cur)
-            .children
-            .iter()
-            .filter(|&&c| doc.tag(c) == Some(step.tag.as_str()))
+        cur = doc
+            .children(cur)
+            .filter(|&c| doc.tag(c) == Some(step.tag.as_str()))
             .nth(step.index)?;
     }
     Some(cur)
+}
+
+/// Steps from `top` (exclusive; `None` = the root) down to `el`.
+fn steps_up_to(doc: &Document, el: NodeId, top: Option<NodeId>) -> Vec<Step> {
+    let mut steps = Vec::new();
+    let mut cur = Some(el);
+    while let Some(n) = cur.filter(|&n| Some(n) != top) {
+        if let Some(tag) = doc.tag(n) {
+            steps.push(Step {
+                tag: tag.to_owned(),
+                index: doc.same_tag_sibling_index(n),
+            });
+        }
+        cur = doc.parent(n);
+    }
+    steps.reverse();
+    steps
 }
 
 impl fmt::Display for NodePath {

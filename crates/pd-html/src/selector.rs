@@ -107,16 +107,13 @@ impl Selector {
     /// All elements matching the selector, in document order.
     #[must_use]
     pub fn query_all(&self, doc: &Document) -> Vec<NodeId> {
-        doc.elements()
-            .into_iter()
-            .filter(|&el| self.matches(doc, el))
-            .collect()
+        doc.elements().filter(|&el| self.matches(doc, el)).collect()
     }
 
     /// First matching element in document order.
     #[must_use]
     pub fn query_first(&self, doc: &Document) -> Option<NodeId> {
-        doc.elements().into_iter().find(|&el| self.matches(doc, el))
+        doc.elements().find(|&el| self.matches(doc, el))
     }
 
     /// Whether `el` matches this selector (right-to-left walk).
@@ -137,18 +134,18 @@ impl Selector {
         let target = &self.compounds[idx - 1];
         match comb {
             Combinator::Child => {
-                let Some(parent) = doc.node(el).parent else {
+                let Some(parent) = doc.parent(el) else {
                     return false;
                 };
                 compound_matches(doc, parent, target) && self.match_ancestors(doc, parent, idx - 1)
             }
             Combinator::Descendant => {
-                let mut cur = doc.node(el).parent;
+                let mut cur = doc.parent(el);
                 while let Some(p) = cur {
                     if compound_matches(doc, p, target) && self.match_ancestors(doc, p, idx - 1) {
                         return true;
                     }
-                    cur = doc.node(p).parent;
+                    cur = doc.parent(p);
                 }
                 false
             }

@@ -1,81 +1,90 @@
-//! Streaming HTML tokenizer.
+//! Streaming, zero-copy HTML tokenizer.
 //!
 //! Produces a flat token stream — start tags with attributes, end tags,
-//! text, comments, doctype — from raw HTML. The tokenizer is lenient in
-//! the ways 2013 retail HTML demands: unquoted and single-quoted
-//! attributes, boolean attributes, stray `<` in text, `<script>`/`<style>`
-//! raw-text handling, and unterminated constructs at end of input.
+//! text, comments, doctype — from raw HTML. Tokens borrow `&str` slices
+//! of the input; only a tag or attribute name that needs lowercasing is
+//! copied. The tokenizer is lenient in the ways 2013 retail HTML demands:
+//! unquoted and single-quoted attributes, boolean attributes, stray `<`
+//! in text, `<script>`/`<style>` raw-text handling, and unterminated
+//! constructs at end of input.
 
-use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// One HTML attribute (`name="value"`); value is raw (entities are
 /// resolved by the parser, not the tokenizer).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Attribute {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Attribute<'a> {
     /// Lowercased attribute name.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Attribute value; empty string for boolean attributes.
-    pub value: String,
+    pub value: &'a str,
 }
 
-/// A token of the HTML stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Token {
+/// A token of the HTML stream, borrowing from the input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Token<'a> {
     /// `<!doctype html>`.
-    Doctype(String),
+    Doctype(&'a str),
     /// `<tag attr=v ...>`; `self_closing` records an explicit `/>`.
     StartTag {
         /// Lowercased tag name.
-        name: String,
+        name: Cow<'a, str>,
         /// Attributes in source order.
-        attrs: Vec<Attribute>,
+        attrs: Vec<Attribute<'a>>,
         /// Whether the tag ended with `/>`.
         self_closing: bool,
     },
     /// `</tag>`.
     EndTag {
         /// Lowercased tag name.
-        name: String,
+        name: Cow<'a, str>,
     },
     /// A run of character data (entities unresolved).
-    Text(String),
+    Text(&'a str),
     /// `<!-- ... -->`.
-    Comment(String),
+    Comment(&'a str),
 }
 
 /// Tokenizes an HTML string. Never fails: malformed input degrades to
 /// text tokens, as in browsers.
 #[must_use]
-pub fn tokenize(input: &str) -> Vec<Token> {
-    Tokenizer::new(input).run()
+pub fn tokenize(input: &str) -> Vec<Token<'_>> {
+    Tokenizer::new(input).collect()
 }
 
-struct Tokenizer<'a> {
+/// The tokenizer as an iterator: each `next` scans just far enough to
+/// produce one token, so a consumer never needs the whole stream at once.
+///
+/// A consumer that is done with a start tag's attribute list can hand it
+/// back with `recycle`; the next start tag then reuses its allocation.
+#[derive(Debug)]
+pub(crate) struct Tokenizer<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    tokens: Vec<Token>,
+    /// Set after a `<script>`/`<style>` start tag: its raw text comes
+    /// next, then its close tag.
+    raw_text_of: Option<&'static str>,
+    spare_attrs: Vec<Attribute<'a>>,
 }
 
 impl<'a> Tokenizer<'a> {
-    fn new(input: &'a str) -> Self {
+    /// Starts tokenizing `input` from the beginning.
+    #[must_use]
+    pub(crate) fn new(input: &'a str) -> Self {
         Tokenizer {
             input,
             bytes: input.as_bytes(),
             pos: 0,
-            tokens: Vec::new(),
+            raw_text_of: None,
+            spare_attrs: Vec::new(),
         }
     }
 
-    fn run(mut self) -> Vec<Token> {
-        while self.pos < self.bytes.len() {
-            if self.bytes[self.pos] == b'<' {
-                self.tag_open();
-            } else {
-                self.text_run();
-            }
-        }
-        self.tokens
+    /// Returns a start tag's attribute list for reuse by the next one.
+    pub(crate) fn recycle(&mut self, mut attrs: Vec<Attribute<'a>>) {
+        attrs.clear();
+        self.spare_attrs = attrs;
     }
 
     fn remaining(&self) -> &'a str {
@@ -92,7 +101,7 @@ impl<'a> Tokenizer<'a> {
     }
 
     /// Consumes a text run up to the next plausible tag start.
-    fn text_run(&mut self) {
+    fn text_run(&mut self) -> Token<'a> {
         let start = self.pos;
         self.pos += 1;
         while self.pos < self.bytes.len() {
@@ -101,10 +110,7 @@ impl<'a> Tokenizer<'a> {
             }
             self.pos += 1;
         }
-        let text = &self.input[start..self.pos];
-        if !text.is_empty() {
-            self.tokens.push(Token::Text(text.to_owned()));
-        }
+        Token::Text(&self.input[start..self.pos])
     }
 
     /// A `<` starts markup only if followed by a letter, `/`, `!` or `?`
@@ -116,72 +122,66 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    fn tag_open(&mut self) {
+    /// Markup at a `<`; `None` for constructs that produce no token.
+    fn tag_open(&mut self) -> Option<Token<'a>> {
         if !self.plausible_tag_at(self.pos) {
-            self.text_run();
-            return;
+            return Some(self.text_run());
         }
         if self.starts_with_ci("<!--") {
-            self.comment();
+            Some(self.comment())
         } else if self.starts_with_ci("<!doctype") {
-            self.doctype();
+            Some(self.doctype())
         } else if self.starts_with_ci("</") {
-            self.end_tag();
-        } else if self.starts_with_ci("<?") {
-            // Processing instruction / bogus comment: skip to '>'.
+            self.end_tag()
+        } else if self.starts_with_ci("<?") || self.starts_with_ci("<!") {
+            // Processing instruction / bogus comment (e.g. <![CDATA[ ...
+            // in HTML): skip to '>'.
             self.skip_until(b'>');
             self.pos = (self.pos + 1).min(self.bytes.len());
-        } else if self.starts_with_ci("<!") {
-            // Bogus comment (e.g. <![CDATA[ ... in HTML): skip to '>'.
-            self.skip_until(b'>');
-            self.pos = (self.pos + 1).min(self.bytes.len());
+            None
         } else {
-            self.start_tag();
+            Some(self.start_tag())
         }
     }
 
-    fn comment(&mut self) {
+    fn comment(&mut self) -> Token<'a> {
         self.pos += 4; // "<!--"
         let start = self.pos;
-        let end = self.remaining().find("-->").map(|o| self.pos + o);
-        match end {
-            Some(end) => {
-                self.tokens
-                    .push(Token::Comment(self.input[start..end].to_owned()));
-                self.pos = end + 3;
+        match self.remaining().find("-->") {
+            Some(len) => {
+                self.pos += len + 3;
+                Token::Comment(&self.input[start..start + len])
             }
             None => {
                 // Unterminated comment: swallow the rest.
-                self.tokens
-                    .push(Token::Comment(self.input[start..].to_owned()));
                 self.pos = self.bytes.len();
+                Token::Comment(&self.input[start..])
             }
         }
     }
 
-    fn doctype(&mut self) {
+    fn doctype(&mut self) -> Token<'a> {
         self.pos += "<!doctype".len();
         let start = self.pos;
         self.skip_until(b'>');
-        let body = self.input[start..self.pos].trim().to_owned();
-        self.tokens.push(Token::Doctype(body));
+        let body = self.input[start..self.pos].trim();
         self.pos = (self.pos + 1).min(self.bytes.len());
+        Token::Doctype(body)
     }
 
-    fn end_tag(&mut self) {
+    /// `</name ...>`; `None` for a nameless `</>`.
+    fn end_tag(&mut self) -> Option<Token<'a>> {
         self.pos += 2; // "</"
         let name = self.tag_name();
         self.skip_until(b'>');
         self.pos = (self.pos + 1).min(self.bytes.len());
-        if !name.is_empty() {
-            self.tokens.push(Token::EndTag { name });
-        }
+        (!name.is_empty()).then_some(Token::EndTag { name })
     }
 
-    fn start_tag(&mut self) {
+    fn start_tag(&mut self) -> Token<'a> {
         self.pos += 1; // "<"
         let name = self.tag_name();
-        let mut attrs = Vec::new();
+        let mut attrs = std::mem::take(&mut self.spare_attrs);
         let mut self_closing = false;
         loop {
             self.skip_whitespace();
@@ -206,45 +206,30 @@ impl<'a> Tokenizer<'a> {
                 }
             }
         }
-        // Raw-text elements: consume until the matching close tag without
-        // tokenizing the contents.
-        if name == "script" || name == "style" {
-            self.tokens.push(Token::StartTag {
-                name: name.clone(),
-                attrs,
-                self_closing,
-            });
-            let close = format!("</{name}");
-            let rest = self.remaining();
-            let end = find_ci(rest, &close).unwrap_or(rest.len());
-            if end > 0 {
-                self.tokens
-                    .push(Token::Text(self.input[self.pos..self.pos + end].to_owned()));
-            }
-            self.pos += end;
-            // Consume the close tag if present.
-            if self.pos < self.bytes.len() {
-                self.end_tag_raw();
-            }
-            return;
-        }
-        self.tokens.push(Token::StartTag {
+        // Raw-text elements: their contents come next as one text token,
+        // untokenized, up to the matching close tag.
+        self.raw_text_of = match &*name {
+            "script" => Some("</script"),
+            "style" => Some("</style"),
+            _ => None,
+        };
+        Token::StartTag {
             name,
             attrs,
             self_closing,
-        });
+        }
     }
 
-    /// Consumes `</script>`-style closers after raw text; emits EndTag.
-    fn end_tag_raw(&mut self) {
-        self.pos += 2;
-        let name = self.tag_name();
-        self.skip_until(b'>');
-        self.pos = (self.pos + 1).min(self.bytes.len());
-        self.tokens.push(Token::EndTag { name });
+    /// The raw text after `<script>`/`<style>` (`None` when empty), leaving
+    /// the position at its close tag.
+    fn raw_text(&mut self, close: &str) -> Option<Token<'a>> {
+        let rest = self.remaining();
+        let end = find_ci(rest, close).unwrap_or(rest.len());
+        self.pos += end;
+        (end > 0).then(|| Token::Text(&rest[..end]))
     }
 
-    fn tag_name(&mut self) -> String {
+    fn tag_name(&mut self) -> Cow<'a, str> {
         let start = self.pos;
         while self.pos < self.bytes.len()
             && (self.bytes[self.pos].is_ascii_alphanumeric()
@@ -253,10 +238,10 @@ impl<'a> Tokenizer<'a> {
         {
             self.pos += 1;
         }
-        self.input[start..self.pos].to_ascii_lowercase()
+        lowercase(&self.input[start..self.pos])
     }
 
-    fn attribute(&mut self) -> Option<Attribute> {
+    fn attribute(&mut self) -> Option<Attribute<'a>> {
         let start = self.pos;
         while self.pos < self.bytes.len()
             && !matches!(
@@ -271,13 +256,10 @@ impl<'a> Tokenizer<'a> {
             self.pos += 1;
             return None;
         }
-        let name = self.input[start..self.pos].to_ascii_lowercase();
+        let name = lowercase(&self.input[start..self.pos]);
         self.skip_whitespace();
         if self.bytes.get(self.pos) != Some(&b'=') {
-            return Some(Attribute {
-                name,
-                value: String::new(),
-            });
+            return Some(Attribute { name, value: "" });
         }
         self.pos += 1; // '='
         self.skip_whitespace();
@@ -285,10 +267,8 @@ impl<'a> Tokenizer<'a> {
             Some(&q @ (b'"' | b'\'')) => {
                 self.pos += 1;
                 let vstart = self.pos;
-                while self.pos < self.bytes.len() && self.bytes[self.pos] != q {
-                    self.pos += 1;
-                }
-                let v = self.input[vstart..self.pos].to_owned();
+                self.skip_until(q);
+                let v = &self.input[vstart..self.pos];
                 self.pos = (self.pos + 1).min(self.bytes.len());
                 v
             }
@@ -299,7 +279,7 @@ impl<'a> Tokenizer<'a> {
                 {
                     self.pos += 1;
                 }
-                self.input[vstart..self.pos].to_owned()
+                &self.input[vstart..self.pos]
             }
         };
         Some(Attribute { name, value })
@@ -315,6 +295,38 @@ impl<'a> Tokenizer<'a> {
         while self.pos < self.bytes.len() && self.bytes[self.pos] != byte {
             self.pos += 1;
         }
+    }
+}
+
+impl<'a> Iterator for Tokenizer<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        if let Some(close) = self.raw_text_of.take() {
+            if let Some(text) = self.raw_text(close) {
+                return Some(text);
+            }
+        }
+        while self.pos < self.bytes.len() {
+            let token = if self.bytes[self.pos] == b'<' {
+                self.tag_open()
+            } else {
+                Some(self.text_run())
+            };
+            if token.is_some() {
+                return token;
+            }
+        }
+        None
+    }
+}
+
+/// `s` lowercased, borrowed unless it holds an ASCII uppercase letter.
+fn lowercase(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
     }
 }
 
@@ -338,14 +350,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn start(name: &str, attrs: &[(&str, &str)]) -> Token {
+    fn start<'a>(name: &'a str, attrs: &[(&'a str, &'a str)]) -> Token<'a> {
         Token::StartTag {
             name: name.into(),
             attrs: attrs
                 .iter()
                 .map(|(n, v)| Attribute {
                     name: (*n).into(),
-                    value: (*v).into(),
+                    value: v,
                 })
                 .collect(),
             self_closing: false,
@@ -360,7 +372,7 @@ mod tests {
             vec![
                 start("html", &[]),
                 start("body", &[]),
-                Token::Text("Hi".into()),
+                Token::Text("Hi"),
                 Token::EndTag {
                     name: "body".into()
                 },
@@ -403,7 +415,7 @@ mod tests {
                     name: "img".into(),
                     attrs: vec![Attribute {
                         name: "src".into(),
-                        value: "x.png".into()
+                        value: "x.png"
                     }],
                     self_closing: true
                 },
@@ -414,8 +426,8 @@ mod tests {
     #[test]
     fn doctype_and_comment() {
         let toks = tokenize("<!DOCTYPE html><!-- tracker --><p>x</p>");
-        assert_eq!(toks[0], Token::Doctype("html".into()));
-        assert_eq!(toks[1], Token::Comment(" tracker ".into()));
+        assert_eq!(toks[0], Token::Doctype("html"));
+        assert_eq!(toks[1], Token::Comment(" tracker "));
     }
 
     #[test]
@@ -428,7 +440,7 @@ mod tests {
     #[test]
     fn stray_lt_is_text() {
         let toks = tokenize("price < 10 eur");
-        assert_eq!(toks, vec![Token::Text("price < 10 eur".into())]);
+        assert_eq!(toks, vec![Token::Text("price < 10 eur")]);
     }
 
     #[test]
@@ -447,7 +459,7 @@ mod tests {
     #[test]
     fn unterminated_comment_consumed() {
         let toks = tokenize("<!-- never ends");
-        assert_eq!(toks, vec![Token::Comment(" never ends".into())]);
+        assert_eq!(toks, vec![Token::Comment(" never ends")]);
     }
 
     #[test]
@@ -460,13 +472,40 @@ mod tests {
     #[test]
     fn entities_left_unresolved() {
         let toks = tokenize("<span>&euro;12</span>");
-        assert_eq!(toks[1], Token::Text("&euro;12".into()));
+        assert_eq!(toks[1], Token::Text("&euro;12"));
     }
 
     #[test]
     fn processing_instruction_skipped() {
         let toks = tokenize("<?xml version=\"1.0\"?><p>x</p>");
         assert!(matches!(&toks[0], Token::StartTag { name, .. } if name == "p"));
+    }
+
+    #[test]
+    fn names_borrow_unless_lowercased() {
+        let toks = tokenize("<div CLASS=a data-x=1></DIV>");
+        let Token::StartTag { name, attrs, .. } = &toks[0] else {
+            panic!("start tag expected: {toks:?}");
+        };
+        assert!(matches!(name, Cow::Borrowed("div")));
+        assert!(matches!(&attrs[0].name, Cow::Owned(n) if n == "class"));
+        assert!(matches!(attrs[1].name, Cow::Borrowed("data-x")));
+        assert!(matches!(&toks[1], Token::EndTag { name: Cow::Owned(n) } if n == "div"));
+    }
+
+    #[test]
+    fn recycled_attribute_lists_come_back_empty() {
+        let mut tokens = Tokenizer::new("<a href=x><b id=y class=z>");
+        let Some(Token::StartTag { attrs, .. }) = tokens.next() else {
+            panic!("start tag expected");
+        };
+        tokens.recycle(attrs);
+        let Some(Token::StartTag { attrs, .. }) = tokens.next() else {
+            panic!("start tag expected");
+        };
+        let values: Vec<&str> = attrs.iter().map(|a| a.value).collect();
+        assert_eq!(values, ["y", "z"]);
+        assert!(tokens.next().is_none());
     }
 
     #[test]
@@ -491,7 +530,7 @@ mod tests {
         #[test]
         fn prop_text_round_trips_when_no_markup(s in "[a-zA-Z0-9 .,]{1,64}") {
             let toks = tokenize(&s);
-            prop_assert_eq!(toks, vec![Token::Text(s.clone())]);
+            prop_assert_eq!(toks, vec![Token::Text(&s)]);
         }
     }
 }

@@ -177,6 +177,8 @@ fn worker_loop(service: &Arc<PdService>, listener: &Arc<TcpListener>, stop: &Arc
             return;
         }
         if handle_connection(service, stream, peer, stop) {
+            // Draining began before the acknowledgement was written;
+            // only the (possibly blocking) sentinel enqueue is left.
             service.begin_shutdown();
         }
     }
@@ -189,8 +191,8 @@ fn worker_loop(service: &Arc<PdService>, listener: &Arc<TcpListener>, stop: &Arc
 /// cap, sends something unparseable, or the daemon is stopping. Every
 /// response carries an explicit `connection` header announcing the
 /// decision. Returns whether a graceful shutdown was requested — the
-/// drain itself happens in the caller *after* the response is on the
-/// wire.
+/// service is already refusing submissions by then, and the caller
+/// queues the drain sentinel *after* the response is on the wire.
 fn handle_connection(
     service: &Arc<PdService>,
     stream: TcpStream,
@@ -274,8 +276,8 @@ fn text(body: &str) -> Response {
     Response::ok(body.to_owned()).with_header("content-type", "text/plain; charset=utf-8")
 }
 
-/// Dispatches one request. Returns the response and whether graceful
-/// shutdown should begin once it has been written.
+/// Dispatches one request. Returns the response and whether the drain
+/// sentinel should be queued once it has been written.
 fn route(service: &Arc<PdService>, request: &Request) -> (Response, bool) {
     let path = request.path_only();
     let response = match (request.method.as_str(), path) {
@@ -288,6 +290,10 @@ fn route(service: &Arc<PdService>, request: &Request) -> (Response, bool) {
         ("POST", "/runs") => return (submit(service, request), false),
         ("GET", rest) if rest.starts_with("/runs/") => job_endpoint(service, &rest[6..]),
         ("POST", "/shutdown") if service.config().enable_shutdown => {
+            // Refuse submissions *before* the acknowledgement exists: a
+            // client that submits right after reading it, on any
+            // connection, must already get a 503.
+            service.begin_draining();
             return (
                 Response::json("{\"status\": \"draining\"}\n".to_owned()),
                 true,

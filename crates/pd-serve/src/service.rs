@@ -429,6 +429,11 @@ struct JobTable {
     /// leader is queued or running — the window in which an identical
     /// submission attaches instead of executing.
     active: HashMap<CoalesceKey, u64>,
+    /// Graceful shutdown has begun: submissions are refused. Kept under
+    /// the same lock as admission, so a submission either is fully
+    /// queued before draining begins (and so ahead of the drain
+    /// sentinel) or sees the flag.
+    draining: bool,
 }
 
 /// The daemon's shared state. See the [module docs](self).
@@ -441,7 +446,8 @@ pub struct PdService {
     service_observer: Arc<ServiceObserver>,
     jobs: Mutex<JobTable>,
     queue: Mutex<SyncSender<QueueMsg>>,
-    draining: AtomicBool,
+    /// The drain sentinel has been queued (it is queued once).
+    sentinel_queued: AtomicBool,
     gate: Gate,
 }
 
@@ -474,7 +480,7 @@ impl PdService {
             metrics,
             jobs: Mutex::new(JobTable::default()),
             queue: Mutex::new(queue),
-            draining: AtomicBool::new(false),
+            sentinel_queued: AtomicBool::new(false),
             gate,
         }
     }
@@ -511,7 +517,7 @@ impl PdService {
     /// Whether graceful shutdown has begun (submissions are refused).
     #[must_use]
     pub fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+        self.jobs.lock().expect("jobs lock").draining
     }
 
     /// Accepts a submission: into the bounded queue, or — when an
@@ -529,9 +535,6 @@ impl PdService {
     /// validation; [`SubmitError::QueueFull`] / [`SubmitError::Draining`]
     /// for backpressure — the job table is untouched in every error case.
     pub fn submit(&self, req: &SubmitRequest) -> Result<String, SubmitError> {
-        if self.draining() {
-            return Err(SubmitError::Draining);
-        }
         let spec = match (&req.scenario, &req.spec) {
             (Some(_), Some(_)) => {
                 return Err(SubmitError::Invalid(
@@ -563,8 +566,12 @@ impl PdService {
 
         // Push + enqueue under one lock so ids stay dense even when a
         // full queue forces the push to roll back — and so the
-        // coalescing index cannot race a leader's completion.
+        // coalescing index cannot race a leader's completion, nor the
+        // admission race draining.
         let mut jobs = self.jobs.lock().expect("jobs lock");
+        if jobs.draining {
+            return Err(SubmitError::Draining);
+        }
         let id = jobs.records.len() as u64 + 1;
         if let Some(&leader) = jobs.active.get(&key) {
             // An identical job is in flight: attach as a follower. No
@@ -690,15 +697,24 @@ impl PdService {
             .map(|job| job.report_json.as_deref().map(str::to_owned))
     }
 
-    /// Starts graceful shutdown: refuse new submissions, unpause the
-    /// runner pool, and append the drain sentinel so every
-    /// already-queued job still runs. Idempotent. May block briefly
-    /// while the queue drains enough to accept the sentinel.
+    /// The first half of graceful shutdown: refuse every later
+    /// submission and unpause the runner pool. Never blocks on the
+    /// queue, so `POST /shutdown` calls it before acknowledging.
+    /// Idempotent.
+    pub fn begin_draining(&self) {
+        self.jobs.lock().expect("jobs lock").draining = true;
+        self.gate.set_paused(false);
+    }
+
+    /// Starts graceful shutdown: [`PdService::begin_draining`], then
+    /// append the drain sentinel so every already-queued job still runs.
+    /// Idempotent. May block briefly while the queue drains enough to
+    /// accept the sentinel.
     pub fn begin_shutdown(&self) {
-        if self.draining.swap(true, Ordering::SeqCst) {
+        self.begin_draining();
+        if self.sentinel_queued.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.gate.set_paused(false);
         let sender = self.queue.lock().expect("queue lock").clone();
         let _ = sender.send(QueueMsg::Shutdown);
     }
@@ -964,6 +980,25 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, SubmitError::Draining);
         drop(rx);
+    }
+
+    #[test]
+    fn draining_refuses_submissions_before_the_sentinel_is_queued() {
+        let (svc, rx) = service(4);
+        svc.begin_draining();
+        assert!(svc.draining());
+        let err = svc
+            .submit(&SubmitRequest {
+                scenario: Some("smoke".to_owned()),
+                ..SubmitRequest::default()
+            })
+            .unwrap_err();
+        assert_eq!(err, SubmitError::Draining);
+        assert!(rx.try_recv().is_err(), "no sentinel until begin_shutdown");
+        svc.begin_shutdown();
+        assert!(matches!(rx.try_recv(), Ok(QueueMsg::Shutdown)));
+        svc.begin_shutdown();
+        assert!(rx.try_recv().is_err(), "the sentinel is queued once");
     }
 
     #[test]

@@ -337,7 +337,7 @@ fn run_one_check(
     if own_resp.status.code() != 200 {
         return None;
     }
-    let own_doc = pd_html::parse(&own_resp.body);
+    let own_doc = pd_html::parse_pooled(&own_resp.body);
 
     // Highlight: the price element, or — mis-highlight noise — the promo.
     let selector = if noise == NoiseTruth::MisHighlight {

@@ -138,7 +138,7 @@ impl Sheriff {
         if resp.status.code() != 200 {
             return PriceObservation::failed(vp.id, format!("http {}", resp.status.code()));
         }
-        let doc = pd_html::parse(&resp.body);
+        let doc = pd_html::parse_pooled(&resp.body);
         let hint = Locale::of_country(vp.location.country);
         match extractor.extract(&doc, Some(hint)) {
             Ok(ex) => PriceObservation::ok(vp.id, ex.price, ex.raw_text),

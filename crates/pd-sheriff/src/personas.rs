@@ -76,7 +76,7 @@ fn fetch_price(
     if resp.status.code() != 200 {
         return None;
     }
-    let doc = pd_html::parse(&resp.body);
+    let doc = pd_html::parse_pooled(&resp.body);
     let ex = HighlightExtractor::from_highlight(&doc, &price_selector(style))?;
     ex.extract(&doc, Some(Locale::of_country(location.country)))
         .ok()

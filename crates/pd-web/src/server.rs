@@ -10,12 +10,17 @@
 
 use crate::convert::usd_to_local;
 use crate::http::{Request, Response};
-use crate::template::{render, RenderInput};
+use crate::template::{render_html, RenderInput};
 use pd_currency::{FxSeries, Locale};
 use pd_net::geo::{Country, Location, Region};
 use pd_pricing::quote::{LoginState, QuoteContext};
 use pd_pricing::{Catalog, PricingEngine, RetailerSpec};
 use pd_util::{Money, Seed};
+use std::sync::LazyLock;
+
+/// Where a client the geo-IP database cannot place is assumed to be.
+static UNKNOWN_LOCATION: LazyLock<Location> =
+    LazyLock::new(|| Location::new(Country::UnitedStates, "Unknown"));
 
 /// A simulated retailer web server.
 #[derive(Debug, Clone)]
@@ -73,13 +78,12 @@ impl RetailerServer {
         client_location: Option<&Location>,
         fx: &FxSeries,
     ) -> Response {
-        let fallback = Location::new(Country::UnitedStates, "Unknown");
-        let location = client_location.unwrap_or(&fallback).clone();
+        let location = client_location.unwrap_or(&UNKNOWN_LOCATION);
 
         if let Some(slug) = req.path.strip_prefix("/product/") {
-            self.product_page(req, &location, slug, fx)
+            self.product_page(req, location, slug, fx)
         } else if let Some(slug) = req.path.strip_prefix("/checkout/") {
-            self.checkout_page(req, &location, slug, fx)
+            self.checkout_page(req, location, slug, fx)
         } else if req.path == "/" {
             self.index_page()
         } else {
@@ -155,8 +159,7 @@ impl RetailerServer {
             third_parties: &self.spec.third_parties,
             promo_text: "Save $10 on orders over $100 today!".to_owned(),
         };
-        let doc = render(self.spec.template_style, &input);
-        let mut resp = Response::ok(doc.to_html(pd_html::NodeId::ROOT));
+        let mut resp = Response::ok(render_html(self.spec.template_style, &input));
         if fresh_session {
             resp = resp.with_set_cookie("sid", &ctx.session_token.to_string());
         }

@@ -17,11 +17,15 @@
 //! * structural differences per family: id-anchored boxes, tables,
 //!   class-only markup, and deeply nested widgets.
 //!
+//! Each family is written once against [`HtmlSink`]: [`render`] builds it
+//! into a [`Document`], [`render_html`] writes the same page straight to
+//! HTML text (the server's path), and the two agree byte for byte.
+//!
 //! [`price_selector`] returns the family's ground-truth selector for the
 //! main price node — used only to *simulate the user's highlight*, never
 //! by the extraction pipeline itself.
 
-use pd_html::{DocBuilder, Document, Selector};
+use pd_html::{write_page, DocBuilder, Document, HtmlSink, HtmlWriter, Selector};
 use pd_pricing::retailer::ThirdParty;
 
 /// Everything a template needs to render one product page.
@@ -47,13 +51,47 @@ pub const FAMILY_COUNT: u8 = 5;
 /// Renders a product page in the given template family (`style % 5`).
 #[must_use]
 pub fn render(style: u8, input: &RenderInput<'_>) -> Document {
-    match style % FAMILY_COUNT {
-        0 => render_classic(input),
-        1 => render_table(input),
-        2 => render_buybox(input),
-        3 => render_minimal(input),
-        _ => render_cluttered(input),
-    }
+    let mut builder = DocBuilder::new();
+    render_into(style, input, &mut builder);
+    builder.finish()
+}
+
+/// Renders the same page as [`render`] directly as HTML text: equal to
+/// `render(style, input).to_html(NodeId::ROOT)`, without building the
+/// tree.
+#[must_use]
+pub fn render_html(style: u8, input: &RenderInput<'_>) -> String {
+    let mut writer = HtmlWriter::with_capacity(page_capacity(input));
+    render_into(style, input, &mut writer);
+    writer.finish()
+}
+
+/// Writes the page of family `style % 5` into any sink.
+fn render_into<S: HtmlSink>(style: u8, input: &RenderInput<'_>, sink: &mut S) {
+    let body: fn(&mut S, &RenderInput<'_>) = match style % FAMILY_COUNT {
+        0 => render_classic,
+        1 => render_table,
+        2 => render_buybox,
+        3 => render_minimal,
+        _ => render_cluttered,
+    };
+    write_page(sink, |h| head(h, input), |b| body(b, input));
+}
+
+/// Output buffer size for one page: the fixed markup of the largest
+/// family plus room for every input string written (some twice, some
+/// escaped).
+fn page_capacity(input: &RenderInput<'_>) -> usize {
+    let strings = 2 * input.domain.len()
+        + 3 * input.product_name.len()
+        + input.price_text.len()
+        + input.promo_text.len()
+        + input
+            .recommended
+            .iter()
+            .map(|(name, price)| name.len() + price.len())
+            .sum::<usize>();
+    768 + 64 * input.third_parties.len() + 2 * strings
 }
 
 /// Ground-truth selector for the *main* price node of a family.
@@ -73,7 +111,7 @@ pub fn price_selector(style: u8) -> Selector {
     Selector::parse(src).expect("static selector is valid")
 }
 
-fn head(b: &mut DocBuilder, input: &RenderInput<'_>) {
+fn head(b: &mut impl HtmlSink, input: &RenderInput<'_>) {
     b.text_element(
         "title",
         &[],
@@ -106,13 +144,13 @@ fn head(b: &mut DocBuilder, input: &RenderInput<'_>) {
     }
 }
 
-fn promo(b: &mut DocBuilder, input: &RenderInput<'_>) {
+fn promo(b: &mut impl HtmlSink, input: &RenderInput<'_>) {
     b.open("div", &[("class", "promo-banner")]);
     b.text_element("em", &[], &input.promo_text);
     b.close();
 }
 
-fn recommendations(b: &mut DocBuilder, input: &RenderInput<'_>, price_class: &str) {
+fn recommendations(b: &mut impl HtmlSink, input: &RenderInput<'_>, price_class: &str) {
     b.open("div", &[("class", "recommendations")]);
     b.text_element("h3", &[], "Customers also viewed");
     for (name, price) in &input.recommended {
@@ -126,106 +164,81 @@ fn recommendations(b: &mut DocBuilder, input: &RenderInput<'_>, price_class: &st
 }
 
 /// Family 0 — "classic": id-anchored product box, `span.price`.
-fn render_classic(input: &RenderInput<'_>) -> Document {
-    DocBuilder::page_with_head(
-        |h| head(h, input),
-        |b| {
-            b.open("div", &[("class", "header")]);
-            b.text_element("a", &[("href", "/")], input.domain);
-            b.close();
-            promo(b, input);
-            b.open("div", &[("id", "product-detail"), ("class", "product")]);
-            b.text_element("h1", &[], input.product_name);
-            b.text_element("span", &[("class", "price")], &input.price_text);
-            b.text_element("button", &[("class", "add-to-cart")], "Add to cart");
-            b.close();
-            recommendations(b, input, "price");
-            b.comment(" rendered by shopkit 2.3 ");
-        },
-    )
+fn render_classic(b: &mut impl HtmlSink, input: &RenderInput<'_>) {
+    b.open("div", &[("class", "header")]);
+    b.text_element("a", &[("href", "/")], input.domain);
+    b.close();
+    promo(b, input);
+    b.open("div", &[("id", "product-detail"), ("class", "product")]);
+    b.text_element("h1", &[], input.product_name);
+    b.text_element("span", &[("class", "price")], &input.price_text);
+    b.text_element("button", &[("class", "add-to-cart")], "Add to cart");
+    b.close();
+    recommendations(b, input, "price");
+    b.comment(" rendered by shopkit 2.3 ");
 }
 
 /// Family 1 — "table": offer table with a `td.product-price`.
-fn render_table(input: &RenderInput<'_>) -> Document {
-    DocBuilder::page_with_head(
-        |h| head(h, input),
-        |b| {
-            promo(b, input);
-            b.open("table", &[("id", "offer-table")]);
-            b.open("tr", &[]);
-            b.text_element("th", &[], "Item");
-            b.text_element("th", &[], "Price");
-            b.close();
-            b.open("tr", &[]);
-            b.text_element("td", &[("class", "product-name")], input.product_name);
-            b.text_element("td", &[("class", "product-price")], &input.price_text);
-            b.close();
-            b.close();
-            recommendations(b, input, "product-price");
-        },
-    )
+fn render_table(b: &mut impl HtmlSink, input: &RenderInput<'_>) {
+    promo(b, input);
+    b.open("table", &[("id", "offer-table")]);
+    b.open("tr", &[]);
+    b.text_element("th", &[], "Item");
+    b.text_element("th", &[], "Price");
+    b.close();
+    b.open("tr", &[]);
+    b.text_element("td", &[("class", "product-name")], input.product_name);
+    b.text_element("td", &[("class", "product-price")], &input.price_text);
+    b.close();
+    b.close();
+    recommendations(b, input, "product-price");
 }
 
 /// Family 2 — "buybox": modern PDP with an id-anchored buy box.
-fn render_buybox(input: &RenderInput<'_>) -> Document {
-    DocBuilder::page_with_head(
-        |h| head(h, input),
-        |b| {
-            b.open("div", &[("class", "pdp")]);
-            b.open("div", &[("class", "gallery")]);
-            b.leaf(
-                "img",
-                &[("src", "/img/product.jpg"), ("alt", input.product_name)],
-            );
-            b.close();
-            b.open("div", &[("id", "buybox"), ("class", "buy-box")]);
-            b.text_element("h2", &[], input.product_name);
-            b.text_element("b", &[("class", "amount")], &input.price_text);
-            b.text_element("small", &[("class", "vat-note")], "excl. shipping");
-            b.close();
-            b.close();
-            promo(b, input);
-            recommendations(b, input, "amount");
-        },
-    )
+fn render_buybox(b: &mut impl HtmlSink, input: &RenderInput<'_>) {
+    b.open("div", &[("class", "pdp")]);
+    b.open("div", &[("class", "gallery")]);
+    b.leaf(
+        "img",
+        &[("src", "/img/product.jpg"), ("alt", input.product_name)],
+    );
+    b.close();
+    b.open("div", &[("id", "buybox"), ("class", "buy-box")]);
+    b.text_element("h2", &[], input.product_name);
+    b.text_element("b", &[("class", "amount")], &input.price_text);
+    b.text_element("small", &[("class", "vat-note")], "excl. shipping");
+    b.close();
+    b.close();
+    promo(b, input);
+    recommendations(b, input, "amount");
 }
 
 /// Family 3 — "minimal": no ids anywhere; class-signature extraction.
-fn render_minimal(input: &RenderInput<'_>) -> Document {
-    DocBuilder::page_with_head(
-        |h| head(h, input),
-        |b| {
-            b.open("div", &[("class", "pdp-wrap")]);
-            b.text_element("h1", &[], input.product_name);
-            b.text_element("p", &[("class", "cost")], &input.price_text);
-            b.close();
-            promo(b, input);
-            recommendations(b, input, "reco-cost");
-        },
-    )
+fn render_minimal(b: &mut impl HtmlSink, input: &RenderInput<'_>) {
+    b.open("div", &[("class", "pdp-wrap")]);
+    b.text_element("h1", &[], input.product_name);
+    b.text_element("p", &[("class", "cost")], &input.price_text);
+    b.close();
+    promo(b, input);
+    recommendations(b, input, "reco-cost");
 }
 
 /// Family 4 — "cluttered": deeply nested widget with label noise.
-fn render_cluttered(input: &RenderInput<'_>) -> Document {
-    DocBuilder::page_with_head(
-        |h| head(h, input),
-        |b| {
-            promo(b, input);
-            b.open("div", &[("id", "main")]);
-            b.open("div", &[("class", "col col-left")]);
-            b.text_element("strong", &[], "Today's deals");
-            b.close();
-            b.open("div", &[("class", "col col-main")]);
-            b.text_element("h1", &[], input.product_name);
-            b.open("div", &[("class", "widget price-widget")]);
-            b.text_element("span", &[("class", "label")], "Our price:");
-            b.text_element("strong", &[], &input.price_text);
-            b.close();
-            b.close();
-            b.close();
-            recommendations(b, input, "deal-price");
-        },
-    )
+fn render_cluttered(b: &mut impl HtmlSink, input: &RenderInput<'_>) {
+    promo(b, input);
+    b.open("div", &[("id", "main")]);
+    b.open("div", &[("class", "col col-left")]);
+    b.text_element("strong", &[], "Today's deals");
+    b.close();
+    b.open("div", &[("class", "col col-main")]);
+    b.text_element("h1", &[], input.product_name);
+    b.open("div", &[("class", "widget price-widget")]);
+    b.text_element("span", &[("class", "label")], "Our price:");
+    b.text_element("strong", &[], &input.price_text);
+    b.close();
+    b.close();
+    b.close();
+    recommendations(b, input, "deal-price");
 }
 
 #[cfg(test)]

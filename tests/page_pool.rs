@@ -1,0 +1,53 @@
+//! The per-thread document pool behind `pd_html::parse_pooled`: every
+//! guard gives its document back (the live count returns to its base
+//! after parsing across a scoped executor), nested guards on one thread
+//! are independent, and a reused document parses exactly like a fresh
+//! one. One test function, so nothing else in this binary moves the
+//! process-wide live count while it is checked.
+
+use pd_core::Executor;
+use pd_html::{parse, parse_pooled, pooled_live, NodeId};
+
+const PAGES: [&str; 3] = [
+    "<!DOCTYPE html><html><body><div id=product><span class=\"price main\">$1,299.00</span>\
+     <ul><li>a<li>b</ul><img src=x.png></div><script>if (a < b) {}</script></body></html>",
+    "<p>short &euro;5",
+    "<table><tr><td class=product-price>1.199,00&nbsp;&euro;<td>x</table><!-- end -->",
+];
+
+#[test]
+fn pooled_documents_return_to_the_pool_and_parse_like_fresh_ones() {
+    let base = pooled_live();
+
+    // Nested guards on one thread hold distinct documents.
+    {
+        let outer = parse_pooled(PAGES[0]);
+        let inner = parse_pooled(PAGES[1]);
+        assert_eq!(pooled_live(), base + 2);
+        assert_eq!(*outer, parse(PAGES[0]));
+        assert_eq!(*inner, parse(PAGES[1]));
+        drop(inner);
+        // The document just returned is reused for the next parse, which
+        // must not see anything of the larger page it held before.
+        let reused = parse_pooled(PAGES[2]);
+        assert_eq!(*reused, parse(PAGES[2]));
+        assert_eq!(
+            reused.to_html(NodeId::ROOT),
+            parse(PAGES[2]).to_html(NodeId::ROOT)
+        );
+        assert_eq!(*outer, parse(PAGES[0]), "outer guard untouched");
+    }
+    assert_eq!(pooled_live(), base);
+
+    // Parsing across a scoped executor: each worker thread warms its own
+    // free list, and every guard is returned by the time the scope ends.
+    let executor = Executor::new(4);
+    let matched = executor.map_indexed(240, |i| {
+        let page = PAGES[i % PAGES.len()];
+        let doc = parse_pooled(page);
+        let nested = parse_pooled(PAGES[(i + 1) % PAGES.len()]);
+        *doc == parse(page) && *nested == parse(PAGES[(i + 1) % PAGES.len()])
+    });
+    assert!(matched.iter().all(|&ok| ok));
+    assert_eq!(pooled_live(), base);
+}

@@ -256,6 +256,28 @@ fn graceful_shutdown_drains_queued_jobs() {
     assert!(service.metrics_text().contains("jobs_done 2\n"));
 }
 
+/// The shutdown acknowledgement is a promise: once a client has read
+/// it, every submission — here on a fresh connection, possibly served
+/// by another accept worker — gets a 503. Draining is switched on
+/// before the acknowledgement is built, so this holds on every one of
+/// 50 fresh daemons, not just when the scheduler is kind.
+#[test]
+fn submit_after_shutdown_ack_is_always_refused() {
+    for round in 0..50 {
+        let (server, client) = boot(ServeConfig {
+            threads: 4,
+            ..ServeConfig::default()
+        });
+        client.shutdown().expect("drain begins");
+        let fresh = Client::new(&server.addr().to_string());
+        let refused = fresh
+            .submit(&smoke_request(round))
+            .expect_err("submission after the shutdown ack");
+        assert!(refused.contains("503"), "round {round}: {refused}");
+        server.join();
+    }
+}
+
 /// By-name submissions fall back to the spec search path, and a typo'd
 /// name gets a did-you-mean in the 400 body.
 #[test]

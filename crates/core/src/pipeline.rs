@@ -291,7 +291,7 @@ impl Engine {
     /// (no store, stale fingerprint, corrupt file) is a cache miss: the
     /// caller computes. `pd artifacts ls` is the diagnostic surface for
     /// unhealthy stores.
-    fn probe_store<T: serde::Deserialize + Send + Sync + 'static>(
+    fn probe_store<T: store::Artifact + Send + Sync + 'static>(
         &mut self,
         kind: StageKind,
     ) -> Option<Arc<T>> {
@@ -737,9 +737,10 @@ impl Engine {
 /// (the meta chunk is the artifact with its row arrays emptied, so it
 /// deserializes as a hollow [`CrowdArtifact`]).
 fn chunked_cleaning(payload: &ChunkedPayload) -> Option<CleaningReport> {
-    let meta = payload.meta_value().ok()?;
-    let hollow: CrowdArtifact = serde::Deserialize::deserialize(&meta).ok()?;
-    Some(hollow.cleaning)
+    payload
+        .meta::<CrowdArtifact>()
+        .ok()
+        .map(|hollow| hollow.cleaning)
 }
 
 /// Why a builder could not produce an engine.

@@ -33,7 +33,7 @@ use crate::frames::{FrameCache, FrameStats};
 use crate::observer::{RunObserver, StageKind};
 use crate::report::{Fig8Grid, Report};
 use crate::scenario::RunPlan;
-use crate::store::{ChunkedPayload, StoreError};
+use crate::store::{Artifact, ChunkedPayload, StoreError};
 use crate::world::World;
 use pd_analysis::{crawl, crowd as crowd_figs, location, login, strategy, summary, thirdparty};
 use pd_crawler::crawl::RetailerCrawlStats;
@@ -49,6 +49,7 @@ use pd_sheriff::MeasurementStore;
 use pd_web::template::{price_selector, FAMILY_COUNT};
 use pd_web::Request;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// The crowd-stage artifact: the raw campaign, the cleaned store and the
 /// cleaning accounting.
@@ -87,6 +88,57 @@ pub struct AnalysisArtifact {
     /// Every figure and table of the paper's evaluation.
     pub report: Report,
 }
+
+impl Artifact for CrowdArtifact {
+    const SECTIONS: &'static [&'static str] = &["raw", "cleaned"];
+
+    fn section(&self, name: &str) -> Option<&MeasurementStore> {
+        match name {
+            "raw" => Some(&self.raw),
+            "cleaned" => Some(&self.cleaned),
+            _ => None,
+        }
+    }
+
+    fn section_mut(&mut self, name: &str) -> Option<&mut MeasurementStore> {
+        match name {
+            "raw" => Some(&mut self.raw),
+            "cleaned" => Some(&mut self.cleaned),
+            _ => None,
+        }
+    }
+
+    fn hollow(&self) -> Cow<'_, Self> {
+        Cow::Owned(CrowdArtifact {
+            raw: MeasurementStore::new(),
+            cleaned: MeasurementStore::new(),
+            cleaning: self.cleaning,
+        })
+    }
+}
+
+impl Artifact for CrawlArtifact {
+    const SECTIONS: &'static [&'static str] = &["store"];
+
+    fn section(&self, name: &str) -> Option<&MeasurementStore> {
+        (name == "store").then_some(&self.store)
+    }
+
+    fn section_mut(&mut self, name: &str) -> Option<&mut MeasurementStore> {
+        (name == "store").then_some(&mut self.store)
+    }
+
+    fn hollow(&self) -> Cow<'_, Self> {
+        Cow::Owned(CrawlArtifact {
+            store: MeasurementStore::new(),
+            stats: self.stats.clone(),
+        })
+    }
+}
+
+impl Artifact for PersonaArtifact {}
+
+impl Artifact for AnalysisArtifact {}
 
 /// Runs a stage under observer start/finish events, timing it.
 pub(crate) fn observed<T>(obs: &dyn RunObserver, stage: StageKind, f: impl FnOnce() -> T) -> T {

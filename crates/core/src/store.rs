@@ -55,7 +55,10 @@ use crate::config::ExperimentConfig;
 use crate::observer::StageKind;
 use crate::scenario::RunPlan;
 use crate::spec::ScenarioSpec;
+use crate::stage::{AnalysisArtifact, CrawlArtifact, CrowdArtifact, PersonaArtifact};
+use pd_sheriff::MeasurementStore;
 use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -195,6 +198,35 @@ impl Deserialize for StoreFormat {
         }
     }
 }
+
+/// A stage artifact the store can persist: its serde shape, plus the
+/// measurement row sections the binary format splits into one chunk per
+/// domain (so analysis can stream a single retailer's rows).
+///
+/// The binary meta chunk is [`hollow`](Self::hollow): the artifact with
+/// every section emptied. Artifacts without sections (the default) are
+/// stored whole in the meta chunk, and so is a raw [`Value`] payload.
+pub trait Artifact: Serialize + Deserialize + Clone {
+    /// Section names, in the order their chunks are laid out.
+    const SECTIONS: &'static [&'static str] = &[];
+
+    /// A section's rows (`None` for a name not in [`Self::SECTIONS`]).
+    fn section(&self, _name: &str) -> Option<&MeasurementStore> {
+        None
+    }
+
+    /// Mutable access to a section, for splicing decoded rows back.
+    fn section_mut(&mut self, _name: &str) -> Option<&mut MeasurementStore> {
+        None
+    }
+
+    /// The artifact with every section empty.
+    fn hollow(&self) -> Cow<'_, Self> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl Artifact for Value {}
 
 /// The canonical fingerprint basis of a plan: config (optionally with
 /// the analysis-only section removed), engine knobs, schema version.
@@ -682,24 +714,12 @@ impl ArtifactStore {
     ///
     /// [`StoreError::Io`] when the artifact or manifest cannot be
     /// written.
-    pub fn save<T: Serialize>(
+    pub fn save<T: Artifact>(
         &mut self,
         stage: &str,
         fingerprint: Fingerprint,
         upstream: &[Fingerprint],
         artifact: &T,
-    ) -> Result<u64, StoreError> {
-        self.save_value(stage, fingerprint, upstream, serde_json::to_value(artifact))
-    }
-
-    /// Format-dispatching core of [`save`](Self::save); also the target
-    /// of [`migrate`](Self::migrate), which re-saves decoded payloads.
-    fn save_value(
-        &mut self,
-        stage: &str,
-        fingerprint: Fingerprint,
-        upstream: &[Fingerprint],
-        payload: Value,
     ) -> Result<u64, StoreError> {
         let (bytes, payload_bytes, chunks) = match self.format {
             StoreFormat::Json => {
@@ -707,7 +727,7 @@ impl ArtifactStore {
                     schema_version: SCHEMA_VERSION,
                     stage: stage.to_owned(),
                     fingerprint: fingerprint.to_string(),
-                    payload,
+                    payload: serde_json::to_value(artifact),
                 };
                 let text = serde_json::to_string(&envelope).expect("envelope serializes");
                 // Payload size without re-serializing the payload:
@@ -729,7 +749,7 @@ impl ArtifactStore {
                 (text.into_bytes(), payload_bytes, None)
             }
             StoreFormat::Binary => {
-                let (bytes, payload_bytes, chunks) = encode_binary(stage, fingerprint, payload);
+                let (bytes, payload_bytes, chunks) = encode_binary(stage, fingerprint, artifact);
                 (bytes, payload_bytes, Some(chunks))
             }
         };
@@ -777,11 +797,7 @@ impl ArtifactStore {
     /// produced under a different plan; [`StoreError::SchemaMismatch`],
     /// [`StoreError::Corrupt`] or [`StoreError::Io`] when the file is
     /// unusable.
-    pub fn load<T: Deserialize>(
-        &self,
-        stage: &str,
-        expected: Fingerprint,
-    ) -> Result<T, StoreError> {
+    pub fn load<T: Artifact>(&self, stage: &str, expected: Fingerprint) -> Result<T, StoreError> {
         let entry = self.entry(stage).ok_or_else(|| StoreError::MissingStage {
             stage: stage.to_owned(),
         })?;
@@ -792,31 +808,28 @@ impl ArtifactStore {
                 found: entry.fingerprint.clone(),
             });
         }
-        let payload = match entry.store_format() {
+        self.load_entry(entry)
+    }
+
+    /// Decodes an entry's artifact in whichever format it is stored
+    /// (the envelope or header must agree with the manifest entry).
+    fn load_entry<T: Artifact>(&self, entry: &ManifestEntry) -> Result<T, StoreError> {
+        match entry.store_format() {
             StoreFormat::Json => {
-                let envelope = self.read_envelope(entry)?;
-                if envelope.fingerprint != expected.to_string() {
-                    return Err(StoreError::StaleFingerprint {
-                        stage: stage.to_owned(),
-                        expected: expected.to_string(),
-                        found: envelope.fingerprint,
-                    });
-                }
-                envelope.payload
+                let payload = self.read_envelope(entry)?.payload;
+                serde_json::from_value(payload).map_err(|e| StoreError::Corrupt {
+                    path: self.dir.join(&entry.file).display().to_string(),
+                    detail: format!("payload does not deserialize: {e}"),
+                })
             }
-            StoreFormat::Binary => self.open_chunked_entry(entry)?.assemble_value()?,
-        };
-        let path = self.dir.join(&entry.file);
-        serde_json::from_value(payload).map_err(|e| StoreError::Corrupt {
-            path: path.display().to_string(),
-            detail: format!("payload does not deserialize: {e}"),
-        })
+            StoreFormat::Binary => self.open_chunked_entry(entry)?.assemble(),
+        }
     }
 
     /// Opens a binary stage entry for chunked reads: the header and
     /// every chunk checksum are validated up front (so corruption is
     /// caught here, exactly like a failed JSON parse), but no chunk is
-    /// *decoded* — [`ChunkedPayload::read_chunk`] decodes single
+    /// *decoded* — [`ChunkedPayload::read_chunk_rows`] decodes single
     /// domains on demand, which is what lets `pd rerun` re-analyze a
     /// store without materializing whole measurement payloads.
     ///
@@ -862,19 +875,12 @@ impl ArtifactStore {
         ChunkedPayload::open(&path, &entry.stage, &entry.fingerprint)
     }
 
-    /// Decodes an entry's payload back to its [`Value`] tree regardless
-    /// of format (the migration path).
-    fn load_payload_value(&self, entry: &ManifestEntry) -> Result<Value, StoreError> {
-        match entry.store_format() {
-            StoreFormat::Json => Ok(self.read_envelope(entry)?.payload),
-            StoreFormat::Binary => self.open_chunked_entry(entry)?.assemble_value(),
-        }
-    }
-
     /// Re-encodes every stored artifact in `format`, leaving stages,
     /// fingerprints and payloads untouched. Idempotent: entries already
-    /// in the target format are rewritten in place. Returns per-stage
-    /// `(stage, old bytes, new bytes)` rows in manifest order.
+    /// in the target format are rewritten in place. Each entry is
+    /// decoded as its stage's artifact type (any other stage name as an
+    /// opaque [`Value`]). Returns per-stage `(stage, old bytes, new
+    /// bytes)` rows in manifest order.
     ///
     /// # Errors
     ///
@@ -886,7 +892,6 @@ impl ArtifactStore {
         self.format = format;
         let mut report = Vec::with_capacity(entries.len());
         for entry in entries {
-            let payload = self.load_payload_value(&entry)?;
             let fingerprint =
                 Fingerprint::parse(&entry.fingerprint).ok_or_else(|| StoreError::Corrupt {
                     path: self.dir.join(MANIFEST_FILE).display().to_string(),
@@ -909,10 +914,27 @@ impl ArtifactStore {
                     })
                 })
                 .collect::<Result<_, _>>()?;
-            let new_bytes = self.save_value(&entry.stage, fingerprint, &upstream, payload)?;
+            let new_bytes = match entry.stage.as_str() {
+                "crowd" => self.resave::<CrowdArtifact>(&entry, fingerprint, &upstream),
+                "crawl" => self.resave::<CrawlArtifact>(&entry, fingerprint, &upstream),
+                "personas" => self.resave::<PersonaArtifact>(&entry, fingerprint, &upstream),
+                "analysis" => self.resave::<AnalysisArtifact>(&entry, fingerprint, &upstream),
+                _ => self.resave::<Value>(&entry, fingerprint, &upstream),
+            }?;
             report.push((entry.stage, entry.bytes, new_bytes));
         }
         Ok(report)
+    }
+
+    /// Decodes one entry as `T` and saves it again in the current format.
+    fn resave<T: Artifact>(
+        &mut self,
+        entry: &ManifestEntry,
+        fingerprint: Fingerprint,
+        upstream: &[Fingerprint],
+    ) -> Result<u64, StoreError> {
+        let artifact: T = self.load_entry(entry)?;
+        self.save(&entry.stage, fingerprint, upstream, &artifact)
     }
 
     /// Checks every manifest entry against its file: existence, parse
@@ -982,39 +1004,6 @@ impl ArtifactStore {
 /// Magic bytes opening every binary artifact file (`<stage>.bin`).
 const BIN_MAGIC: [u8; 4] = *b"PDB3";
 
-/// Where the row arrays live inside a stage payload. Each listed
-/// section is pulled out of the payload at save time and partitioned
-/// into one chunk per domain (first-seen order, matching
-/// `MeasurementStore::domains`); everything else — and every stage not
-/// listed — stays in the meta chunk. Row membership is decided by the
-/// row's own `domain` field, and every row carries its original array
-/// index, so reassembly is exact regardless of chunk order.
-fn row_sections(stage: &str) -> &'static [(&'static str, &'static [&'static str])] {
-    match stage {
-        "crowd" => &[
-            ("raw", &["raw", "records"]),
-            ("cleaned", &["cleaned", "records"]),
-        ],
-        "crawl" => &[("store", &["store", "records"])],
-        _ => &[],
-    }
-}
-
-/// Mutable access to the row array at `path` inside a payload tree.
-fn rows_slot<'a>(payload: &'a mut Value, path: &[&str]) -> Option<&'a mut Vec<Value>> {
-    let mut cur = payload;
-    for key in path {
-        match cur {
-            Value::Object(map) => cur = map.get_mut(*key)?,
-            _ => return None,
-        }
-    }
-    match cur {
-        Value::Array(rows) => Some(rows),
-        _ => None,
-    }
-}
-
 /// One chunk's entry in the binary file's index: where it lives inside
 /// the chunk region and what it holds.
 #[derive(Debug, Clone)]
@@ -1080,76 +1069,56 @@ impl ChunkInfo {
     }
 }
 
-/// Encodes a payload into the binary file layout: magic, u32-LE header
-/// length, binfmt-encoded header (schema, stage, fingerprint, chunk
-/// index), then the chunk region — the meta chunk (the payload with
-/// its row arrays emptied) followed by one framed-rows chunk per
-/// domain per row section. Returns the file bytes, the chunk-region
-/// size (the payload-only byte count) and the chunk count.
-fn encode_binary(stage: &str, fingerprint: Fingerprint, mut payload: Value) -> (Vec<u8>, u64, u32) {
-    // Pull each row section out of the payload and partition by domain.
-    let mut row_chunks: Vec<(String, String, Vec<u8>, u64)> = Vec::new();
-    for (section, path) in row_sections(stage) {
-        let Some(rows) = rows_slot(&mut payload, path) else {
+/// Encodes an artifact into the binary file layout: magic, u32-LE
+/// header length, binfmt-encoded header (schema, stage, fingerprint,
+/// chunk index), then the chunk region — the meta chunk (the
+/// [`Artifact::hollow`] artifact) followed by one framed-rows chunk per
+/// domain per section, domains in first-seen order (matching
+/// `MeasurementStore::domains`). Every row carries its original index,
+/// so reassembly is exact regardless of chunk order. Returns the file
+/// bytes, the chunk-region size (the payload-only byte count) and the
+/// chunk count.
+fn encode_binary<T: Artifact>(
+    stage: &str,
+    fingerprint: Fingerprint,
+    artifact: &T,
+) -> (Vec<u8>, u64, u32) {
+    let mut region: Vec<u8> = Vec::new();
+    let mut place = |section: &str, name: &str, rows: u64, bytes: &[u8]| {
+        let chunk = ChunkInfo {
+            section: section.to_owned(),
+            name: name.to_owned(),
+            offset: region.len() as u64,
+            len: bytes.len() as u64,
+            rows,
+            checksum: fnv1a64(bytes),
+        };
+        region.extend_from_slice(bytes);
+        chunk
+    };
+    let meta = place("", "", 0, &binfmt::encode_one(&*artifact.hollow()));
+    let mut chunks: Vec<ChunkInfo> = Vec::new();
+    for &section in T::SECTIONS {
+        let Some(store) = artifact.section(section) else {
             continue;
         };
-        let rows = std::mem::take(rows);
+        let records = store.records();
         let mut order: Vec<&str> = Vec::new();
-        let mut by_domain: std::collections::HashMap<&str, Vec<(u64, &Value)>> =
+        let mut by_domain: std::collections::HashMap<&str, Vec<usize>> =
             std::collections::HashMap::new();
-        for (index, row) in rows.iter().enumerate() {
-            let domain = match row {
-                Value::Object(map) => map.get("domain").and_then(Value::as_str).unwrap_or(""),
-                _ => "",
-            };
-            let bucket = by_domain.entry(domain).or_default();
+        for (index, m) in records.iter().enumerate() {
+            let bucket = by_domain.entry(m.domain.as_str()).or_default();
             if bucket.is_empty() {
-                order.push(domain);
+                order.push(&m.domain);
             }
-            bucket.push((index as u64, row));
+            bucket.push(index);
         }
         for domain in order {
             let bucket = &by_domain[domain];
-            row_chunks.push((
-                (*section).to_owned(),
-                domain.to_owned(),
-                binfmt::encode_rows(bucket),
-                bucket.len() as u64,
-            ));
+            let bytes = binfmt::encode_rows(bucket.iter().map(|&i| (i as u64, &records[i])));
+            chunks.push(place(section, domain, bucket.len() as u64, &bytes));
         }
     }
-    let meta_bytes = binfmt::encode_one(&payload);
-
-    // Lay the chunk region out: meta first, then the row chunks.
-    let mut region: Vec<u8> = Vec::new();
-    let mut place = |bytes: &[u8]| {
-        let offset = region.len() as u64;
-        region.extend_from_slice(bytes);
-        (offset, bytes.len() as u64, fnv1a64(bytes))
-    };
-    let (offset, len, checksum) = place(&meta_bytes);
-    let meta = ChunkInfo {
-        section: String::new(),
-        name: String::new(),
-        offset,
-        len,
-        rows: 0,
-        checksum,
-    };
-    let chunks: Vec<ChunkInfo> = row_chunks
-        .iter()
-        .map(|(section, name, bytes, rows)| {
-            let (offset, len, checksum) = place(bytes);
-            ChunkInfo {
-                section: section.clone(),
-                name: name.clone(),
-                offset,
-                len,
-                rows: *rows,
-                checksum,
-            }
-        })
-        .collect();
 
     let mut header = serde::Map::new();
     header.insert(
@@ -1193,8 +1162,11 @@ pub struct ChunkedPayload {
 impl ChunkedPayload {
     /// Opens `path` and validates it end to end against the manifest's
     /// expectations: magic, readable schema version, stage name,
-    /// fingerprint, and the checksum of every chunk (bytes are read
-    /// once and hashed, never decoded).
+    /// fingerprint, every chunk's range inside the file, and the
+    /// checksum of every chunk (bytes are read once and hashed, never
+    /// decoded). Lengths come from an unchecksummed header, so each is
+    /// checked against the file's size before anything is allocated
+    /// for it.
     fn open(path: &Path, stage: &str, fingerprint: &str) -> Result<ChunkedPayload, StoreError> {
         use std::io::Read;
         let corrupt = |detail: String| StoreError::Corrupt {
@@ -1202,6 +1174,7 @@ impl ChunkedPayload {
             detail,
         };
         let mut file = std::fs::File::open(path).map_err(|e| io_err(path, &e))?;
+        let file_len = file.metadata().map_err(|e| io_err(path, &e))?.len();
         let mut prefix = [0u8; 8];
         file.read_exact(&mut prefix)
             .map_err(|e| corrupt(format!("file shorter than its fixed prefix: {e}")))?;
@@ -1211,11 +1184,17 @@ impl ChunkedPayload {
                 &prefix[..4]
             )));
         }
-        let header_len = u32::from_le_bytes(prefix[4..8].try_into().expect("4 bytes")) as usize;
-        let mut header_bytes = vec![0u8; header_len];
+        let header_len = u32::from_le_bytes(prefix[4..8].try_into().expect("4 bytes"));
+        let chunk_base = 8 + u64::from(header_len);
+        if chunk_base > file_len {
+            return Err(corrupt(format!(
+                "header length {header_len} overruns the {file_len}-byte file"
+            )));
+        }
+        let mut header_bytes = vec![0u8; header_len as usize];
         file.read_exact(&mut header_bytes)
             .map_err(|e| corrupt(format!("truncated header: {e}")))?;
-        let header = binfmt::decode_one(&header_bytes)
+        let header: Value = binfmt::decode_one(&header_bytes)
             .map_err(|e| corrupt(format!("header does not decode: {e}")))?;
         let map = match &header {
             Value::Object(map) => map,
@@ -1253,9 +1232,20 @@ impl ChunkedPayload {
             .map(ChunkInfo::from_value)
             .collect::<Result<_, _>>()
             .map_err(&corrupt)?;
+        for chunk in std::iter::once(&meta).chain(&chunks) {
+            let end = chunk_base
+                .checked_add(chunk.offset)
+                .and_then(|start| start.checked_add(chunk.len));
+            if end.is_none_or(|end| end > file_len) {
+                return Err(corrupt(format!(
+                    "chunk {}/{} ({} bytes at offset {}) overruns the {file_len}-byte file",
+                    chunk.section, chunk.name, chunk.len, chunk.offset
+                )));
+            }
+        }
         let payload = ChunkedPayload {
             path: path.to_path_buf(),
-            chunk_base: 8 + header_len as u64,
+            chunk_base,
             meta,
             chunks,
         };
@@ -1286,70 +1276,68 @@ impl ChunkedPayload {
             .collect()
     }
 
-    /// Reads and verifies one chunk's raw bytes.
+    fn corrupt(&self, detail: String) -> StoreError {
+        StoreError::Corrupt {
+            path: self.path.display().to_string(),
+            detail,
+        }
+    }
+
+    /// Reads and verifies one chunk's raw bytes (its range was checked
+    /// against the file at open).
     fn read_chunk_bytes(&self, chunk: &ChunkInfo) -> Result<Vec<u8>, StoreError> {
         use std::io::{Read, Seek, SeekFrom};
         let mut file = std::fs::File::open(&self.path).map_err(|e| io_err(&self.path, &e))?;
         file.seek(SeekFrom::Start(self.chunk_base + chunk.offset))
             .map_err(|e| io_err(&self.path, &e))?;
-        let len = usize::try_from(chunk.len).map_err(|_| StoreError::Corrupt {
-            path: self.path.display().to_string(),
-            detail: format!("chunk length {} overflows", chunk.len),
-        })?;
+        let len = usize::try_from(chunk.len)
+            .map_err(|_| self.corrupt(format!("chunk length {} overflows", chunk.len)))?;
         let mut bytes = vec![0u8; len];
-        file.read_exact(&mut bytes)
-            .map_err(|e| StoreError::Corrupt {
-                path: self.path.display().to_string(),
-                detail: format!(
-                    "chunk {}/{} truncated at offset {}: {e}",
-                    chunk.section, chunk.name, chunk.offset
-                ),
-            })?;
+        file.read_exact(&mut bytes).map_err(|e| {
+            self.corrupt(format!(
+                "chunk {}/{} truncated at offset {}: {e}",
+                chunk.section, chunk.name, chunk.offset
+            ))
+        })?;
         if fnv1a64(&bytes) != chunk.checksum {
-            return Err(StoreError::Corrupt {
-                path: self.path.display().to_string(),
-                detail: format!(
-                    "chunk {}/{} fails its checksum (expected {:016x})",
-                    chunk.section, chunk.name, chunk.checksum
-                ),
-            });
+            return Err(self.corrupt(format!(
+                "chunk {}/{} fails its checksum (expected {:016x})",
+                chunk.section, chunk.name, chunk.checksum
+            )));
         }
         Ok(bytes)
     }
 
-    /// Decodes the meta chunk: the payload tree with every row array
-    /// empty (stores deserialize with zero records, stats and cleaning
+    /// Decodes the meta chunk: the artifact with every row section
+    /// empty (stores decode with zero records, stats and cleaning
     /// metadata intact).
-    pub(crate) fn meta_value(&self) -> Result<Value, StoreError> {
+    pub(crate) fn meta<T: Deserialize>(&self) -> Result<T, StoreError> {
         let bytes = self.read_chunk_bytes(&self.meta)?;
-        binfmt::decode_one(&bytes).map_err(|e| StoreError::Corrupt {
-            path: self.path.display().to_string(),
-            detail: format!("meta chunk does not decode: {e}"),
-        })
+        binfmt::decode_one(&bytes)
+            .map_err(|e| self.corrupt(format!("meta chunk does not decode: {e}")))
     }
 
     /// Decodes one domain's chunk into `(original row index, row)`
     /// pairs. This is the single-domain streamed read: nothing outside
     /// the chunk is touched.
-    pub fn read_chunk(&self, section: &str, name: &str) -> Result<Vec<(u64, Value)>, StoreError> {
+    fn read_chunk<T: Deserialize>(
+        &self,
+        section: &str,
+        name: &str,
+    ) -> Result<Vec<(u64, T)>, StoreError> {
         let chunk = self
             .chunks
             .iter()
             .find(|c| c.section == section && c.name == name)
-            .ok_or_else(|| StoreError::Corrupt {
-                path: self.path.display().to_string(),
-                detail: format!("no chunk {section}/{name} in the index"),
-            })?;
+            .ok_or_else(|| self.corrupt(format!("no chunk {section}/{name} in the index")))?;
         let bytes = self.read_chunk_bytes(chunk)?;
-        binfmt::decode_rows(&bytes).map_err(|e| StoreError::Corrupt {
-            path: self.path.display().to_string(),
-            detail: format!("chunk {section}/{name} does not decode: {e}"),
-        })
+        binfmt::decode_rows(&bytes)
+            .map_err(|e| self.corrupt(format!("chunk {section}/{name} does not decode: {e}")))
     }
 
-    /// Decodes one domain's chunk and deserializes every row to `T`
-    /// (row order inside a chunk is original store order, so the
-    /// result needs no re-sorting).
+    /// Decodes one domain's chunk straight into `T` rows (row order
+    /// inside a chunk is original store order, so the result needs no
+    /// re-sorting).
     ///
     /// # Errors
     ///
@@ -1360,126 +1348,67 @@ impl ChunkedPayload {
         section: &str,
         name: &str,
     ) -> Result<Vec<T>, StoreError> {
-        self.read_chunk(section, name)?
-            .iter()
-            .map(|(_, row)| {
-                T::deserialize(row).map_err(|e| StoreError::Corrupt {
-                    path: self.path.display().to_string(),
-                    detail: format!("chunk {section}/{name} row does not deserialize: {e}"),
-                })
-            })
-            .collect()
+        Ok(self
+            .read_chunk(section, name)?
+            .into_iter()
+            .map(|(_, row)| row)
+            .collect())
     }
 
-    /// Reassembles the full payload tree: the meta chunk with every
-    /// section's rows spliced back into their original positions.
-    pub(crate) fn assemble_value(&self) -> Result<Value, StoreError> {
-        let corrupt = |detail: String| StoreError::Corrupt {
-            path: self.path.display().to_string(),
-            detail,
-        };
-        let mut payload = self.meta_value()?;
-        let sections: Vec<&str> = {
-            let mut seen = Vec::new();
-            for c in &self.chunks {
-                if !seen.contains(&c.section.as_str()) {
-                    seen.push(c.section.as_str());
-                }
+    /// Reassembles and decodes the full artifact (the non-chunked load
+    /// path for binary entries): the meta chunk, with every section's
+    /// rows spliced back into their original positions.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] when a chunk fails to decode, the rows of
+    /// a section do not fill it exactly once, or the artifact has no
+    /// such section; [`StoreError::Io`] on read races.
+    pub fn assemble<T: Artifact>(&self) -> Result<T, StoreError> {
+        let mut artifact: T = self.meta()?;
+        let mut sections: Vec<&str> = Vec::new();
+        for c in &self.chunks {
+            if !sections.contains(&c.section.as_str()) {
+                sections.push(&c.section);
             }
-            seen
-        };
+        }
         for section in sections {
-            let mut collected: Vec<(u64, Value)> = Vec::new();
+            let mut collected: Vec<(u64, pd_sheriff::Measurement)> = Vec::new();
             for name in self.chunk_names(section) {
                 collected.extend(self.read_chunk(section, name)?);
             }
             let total = collected.len();
-            let mut slots: Vec<Option<Value>> =
+            let mut slots: Vec<Option<pd_sheriff::Measurement>> =
                 std::iter::repeat_with(|| None).take(total).collect();
             for (index, row) in collected {
                 let slot = usize::try_from(index)
                     .ok()
                     .and_then(|i| slots.get_mut(i))
                     .ok_or_else(|| {
-                        corrupt(format!(
+                        self.corrupt(format!(
                             "section {section}: row index {index} out of range 0..{total}"
                         ))
                     })?;
                 if slot.is_some() {
-                    return Err(corrupt(format!(
-                        "section {section}: duplicate row index {index}"
-                    )));
+                    return Err(
+                        self.corrupt(format!("section {section}: duplicate row index {index}"))
+                    );
                 }
                 *slot = Some(row);
             }
-            let rows: Vec<Value> = slots
+            let rows: Vec<pd_sheriff::Measurement> = slots
                 .into_iter()
                 .collect::<Option<_>>()
-                .ok_or_else(|| corrupt(format!("section {section}: missing row index")))?;
-            let path = section_path(&payload, section).ok_or_else(|| {
-                corrupt(format!(
-                    "section {section} has no row array in the meta payload"
+                .ok_or_else(|| self.corrupt(format!("section {section}: missing row index")))?;
+            let store = artifact.section_mut(section).ok_or_else(|| {
+                self.corrupt(format!(
+                    "section {section} is not a row section of this artifact"
                 ))
             })?;
-            let slot = rows_slot(&mut payload, path).ok_or_else(|| {
-                corrupt(format!(
-                    "section {section} has no row array in the meta payload"
-                ))
-            })?;
-            *slot = rows;
+            *store = MeasurementStore::from_records(rows);
         }
-        Ok(payload)
+        Ok(artifact)
     }
-
-    /// Reassembles and deserializes the full artifact (the non-chunked
-    /// load path for binary entries).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] when a chunk fails to decode or the
-    /// payload does not deserialize; [`StoreError::Io`] on read races.
-    pub fn assemble<T: Deserialize>(&self) -> Result<T, StoreError> {
-        let payload = self.assemble_value()?;
-        serde_json::from_value(payload).map_err(|e| StoreError::Corrupt {
-            path: self.path.display().to_string(),
-            detail: format!("payload does not deserialize: {e}"),
-        })
-    }
-}
-
-/// Finds the row-array path for a section by probing the known stage
-/// layouts against the payload shape (the stage name is not stored in
-/// the chunk index, so reassembly matches on structure).
-fn section_path(payload: &Value, section: &str) -> Option<&'static [&'static str]> {
-    for stage in ["crowd", "crawl"] {
-        for (s, path) in row_sections(stage) {
-            if *s != section {
-                continue;
-            }
-            // The path must exist in this payload to be the right one.
-            let mut cur = payload;
-            let mut ok = true;
-            for key in *path {
-                match cur {
-                    Value::Object(map) => match map.get(*key) {
-                        Some(next) => cur = next,
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok && matches!(cur, Value::Array(_)) {
-                return Some(path);
-            }
-        }
-    }
-    None
 }
 
 /// Writes via a unique sibling temp file, fsync and rename, so a crash
@@ -1524,7 +1453,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stage::CrawlArtifact;
+    use pd_sheriff::Measurement;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pd-store-unit-{}-{name}", std::process::id()));
@@ -1816,24 +1745,21 @@ mod tests {
         let chunked = store.open_chunked("crawl", fp).expect("open chunked");
         assert_eq!(chunked.chunk_count(), 4);
         assert_eq!(chunked.chunk_names("store"), domains.to_vec());
-        let rows = chunked.read_chunk("store", "y.example").expect("chunk");
+        let rows: Vec<(u64, Measurement)> =
+            chunked.read_chunk("store", "y.example").expect("chunk");
         assert_eq!(rows.len(), 5);
         // The recorded indices are the rows' positions in the original
         // store (domain y holds positions 5..10).
         let indices: Vec<u64> = rows.iter().map(|(i, _)| *i).collect();
         assert_eq!(indices, vec![5, 6, 7, 8, 9]);
-        for (_, row) in &rows {
-            let domain = match row {
-                Value::Object(m) => m.get("domain").and_then(Value::as_str),
-                _ => None,
-            };
-            assert_eq!(domain, Some("y.example"));
+        for (i, row) in &rows {
+            assert_eq!(row, &art.store.records()[*i as usize]);
         }
         let back: CrawlArtifact = chunked.assemble().expect("assemble");
         assert_eq!(back.store.records(), art.store.records());
 
         assert!(matches!(
-            chunked.read_chunk("store", "missing.example"),
+            chunked.read_chunk_rows::<Measurement>("store", "missing.example"),
             Err(StoreError::Corrupt { .. })
         ));
         assert!(matches!(
@@ -2095,5 +2021,147 @@ mod tests {
             Err(StoreError::Corrupt { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes `crawl.bin` in `dir` with a hand-built header whose meta
+    /// chunk claims `len` bytes at `offset`, over a 16-byte region.
+    /// `header_len` overrides the prefix's header length.
+    fn write_crafted(dir: &Path, offset: u64, len: u64, header_len: Option<u32>) -> PathBuf {
+        let meta = ChunkInfo {
+            section: String::new(),
+            name: String::new(),
+            offset,
+            len,
+            rows: 0,
+            checksum: fnv1a64(&[0; 16]),
+        };
+        let mut header = serde::Map::new();
+        header.insert(
+            "schema_version".to_owned(),
+            Value::UInt(u64::from(SCHEMA_VERSION)),
+        );
+        header.insert("stage".to_owned(), Value::String("crawl".to_owned()));
+        header.insert(
+            "fingerprint".to_owned(),
+            Value::String(CRAFTED_FP.to_owned()),
+        );
+        header.insert("meta".to_owned(), meta.to_value());
+        header.insert("chunks".to_owned(), Value::Array(Vec::new()));
+        let header = binfmt::encode_one(&Value::Object(header));
+        let mut file = BIN_MAGIC.to_vec();
+        file.extend_from_slice(&header_len.unwrap_or(header.len() as u32).to_le_bytes());
+        file.extend_from_slice(&header);
+        file.extend_from_slice(&[0; 16]);
+        let path = dir.join("crawl.bin");
+        std::fs::write(&path, file).expect("write");
+        path
+    }
+
+    const CRAFTED_FP: &str = "00000000deadbeef";
+
+    #[test]
+    fn crafted_lengths_are_rejected_before_allocating() {
+        let dir = tmp_dir("crafted-header");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        // The honest layout opens.
+        let path = write_crafted(&dir, 0, 16, None);
+        assert!(ChunkedPayload::open(&path, "crawl", CRAFTED_FP).is_ok());
+        // A chunk of ~2^40 bytes, one past the end, or one whose end
+        // overflows u64 is refused from the index alone; so is a header
+        // longer than the file. None of them may allocate its length.
+        for (offset, len, header_len) in [
+            (0, 1 << 40, None),
+            (0, 17, None),
+            (1, 16, None),
+            (u64::MAX - 4, 8, None),
+            (0, 16, Some(u32::MAX)),
+        ] {
+            let path = write_crafted(&dir, offset, len, header_len);
+            match ChunkedPayload::open(&path, "crawl", CRAFTED_FP) {
+                Err(StoreError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains("overruns"), "{detail}");
+                }
+                other => panic!("offset {offset} len {len}: expected Corrupt, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The raw bytes of every chunk (meta and rows) of a real smoke
+    /// run's crowd and crawl artifacts, as the binary store writes them.
+    fn smoke_chunks() -> &'static [Vec<u8>] {
+        static CHUNKS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+        CHUNKS.get_or_init(|| {
+            let mut engine = crate::Experiment::builder()
+                .scenario("smoke")
+                .seed(7)
+                .build()
+                .expect("smoke builds");
+            let crowd = engine.crowd().clone();
+            let crawl = engine.crawl().clone();
+            let dir = tmp_dir("smoke-chunks");
+            let plan = engine.plan().clone();
+            let mut store = ArtifactStore::create(
+                &dir,
+                Provenance::new("smoke", "", "smoke", 7, 1),
+                &plan,
+                None,
+            )
+            .expect("create");
+            store.set_format(StoreFormat::Binary);
+            store
+                .save("crowd", crowd_fingerprint(&plan), &[], &crowd)
+                .expect("save crowd");
+            store
+                .save("crawl", crawl_fingerprint(&plan), &[], &crawl)
+                .expect("save crawl");
+            let mut chunks = Vec::new();
+            for (stage, fp) in [
+                ("crowd", crowd_fingerprint(&plan)),
+                ("crawl", crawl_fingerprint(&plan)),
+            ] {
+                let payload = store.open_chunked(stage, fp).expect("opens");
+                for chunk in std::iter::once(&payload.meta).chain(&payload.chunks) {
+                    chunks.push(payload.read_chunk_bytes(chunk).expect("chunk bytes"));
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+            chunks
+        })
+    }
+
+    proptest::proptest! {
+        /// The typed reader over real smoke chunks with a byte flipped
+        /// or the tail cut off (checksums bypassed): every outcome is
+        /// `Ok` or `Err`, never a panic.
+        #[test]
+        fn mutated_smoke_chunks_never_panic(
+            which in 0usize..usize::MAX,
+            at in 0usize..usize::MAX,
+            mask in 1u8..=255,
+            cut in 0usize..usize::MAX,
+        ) {
+            let chunks = smoke_chunks();
+            let bytes = &chunks[which % chunks.len()];
+            let mut flipped = bytes.clone();
+            flipped[at % bytes.len()] ^= mask;
+            for input in [&flipped[..], &bytes[..cut % bytes.len()]] {
+                let _ = binfmt::decode_rows::<Measurement>(input);
+                let _ = binfmt::decode_one::<CrowdArtifact>(input);
+                let _ = binfmt::decode_one::<CrawlArtifact>(input);
+            }
+        }
+    }
+
+    #[test]
+    fn smoke_chunks_decode_whole() {
+        let chunks = smoke_chunks();
+        assert!(chunks.len() > 4, "meta and row chunks of both stages");
+        let rows: usize = chunks
+            .iter()
+            .filter_map(|c| binfmt::decode_rows::<Measurement>(c).ok())
+            .map(|rows| rows.len())
+            .sum();
+        assert!(rows > 100, "{rows} rows decoded");
     }
 }

@@ -120,6 +120,14 @@ impl MeasurementStore {
         Self::default()
     }
 
+    /// A store holding `records` as they are, request ids included —
+    /// what deserializing a stored store gives (the artifact store uses
+    /// it to reassemble rows decoded chunk by chunk).
+    #[must_use]
+    pub fn from_records(records: Vec<Measurement>) -> Self {
+        MeasurementStore { records }
+    }
+
     /// Appends a measurement, assigning its dense request id.
     pub fn push(&mut self, mut m: Measurement) -> RequestId {
         let id = RequestId::new(u32::try_from(self.records.len()).expect("store overflow"));

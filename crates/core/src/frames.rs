@@ -54,7 +54,7 @@ use pd_analysis::CheckFrame;
 use pd_currency::FxSeries;
 use pd_sheriff::{Measurement, MeasurementStore};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// What one [`FrameCache::frame_for`] (or
@@ -332,23 +332,60 @@ impl FrameCache {
     }
 }
 
-/// Shared, thread-safe cache of **loaded measurement artifacts**, keyed
-/// by `(stage, measurement fingerprint)` — the store-level sibling of
+/// The engine's **stage memo**: a shared, thread-safe map from
+/// `(stage, measurement fingerprint)` to the stage's artifact
+/// (`CrowdArtifact`, `CrawlArtifact`, …) — the store-level sibling of
 /// [`FrameCache`]. Where the frame cache memoizes the analysis-ready
-/// frames cut *from* a store, this cache memoizes the deserialized
-/// store artifact itself (`CrowdArtifact`, `CrawlArtifact`, …), so N
-/// concurrent re-analyses of one crawl share a single `Arc` instead of
-/// each paying a disk load and holding its own copy.
+/// frames cut *from* a store, this memo holds the artifact itself, so a
+/// repeated run (a sweep arm, a `pd serve` job) skips the measurement
+/// stages, and N concurrent re-analyses of one crawl share a single
+/// `Arc` instead of each holding its own copy.
 ///
-/// Only artifacts that came off disk are cached (the fingerprint then
-/// certifies the bytes); computed artifacts stay engine-private. Values
-/// are type-erased as `Arc<dyn Any>` so one cache covers every stage's
-/// artifact type — the typed accessors downcast, and a key can never
-/// alias across types because the [`StageKind`] half of the key pins
-/// the artifact type stored under it.
+/// Every engine resolves a measurement stage through one chain: its own
+/// slot, then this memo, then the attached disk store, then compute.
+/// The fingerprint key certifies an entry either way — it digests
+/// everything that can reshape the artifact — so a hit is as
+/// trustworthy as recomputing. What gets *kept* differs by origin:
+///
+/// * an artifact loaded from disk is kept on first load
+///   ([`StoreCache::insert`]) — loads are bounded by the one store dir;
+/// * a computed artifact is kept only on its second offer
+///   ([`StoreCache::admit`]): a fingerprint computed once leaves just
+///   its 16-byte key behind, so one-off runs cost no artifact memory.
+///
+/// Values are type-erased as `Arc<dyn Any>` so one memo covers every
+/// stage's artifact type — the typed accessors downcast, and a key can
+/// never alias across types because the [`StageKind`] half of the key
+/// pins the artifact type stored under it.
 #[derive(Default)]
 pub struct StoreCache {
-    entries: Mutex<HashMap<(StageKind, u64), Arc<dyn Any + Send + Sync>>>,
+    memo: Mutex<Memo>,
+}
+
+/// A memo key: the stage and its measurement fingerprint.
+type MemoKey = (StageKind, u64);
+
+#[derive(Default)]
+struct Memo {
+    /// Resident artifacts.
+    entries: HashMap<MemoKey, Arc<dyn Any + Send + Sync>>,
+    /// Keys whose computed artifact was offered once and not kept.
+    seen: HashSet<MemoKey>,
+}
+
+impl Memo {
+    /// Makes `artifact` resident under `key` unless an entry already is
+    /// (first insert wins); returns the resident `Arc`.
+    fn keep<T: Send + Sync + 'static>(&mut self, key: MemoKey, artifact: Arc<T>) -> Arc<T> {
+        self.seen.remove(&key);
+        let slot = self
+            .entries
+            .entry(key)
+            .or_insert_with(|| artifact as Arc<dyn Any + Send + Sync>);
+        Arc::clone(slot)
+            .downcast::<T>()
+            .unwrap_or_else(|_| unreachable!("StageKind key pins the artifact type"))
+    }
 }
 
 impl std::fmt::Debug for StoreCache {
@@ -360,68 +397,87 @@ impl std::fmt::Debug for StoreCache {
 }
 
 impl StoreCache {
-    /// An empty cache.
+    /// An empty memo.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of cached artifacts.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Memo> {
+        self.memo.lock().expect("store cache lock")
+    }
+
+    /// Number of resident artifacts (keys seen only once not counted).
     ///
     /// # Panics
     ///
-    /// Panics if the cache lock is poisoned.
+    /// Panics if the memo lock is poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("store cache lock").len()
+        self.lock().entries.len()
     }
 
-    /// `true` when nothing is cached.
+    /// `true` when no artifact is resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// The cached artifact for `(stage, fingerprint)`, if present and of
-    /// type `T`.
+    /// The resident artifact for `(stage, fingerprint)`, if present and
+    /// of type `T`.
     ///
     /// # Panics
     ///
-    /// Panics if the cache lock is poisoned.
+    /// Panics if the memo lock is poisoned.
     #[must_use]
     pub fn get<T: Send + Sync + 'static>(
         &self,
         stage: StageKind,
         fingerprint: u64,
     ) -> Option<Arc<T>> {
-        self.entries
-            .lock()
-            .expect("store cache lock")
+        self.lock()
+            .entries
             .get(&(stage, fingerprint))
             .and_then(|any| Arc::clone(any).downcast::<T>().ok())
     }
 
-    /// Caches `artifact` under `(stage, fingerprint)` and returns the
-    /// canonical `Arc` — on a racing double-load the first insert wins
-    /// and the loser's copy is dropped, so every holder of a key shares
-    /// one allocation.
+    /// Keeps a **loaded** `artifact` under `(stage, fingerprint)` and
+    /// returns the canonical `Arc` — on a racing double-load the first
+    /// insert wins and the loser's copy is dropped, so every holder of a
+    /// key shares one allocation.
     ///
     /// # Panics
     ///
-    /// Panics if the cache lock is poisoned.
+    /// Panics if the memo lock is poisoned.
     pub fn insert<T: Send + Sync + 'static>(
         &self,
         stage: StageKind,
         fingerprint: u64,
         artifact: Arc<T>,
     ) -> Arc<T> {
-        let mut entries = self.entries.lock().expect("store cache lock");
-        let slot = entries
-            .entry((stage, fingerprint))
-            .or_insert_with(|| artifact.clone() as Arc<dyn Any + Send + Sync>);
-        Arc::clone(slot)
-            .downcast::<T>()
-            .unwrap_or_else(|_| unreachable!("StageKind key pins the artifact type"))
+        self.lock().keep((stage, fingerprint), artifact)
+    }
+
+    /// Offers a **computed** `artifact` and returns the `Arc` to use. The
+    /// first offer of a key only records the key; the second keeps the
+    /// artifact (see the [type docs](Self)). A key already resident
+    /// returns the resident `Arc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memo lock is poisoned.
+    pub fn admit<T: Send + Sync + 'static>(
+        &self,
+        stage: StageKind,
+        fingerprint: u64,
+        artifact: Arc<T>,
+    ) -> Arc<T> {
+        let key = (stage, fingerprint);
+        let mut memo = self.lock();
+        if !memo.entries.contains_key(&key) && memo.seen.insert(key) {
+            return artifact;
+        }
+        memo.keep(key, artifact)
     }
 }
 
@@ -575,6 +631,31 @@ mod tests {
         // A type mismatch is a miss, never a panic.
         assert!(cache.get::<String>(StageKind::Crowd, 7).is_none());
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn store_cache_admits_computed_artifacts_on_the_second_offer() {
+        let cache = StoreCache::new();
+        let first = Arc::new(vec![1u64]);
+        let kept = cache.admit(StageKind::Crawl, 3, Arc::clone(&first));
+        assert!(Arc::ptr_eq(&first, &kept), "the caller keeps its own");
+        assert!(cache.is_empty(), "a first offer leaves only the key");
+        let second = cache.admit(StageKind::Crawl, 3, Arc::new(vec![1u64]));
+        assert_eq!(cache.len(), 1, "the second offer is kept");
+        let third = cache.admit(StageKind::Crawl, 3, Arc::new(vec![1u64]));
+        assert!(Arc::ptr_eq(&second, &third), "later offers adopt the entry");
+        let hit = cache
+            .get::<Vec<u64>>(StageKind::Crawl, 3)
+            .expect("resident");
+        assert!(Arc::ptr_eq(&second, &hit));
+        // The key is per stage: another stage's first offer is not kept.
+        cache.admit(StageKind::Crowd, 3, Arc::new(vec![1u64]));
+        assert_eq!(cache.len(), 1);
+        // A load is kept at once, and a later offer of its key adopts it.
+        let loaded = cache.insert(StageKind::Personas, 4, Arc::new(vec![2u64]));
+        let offered = cache.admit(StageKind::Personas, 4, Arc::new(vec![2u64]));
+        assert!(Arc::ptr_eq(&loaded, &offered));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

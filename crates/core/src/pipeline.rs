@@ -41,19 +41,18 @@ pub struct Engine {
     /// The declarative spec that produced this engine's plan, if any
     /// (recorded verbatim in manifests this engine writes).
     spec: Option<ScenarioSpec>,
-    /// Stages whose artifact came off disk rather than being computed
-    /// (such stages are skipped by [`Engine::save_artifacts`] — their
-    /// bytes are already in the store).
+    /// Stages whose artifact came from the stage memo or off disk
+    /// rather than being computed here.
     loaded_stages: Vec<StageKind>,
     /// Per-domain frame cache the analysis stage reuses across repeated
     /// `analyze()` calls; shared across sweep arms built by one builder.
     frames: Arc<FrameCache>,
     /// Payload format for artifacts this engine saves.
     store_format: StoreFormat,
-    /// Shared cache of loaded (deserialized) store artifacts, when one
-    /// is attached: concurrent engines whose fingerprints coincide share
-    /// one `Arc` per artifact instead of each paying a disk load.
-    stores: Option<Arc<StoreCache>>,
+    /// The stage memo (see [`StoreCache`]): consulted before the disk
+    /// store on every measurement stage; per engine unless shared by the
+    /// builder or injected by a long-lived caller.
+    stores: Arc<StoreCache>,
     crowd: Option<Arc<CrowdArtifact>>,
     crawl: Option<Arc<CrawlArtifact>>,
     personas: Option<Arc<PersonaArtifact>>,
@@ -154,7 +153,7 @@ impl Engine {
             loaded_stages: Vec::new(),
             frames: Arc::new(FrameCache::new()),
             store_format: StoreFormat::Json,
-            stores: None,
+            stores: Arc::new(StoreCache::new()),
             crowd: None,
             crawl: None,
             personas: None,
@@ -214,21 +213,21 @@ impl Engine {
         &self.frames
     }
 
-    /// Attaches a shared [`StoreCache`]: artifacts this engine loads
-    /// from disk are parked there (keyed by stage + measurement
-    /// fingerprint), and loads check it before touching disk — so
-    /// concurrent engines re-analyzing the same measurements share one
-    /// `Arc` per artifact. Computed artifacts stay engine-private.
+    /// Replaces the engine's stage memo with a shared one: every
+    /// measurement stage checks it before the disk store, loaded
+    /// artifacts are kept there on first load and computed ones on
+    /// their second offer (see [`StoreCache`]) — so engines over the
+    /// same measurements share one `Arc` per artifact.
     #[must_use]
     pub fn with_store_cache(mut self, stores: Arc<StoreCache>) -> Self {
-        self.stores = Some(stores);
+        self.stores = stores;
         self
     }
 
-    /// The shared store cache in force, if any.
+    /// The stage memo in force.
     #[must_use]
-    pub fn store_cache(&self) -> Option<&Arc<StoreCache>> {
-        self.stores.as_ref()
+    pub fn store_cache(&self) -> &Arc<StoreCache> {
+        &self.stores
     }
 
     /// Sets the payload format artifacts are saved in (default
@@ -254,8 +253,8 @@ impl Engine {
         self.artifacts_dir.as_deref()
     }
 
-    /// Stages whose artifacts were satisfied from a store instead of
-    /// computed, in load order.
+    /// Stages whose artifacts were satisfied from the stage memo or a
+    /// store instead of computed, in load order.
     #[must_use]
     pub fn loaded_stages(&self) -> &[StageKind] {
         &self.loaded_stages
@@ -285,52 +284,63 @@ impl Engine {
         &self.executor
     }
 
-    /// Probes the attached read-through store for one stage; a validated
-    /// hit is reported via [`RunObserver::stage_loaded`] and remembered
-    /// so [`Engine::save_artifacts`] does not rewrite it. Any failure
-    /// (no store, stale fingerprint, corrupt file) is a cache miss: the
-    /// caller computes. `pd artifacts ls` is the diagnostic surface for
-    /// unhealthy stores.
+    /// Resolves one measurement stage past the engine slot: the stage
+    /// memo, then the attached read-through store. A hit is reported via
+    /// [`RunObserver::stage_loaded`] and recorded in
+    /// [`Engine::loaded_stages`]; a disk load is kept in the memo. Any failure (no store, stale fingerprint,
+    /// corrupt file) is a miss: the caller computes. `pd artifacts ls`
+    /// is the diagnostic surface for unhealthy stores.
     fn probe_store<T: store::Artifact + Send + Sync + 'static>(
         &mut self,
         kind: StageKind,
     ) -> Option<Arc<T>> {
+        if let Some(hit) = self.probe_memo(kind) {
+            return Some(hit);
+        }
         let dir = self.artifacts_dir.as_deref()?;
         let fp = store::measurement_fingerprint(kind, &self.plan)?;
-        // A shared-cache hit is as trustworthy as the disk load that
-        // populated it: the fingerprint key certifies the bytes.
-        if let Some(stores) = &self.stores {
-            if let Some(hit) = stores.get::<T>(kind, fp.as_u64()) {
-                self.observer.stage_loaded(kind, &fp.to_string());
-                self.loaded_stages.push(kind);
-                return Some(hit);
-            }
-        }
         if !ArtifactStore::is_store(dir) {
             return None;
         }
         let store = ArtifactStore::open(dir).ok()?;
         let artifact = Arc::new(store.load::<T>(kind.as_str(), fp).ok()?);
-        let artifact = self.cache_loaded(kind, fp.as_u64(), artifact);
-        self.observer.stage_loaded(kind, &fp.to_string());
-        self.loaded_stages.push(kind);
+        let artifact = self.stores.insert(kind, fp.as_u64(), artifact);
+        self.note_loaded(kind, fp);
         Some(artifact)
     }
 
-    /// Parks a just-loaded artifact in the shared [`StoreCache`] (when
-    /// one is attached) and returns the canonical `Arc` — under a racing
-    /// double-load the first insert wins, so every engine ends up
-    /// holding the same allocation.
-    fn cache_loaded<T: Send + Sync + 'static>(
-        &self,
-        kind: StageKind,
-        fingerprint: u64,
-        artifact: Arc<T>,
-    ) -> Arc<T> {
-        match &self.stores {
-            Some(stores) => stores.insert(kind, fingerprint, artifact),
-            None => artifact,
+    /// The stage memo's artifact for `kind` under this plan, reported
+    /// like a disk load: the fingerprint key certifies it as much as it
+    /// certifies the store's bytes.
+    fn probe_memo<T: Send + Sync + 'static>(&mut self, kind: StageKind) -> Option<Arc<T>> {
+        let fp = store::measurement_fingerprint(kind, &self.plan)?;
+        let hit = self.stores.get::<T>(kind, fp.as_u64())?;
+        self.note_loaded(kind, fp);
+        Some(hit)
+    }
+
+    /// Fills empty crowd and crawl slots (those without a chunked handle
+    /// either) from the stage memo.
+    fn heavy_from_memo(&mut self) {
+        if self.crowd.is_none() && self.crowd_chunked.is_none() {
+            self.crowd = self.probe_memo(StageKind::Crowd);
         }
+        if self.crawl.is_none() && self.crawl_chunked.is_none() {
+            self.crawl = self.probe_memo(StageKind::Crawl);
+        }
+    }
+
+    fn note_loaded(&mut self, kind: StageKind, fp: store::Fingerprint) {
+        self.observer.stage_loaded(kind, &fp.to_string());
+        self.loaded_stages.push(kind);
+    }
+
+    /// Offers a just-computed artifact to the stage memo, which keeps it
+    /// on its fingerprint's second offer; returns the `Arc` to hold.
+    fn memoize<T: Send + Sync + 'static>(&self, kind: StageKind, artifact: T) -> Arc<T> {
+        let fp = store::measurement_fingerprint(kind, &self.plan)
+            .expect("measurement stage has a fingerprint");
+        self.stores.admit(kind, fp.as_u64(), Arc::new(artifact))
     }
 
     /// Probes the attached store for a **binary** entry of `kind` and
@@ -349,25 +359,25 @@ impl Engine {
         }
         let fp = store::measurement_fingerprint(kind, &self.plan)?;
         let payload = store.open_chunked(kind.as_str(), fp).ok()?;
-        self.observer.stage_loaded(kind, &fp.to_string());
-        self.loaded_stages.push(kind);
+        self.note_loaded(kind, fp);
         Some(payload)
     }
 
-    /// The crowd campaign artifact: from the in-memory cache, else from
-    /// the attached artifact store (fingerprint permitting), else
-    /// computed by running the stage.
+    /// The crowd campaign artifact: from the engine's slot, else the
+    /// stage memo, else the attached artifact store (fingerprint
+    /// permitting), else computed by running the stage.
     pub fn crowd(&mut self) -> &CrowdArtifact {
         if self.crowd.is_none() {
             self.crowd = self.probe_store(StageKind::Crowd);
         }
         if self.crowd.is_none() {
-            self.crowd = Some(Arc::new(stage::crowd_stage(
+            let computed = stage::crowd_stage(
                 &self.world,
                 &self.plan,
                 &self.executor,
                 self.observer.as_ref(),
-            )));
+            );
+            self.crowd = Some(self.memoize(StageKind::Crowd, computed));
         }
         self.crowd.as_deref().expect("just computed")
     }
@@ -393,13 +403,14 @@ impl Engine {
                 }
                 None => self.world.paper_crawl_targets(),
             };
-            self.crawl = Some(Arc::new(stage::crawl_stage(
+            let computed = stage::crawl_stage(
                 &self.world,
                 &self.plan.config,
                 &targets,
                 &self.executor,
                 self.observer.as_ref(),
-            )));
+            );
+            self.crawl = Some(self.memoize(StageKind::Crawl, computed));
         }
         self.crawl.as_deref().expect("just computed")
     }
@@ -411,12 +422,13 @@ impl Engine {
             self.personas = self.probe_store(StageKind::Personas);
         }
         if self.personas.is_none() {
-            self.personas = Some(Arc::new(stage::persona_stage(
+            let computed = stage::persona_stage(
                 &self.world,
                 &self.plan.config,
                 &self.executor,
                 self.observer.as_ref(),
-            )));
+            );
+            self.personas = Some(self.memoize(StageKind::Personas, computed));
         }
         self.personas.as_deref().expect("just computed")
     }
@@ -434,6 +446,11 @@ impl Engine {
     pub fn load_artifacts(&mut self, dir: &Path) -> Result<LoadSummary, StoreError> {
         let store = ArtifactStore::open(dir)?;
         let mut summary = LoadSummary::default();
+        // The stage memo comes before the disk, as on every path.
+        self.heavy_from_memo();
+        if self.personas.is_none() {
+            self.personas = self.probe_memo(StageKind::Personas);
+        }
         let outcome =
             |kind: StageKind, summary: &mut LoadSummary, loaded: bool, err: Option<&StoreError>| {
                 if loaded {
@@ -489,8 +506,7 @@ impl Engine {
                     } else {
                         self.crawl_chunked = Some(payload);
                     }
-                    self.observer.stage_loaded(kind, &fp.to_string());
-                    self.loaded_stages.push(kind);
+                    self.note_loaded(kind, fp);
                     outcome(kind, &mut summary, true, None);
                 }
                 Err(e) => outcome(kind, &mut summary, false, Some(&e)),
@@ -505,10 +521,9 @@ impl Engine {
                         .expect("measurement stage has a fingerprint");
                     match store.load::<$ty>($kind.as_str(), fp) {
                         Ok(artifact) => {
-                            self.observer.stage_loaded($kind, &fp.to_string());
-                            self.loaded_stages.push($kind);
+                            self.note_loaded($kind, fp);
                             self.$slot =
-                                Some(self.cache_loaded($kind, fp.as_u64(), Arc::new(artifact)));
+                                Some(self.stores.insert($kind, fp.as_u64(), Arc::new(artifact)));
                             outcome($kind, &mut summary, true, None);
                         }
                         Err(e) => outcome($kind, &mut summary, false, Some(&e)),
@@ -631,7 +646,9 @@ impl Engine {
     /// drops the handle and falls back to computing in memory.
     pub fn analyze(&mut self) -> AnalysisArtifact {
         self.personas();
-        // Prefer streaming handles for the heavy measurement payloads.
+        // A memo hit wins; otherwise prefer streaming handles for the
+        // heavy measurement payloads.
+        self.heavy_from_memo();
         if self.crowd.is_none() && self.crowd_chunked.is_none() {
             if let Some(payload) = self.probe_chunked(StageKind::Crowd) {
                 if let Some(cleaning) = chunked_cleaning(&payload) {
@@ -953,25 +970,33 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Shares a caller-owned [`StoreCache`] with every engine this
-    /// builder produces: measurement artifacts loaded from the attached
-    /// store are parked in (and served from) the shared cache, so
-    /// concurrent runs over the same on-disk crawl hold one `Arc` per
-    /// artifact instead of N deserialized copies. Like the frame cache,
-    /// entries are keyed by measurement fingerprint — unrelated
-    /// workloads never collide.
+    /// Shares a caller-owned [`StoreCache`] (the stage memo) with every
+    /// engine this builder produces, instead of the per-build memo it
+    /// would otherwise create. Long-lived callers (the `pd serve`
+    /// daemon) pass one process-wide memo here, so a repeated run skips
+    /// the measurement stages and concurrent runs over one on-disk crawl
+    /// hold one `Arc` per artifact. Like the frame cache, entries are
+    /// keyed by measurement fingerprint — unrelated workloads never
+    /// collide.
     #[must_use]
     pub fn store_cache(mut self, stores: Arc<StoreCache>) -> Self {
         self.store_cache = Some(stores);
         self
     }
 
-    /// The frame cache the built engines will share: the injected one,
-    /// or a fresh per-build cache.
-    fn shared_frames(&self) -> Arc<FrameCache> {
-        self.frame_cache
-            .clone()
-            .unwrap_or_else(|| Arc::new(FrameCache::new()))
+    /// The caches the built engines will share: the injected ones, or
+    /// fresh per-build ones.
+    fn shared_caches(&self) -> SharedCaches {
+        SharedCaches {
+            frames: self
+                .frame_cache
+                .clone()
+                .unwrap_or_else(|| Arc::new(FrameCache::new())),
+            stores: self
+                .store_cache
+                .clone()
+                .unwrap_or_else(|| Arc::new(StoreCache::new())),
+        }
     }
 
     /// Resolves the scenario (an explicit spec, or a registry name) into
@@ -1024,7 +1049,7 @@ impl ExperimentBuilder {
     }
 
     /// Assembles one arm's engine: provenance from the scenario/label,
-    /// the shared frame cache, and (with
+    /// the shared caches, and (with
     /// [`ExperimentBuilder::artifacts`]) the arm's store subdirectory.
     /// The single place this wiring exists — `build`, `build_variants`
     /// and `run_sweep` all go through it, so they cannot drift.
@@ -1038,7 +1063,7 @@ impl ExperimentBuilder {
         plan: RunPlan,
         executor: Executor,
         observer: Arc<dyn RunObserver>,
-        frames: &Arc<FrameCache>,
+        caches: &SharedCaches,
     ) -> Engine {
         let provenance = Provenance::new(
             &spec.name,
@@ -1050,11 +1075,9 @@ impl ExperimentBuilder {
         let mut engine = Engine::from_plan(plan, executor, observer)
             .with_provenance(provenance)
             .with_spec(spec.clone())
-            .with_frame_cache(Arc::clone(frames))
+            .with_frame_cache(Arc::clone(&caches.frames))
+            .with_store_cache(Arc::clone(&caches.stores))
             .with_store_format(self.store_format);
-        if let Some(stores) = &self.store_cache {
-            engine = engine.with_store_cache(Arc::clone(stores));
-        }
         if let Some(dir) = &self.artifacts {
             let arm_dir = if label.is_empty() {
                 dir.clone()
@@ -1079,14 +1102,13 @@ impl ExperimentBuilder {
             return Err(BuildError::SweepScenario(spec.name));
         }
         let (label, plan) = variants.remove(0);
-        let frames = self.shared_frames();
         Ok(self.arm_engine(
             &spec,
             &label,
             plan,
             Executor::new(self.threads),
             Arc::clone(&self.observer),
-            &frames,
+            &self.shared_caches(),
         ))
     }
 
@@ -1100,9 +1122,10 @@ impl ExperimentBuilder {
     pub fn build_variants(self) -> Result<Vec<(String, Engine)>, BuildError> {
         let (spec, variants) = self.resolve()?;
         let executor = Executor::new(self.threads);
-        // One frame cache for the whole sweep: arms whose upstream
-        // measurement fingerprints coincide reuse each other's frames.
-        let frames = self.shared_frames();
+        // One frame cache and memo for the whole sweep: arms whose
+        // upstream measurement fingerprints coincide reuse each other's
+        // frames and artifacts.
+        let caches = self.shared_caches();
         Ok(variants
             .into_iter()
             .map(|(label, plan)| {
@@ -1112,7 +1135,7 @@ impl ExperimentBuilder {
                     plan,
                     executor,
                     Arc::clone(&self.observer),
-                    &frames,
+                    &caches,
                 );
                 (label, engine)
             })
@@ -1133,7 +1156,7 @@ impl ExperimentBuilder {
     /// budget intra-arm), so callers like the `pd` CLI can treat every
     /// scenario uniformly.
     ///
-    /// Arms share the builder's [`FrameCache`]; with
+    /// Arms share the builder's [`FrameCache`] and [`StoreCache`]; with
     /// [`ExperimentBuilder::artifacts`], each labeled arm reads (and its
     /// returned engine later writes) its own store subdirectory.
     ///
@@ -1150,7 +1173,7 @@ impl ExperimentBuilder {
         let (spec, variants) = self.resolve()?;
         let total = Executor::new(self.threads);
         let (arm_exec, intra) = total.split(variants.len());
-        let frames = self.shared_frames();
+        let caches = self.shared_caches();
         let buffers: Vec<Arc<BufferedObserver>> = variants
             .iter()
             .map(|_| Arc::new(BufferedObserver::new()))
@@ -1161,7 +1184,7 @@ impl ExperimentBuilder {
             if !label.is_empty() {
                 observer.arm_started(label);
             }
-            let mut engine = self.arm_engine(&spec, label, plan.clone(), intra, observer, &frames);
+            let mut engine = self.arm_engine(&spec, label, plan.clone(), intra, observer, &caches);
             let analysis = engine.analyze();
             // Between arms: drop interned strings only this arm's
             // transient frame shards were holding, so a long multi-arm
@@ -1189,6 +1212,12 @@ impl ExperimentBuilder {
         }
         Ok(runs)
     }
+}
+
+/// The caches every engine of one build shares.
+struct SharedCaches {
+    frames: Arc<FrameCache>,
+    stores: Arc<StoreCache>,
 }
 
 /// One completed arm of [`ExperimentBuilder::run_sweep`]: its label, the
@@ -1696,5 +1725,147 @@ mod tests {
         let first_len = engine.crowd().raw.len();
         // Second call must hand back the same artifact without rerunning.
         assert_eq!(engine.crowd().raw.len(), first_len);
+    }
+
+    const MEASURED: [StageKind; 3] = [StageKind::Crowd, StageKind::Crawl, StageKind::Personas];
+
+    /// A smoke engine for `config` on the shared stage memo `memo`.
+    fn memo_engine(
+        config: ExperimentConfig,
+        memo: &Arc<StoreCache>,
+        observer: Arc<dyn RunObserver>,
+    ) -> Engine {
+        Experiment::builder()
+            .scenario("smoke")
+            .config(config)
+            .observer(observer)
+            .store_cache(Arc::clone(memo))
+            .build()
+            .expect("smoke builds")
+    }
+
+    #[test]
+    fn memo_keeps_computed_artifacts_on_their_second_request() {
+        use crate::observer::TimingObserver;
+        let memo = Arc::new(StoreCache::new());
+        let mut first = memo_engine(ExperimentConfig::smoke(7), &memo, Arc::new(NullObserver));
+        let reference = first.run().to_json();
+        assert!(first.loaded_stages().is_empty(), "nothing to hit yet");
+        assert!(memo.is_empty(), "a first request keeps no artifact");
+
+        let mut second = memo_engine(ExperimentConfig::smoke(7), &memo, Arc::new(NullObserver));
+        assert_eq!(second.run().to_json(), reference);
+        assert!(
+            second.loaded_stages().is_empty(),
+            "the second request computes"
+        );
+        assert_eq!(memo.len(), 3, "…and keeps all three measurement artifacts");
+
+        let observer = Arc::new(TimingObserver::new());
+        let mut third = memo_engine(ExperimentConfig::smoke(7), &memo, observer.clone());
+        assert_eq!(
+            third.run().to_json(),
+            reference,
+            "a hit reports the same bytes"
+        );
+        for kind in MEASURED {
+            assert_eq!(observer.starts(kind), 0, "{kind} must come from the memo");
+            assert_eq!(observer.loads(kind), 1, "{kind} hit must be observed");
+        }
+        let fp = |kind| {
+            store::measurement_fingerprint(kind, third.plan())
+                .expect("measurement stage")
+                .as_u64()
+        };
+        let crowd = memo
+            .get::<CrowdArtifact>(StageKind::Crowd, fp(StageKind::Crowd))
+            .expect("resident crowd");
+        assert!(Arc::ptr_eq(
+            &crowd,
+            third.crowd.as_ref().expect("crowd slot")
+        ));
+        let crawl = memo
+            .get::<CrawlArtifact>(StageKind::Crawl, fp(StageKind::Crawl))
+            .expect("resident crawl");
+        assert!(Arc::ptr_eq(
+            &crawl,
+            third.crawl.as_ref().expect("crawl slot")
+        ));
+        assert_eq!(memo.len(), 3, "hits admit nothing new");
+    }
+
+    #[test]
+    fn memo_keeps_loaded_artifacts_on_first_load() {
+        let dir = tmp_store("memo-loaded");
+        let mut producer = Experiment::builder()
+            .scenario("smoke")
+            .seed(7)
+            .build()
+            .expect("smoke builds");
+        let reference = producer.run().to_json();
+        producer.save_artifacts(&dir).expect("save");
+        assert!(producer.store_cache().is_empty(), "one run keeps nothing");
+
+        let memo = Arc::new(StoreCache::new());
+        let build = || {
+            Experiment::builder()
+                .scenario("smoke")
+                .seed(7)
+                .artifacts(dir.clone())
+                .store_cache(Arc::clone(&memo))
+                .build()
+                .expect("smoke builds")
+        };
+        let mut loader = build();
+        assert_eq!(loader.run().to_json(), reference);
+        // `analyze` resolves personas before the heavy stages.
+        let load_order = [StageKind::Personas, StageKind::Crowd, StageKind::Crawl];
+        assert_eq!(loader.loaded_stages(), load_order.as_slice());
+        assert_eq!(memo.len(), 3, "loads are kept at once");
+        // The next engine hits the memo without opening the store.
+        std::fs::remove_dir_all(&dir).ok();
+        let mut warm = build();
+        assert_eq!(warm.run().to_json(), reference);
+        assert_eq!(warm.loaded_stages(), load_order.as_slice());
+    }
+
+    #[test]
+    fn memo_entries_never_cross_a_world_knob() {
+        let memo = Arc::new(StoreCache::new());
+        let base = ExperimentConfig::smoke(7);
+        let mut knob = base.clone();
+        knob.filler_domains += 1;
+        for _ in 0..2 {
+            memo_engine(base.clone(), &memo, Arc::new(NullObserver)).run();
+        }
+        assert_eq!(memo.len(), 3);
+        let mut other = memo_engine(knob.clone(), &memo, Arc::new(NullObserver));
+        let other_report = other.run().to_json();
+        assert!(other.loaded_stages().is_empty(), "another world computes");
+        let mut again = memo_engine(knob, &memo, Arc::new(NullObserver));
+        assert_eq!(again.run().to_json(), other_report);
+        assert!(again.loaded_stages().is_empty());
+        assert_eq!(memo.len(), 6, "each plan keeps its own entries");
+    }
+
+    #[test]
+    fn default_built_engines_own_their_memo() {
+        let memo = Arc::new(StoreCache::new());
+        for _ in 0..2 {
+            memo_engine(ExperimentConfig::smoke(7), &memo, Arc::new(NullObserver)).run();
+        }
+        assert_eq!(memo.len(), 3);
+        let mut private = Experiment::builder()
+            .scenario("smoke")
+            .config(ExperimentConfig::smoke(7))
+            .build()
+            .expect("smoke builds");
+        assert!(!Arc::ptr_eq(private.store_cache(), &memo));
+        private.run();
+        assert!(
+            private.loaded_stages().is_empty(),
+            "no other builder's entries"
+        );
+        assert!(private.store_cache().is_empty());
     }
 }

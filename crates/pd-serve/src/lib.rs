@@ -15,7 +15,7 @@
 //! | `GET /runs/:id` | status, timings, frame stats, rendered summary |
 //! | `GET /runs/:id/report` | report JSON, byte-identical to `pd run --json` |
 //! | `GET /healthz` | liveness (`ok`) |
-//! | `GET /metrics` | text `key value` counters (jobs, frames, stage ms) |
+//! | `GET /metrics` | text `key value` counters (jobs, frames, stage ms, memo) |
 //! | `POST /shutdown` | graceful drain: queued jobs finish, then exit |
 //!
 //! Jobs run on a **runner pool** (`--runners N`, default cores /
@@ -28,13 +28,17 @@
 //! finishes, every follower settles with the same (byte-identical)
 //! report, its snapshot naming the leader in `coalesced_into`. The
 //! `/metrics` counter `jobs_coalesced` counts followers. Every engine
-//! shares the daemon's [`pd_core::FrameCache`] and
+//! shares the daemon's [`pd_core::FrameCache`] and stage memo
 //! [`pd_core::StoreCache`] (injected through
 //! [`pd_core::ExperimentBuilder::frame_cache`] /
 //! [`pd_core::ExperimentBuilder::store_cache`]), so a repeated analysis
 //! is served from warm frames (`frames_built == 0`,
-//! `frames_reused > 0`) and concurrent jobs load each measurement store
-//! from disk at most once.
+//! `frames_reused > 0`), concurrent jobs load each measurement store
+//! from disk at most once, and a seed's second execution keeps its
+//! computed measurement artifacts — from the third on, a job reports
+//! `store_loads == 3` and runs no crowd or crawl stage (`/metrics`
+//! gauge `memo_entries`). The job table stores each distinct report
+//! body once: executions of one submission share one allocation.
 //!
 //! The wire format is the byte-level codec in `pd_web::http`; the same
 //! [`Request`](pd_web::http::Request)/[`Response`](pd_web::http::Response)

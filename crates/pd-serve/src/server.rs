@@ -347,7 +347,7 @@ fn job_endpoint(service: &Arc<PdService>, rest: &str) -> Response {
             ),
             // Byte-identical to `pd run --json`: the stored string goes
             // out verbatim, no re-encoding.
-            Some(Some(body)) => Response::json(body),
+            Some(Some(body)) => Response::json(body.to_string()),
         };
     }
     let Some(id) = parse_job_id(rest) else {
@@ -405,6 +405,35 @@ mod tests {
         let _ = stream.read_to_string(&mut reply);
         assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
         drop(stream);
+        server.shutdown();
+        server.join();
+    }
+
+    /// A connection that sends 10,000 header lines hits the header
+    /// section cap: the daemon answers 400 and closes instead of
+    /// buffering without bound, and keeps serving other connections.
+    #[test]
+    fn header_flood_gets_400_and_the_daemon_keeps_serving() {
+        use std::io::{Read, Write};
+        let server = Server::start(test_config()).expect("start");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let mut flood = b"GET /healthz HTTP/1.1\r\nhost: pd\r\n".to_vec();
+        for i in 0..10_000 {
+            flood.extend_from_slice(format!("x-flood-{i}: v\r\n").as_bytes());
+        }
+        flood.extend_from_slice(b"\r\n");
+        // The daemon may close mid-flood; a reset is part of the answer.
+        let _ = stream.write_all(&flood);
+        let mut reply = String::new();
+        let _ = stream.read_to_string(&mut reply);
+        assert!(
+            reply.is_empty() || reply.starts_with("HTTP/1.1 400"),
+            "{reply}"
+        );
+        drop(stream);
+        let client = Client::new(&server.addr().to_string());
+        let health = client.get("/healthz").expect("healthz still answers");
+        assert_eq!(health.status, Status::Ok);
         server.shutdown();
         server.join();
     }

@@ -2,10 +2,11 @@
 //! warm caches and `/metrics` aggregates.
 //!
 //! A [`PdService`] is everything the HTTP layer needs behind one `Arc`:
-//! the process-wide [`FrameCache`] and [`StoreCache`] every job's
-//! engine shares (warm-path re-analyses rebuild nothing and never copy
-//! a loaded store), the scenario registry, the job table, and the
-//! [`Metrics`] the [`crate::ServiceObserver`] feeds. Jobs execute on a
+//! the process-wide [`FrameCache`] and [`StoreCache`] (the stage memo)
+//! every job's engine shares — warm-path re-analyses rebuild nothing,
+//! never copy a loaded store, and from a seed's third execution skip
+//! the measurement stages — the scenario registry, the job table, and
+//! the [`Metrics`] the [`crate::ServiceObserver`] feeds. Jobs execute on a
 //! **runner pool** ([`ServeConfig::runners`] threads) pulling from one
 //! bounded queue — submissions beyond the queue capacity are rejected
 //! immediately (the HTTP layer turns that into `503` + `Retry-After`),
@@ -20,6 +21,12 @@
 //! follower receives the same outcome and the **same report bytes**
 //! (one shared allocation, so equality is structural). The
 //! `jobs_coalesced` metric counts followers admitted this way.
+//!
+//! Reports are stored **once per coalesce key**: the job table keeps
+//! the first finished execution's `(rendered, report JSON)` pair, and a
+//! later execution whose bodies are byte-identical shares it instead of
+//! keeping its own copy (bodies that differ would be a determinism bug;
+//! they stay the job's own). Nothing is evicted yet.
 
 use crate::observer::{ServiceObserver, TeeObserver};
 use pd_core::{
@@ -184,7 +191,8 @@ pub struct JobSnapshot {
     pub frames_reused: u64,
     /// Domain chunks streamed from chunked binary stores.
     pub frames_chunks_loaded: u64,
-    /// Pipeline stages satisfied from the artifact store.
+    /// Pipeline stages satisfied from the stage memo or the artifact
+    /// store.
     pub store_loads: u64,
     /// Rendered per-arm summaries (set once done).
     pub rendered: Option<String>,
@@ -297,7 +305,9 @@ impl Metrics {
         self.store_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The `/metrics` body: one `key value` pair per line, text/plain.
+    /// The counters of the `/metrics` body, one `key value` pair per
+    /// line, text/plain ([`PdService::metrics_text`] appends the gauges
+    /// read from the warm state).
     #[must_use]
     pub fn render_text(&self) -> String {
         let depth = self.queue_depth.load(Ordering::Relaxed);
@@ -429,11 +439,39 @@ struct JobTable {
     /// leader is queued or running — the window in which an identical
     /// submission attaches instead of executing.
     active: HashMap<CoalesceKey, u64>,
+    /// `coalesce key → (rendered, report JSON)` of the first finished
+    /// execution: a later execution with byte-identical bodies shares
+    /// these allocations instead of keeping its own.
+    reports: HashMap<CoalesceKey, (Arc<str>, Arc<str>)>,
     /// Graceful shutdown has begun: submissions are refused. Kept under
     /// the same lock as admission, so a submission either is fully
     /// queued before draining begins (and so ahead of the drain
     /// sentinel) or sees the flag.
     draining: bool,
+}
+
+impl JobTable {
+    /// The `(rendered, report JSON)` allocations a finished execution of
+    /// `key` keeps: the stored pair when `bodies` match it byte for
+    /// byte, else its own. The first execution of a key stores its pair;
+    /// a mismatch (a determinism bug) never replaces it.
+    fn shared_bodies(
+        &mut self,
+        key: CoalesceKey,
+        (rendered, report_json): (String, String),
+    ) -> (Arc<str>, Arc<str>) {
+        match self.reports.get(&key) {
+            Some((r, j)) if **r == *rendered && **j == *report_json => {
+                (Arc::clone(r), Arc::clone(j))
+            }
+            Some(_) => (rendered.into(), report_json.into()),
+            None => {
+                let pair: (Arc<str>, Arc<str>) = (rendered.into(), report_json.into());
+                self.reports.insert(key, pair.clone());
+                pair
+            }
+        }
+    }
 }
 
 /// The daemon's shared state. See the [module docs](self).
@@ -497,10 +535,14 @@ impl PdService {
         &self.metrics
     }
 
-    /// The `/metrics` body.
+    /// The `/metrics` body: the [`Metrics`] counters plus the
+    /// `memo_entries` gauge (measurement artifacts resident in the
+    /// shared stage memo).
     #[must_use]
     pub fn metrics_text(&self) -> String {
-        self.metrics.render_text()
+        let mut text = self.metrics.render_text();
+        text.push_str(&format!("memo_entries {}\n", self.stores.len()));
+        text
     }
 
     /// Gates every runner before its next job (see
@@ -687,14 +729,14 @@ impl PdService {
     /// `GET /runs/:id/report` — the outer `None` is "no such job", the
     /// inner `None` is "job exists but has no report (yet)". A returned
     /// body is byte-identical to the offline `pd run --json` output for
-    /// the same submission (a follower serves its leader's allocation).
+    /// the same submission. Jobs of one coalescing key share one
+    /// allocation: a follower serves its leader's, and a repeat
+    /// execution the first execution's.
     #[must_use]
-    pub fn report_body(&self, id: u64) -> Option<Option<String>> {
+    pub fn report_body(&self, id: u64) -> Option<Option<Arc<str>>> {
         let jobs = self.jobs.lock().expect("jobs lock");
         let idx = usize::try_from(id.checked_sub(1)?).ok()?;
-        jobs.records
-            .get(idx)
-            .map(|job| job.report_json.as_deref().map(str::to_owned))
+        jobs.records.get(idx).map(|job| job.report_json.clone())
     }
 
     /// The first half of graceful shutdown: refuse every later
@@ -791,24 +833,25 @@ impl PdService {
         job.frames_reused = counter_total("frames_reused");
         job.frames_chunks_loaded = counter_total("frames_chunks_loaded");
         job.store_loads = per_job.loaded().len() as u64;
+        let followers = std::mem::take(&mut job.followers);
+        let key = job
+            .coalesce_key
+            .take()
+            .expect("an executing job leads its key");
+        let settled = 1 + followers.len() as u64;
+        jobs.active.remove(&key);
         let (state, error, rendered, report_json) = match outcome {
-            Ok((rendered, report_json)) => {
-                let rendered: Arc<str> = rendered.into();
-                let report_json: Arc<str> = report_json.into();
+            Ok(bodies) => {
+                let (rendered, report_json) = jobs.shared_bodies(key, bodies);
                 (JobState::Done, None, Some(rendered), Some(report_json))
             }
             Err(msg) => (JobState::Failed, Some(msg), None, None),
         };
+        let job = &mut jobs.records[idx];
         job.state = state;
         job.error.clone_from(&error);
         job.rendered.clone_from(&rendered);
         job.report_json.clone_from(&report_json);
-        let followers = std::mem::take(&mut job.followers);
-        let key = job.coalesce_key.take();
-        let settled = 1 + followers.len() as u64;
-        if let Some(key) = key {
-            jobs.active.remove(&key);
-        }
         for fid in followers {
             let follower = &mut jobs.records[fid as usize - 1];
             follower.state = state;
@@ -1136,6 +1179,45 @@ mod tests {
             svc.report_body(2).expect("exists"),
             "same inputs, same bytes — just paid for twice"
         );
+    }
+
+    /// Sequential executions of one key: the first keeps no memo entry,
+    /// the second keeps the three measurement artifacts and shares the
+    /// first's report allocation, the third is served from the memo.
+    #[test]
+    fn repeat_executions_fill_the_memo_and_share_report_bodies() {
+        let (svc, rx) = service(8);
+        let req = SubmitRequest {
+            scenario: Some("smoke".to_owned()),
+            seed: Some(7),
+            profile: Some("smoke".to_owned()),
+            ..SubmitRequest::default()
+        };
+        let run_next = |expect_memo: usize| {
+            let id = parse_job_id(&svc.submit(&req).expect("leader")).expect("j-N id");
+            match rx.recv().expect("queued msg") {
+                QueueMsg::Job(job) => svc.run_job(job),
+                QueueMsg::Shutdown => panic!("no shutdown queued"),
+            }
+            let text = svc.metrics_text();
+            assert!(
+                text.contains(&format!("memo_entries {expect_memo}\n")),
+                "after j-{id}:\n{text}"
+            );
+            id
+        };
+        let first = run_next(0);
+        let second = run_next(3);
+        let third = run_next(3);
+        let body = |id| svc.report_body(id).expect("exists").expect("report");
+        assert!(Arc::ptr_eq(&body(first), &body(second)));
+        assert!(Arc::ptr_eq(&body(first), &body(third)));
+        let loads: Vec<u64> = [first, second, third]
+            .iter()
+            .map(|&id| svc.snapshot(id).expect("exists").store_loads)
+            .collect();
+        assert_eq!(loads, [0, 0, 3]);
+        assert!(svc.metrics_text().contains("jobs_coalesced 0\n"));
     }
 
     #[test]

@@ -31,6 +31,9 @@ use std::net::Ipv4Addr;
 
 /// Longest accepted request/status/header line, in bytes.
 const MAX_LINE_BYTES: usize = 64 * 1024;
+/// Largest accepted header section (every header line together, one
+/// terminator byte counted per line), in bytes.
+const MAX_HEADER_BYTES: usize = 64 * 1024;
 /// Largest accepted message body, in bytes.
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
@@ -49,7 +52,8 @@ pub enum HttpError {
     BadHeader(String),
     /// Status code outside the model (only 200/400/404/503 exist).
     UnknownStatus(u16),
-    /// A line or body exceeded the hard size cap.
+    /// A line, the header section or the body exceeded its hard size
+    /// cap.
     TooLarge(&'static str),
     /// Body was not valid UTF-8 or shorter than `content-length`.
     BadBody(String),
@@ -105,12 +109,19 @@ fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, HttpError> {
 
 /// Reads `name: value` header lines until the blank separator line.
 /// Names are lowercased; duplicates fold into one `", "`-joined value.
+/// The whole section is capped at [`MAX_HEADER_BYTES`], so a peer that
+/// drips header lines cannot grow the map without bound.
 fn read_headers<R: BufRead>(reader: &mut R) -> Result<BTreeMap<String, String>, HttpError> {
     let mut headers = BTreeMap::new();
+    let mut section_bytes = 0usize;
     loop {
         let line = read_line(reader)?.ok_or(HttpError::Eof)?;
         if line.is_empty() {
             return Ok(headers);
+        }
+        section_bytes += line.len() + 1;
+        if section_bytes > MAX_HEADER_BYTES {
+            return Err(HttpError::TooLarge("header section"));
         }
         if line.starts_with(' ') || line.starts_with('\t') {
             // Obsolete line folding — deprecated by RFC 7230, reject.
@@ -810,6 +821,36 @@ mod tests {
         assert_eq!(parsed.status.code(), 503);
         assert_eq!(parsed.header("retry-after"), Some("1"));
         assert_eq!(parsed.body, "{\"id\":\"j-1\"}");
+    }
+
+    #[test]
+    fn header_section_is_capped() {
+        // Many short, distinct lines and one ever-growing folded header
+        // both trip the section cap, while each line stays legal.
+        let mut many = b"GET / HTTP/1.1\r\nhost: a\r\n".to_vec();
+        for i in 0..10_000 {
+            many.extend_from_slice(format!("x-h-{i}: v\r\n").as_bytes());
+        }
+        many.extend_from_slice(b"\r\n");
+        assert_eq!(
+            Request::parse(&many).unwrap_err(),
+            HttpError::TooLarge("header section")
+        );
+        let mut folded = b"HTTP/1.1 200 OK\r\n".to_vec();
+        for _ in 0..5_000 {
+            folded.extend_from_slice(b"x-dup: 0123456789abcdef\r\n");
+        }
+        folded.extend_from_slice(b"\r\n");
+        assert_eq!(
+            Response::parse(&folded).unwrap_err(),
+            HttpError::TooLarge("header section")
+        );
+        // A section just under the cap still parses.
+        let mut fits = b"GET / HTTP/1.1\r\n".to_vec();
+        let filler = "v".repeat(MAX_HEADER_BYTES - 64);
+        fits.extend_from_slice(format!("x-big: {filler}\r\n\r\n").as_bytes());
+        let request = Request::parse(&fits).expect("fits the cap");
+        assert_eq!(request.header("x-big").map(str::len), Some(filler.len()));
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! * **graceful shutdown** — `POST /shutdown` drains every queued job
 //!   before `Server::join` returns,
 //! * **name resolution** — `POST /runs` by name falls back to the spec
-//!   search path (`$PD_SPEC_PATH`), and a typo gets a did-you-mean.
+//!   search path (`$PD_SPEC_PATH`), and a typo gets a did-you-mean,
+//! * **stage memo** — a seed's third sequential execution is served
+//!   from the daemon's memo (`store_loads == 3`), a one-off seed keeps
+//!   no artifact, and repeat executions share one report allocation.
 //!
 //! **Ordering contract**: job ids are assigned in submission order, but
 //! with a runner pool jobs do **not** execute or finish in id order —
@@ -344,6 +347,63 @@ fn http_surface_lists_jobs_and_404s_unknown_routes() {
         let resp = client.get(path).expect("transport ok");
         assert_eq!(resp.status, Status::NotFound, "{path}");
         assert!(resp.body.contains("error"), "{path}: {}", resp.body);
+    }
+
+    client.shutdown().expect("graceful drain");
+    server.join();
+}
+
+/// The stage memo on the serving path: a seed run once leaves no memo
+/// entry; run again it keeps its three measurement artifacts, and the
+/// third sequential run is served from them — no crowd or crawl work,
+/// no frame builds, and the offline report's bytes.
+#[test]
+fn third_sequential_run_of_a_seed_is_served_from_the_memo() {
+    let offline = offline_smoke_json(21);
+    let (server, client) = boot(ServeConfig::default());
+    let memo_entries = |client: &Client| {
+        let metrics = client.metrics().expect("metrics");
+        metrics
+            .lines()
+            .find_map(|line| line.strip_prefix("memo_entries "))
+            .and_then(|n| n.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no memo_entries gauge:\n{metrics}"))
+    };
+
+    let one_off = client.submit(&smoke_request(22)).expect("accepted");
+    client
+        .wait_done(&one_off, Duration::from_secs(120))
+        .expect("finishes");
+    assert_eq!(memo_entries(&client), 0, "a one-off seed keeps no artifact");
+
+    let mut ids = Vec::new();
+    for run in 1..=3 {
+        let id = client.submit(&smoke_request(21)).expect("accepted");
+        let snap = client
+            .wait_done(&id, Duration::from_secs(120))
+            .expect("finishes");
+        assert!(snap.coalesced_into.is_none(), "run {run} executed");
+        assert_eq!(client.report(&id).expect("report"), offline, "run {run}");
+        if run == 3 {
+            assert_eq!(snap.store_loads, 3, "crowd, crawl, personas from the memo");
+            assert_eq!(snap.frames_built, 0);
+        }
+        ids.push(id);
+    }
+    assert_eq!(memo_entries(&client), 3);
+
+    // Non-coalesced executions of one submission share one report
+    // allocation in the job table.
+    let service = server.service();
+    let body = |id: &str| {
+        let id = pd_serve::service::parse_job_id(id).expect("j-N id");
+        service
+            .report_body(id)
+            .expect("job exists")
+            .expect("has report")
+    };
+    for id in &ids[1..] {
+        assert!(std::sync::Arc::ptr_eq(&body(&ids[0]), &body(id)), "{id}");
     }
 
     client.shutdown().expect("graceful drain");

@@ -17,6 +17,9 @@ pub struct AnalysisConfig {
     /// How many top-variation domains Fig. 1 ranks (paper: 27).
     pub fig1_domains: usize,
     /// Products probed per retailer by the factor-attribution extension.
+    /// The persona stage probes at this count and stores the result; an
+    /// analysis at another count (`pd rerun --attribution-products N`)
+    /// re-probes, so the knob stays out of the measurement fingerprints.
     pub attribution_products: usize,
 }
 

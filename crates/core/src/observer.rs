@@ -39,9 +39,10 @@ pub enum StageKind {
     Crowd,
     /// The systematic multi-day retailer crawl.
     Crawl,
-    /// The persona and login probes (Sec. 4.4).
+    /// The persona and login probes (Sec. 4.4), plus the attribution
+    /// and third-party probes the analysis reads.
     Personas,
-    /// Figures, tables and attribution.
+    /// Figures and tables.
     Analysis,
 }
 

@@ -1868,4 +1868,34 @@ mod tests {
         );
         assert!(private.store_cache().is_empty());
     }
+
+    /// Analysis takes the web probes from the persona artifact: a marker
+    /// planted in the engine's persona slot reaches the report. At
+    /// another product count the record is ignored and analysis probes.
+    #[test]
+    fn analysis_reads_the_stored_probe_record() {
+        let mut engine = Experiment::builder()
+            .scenario("smoke")
+            .seed(7)
+            .build()
+            .expect("smoke builds");
+        let mut personas = engine.personas().clone();
+        let record = personas.probes.as_mut().expect("the persona stage probes");
+        let mut marker = record.attribution[0].clone();
+        marker.domain = "marker.example".to_owned();
+        record.attribution.push(marker.clone());
+        record.third_party.scanned = 999;
+        engine.personas = Some(Arc::new(personas));
+        let report = engine.run();
+        assert_eq!(report.attribution.last(), Some(&marker));
+        assert_eq!(report.third_party.scanned, 999);
+
+        engine.plan.config.analysis.attribution_products += 1;
+        let reprobed = engine.run();
+        assert!(reprobed
+            .attribution
+            .iter()
+            .all(|a| a.domain != marker.domain));
+        assert_ne!(reprobed.third_party.scanned, 999);
+    }
 }

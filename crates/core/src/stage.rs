@@ -7,7 +7,8 @@
 //! * [`CrowdArtifact`] — the crowd campaign: raw store, cleaned store,
 //!   [`CleaningReport`],
 //! * [`CrawlArtifact`] — the systematic crawl: store + per-retailer stats,
-//! * [`PersonaArtifact`] — the Sec. 4.4 login and persona probes,
+//! * [`PersonaArtifact`] — the Sec. 4.4 login and persona probes, plus
+//!   the analysis's web probes ([`ProbeRecord`]),
 //! * [`AnalysisArtifact`] — every figure and table ([`Report`]).
 //!
 //! The stage functions are free functions over `(&World, plan/config,
@@ -35,7 +36,8 @@ use crate::report::{Fig8Grid, Report};
 use crate::scenario::RunPlan;
 use crate::store::{Artifact, ChunkedPayload, StoreError};
 use crate::world::World;
-use pd_analysis::{crawl, crowd as crowd_figs, location, login, strategy, summary, thirdparty};
+use pd_analysis::thirdparty::{self, ThirdPartyTable};
+use pd_analysis::{crawl, crowd as crowd_figs, location, login, strategy, summary, Attribution};
 use pd_crawler::crawl::RetailerCrawlStats;
 use pd_crawler::{select_targets, Crawler};
 use pd_currency::Locale;
@@ -73,13 +75,34 @@ pub struct CrawlArtifact {
     pub stats: Vec<RetailerCrawlStats>,
 }
 
-/// The persona-stage artifact: the Sec. 4.4 controlled probes.
+/// The persona-stage artifact: the Sec. 4.4 controlled probes, and the
+/// analysis's web probes measured alongside them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PersonaArtifact {
     /// The Fig. 10 login experiment.
     pub login: LoginExperiment,
     /// The affluent-vs-budget persona experiment.
     pub persona: PersonaExperiment,
+    /// The analysis's web probes ([`run_probes`]). `None` in stores
+    /// written before the probes moved into this stage; analysis then
+    /// probes itself.
+    pub probes: Option<ProbeRecord>,
+}
+
+/// The web probes the report needs beyond the measurement stores: the
+/// per-retailer factor attribution and the third-party scan over the
+/// paper's crawl targets. Measured once by [`persona_stage`] and stored
+/// with its artifact, so a re-analysis fetches no pages.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ProbeRecord {
+    /// Products probed per retailer (the
+    /// [`crate::config::AnalysisConfig::attribution_products`] the
+    /// record was measured with).
+    pub attribution_products: usize,
+    /// One attribution table per known retailer, in target order.
+    pub attribution: Vec<Attribution>,
+    /// Third-party presence over the crawl targets.
+    pub third_party: ThirdPartyTable,
 }
 
 /// The analysis-stage artifact: the full report.
@@ -399,7 +422,8 @@ const PERSONA_DOMAINS: [&str; 4] = [
 ];
 
 /// Stage 4a: the Sec. 4.4 persona and login probes, holding location and
-/// time fixed. Login rows fan per product, persona pairs per domain.
+/// time fixed, plus the analysis's web probes ([`run_probes`]). Login
+/// rows fan per product, persona pairs and attributions per domain.
 #[must_use]
 pub fn persona_stage(
     world: &World,
@@ -456,8 +480,41 @@ pub fn persona_stage(
             "persona_pairs",
             persona.total_pairs as u64,
         );
-        PersonaArtifact { login, persona }
+        let probes = run_probes(world, config, exec);
+        obs.counter(
+            StageKind::Personas,
+            "attributed_retailers",
+            probes.attribution.len() as u64,
+        );
+        PersonaArtifact {
+            login,
+            persona,
+            probes: Some(probes),
+        }
     })
+}
+
+/// The analysis's web probes: factor attribution of every paper crawl
+/// target (fanned per retailer) and the third-party scan, both from the
+/// persona experiment's Boston site.
+#[must_use]
+pub fn run_probes(world: &World, config: &ExperimentConfig, exec: &Executor) -> ProbeRecord {
+    let targets = world.paper_crawl_targets();
+    let products = config.analysis.attribution_products;
+    let attribution = exec
+        .map_indexed(targets.len(), |i| {
+            attribute_factors(world, config, &targets[i], products)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    let (_, boston, exp_time) = persona_site(world, config);
+    let third_party = thirdparty::scan_third_parties(&world.web, &targets, boston, exp_time);
+    ProbeRecord {
+        attribution_products: products,
+        attribution,
+        third_party,
+    }
 }
 
 /// The paper's stated future work, implemented: attribute a retailer's
@@ -560,7 +617,7 @@ impl StoreSource<'_> {
 }
 
 /// Stage 5: every figure and table, from the upstream artifacts. The
-/// per-retailer attribution probes fan across the executor, and the
+/// web probes come from the persona artifact's [`ProbeRecord`], and the
 /// check frames come from the [`FrameCache`]: per-domain shards built in
 /// parallel on the first call, reused (`frames_built = 0`) by every
 /// later `analyze()` on the same measurement fingerprints — including
@@ -732,15 +789,6 @@ pub(crate) fn analysis_over(
         let fig10 = login::fig10(&persona_art.login);
         let persona = login::persona_summary(&persona_art.persona);
 
-        // Third-party presence over the crawled set.
-        let targets = world.paper_crawl_targets();
-        let boston_vp = world
-            .vantage_by_label("USA - Boston")
-            .expect("Boston probe exists");
-        let (_, _, exp_time) = persona_site(world, config);
-        let third_party =
-            thirdparty::scan_third_parties(&world.web, &targets, boston_vp.addr, exp_time);
-
         // The Sec. 3.2 summary is a streaming scan: chunked sources
         // feed it one domain chunk at a time, memory sources row by row
         // — identical numbers either way.
@@ -749,25 +797,26 @@ pub(crate) fn analysis_over(
         crawl_store.scan(|m| scan.crawl_row(m))?;
         let summary = scan.finish(&world.crowd);
 
-        // Extension: per-retailer factor attribution over the crawled
-        // set, fanned per retailer.
-        let attribution: Vec<pd_analysis::Attribution> = exec
-            .map_indexed(targets.len(), |i| {
-                attribute_factors(
-                    world,
-                    config,
-                    &targets[i],
-                    config.analysis.attribution_products,
-                )
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        obs.counter(
-            StageKind::Analysis,
-            "attributed_retailers",
-            attribution.len() as u64,
-        );
+        // Third-party presence and the per-retailer factor attribution
+        // (an extension): stored with the persona artifact, re-probed
+        // only for a record that predates them or was measured at
+        // another product count.
+        let ProbeRecord {
+            attribution,
+            third_party,
+            ..
+        } = match &persona_art.probes {
+            Some(p) if p.attribution_products == config.analysis.attribution_products => p.clone(),
+            _ => {
+                let p = run_probes(world, config, exec);
+                obs.counter(
+                    StageKind::Analysis,
+                    "attributed_retailers",
+                    p.attribution.len() as u64,
+                );
+                p
+            }
+        };
 
         Ok(AnalysisArtifact {
             report: Report {

@@ -187,16 +187,25 @@ pub fn attribute(
         (ratio > 1.0 + SAME_CURRENCY_EPS, ratio)
     };
 
-    let mut effects = Vec::with_capacity(Factor::ALL.len());
+    // The unvaried request (US baseline, day t0, session 9001) is the
+    // reference of the country, city, day and login factors. A fetch is
+    // a pure function of its request, so it is made once per product.
+    let us = (probes.us_a.0, probes.us_a.1.country);
     let sid = [("sid", "9001")];
+    let base: Vec<Option<Price>> = slugs
+        .iter()
+        .map(|slug| fetch(slug, us.0, us.1, t0, &sid))
+        .collect();
+
+    let mut effects = Vec::with_capacity(Factor::ALL.len());
     for factor in Factor::ALL {
         let mut varies = false;
         let mut max_ratio = 1.0f64;
-        for slug in &slugs {
+        for (slug, &base) in slugs.iter().zip(&base) {
             let (v, r) = match factor {
                 Factor::Country => {
                     let (Some(a), Some(b)) = (
-                        fetch(slug, probes.us_a.0, probes.us_a.1.country, t0, &sid),
+                        base,
                         fetch(slug, probes.foreign.0, probes.foreign.1.country, t0, &sid),
                     ) else {
                         continue;
@@ -204,10 +213,9 @@ pub fn attribute(
                     cross_ratio(a, b, base_day as usize)
                 }
                 Factor::CityWithinCountry => {
-                    let ps: Vec<Price> = [&probes.us_a, &probes.us_b, &probes.us_c]
-                        .iter()
-                        .filter_map(|(addr, loc)| fetch(slug, *addr, loc.country, t0, &sid))
-                        .collect();
+                    let others = [&probes.us_b, &probes.us_c]
+                        .map(|(addr, loc)| fetch(slug, *addr, loc.country, t0, &sid));
+                    let ps: Vec<Price> = std::iter::once(base).chain(others).flatten().collect();
                     if ps.len() < 3 {
                         continue;
                     }
@@ -217,13 +225,7 @@ pub fn attribute(
                     let ps: Vec<Price> = (0..SESSIONS_PER_PRODUCT)
                         .filter_map(|k| {
                             let sid_k = format!("77{k}");
-                            fetch(
-                                slug,
-                                probes.us_a.0,
-                                probes.us_a.1.country,
-                                t0,
-                                &[("sid", sid_k.as_str())],
-                            )
+                            fetch(slug, us.0, us.1, t0, &[("sid", sid_k.as_str())])
                         })
                         .collect();
                     if ps.len() < 2 {
@@ -232,25 +234,14 @@ pub fn attribute(
                     same_ratio(&ps)
                 }
                 Factor::Day => {
-                    let (Some(a), Some(b)) = (
-                        fetch(slug, probes.us_a.0, probes.us_a.1.country, t0, &sid),
-                        fetch(slug, probes.us_a.0, probes.us_a.1.country, t1, &sid),
-                    ) else {
+                    let (Some(a), Some(b)) = (base, fetch(slug, us.0, us.1, t1, &sid)) else {
                         continue;
                     };
                     same_ratio(&[a, b])
                 }
                 Factor::Login => {
-                    let (Some(a), Some(b)) = (
-                        fetch(slug, probes.us_a.0, probes.us_a.1.country, t0, &sid),
-                        fetch(
-                            slug,
-                            probes.us_a.0,
-                            probes.us_a.1.country,
-                            t0,
-                            &[("sid", "9001"), ("login", "3")],
-                        ),
-                    ) else {
+                    let login = [("sid", "9001"), ("login", "3")];
+                    let (Some(a), Some(b)) = (base, fetch(slug, us.0, us.1, t0, &login)) else {
                         continue;
                     };
                     same_ratio(&[a, b])
@@ -278,7 +269,11 @@ mod tests {
     use pd_util::Seed;
 
     fn rig() -> (WebWorld, ProbeSet) {
-        let seed = Seed::new(1307);
+        rig_at(1307)
+    }
+
+    fn rig_at(seed: u64) -> (WebWorld, ProbeSet) {
+        let seed = Seed::new(seed);
         let mut world = WebWorld::build(seed, pd_pricing::paper_retailers(seed), 160);
         let mk = |w: &mut WebWorld, c, city: &str| {
             let loc = Location::new(c, city);
@@ -291,6 +286,145 @@ mod tests {
             foreign: mk(&mut world, Country::Finland, "Tampere"),
         };
         (world, probes)
+    }
+
+    /// `attribute` as first written: one fetch per probe, the baseline
+    /// request included, re-fetched by every factor that compares
+    /// against it.
+    fn reference_attribute(
+        world: &WebWorld,
+        probes: &ProbeSet,
+        domain: &str,
+        products: usize,
+        base_day: u64,
+    ) -> Option<Attribution> {
+        let server = world.server_by_domain(domain)?;
+        let selector = price_selector(server.spec().template_style);
+        let slugs: Vec<String> = server
+            .catalog()
+            .iter()
+            .take(products)
+            .map(|p| p.slug.clone())
+            .collect();
+        if slugs.is_empty() {
+            return None;
+        }
+        let day_ms = |day: u64| SimTime::from_millis(day * 24 * 3_600_000 + 10 * 3_600_000);
+        let (t0, t1) = (day_ms(base_day), day_ms(base_day + 1));
+        let price =
+            |slug: &str, (addr, loc): &(Ipv4Addr, Location), time, cookies: &[(&str, &str)]| {
+                let mut req = Request::get(domain, &format!("/product/{slug}"), *addr, time);
+                for (n, v) in cookies {
+                    req = req.with_cookie(n, v);
+                }
+                let resp = world.fetch(&req);
+                if resp.status.code() != 200 {
+                    return None;
+                }
+                let doc = pd_html::parse_pooled(&resp.body);
+                HighlightExtractor::from_highlight(&doc, &selector)?
+                    .extract(&doc, Some(Locale::of_country(loc.country)))
+                    .ok()
+                    .map(|e| e.price)
+            };
+        let same = |ps: &[Price]| {
+            let lo = ps
+                .iter()
+                .map(|p| p.amount.to_minor())
+                .min()
+                .expect("nonempty");
+            let hi = ps
+                .iter()
+                .map(|p| p.amount.to_minor())
+                .max()
+                .expect("nonempty");
+            if lo <= 0 {
+                return (false, 1.0);
+            }
+            let ratio = hi as f64 / lo as f64;
+            (ratio > 1.0 + SAME_CURRENCY_EPS, ratio)
+        };
+        let sid = [("sid", "9001")];
+        let effects = Factor::ALL
+            .iter()
+            .map(|&factor| {
+                let (mut varies, mut max_ratio) = (false, 1.0f64);
+                for slug in &slugs {
+                    let base = || price(slug, &probes.us_a, t0, &sid);
+                    let (v, r) = match factor {
+                        Factor::Country => match (base(), price(slug, &probes.foreign, t0, &sid)) {
+                            (Some(a), Some(b)) => {
+                                match band_filter(world.fx(), &[a, b], base_day as usize) {
+                                    Some(v) if v.genuine => (true, v.nominal_ratio),
+                                    _ => (false, 1.0),
+                                }
+                            }
+                            _ => continue,
+                        },
+                        Factor::CityWithinCountry => {
+                            let ps: Vec<Price> = [&probes.us_a, &probes.us_b, &probes.us_c]
+                                .iter()
+                                .filter_map(|p| price(slug, p, t0, &sid))
+                                .collect();
+                            if ps.len() < 3 {
+                                continue;
+                            }
+                            same(&ps)
+                        }
+                        Factor::Session => {
+                            let ps: Vec<Price> = (0..SESSIONS_PER_PRODUCT)
+                                .filter_map(|k| {
+                                    let sid_k = format!("77{k}");
+                                    price(slug, &probes.us_a, t0, &[("sid", sid_k.as_str())])
+                                })
+                                .collect();
+                            if ps.len() < 2 {
+                                continue;
+                            }
+                            same(&ps)
+                        }
+                        Factor::Day => match (base(), price(slug, &probes.us_a, t1, &sid)) {
+                            (Some(a), Some(b)) => same(&[a, b]),
+                            _ => continue,
+                        },
+                        Factor::Login => {
+                            let login = [("sid", "9001"), ("login", "3")];
+                            match (base(), price(slug, &probes.us_a, t0, &login)) {
+                                (Some(a), Some(b)) => same(&[a, b]),
+                                _ => continue,
+                            }
+                        }
+                    };
+                    varies |= v;
+                    max_ratio = max_ratio.max(r);
+                }
+                FactorEffect {
+                    factor,
+                    varies,
+                    max_ratio,
+                    products: slugs.len(),
+                }
+            })
+            .collect();
+        Some(Attribution {
+            domain: domain.to_owned(),
+            effects,
+        })
+    }
+
+    #[test]
+    fn one_baseline_fetch_matches_a_fetch_per_probe() {
+        for seed in [1307, 2024] {
+            let (world, probes) = rig_at(seed);
+            for spec in pd_pricing::paper_retailers(Seed::new(seed)) {
+                let domain = spec.domain.as_str();
+                assert_eq!(
+                    attribute(&world, &probes, domain, 8, 50),
+                    reference_attribute(&world, &probes, domain, 8, 50),
+                    "seed {seed}, {domain}"
+                );
+            }
+        }
     }
 
     fn attr(world: &WebWorld, probes: &ProbeSet, domain: &str) -> Attribution {

@@ -46,7 +46,9 @@
 //! time); `pd artifacts migrate DIR` converts a store in place either
 //! way, byte-identically. `pd rerun DIR` re-analyzes a stored crawl —
 //! optionally under different analysis knobs — without re-measuring
-//! anything.
+//! anything. The persona stage stores the analysis's web probes too;
+//! `--attribution-products N` reuses them when N is the stored count
+//! and re-probes otherwise.
 //!
 //! `--spec` accepts a file path or a bare name: bare names resolve
 //! against the spec search path (`examples/specs/`, then each
@@ -63,7 +65,8 @@
 //!
 //! Exit codes: `0` success, `1` runtime failure (store/report/IO), `2`
 //! usage error (unknown command, flag, scenario or profile). All errors
-//! go to stderr.
+//! go to stderr. A closed stdout (`pd … | head -1`) ends the process
+//! quietly with status 0.
 
 use pd_core::store::{ArtifactStore, Provenance, StoreError, StoreFormat};
 use pd_core::{
@@ -72,6 +75,35 @@ use pd_core::{
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// `print!` to stdout through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` to stdout through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. Once the reader has gone (`pd run … | head -1`)
+/// the process exits quietly with status 0, where `print!` panics.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        fail(1, &format!("writing to stdout: {e}"));
+    }
+}
 
 struct RunArgs {
     scenario: Option<String>,
@@ -338,9 +370,9 @@ fn parse_rerun(mut args: std::env::Args) -> Result<RerunArgs, String> {
 }
 
 fn print_timings(observer: &TimingObserver) {
-    println!("stage wall-times:");
+    outln!("stage wall-times:");
     for (stage, fp) in observer.loaded() {
-        println!("  {stage:<9} loaded from store (fingerprint {fp})");
+        outln!("  {stage:<9} loaded from store (fingerprint {fp})");
     }
     for t in observer.timings() {
         let counters: Vec<String> = t.counters.iter().map(|(n, v)| format!("{n}={v}")).collect();
@@ -349,7 +381,7 @@ fn print_timings(observer: &TimingObserver) {
         } else {
             format!("{}/{}", t.arm, t.stage)
         };
-        println!(
+        outln!(
             "  {:<22} {:>9.1} ms  {}",
             stage,
             t.wall.as_secs_f64() * 1000.0,
@@ -358,7 +390,10 @@ fn print_timings(observer: &TimingObserver) {
     }
 }
 
+/// Stage names in run order, whatever order the engine resolved them in.
 fn stage_names(stages: &[StageKind]) -> String {
+    let mut stages = stages.to_vec();
+    stages.sort();
     stages
         .iter()
         .map(|s| s.as_str())
@@ -372,7 +407,7 @@ fn write_json(path: &str, reports: &[(String, pd_core::Report)]) -> Result<(), S
     // "byte-identical to `pd run --json`" holds by construction.
     let json = pd_core::reports_to_json(reports);
     std::fs::write(path, json).map_err(|e| format!("writing {path:?}: {e}"))?;
-    println!("report JSON written to {path}");
+    outln!("report JSON written to {path}");
     Ok(())
 }
 
@@ -439,7 +474,7 @@ fn execute_run(run: &RunArgs, registry: &ScenarioRegistry) -> Result<(), String>
         let fleet = engine.world().sheriff.vantage_points().len();
         let report = analysis.report.clone();
         if label.is_empty() {
-            println!(
+            outln!(
                 "== {} (profile {}, seed {}, {} threads, {fleet} probes) ==",
                 scenario_name,
                 run.profile.name(),
@@ -447,15 +482,15 @@ fn execute_run(run: &RunArgs, registry: &ScenarioRegistry) -> Result<(), String>
                 engine.executor().threads(),
             );
         } else {
-            println!("== {scenario_name} / {label} ==");
+            outln!("== {scenario_name} / {label} ==");
         }
-        print!("{}", report.render_summary());
+        out!("{}", report.render_summary());
         if run.render {
-            println!("{}", report.render_all());
+            outln!("{}", report.render_all());
         }
         if let Some(dir) = engine.artifacts_dir().map(Path::to_path_buf) {
             if !engine.loaded_stages().is_empty() {
-                println!(
+                outln!(
                     "artifacts: reused {} from {}",
                     stage_names(engine.loaded_stages()),
                     dir.display()
@@ -481,16 +516,16 @@ fn execute_run(run: &RunArgs, registry: &ScenarioRegistry) -> Result<(), String>
                 .save_analysis(&dir, &analysis)
                 .map_err(|e| e.to_string())?;
             if saved.saved.is_empty() {
-                println!("artifacts: store up to date ({})", dir.display());
+                outln!("artifacts: store up to date ({})", dir.display());
             } else {
-                println!(
+                outln!(
                     "artifacts: saved {} + analysis to {}",
                     saved.saved.join(", "),
                     dir.display()
                 );
             }
         }
-        println!();
+        outln!();
         reports.push((label, report));
     }
 
@@ -548,7 +583,7 @@ fn execute_rerun(rerun: &RerunArgs) -> Result<(), String> {
     }
 
     let report = engine.analyze().report;
-    println!(
+    outln!(
         "== rerun {} (stored scenario {}{}, seed {}, {} threads) ==",
         rerun.dir.display(),
         p.scenario,
@@ -560,16 +595,16 @@ fn execute_rerun(rerun: &RerunArgs) -> Result<(), String> {
         p.seed,
         engine.executor().threads(),
     );
-    println!(
+    outln!(
         "artifacts: reused {} from {}",
         stage_names(engine.loaded_stages()),
         rerun.dir.display()
     );
-    print!("{}", report.render_summary());
+    out!("{}", report.render_summary());
     if rerun.render {
-        println!("{}", report.render_all());
+        outln!("{}", report.render_all());
     }
-    println!();
+    outln!();
     if rerun.timings {
         print_timings(&observer);
     }
@@ -583,8 +618,8 @@ fn execute_artifacts_ls(dir: &Path) -> Result<(), String> {
     let store = ArtifactStore::open(dir).map_err(|e| e.to_string())?;
     let m = store.manifest();
     let p = &m.provenance;
-    println!("artifact store {}", dir.display());
-    println!(
+    outln!("artifact store {}", dir.display());
+    outln!(
         "  scenario {}{}  profile {}  seed {}  threads {}",
         p.scenario,
         if p.label.is_empty() {
@@ -596,13 +631,19 @@ fn execute_artifacts_ls(dir: &Path) -> Result<(), String> {
         p.seed,
         p.threads,
     );
-    println!(
+    outln!(
         "  schema v{}  created {} (unix ms)",
-        m.schema_version, p.created_unix_ms
+        m.schema_version,
+        p.created_unix_ms
     );
-    println!(
+    outln!(
         "  {:<10} {:<17} {:>10} {:>10} {:>7} {:>7}  status",
-        "stage", "fingerprint", "bytes", "payload", "format", "chunks"
+        "stage",
+        "fingerprint",
+        "bytes",
+        "payload",
+        "format",
+        "chunks"
     );
     for (entry, health) in store.verify() {
         // Payload size (the artifact body inside the envelope, recorded
@@ -614,7 +655,7 @@ fn execute_artifacts_ls(dir: &Path) -> Result<(), String> {
         let chunks = entry
             .chunks
             .map_or_else(|| "-".to_owned(), |c| c.to_string());
-        println!(
+        outln!(
             "  {:<10} {:<17} {:>10} {:>10} {:>7} {:>7}  {}",
             entry.stage,
             entry.fingerprint,
@@ -625,7 +666,7 @@ fn execute_artifacts_ls(dir: &Path) -> Result<(), String> {
             health
         );
         for up in &entry.upstream {
-            println!("  {:<10} upstream {up}", "");
+            outln!("  {:<10} upstream {up}", "");
         }
     }
     Ok(())
@@ -637,12 +678,12 @@ fn execute_artifacts_ls(dir: &Path) -> Result<(), String> {
 fn execute_artifacts_migrate(dir: &Path, format: StoreFormat) -> Result<(), String> {
     let mut store = ArtifactStore::open(dir).map_err(|e| e.to_string())?;
     let moved = store.migrate(format).map_err(|e| e.to_string())?;
-    println!("migrated {} to {format} payloads", dir.display());
+    outln!("migrated {} to {format} payloads", dir.display());
     if moved.is_empty() {
-        println!("  (store has no entries)");
+        outln!("  (store has no entries)");
     }
     for (stage, old_bytes, new_bytes) in moved {
-        println!("  {stage:<10} {old_bytes:>10} -> {new_bytes:>10} bytes");
+        outln!("  {stage:<10} {old_bytes:>10} -> {new_bytes:>10} bytes");
     }
     Ok(())
 }
@@ -659,27 +700,27 @@ fn execute_scenarios_show(
         .get(name)
         .ok_or_else(|| unknown_scenario(registry, name))?;
     if json {
-        println!("{}", spec.to_json_pretty());
+        outln!("{}", spec.to_json_pretty());
         return Ok(());
     }
-    println!("{:<12} {}", "scenario", spec.name);
-    println!("{:<12} {}", "describe", spec.describe);
-    println!(
+    outln!("{:<12} {}", "scenario", spec.name);
+    outln!("{:<12} {}", "describe", spec.describe);
+    outln!(
         "{:<12} {}",
         "base",
         spec.base.as_deref().unwrap_or("(requested profile)")
     );
     let patch = serde_json::to_string(&spec.patch).map_err(|e| e.to_string())?;
-    println!("{:<12} {patch}", "patch");
+    outln!("{:<12} {patch}", "patch");
     if spec.sweep.is_empty() {
-        println!("{:<12} (single run)", "sweep");
+        outln!("{:<12} (single run)", "sweep");
     } else {
         for axis in &spec.sweep {
             let axis = serde_json::to_string(axis).map_err(|e| e.to_string())?;
-            println!("{:<12} {axis}", "sweep");
+            outln!("{:<12} {axis}", "sweep");
         }
     }
-    println!("\n(dump as an editable spec: pd scenarios show {name} --json)");
+    outln!("\n(dump as an editable spec: pd scenarios show {name} --json)");
     Ok(())
 }
 
@@ -828,7 +869,7 @@ fn execute_serve(serve: &ServeArgs) -> Result<(), String> {
     };
     let runner_count = config.effective_runners();
     let server = pd_serve::Server::start(config)?;
-    println!(
+    outln!(
         "pd serve listening on {} ({} workers, {} runners, queue capacity {})",
         server.addr(),
         serve.threads.max(1),
@@ -836,11 +877,11 @@ fn execute_serve(serve: &ServeArgs) -> Result<(), String> {
         serve.queue.max(1),
     );
     if let Some(dir) = &serve.artifacts {
-        println!("artifact store (read-through): {}", dir.display());
+        outln!("artifact store (read-through): {}", dir.display());
     }
-    println!("endpoints: POST /runs, GET /runs[/ID[/report]], GET /healthz, GET /metrics, POST /shutdown");
+    outln!("endpoints: POST /runs, GET /runs[/ID[/report]], GET /healthz, GET /metrics, POST /shutdown");
     server.join();
-    println!("pd serve: drained and exited");
+    outln!("pd serve: drained and exited");
     Ok(())
 }
 
@@ -878,7 +919,7 @@ fn execute_submit(submit: &SubmitArgs, registry: &ScenarioRegistry) -> Result<()
         submit.addr, submit.addr
     );
     // The bare id on stdout so scripts can capture it: ID=$(pd submit …).
-    println!("{id}");
+    outln!("{id}");
     Ok(())
 }
 
@@ -888,24 +929,27 @@ fn execute_submit(submit: &SubmitArgs, registry: &ScenarioRegistry) -> Result<()
 fn execute_poll(poll: &PollArgs) -> Result<(), String> {
     let client = pd_serve::Client::new(&poll.addr);
     let done = client.wait_done(&poll.id, std::time::Duration::from_secs(poll.timeout_secs))?;
-    println!(
+    outln!(
         "job {} done: scenario {} (queued {} ms, ran {} ms)",
         done.id,
         done.scenario,
         done.queued_ms.unwrap_or(0),
         done.run_ms.unwrap_or(0),
     );
-    println!(
+    outln!(
         "frames: built={} reused={} chunks_loaded={} store_loads={}",
-        done.frames_built, done.frames_reused, done.frames_chunks_loaded, done.store_loads,
+        done.frames_built,
+        done.frames_reused,
+        done.frames_chunks_loaded,
+        done.store_loads,
     );
     if let Some(rendered) = &done.rendered {
-        print!("{rendered}");
+        out!("{rendered}");
     }
     if let Some(path) = &poll.json {
         let report = client.report(&done.id)?;
         std::fs::write(path, report).map_err(|e| format!("writing {path:?}: {e}"))?;
-        println!("report JSON written to {path}");
+        outln!("report JSON written to {path}");
     }
     Ok(())
 }
@@ -963,7 +1007,7 @@ fn main() {
                     fail(2, &e);
                 }
             }
-            (Some("list" | "ls"), None, None) => print!("{}", scenario_lines(&registry)),
+            (Some("list" | "ls"), None, None) => out!("{}", scenario_lines(&registry)),
             _ => fail(
                 2,
                 "usage: pd scenarios show <NAME> [--json] | pd scenarios list",
@@ -990,7 +1034,7 @@ fn main() {
         Some("metrics") => {
             let addr = parse_addr_only(args, "metrics").unwrap_or_else(|e| fail(2, &e));
             match pd_serve::Client::new(&addr).metrics() {
-                Ok(text) => print!("{text}"),
+                Ok(text) => out!("{text}"),
                 Err(e) => fail(1, &e),
             }
         }
@@ -999,12 +1043,12 @@ fn main() {
             if let Err(e) = pd_serve::Client::new(&addr).shutdown() {
                 fail(1, &e);
             }
-            println!("shutdown requested; {addr} is draining");
+            outln!("shutdown requested; {addr} is draining");
         }
         Some("list") => {
-            print!("{}", scenario_lines(&registry));
+            out!("{}", scenario_lines(&registry));
         }
-        Some("--help" | "-h" | "help") | None => print!("{}", usage(&registry)),
+        Some("--help" | "-h" | "help") | None => out!("{}", usage(&registry)),
         Some(other) => {
             fail(
                 2,

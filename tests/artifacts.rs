@@ -429,14 +429,63 @@ fn stale_fingerprints_are_rejected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Stores written before the persona artifact carried the analysis's
+/// web probes have no `probes` field in `personas`: in either format
+/// such a store still loads, its analysis probes the web itself, and
+/// the report is byte-identical to the direct run's.
+#[test]
+fn personas_without_a_probe_record_rerun_to_the_same_report() {
+    for format in [StoreFormat::Json, StoreFormat::Binary] {
+        let dir = tmp(&format!("no-probes-{format}"));
+        let mut producer = Experiment::builder()
+            .scenario("smoke")
+            .seed(7)
+            .store_format(format)
+            .build()
+            .expect("smoke builds");
+        let direct = producer.run();
+        assert!(producer.personas().probes.is_some(), "the stage probes");
+        producer.save_artifacts(&dir).expect("save");
+
+        // Re-save `personas` without the field, as older builds wrote it.
+        let fp = store::personas_fingerprint(&RunPlan::new(ExperimentConfig::smoke(7)));
+        let mut s = ArtifactStore::open(&dir).expect("store opens");
+        let mut personas: serde_json::Value = s.load("personas", fp).expect("personas load");
+        if let serde_json::Value::Object(map) = &mut personas {
+            assert!(map.remove("probes").is_some(), "{format}: field stored");
+        }
+        s.save("personas", fp, &[], &personas).expect("re-save");
+
+        let observer = Arc::new(TimingObserver::new());
+        let mut consumer = Experiment::builder()
+            .scenario("smoke")
+            .seed(7)
+            .observer(observer.clone())
+            .artifacts(dir.clone())
+            .build()
+            .expect("smoke builds");
+        assert!(
+            consumer.personas().probes.is_none(),
+            "{format}: absent is None"
+        );
+        assert_eq!(observer.loads(StageKind::Personas), 1, "{format}");
+        assert_eq!(
+            direct.to_json(),
+            consumer.run().to_json(),
+            "{format}: report must match"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 fn pd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pd"))
 }
 
 /// The cross-process acceptance: one process measures and persists, a
 /// second process re-analyzes the stored crawl, and the reports agree
-/// byte for byte. Also proves the second process skipped the
-/// measurement stages (its stdout names the reused artifacts).
+/// byte for byte. Also proves a second run and the rerun skipped the
+/// measurement stages (their stdout names the reused artifacts).
 #[test]
 fn rerun_reanalyzes_a_stored_smoke_crawl_across_processes() {
     let dir = tmp("cross-process");
@@ -452,6 +501,19 @@ fn rerun_reanalyzes_a_stored_smoke_crawl_across_processes() {
         .output()
         .expect("pd run executes");
     assert!(run.status.success(), "pd run failed: {run:?}");
+    // A second run against the store names the reused stages in run
+    // order.
+    let again = pd()
+        .args(["run", "smoke", "--seed", "7", "--artifacts"])
+        .arg(&dir)
+        .output()
+        .expect("pd run executes");
+    assert!(again.status.success(), "pd run failed: {again:?}");
+    let stdout = String::from_utf8_lossy(&again.stdout);
+    assert!(
+        stdout.contains("reused crowd, crawl, personas"),
+        "a second run must reuse every measurement stage:\n{stdout}"
+    );
 
     let rerun = pd()
         .arg("rerun")
@@ -635,6 +697,76 @@ fn cli_errors_hit_stderr_with_nonzero_exit() {
     let bad_flag = pd().args(["run", "smoke", "--wat"]).output().expect("runs");
     assert_eq!(bad_flag.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&bad_flag.stderr).contains("unknown flag"));
+}
+
+/// `pd rerun --attribution-products N` over a store probed at another
+/// count re-probes at N: the report equals a direct run with the knob
+/// set to N.
+#[test]
+fn rerun_at_another_attribution_count_equals_a_direct_run() {
+    let dir = tmp("attribution-16");
+    let direct_json = dir.join("direct.json");
+    let rerun_json = dir.join("rerun.json");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let store_dir = dir.join("store");
+    let run = pd()
+        .args(["run", "smoke", "--seed", "11", "--artifacts"])
+        .arg(&store_dir)
+        .output()
+        .expect("pd run executes");
+    assert!(run.status.success(), "pd run failed: {run:?}");
+    let direct = pd()
+        .args(["run", "smoke", "--seed", "11"])
+        .args(["--set", "analysis.attribution_products=16", "--json"])
+        .arg(&direct_json)
+        .output()
+        .expect("pd run executes");
+    assert!(direct.status.success(), "pd run failed: {direct:?}");
+    let rerun = pd()
+        .arg("rerun")
+        .arg(&store_dir)
+        .args(["--attribution-products", "16", "--json"])
+        .arg(&rerun_json)
+        .output()
+        .expect("pd rerun executes");
+    assert!(rerun.status.success(), "pd rerun failed: {rerun:?}");
+    assert_eq!(
+        std::fs::read(&direct_json).expect("direct report"),
+        std::fs::read(&rerun_json).expect("rerun report"),
+        "rerun at 16 products must equal the direct run at 16"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that closes `pd`'s stdout after one line (`pd … | head -1`)
+/// ends it quietly: no panic, no exit status 101. The sweep's rendered
+/// output is larger than a pipe buffer, so `pd` is still writing when
+/// the pipe closes.
+#[test]
+fn closed_stdout_ends_pd_quietly() {
+    use std::io::BufRead;
+    for args in [
+        &["run", "smoke", "--seed", "3"][..],
+        &["run", "seed-sweep", "--render"][..],
+    ] {
+        let mut child = pd()
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("pd spawns");
+        let mut first = String::new();
+        std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+            .read_line(&mut first)
+            .expect("first line");
+        assert!(first.starts_with("=="), "{args:?}: {first:?}");
+        // The reader is dropped here: the pipe is closed.
+        let out = child.wait_with_output().expect("pd exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
 }
 
 /// A store produced by one run is never silently destroyed by another:

@@ -2,10 +2,12 @@
 //! store API:
 //!
 //! * **the on-disk format does not move**: the four `.bin` files of
-//!   the smoke scenario at seeds 7 and 8 hash to a pinned FNV-1a digest
-//!   (computed with the codec that walked `Value` trees, before the
-//!   typed streaming path existed), and they re-analyze to the direct
-//!   run's report;
+//!   the smoke scenario at seeds 7 and 8 hash to two pinned FNV-1a
+//!   digests, and they re-analyze to the direct run's report. The
+//!   crowd+crawl digest dates from the codec that walked `Value` trees,
+//!   before the typed streaming path existed. The personas+analysis
+//!   digest was re-pinned when the persona artifact took over the
+//!   analysis's web probes, a new field in `personas.bin`;
 //! * **no corrupt file panics the loader**: arbitrary bytes, and
 //!   truncations and single-byte flips of real smoke store files, make
 //!   `open_chunked` and `load` return `Ok` or `Err` — never a panic,
@@ -17,12 +19,16 @@ use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-/// The stages a `pd run --artifacts` store holds, in digest order.
+/// The stages a `pd run --artifacts` store holds, in digest order:
+/// the two row stages first, then personas and analysis.
 const STAGES: [&str; 4] = ["crowd", "crawl", "personas", "analysis"];
 
-/// FNV-1a64 over (stage name, file bytes) of the four `.bin` files of
-/// smoke seed 7, then seed 8.
-const SMOKE_BIN_DIGEST: u64 = 0x0a71_d11f_a9bd_a022;
+/// FNV-1a64 over (stage name, file bytes) of `crowd.bin` and
+/// `crawl.bin` of smoke seed 7, then seed 8.
+const SMOKE_ROWS_DIGEST: u64 = 0x0740_7e5a_23cd_c3da;
+
+/// The same over `personas.bin` and `analysis.bin`.
+const SMOKE_PROBES_DIGEST: u64 = 0x4394_53d9_e9f2_cb76;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pd-store-codec-{}-{name}", std::process::id()));
@@ -60,14 +66,17 @@ fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
 
 #[test]
 fn smoke_binary_files_match_the_pinned_digest() {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut rows: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut probes = rows;
     for seed in [7, 8] {
         let dir = tmp(&format!("golden-{seed}"));
         let direct = write_smoke_store(seed, &dir);
-        for stage in STAGES {
-            let bytes = std::fs::read(dir.join(format!("{stage}.bin"))).expect("stage file");
-            h = fnv1a64(h, stage.as_bytes());
-            h = fnv1a64(h, &bytes);
+        for (h, stages) in [(&mut rows, &STAGES[..2]), (&mut probes, &STAGES[2..])] {
+            for stage in stages {
+                let bytes = std::fs::read(dir.join(format!("{stage}.bin"))).expect("stage file");
+                *h = fnv1a64(*h, stage.as_bytes());
+                *h = fnv1a64(*h, &bytes);
+            }
         }
         // The stored measurements re-analyze to the same report.
         let mut rerun = Experiment::builder()
@@ -80,8 +89,12 @@ fn smoke_binary_files_match_the_pinned_digest() {
         std::fs::remove_dir_all(&dir).ok();
     }
     assert_eq!(
-        h, SMOKE_BIN_DIGEST,
-        "binary store bytes moved: digest {h:#018x}"
+        rows, SMOKE_ROWS_DIGEST,
+        "crowd/crawl store bytes moved: digest {rows:#018x}"
+    );
+    assert_eq!(
+        probes, SMOKE_PROBES_DIGEST,
+        "personas/analysis store bytes moved: digest {probes:#018x}"
     );
 }
 

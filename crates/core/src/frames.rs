@@ -7,14 +7,15 @@
 //! frames at two granularities, keyed by the **measurement fingerprint**
 //! of the store they were cut from ([`crate::store`]):
 //!
-//! * *domain shards* — `(fingerprint, domain) → Arc<CheckFrame>`, built
-//!   in parallel (one task per retailer) on the deterministic
-//!   [`Executor`]; held only while a store's assembly is in flight and
-//!   released once the assembled frame is memoized (the rows would
-//!   otherwise be retained twice);
-//! * *assembled frames* — `fingerprint → Arc<CheckFrame>`, the shards
+//! * *domain shards* — `(fingerprint, domain) →` the domain's
+//!   `CheckFrame` and its [`CrawlTally`], cut from the same rows in one
+//!   pass, built in parallel (one task per retailer) on the
+//!   deterministic [`Executor`]; held only while a store's assembly is
+//!   in flight and released once the assembled frame is memoized (the
+//!   rows would otherwise be retained twice);
+//! * *assembled frames* — `fingerprint →` [`StoreFrame`], the shards
 //!   spliced back into exact store order with
-//!   [`CheckFrame::merge_shards`].
+//!   [`CheckFrame::merge_shards`] and their tallies merged beside them.
 //!
 //! Because the key is the fingerprint — a digest of everything that can
 //! reshape the store — a cache hit is exactly as trustworthy as the
@@ -43,13 +44,14 @@
 //! let (frame, stats) = cache.frame_for(7, &store, &fx, &exec);
 //! assert_eq!((stats.built, stats.reused), (0, 0), "empty store, no shards");
 //! let (again, stats) = cache.frame_for(7, &store, &fx, &exec);
-//! assert!(std::sync::Arc::ptr_eq(&frame, &again), "second call is a hit");
+//! assert!(std::sync::Arc::ptr_eq(&frame.frame, &again.frame), "second call is a hit");
 //! assert_eq!(stats.built, 0);
 //! ```
 
 use crate::executor::Executor;
 use crate::observer::StageKind;
 use crate::store::{ChunkedPayload, StoreError};
+use pd_analysis::summary::CrawlTally;
 use pd_analysis::CheckFrame;
 use pd_currency::FxSeries;
 use pd_sheriff::{Measurement, MeasurementStore};
@@ -76,17 +78,32 @@ pub struct FrameStats {
     pub chunks_loaded: usize,
 }
 
-/// One store's per-domain frame shards, keyed by interned domain.
-type DomainShards = HashMap<Arc<str>, Arc<CheckFrame>>;
+/// A store's assembled analysis frame and the [`CrawlTally`] cut from
+/// the same rows in the same pass — so the Sec. 3.2 summary's crawl
+/// half needs no second decode of a chunked store, and none at all on a
+/// cache hit.
+#[derive(Debug, Clone)]
+pub struct StoreFrame {
+    /// The frame, row-for-row `CheckFrame::build` over the store.
+    pub frame: Arc<CheckFrame>,
+    /// The store's crawl tally, merged over its domains in store order.
+    pub tally: Arc<CrawlTally>,
+}
+
+/// One domain's frame shard and the tally of its rows.
+type Shard = (Arc<CheckFrame>, CrawlTally);
+
+/// One store's per-domain shards, keyed by interned domain.
+type DomainShards = HashMap<Arc<str>, Shard>;
 
 /// Shared, thread-safe cache of per-domain [`CheckFrame`]s keyed by
 /// store fingerprint. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct FrameCache {
-    /// `store fingerprint → domain →` that domain's frame shard.
+    /// `store fingerprint → domain →` that domain's shard.
     shards: Mutex<HashMap<u64, DomainShards>>,
     /// `store fingerprint → (full frame, number of domain shards)`.
-    assembled: Mutex<HashMap<u64, (Arc<CheckFrame>, usize)>>,
+    assembled: Mutex<HashMap<u64, (StoreFrame, usize)>>,
 }
 
 impl FrameCache {
@@ -117,96 +134,29 @@ impl FrameCache {
         store: &MeasurementStore,
         fx: &FxSeries,
         exec: &Executor,
-    ) -> (Arc<CheckFrame>, FrameStats) {
-        if let Some((frame, shards)) = self.assembled.lock().expect("frame cache lock").get(&key) {
-            return (
-                Arc::clone(frame),
-                FrameStats {
-                    built: 0,
-                    reused: *shards,
-                    chunks_loaded: 0,
-                },
-            );
-        }
-
-        let domains = store.domains();
-        let mut have: Vec<Option<Arc<CheckFrame>>> = Vec::with_capacity(domains.len());
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let shards = self.shards.lock().expect("frame cache lock");
-            let for_key = shards.get(&key);
-            for (i, domain) in domains.iter().enumerate() {
-                match for_key.and_then(|m| m.get(domain.as_str())) {
-                    Some(hit) => have.push(Some(Arc::clone(hit))),
-                    None => {
-                        have.push(None);
-                        missing.push(i);
+    ) -> (StoreFrame, FrameStats) {
+        let domains = || store.domains();
+        // One pass over the store partitions rows for the missing
+        // domains (`build_domain` per domain would rescan the whole
+        // store once per domain — quadratic at paper scale).
+        let build = |domains: &[String], missing: &[usize]| {
+            let slot_of: HashMap<&str, usize> = missing
+                .iter()
+                .enumerate()
+                .map(|(slot, &i)| (domains[i].as_str(), slot))
+                .collect();
+            let mut members: Vec<Vec<&Measurement>> = vec![Vec::new(); missing.len()];
+            if !missing.is_empty() {
+                for m in store.records() {
+                    if let Some(&slot) = slot_of.get(m.domain.as_str()) {
+                        members[slot].push(m);
                     }
                 }
             }
-        }
-        let reused = domains.len() - missing.len();
-
-        // One pass over the store partitions record indices for the
-        // missing domains (`build_domain` per domain would rescan the
-        // whole store once per domain — quadratic at paper scale).
-        let records = store.records();
-        let mut slot_of: HashMap<&str, usize> = HashMap::with_capacity(missing.len());
-        for (slot, &i) in missing.iter().enumerate() {
-            slot_of.insert(domains[i].as_str(), slot);
-        }
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); missing.len()];
-        if !missing.is_empty() {
-            for (idx, m) in records.iter().enumerate() {
-                if let Some(&slot) = slot_of.get(m.domain.as_str()) {
-                    members[slot].push(idx);
-                }
-            }
-        }
-
-        // Build the missing shards outside the lock, in parallel; the
-        // executor's index-ordered merge keeps this deterministic.
-        let built = exec.map_indexed(missing.len(), |j| {
-            Arc::new(CheckFrame::from_rows(
-                members[j]
-                    .iter()
-                    .filter_map(|&idx| pd_analysis::CheckRow::from_measurement(&records[idx], fx))
-                    .collect(),
-            ))
-        });
-        {
-            let mut shards = self.shards.lock().expect("frame cache lock");
-            let for_key = shards.entry(key).or_default();
-            for (j, frame) in built.iter().enumerate() {
-                let domain: Arc<str> = pd_util::intern(&domains[missing[j]]);
-                for_key.entry(domain).or_insert_with(|| Arc::clone(frame));
-            }
-        }
-        for (j, frame) in built.iter().enumerate() {
-            have[missing[j]] = Some(Arc::clone(frame));
-        }
-
-        let frame = Arc::new(CheckFrame::merge_shards(
-            have.iter()
-                .map(|f| f.as_deref().expect("all shards present")),
-        ));
-        self.assembled
-            .lock()
-            .expect("frame cache lock")
-            .entry(key)
-            .or_insert_with(|| (Arc::clone(&frame), domains.len()));
-        // The assembled frame supersedes the shards: every future call
-        // under this key returns it before consulting the shard map, so
-        // keeping the shards would hold every row in memory twice.
-        self.shards.lock().expect("frame cache lock").remove(&key);
-        (
-            frame,
-            FrameStats {
-                built: missing.len(),
-                reused,
-                chunks_loaded: 0,
-            },
-        )
+            exec.map_indexed(missing.len(), |j| Ok(shard(members[j].iter().copied(), fx)))
+        };
+        self.assemble(key, domains, build)
+            .expect("in-memory shards cannot fail")
     }
 
     /// Like [`FrameCache::frame_for`], but cut from a **chunked binary
@@ -237,10 +187,42 @@ impl FrameCache {
         section: &str,
         fx: &FxSeries,
         exec: &Executor,
-    ) -> Result<(Arc<CheckFrame>, FrameStats), StoreError> {
+    ) -> Result<(StoreFrame, FrameStats), StoreError> {
+        let domains = || {
+            payload
+                .chunk_names(section)
+                .into_iter()
+                .map(str::to_owned)
+                .collect()
+        };
+        // Decode the missing domains' chunks in parallel — one disk
+        // read + row decode per retailer, nothing else leaves the file.
+        let build = |domains: &[String], missing: &[usize]| {
+            exec.map_indexed(missing.len(), |j| {
+                let rows: Vec<Measurement> =
+                    payload.read_chunk_rows(section, &domains[missing[j]])?;
+                Ok(shard(&rows, fx))
+            })
+        };
+        let (frame, mut stats) = self.assemble(key, domains, build)?;
+        stats.chunks_loaded = stats.built;
+        Ok((frame, stats))
+    }
+
+    /// The one assembly path behind both sources: an assembled-frame
+    /// hit, else the store's `domains()` split into cached shards and
+    /// missing ones, `build(domains, missing)` producing the missing
+    /// shards (in `missing` order), and the shards spliced into store
+    /// order with their tallies merged alongside.
+    fn assemble(
+        &self,
+        key: u64,
+        domains: impl FnOnce() -> Vec<String>,
+        build: impl FnOnce(&[String], &[usize]) -> Vec<Result<Shard, StoreError>>,
+    ) -> Result<(StoreFrame, FrameStats), StoreError> {
         if let Some((frame, shards)) = self.assembled.lock().expect("frame cache lock").get(&key) {
             return Ok((
-                Arc::clone(frame),
+                frame.clone(),
                 FrameStats {
                     built: 0,
                     reused: *shards,
@@ -249,19 +231,15 @@ impl FrameCache {
             ));
         }
 
-        let domains: Vec<String> = payload
-            .chunk_names(section)
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let mut have: Vec<Option<Arc<CheckFrame>>> = Vec::with_capacity(domains.len());
+        let domains = domains();
+        let mut have: Vec<Option<Shard>> = Vec::with_capacity(domains.len());
         let mut missing: Vec<usize> = Vec::new();
         {
             let shards = self.shards.lock().expect("frame cache lock");
             let for_key = shards.get(&key);
             for (i, domain) in domains.iter().enumerate() {
                 match for_key.and_then(|m| m.get(domain.as_str())) {
-                    Some(hit) => have.push(Some(Arc::clone(hit))),
+                    Some(hit) => have.push(Some(hit.clone())),
                     None => {
                         have.push(None);
                         missing.push(i);
@@ -271,45 +249,50 @@ impl FrameCache {
         }
         let reused = domains.len() - missing.len();
 
-        // Decode the missing domains' chunks in parallel — one disk
-        // read + row decode per retailer, nothing else leaves the file.
-        let built = exec.map_indexed(missing.len(), |j| {
-            let rows: Vec<Measurement> = payload.read_chunk_rows(section, &domains[missing[j]])?;
-            Ok::<_, StoreError>(Arc::new(CheckFrame::from_rows(
-                rows.iter()
-                    .filter_map(|m| pd_analysis::CheckRow::from_measurement(m, fx))
-                    .collect(),
-            )))
-        });
-        let built = built.into_iter().collect::<Result<Vec<_>, _>>()?;
+        // Build the missing shards outside the lock; the executor's
+        // index-ordered merge keeps this deterministic.
+        let built = build(&domains, &missing)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         {
             let mut shards = self.shards.lock().expect("frame cache lock");
             let for_key = shards.entry(key).or_default();
-            for (j, frame) in built.iter().enumerate() {
+            for (j, shard) in built.iter().enumerate() {
                 let domain: Arc<str> = pd_util::intern(&domains[missing[j]]);
-                for_key.entry(domain).or_insert_with(|| Arc::clone(frame));
+                for_key.entry(domain).or_insert_with(|| shard.clone());
             }
         }
-        for (j, frame) in built.iter().enumerate() {
-            have[missing[j]] = Some(Arc::clone(frame));
+        for (j, shard) in built.into_iter().enumerate() {
+            have[missing[j]] = Some(shard);
         }
 
-        let frame = Arc::new(CheckFrame::merge_shards(
-            have.iter()
-                .map(|f| f.as_deref().expect("all shards present")),
-        ));
+        let shards: Vec<Shard> = have
+            .into_iter()
+            .map(|s| s.expect("all shards present"))
+            .collect();
+        let mut tally = CrawlTally::default();
+        for (_, domain_tally) in &shards {
+            tally.merge(domain_tally);
+        }
+        let frame = StoreFrame {
+            frame: Arc::new(CheckFrame::merge_shards(shards.iter().map(|(f, _)| &**f))),
+            tally: Arc::new(tally),
+        };
         self.assembled
             .lock()
             .expect("frame cache lock")
             .entry(key)
-            .or_insert_with(|| (Arc::clone(&frame), domains.len()));
+            .or_insert_with(|| (frame.clone(), domains.len()));
+        // The assembled frame supersedes the shards: every future call
+        // under this key returns it before consulting the shard map, so
+        // keeping the shards would hold every row in memory twice.
         self.shards.lock().expect("frame cache lock").remove(&key);
         Ok((
             frame,
             FrameStats {
                 built: missing.len(),
                 reused,
-                chunks_loaded: missing.len(),
+                chunks_loaded: 0,
             },
         ))
     }
@@ -330,6 +313,18 @@ impl FrameCache {
             .map(DomainShards::len)
             .sum()
     }
+}
+
+/// One domain's shard: its check frame and its crawl tally, both cut
+/// from the same rows in one pass.
+fn shard<'a>(rows: impl IntoIterator<Item = &'a Measurement> + Clone, fx: &FxSeries) -> Shard {
+    let frame = CheckFrame::from_rows(
+        rows.clone()
+            .into_iter()
+            .filter_map(|m| pd_analysis::CheckRow::from_measurement(m, fx))
+            .collect(),
+    );
+    (Arc::new(frame), CrawlTally::of_domain(rows))
 }
 
 /// The engine's **stage memo**: a shared, thread-safe map from
@@ -535,7 +530,20 @@ mod tests {
             let exec = Executor::new(threads);
             let (frame, stats) = cache.frame_for(42, &store, &fx, &exec);
             let direct = CheckFrame::build(&store, &fx);
-            assert_eq!(frame.rows(), direct.rows(), "{threads} threads");
+            assert_eq!(frame.frame.rows(), direct.rows(), "{threads} threads");
+            // The tally cut beside the shards is the summary's crawl half.
+            let mut scan = pd_analysis::summary::SummaryScan::new();
+            scan.crawl(&frame.tally);
+            let summary = scan.finish(0);
+            assert_eq!(
+                (
+                    summary.crawled_retailers,
+                    summary.crawled_products,
+                    summary.crawl_days,
+                    summary.crawled_prices
+                ),
+                (3, 4, 1, 8)
+            );
             if threads == 1 {
                 assert_eq!(
                     stats,
@@ -597,18 +605,22 @@ mod tests {
             let exec = Executor::new(threads);
             let memory = FrameCache::new();
             let (direct, _) = memory.frame_for(11, &store, &fx, &exec);
+            let direct_tally = direct.tally;
+            let direct = direct.frame;
             let cache = FrameCache::new();
             let (chunked, stats) = cache
                 .frame_for_chunked(11, &payload, "store", &fx, &exec)
                 .expect("chunked build");
-            assert_eq!(chunked.rows(), direct.rows(), "{threads} threads");
+            assert_eq!(chunked.frame.rows(), direct.rows(), "{threads} threads");
+            assert_eq!(chunked.tally, direct_tally, "one tally from either source");
             assert_eq!(stats.built, 3);
             assert_eq!(stats.chunks_loaded, 3, "one chunk decoded per domain");
             // Second call is an assembled-frame hit: no disk reads.
             let (again, hit) = cache
                 .frame_for_chunked(11, &payload, "store", &fx, &exec)
                 .expect("cache hit");
-            assert!(Arc::ptr_eq(&chunked, &again));
+            assert!(Arc::ptr_eq(&chunked.frame, &again.frame));
+            assert!(Arc::ptr_eq(&chunked.tally, &again.tally));
             assert_eq!((hit.chunks_loaded, hit.reused), (0, 3));
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -669,7 +681,7 @@ mod tests {
         let (full, _) = cache.frame_for(1, &store, &fx, &exec);
         let (small, stats) = cache.frame_for(2, &other, &fx, &exec);
         assert_eq!(stats.built, 1, "same domain under a new key rebuilds");
-        assert_eq!(full.len(), 4);
-        assert_eq!(small.len(), 1);
+        assert_eq!(full.frame.len(), 4);
+        assert_eq!(small.frame.len(), 1);
     }
 }

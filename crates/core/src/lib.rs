@@ -78,7 +78,7 @@ pub mod world;
 
 pub use config::{AnalysisConfig, ExperimentConfig, WorldConfig};
 pub use executor::Executor;
-pub use frames::{FrameCache, FrameStats, StoreCache};
+pub use frames::{FrameCache, FrameStats, StoreCache, StoreFrame};
 pub use observer::{
     BufferedObserver, NullObserver, RunObserver, StageKind, StageTiming, TimingObserver,
 };
@@ -96,7 +96,7 @@ pub use store::{
     ArtifactStore, ChunkedPayload, Fingerprint, Provenance, StoreError, StoreFormat,
     MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
-pub use world::World;
+pub use world::{AnalysisContext, World};
 
 // Re-export the component crates so downstream users need one dependency.
 pub use pd_analysis as analysis;

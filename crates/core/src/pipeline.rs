@@ -22,16 +22,21 @@ use crate::scenario::{Profile, RunPlan, ScenarioParams, ScenarioRegistry};
 use crate::spec::ScenarioSpec;
 use crate::stage::{self, AnalysisArtifact, CrawlArtifact, CrowdArtifact, PersonaArtifact};
 use crate::store::{self, ArtifactStore, ChunkedPayload, Provenance, StoreError, StoreFormat};
-use crate::world::World;
+use crate::world::{AnalysisContext, World};
 use pd_sheriff::cleaning::CleaningReport;
 use pd_sheriff::MeasurementStore;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The staged, artifact-caching experiment engine.
 pub struct Engine {
     plan: RunPlan,
-    world: World,
+    /// Built on first use ([`Engine::world`]): only a stage that
+    /// computes needs it, so a re-analysis of stored measurements never
+    /// builds one.
+    world: OnceLock<World>,
+    /// What the analysis reads of the world, derived from the plan.
+    context: AnalysisContext,
     executor: Executor,
     observer: Arc<dyn RunObserver>,
     /// Read-through artifact store directory (see [`Engine::with_artifacts`]).
@@ -71,6 +76,7 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("plan", &self.plan)
             .field("executor", &self.executor)
+            .field("world_built", &self.world.get().is_some())
             .field("artifacts_dir", &self.artifacts_dir)
             .field("crowd_cached", &self.crowd.is_some())
             .field("crawl_cached", &self.crawl.is_some())
@@ -113,28 +119,11 @@ pub struct SaveSummary {
 }
 
 impl Engine {
-    /// Builds an engine for a run plan: assembles the world, then
-    /// applies the plan's vantage subset and desynchronization skew to
-    /// the fan-out engine (the only moment they can be set).
+    /// Builds an engine for a run plan. The world is not assembled
+    /// here but on first use ([`Engine::world`]); the plan's
+    /// [`AnalysisContext`] is derived at once.
     #[must_use]
     pub fn from_plan(plan: RunPlan, executor: Executor, observer: Arc<dyn RunObserver>) -> Self {
-        let world = stage::observed(observer.as_ref(), StageKind::Build, || {
-            let mut world = World::build(&plan.config);
-            if let Some(labels) = &plan.vantage_labels {
-                world.sheriff = world.sheriff.clone().with_vantage_subset(labels);
-            }
-            if plan.desync != pd_net::clock::SimDuration::ZERO {
-                world.sheriff = world.sheriff.clone().with_desync(plan.desync);
-            }
-            // Emitted inside the stage window so observers attribute it
-            // to this run's build stage.
-            observer.counter(
-                StageKind::Build,
-                "vantage_points",
-                world.sheriff.vantage_points().len() as u64,
-            );
-            world
-        });
         let provenance = Provenance::new(
             "custom",
             "",
@@ -143,8 +132,9 @@ impl Engine {
             executor.threads(),
         );
         Engine {
+            context: AnalysisContext::from_plan(&plan),
             plan,
-            world,
+            world: OnceLock::new(),
             executor,
             observer,
             artifacts_dir: None,
@@ -260,10 +250,40 @@ impl Engine {
         &self.loaded_stages
     }
 
-    /// The assembled world (read access for examples and diagnostics).
+    /// The assembled world, built on the first call: the world for the
+    /// plan's config, with the plan's vantage subset and
+    /// desynchronization skew applied to the fan-out engine. The build
+    /// is reported as the [`StageKind::Build`] stage, so callers that
+    /// are about to run a stage call this *before* opening that stage's
+    /// window.
     #[must_use]
     pub fn world(&self) -> &World {
-        &self.world
+        self.world.get_or_init(|| {
+            stage::observed(self.observer.as_ref(), StageKind::Build, || {
+                let mut world = World::build(&self.plan.config);
+                if let Some(labels) = &self.plan.vantage_labels {
+                    world.sheriff = world.sheriff.clone().with_vantage_subset(labels);
+                }
+                if self.plan.desync != pd_net::clock::SimDuration::ZERO {
+                    world.sheriff = world.sheriff.clone().with_desync(self.plan.desync);
+                }
+                // Emitted inside the stage window so observers attribute
+                // it to this run's build stage.
+                self.observer.counter(
+                    StageKind::Build,
+                    "vantage_points",
+                    world.sheriff.vantage_points().len() as u64,
+                );
+                world
+            })
+        })
+    }
+
+    /// What the analysis reads of the world, derived from the plan
+    /// without building it.
+    #[must_use]
+    pub fn context(&self) -> &AnalysisContext {
+        &self.context
     }
 
     /// The plan in force.
@@ -372,7 +392,7 @@ impl Engine {
         }
         if self.crowd.is_none() {
             let computed = stage::crowd_stage(
-                &self.world,
+                self.world(),
                 &self.plan,
                 &self.executor,
                 self.observer.as_ref(),
@@ -396,15 +416,15 @@ impl Engine {
                 Some(min_confirmed) => {
                     self.crowd();
                     stage::targets_from_crowd(
-                        &self.world,
+                        self.world(),
                         &self.crowd.as_ref().expect("crowd cached above").cleaned,
                         min_confirmed,
                     )
                 }
-                None => self.world.paper_crawl_targets(),
+                None => self.world().paper_crawl_targets(),
             };
             let computed = stage::crawl_stage(
-                &self.world,
+                self.world(),
                 &self.plan.config,
                 &targets,
                 &self.executor,
@@ -423,7 +443,7 @@ impl Engine {
         }
         if self.personas.is_none() {
             let computed = stage::persona_stage(
-                &self.world,
+                self.world(),
                 &self.plan.config,
                 &self.executor,
                 self.observer.as_ref(),
@@ -666,11 +686,12 @@ impl Engine {
         self.crowd();
         self.crawl();
         stage::analysis_stage(
-            &self.world,
+            &self.context,
             &self.plan,
             self.crowd.as_deref().expect("cached above"),
             self.crawl.as_deref().expect("cached above"),
             self.personas.as_deref().expect("cached above"),
+            self.probe_world(),
             &self.frames,
             &self.executor,
             self.observer.as_ref(),
@@ -721,13 +742,14 @@ impl Engine {
             (None, None) => unreachable!("crawl materialized above"),
         };
         match stage::analysis_over(
-            &self.world,
+            &self.context,
             &self.plan.config,
             crowd_raw,
             crowd_clean,
             cleaning,
             crawl_store,
             self.personas.as_deref().expect("personas cached"),
+            self.probe_world(),
             Some(keys),
             &self.executor,
             self.observer.as_ref(),
@@ -742,6 +764,16 @@ impl Engine {
                 None
             }
         }
+    }
+
+    /// The world for the analysis's probe fallback: built — before the
+    /// analysis window opens — only when the persona artifact's stored
+    /// probes do not fit the plan ([`stage::stored_probes`]).
+    fn probe_world(&self) -> Option<&World> {
+        let personas = self.personas.as_deref().expect("personas resolved first");
+        stage::stored_probes(personas, &self.plan.config)
+            .is_none()
+            .then(|| self.world())
     }
 
     /// Runs the full pipeline and returns the report.
@@ -1356,13 +1388,14 @@ impl Experiment {
         let exec = self.engine.executor();
         let personas = stage::persona_stage(world, config, exec, &NullObserver);
         stage::analysis_over(
-            world,
+            self.engine.context(),
             config,
             stage::StoreSource::Memory(crowd_raw),
             stage::StoreSource::Memory(crowd_clean),
             cleaning,
             stage::StoreSource::Memory(crawl_store),
             &personas,
+            Some(world),
             None,
             exec,
             &NullObserver,
@@ -1573,6 +1606,7 @@ mod tests {
             assert_eq!(observer.starts(kind), 0, "{kind} must come from disk");
             assert_eq!(observer.loads(kind), 1, "{kind} load must be observed");
         }
+        assert_eq!(observer.starts(StageKind::Build), 0, "no stage computes");
         let chunks: u64 = observer
             .timings()
             .iter()
@@ -1772,6 +1806,11 @@ mod tests {
             assert_eq!(observer.starts(kind), 0, "{kind} must come from the memo");
             assert_eq!(observer.loads(kind), 1, "{kind} hit must be observed");
         }
+        assert_eq!(
+            observer.starts(StageKind::Build),
+            0,
+            "a memo hit on every stage builds no world"
+        );
         let fp = |kind| {
             store::measurement_fingerprint(kind, third.plan())
                 .expect("measurement stage")

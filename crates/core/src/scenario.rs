@@ -106,9 +106,10 @@ pub struct RunPlan {
     /// ablation disables it).
     pub cleaning: bool,
     /// Restrict the vantage fleet to these Fig. 7 labels (`None` = the
-    /// full 14-probe fleet). Subsets must retain the probes the analysis
-    /// conditions on ("Finland - Tampere", "USA - Boston", "USA - New
-    /// York", "USA - Chicago").
+    /// full 14-probe fleet). Spec validation requires "USA - Boston" and
+    /// "Finland - Tampere" ([`crate::spec::REQUIRED_VANTAGE_LABELS`]);
+    /// the attribution extension also conditions on "USA - New York"
+    /// and "USA - Chicago" and attributes nothing without them.
     pub vantage_labels: Option<Vec<String>>,
     /// Pick crawl targets from confirmed crowd variation instead of the
     /// paper's fixed 21-retailer list; the value is the minimum

@@ -227,6 +227,36 @@ pub enum SpecError {
     RateOutOfRange(f64),
     /// A vantage-subset arm lists no probes.
     EmptyVantageSubset(String),
+    /// A vantage subset names a probe the paper's fleet does not have.
+    UnknownVantage(String),
+    /// A vantage subset omits a probe the pipeline cannot run without
+    /// ([`REQUIRED_VANTAGE_LABELS`]).
+    MissingVantage(String),
+}
+
+/// The probes every vantage subset must keep: the persona and web-probe
+/// site (`USA - Boston`) and Fig. 9's reference probe
+/// (`Finland - Tampere`).
+pub const REQUIRED_VANTAGE_LABELS: [&str; 2] = ["USA - Boston", "Finland - Tampere"];
+
+/// A vantage subset must name only paper probes and keep the
+/// [`REQUIRED_VANTAGE_LABELS`].
+fn validate_vantage_subset(labels: &[String]) -> Result<(), SpecError> {
+    let fleet: Vec<String> =
+        pd_net::vantage::paper_vantage_points(&mut pd_net::ip::IpAllocator::new())
+            .iter()
+            .map(pd_net::vantage::VantagePoint::label)
+            .collect();
+    if let Some(unknown) = labels.iter().find(|l| !fleet.contains(l)) {
+        return Err(SpecError::UnknownVantage(unknown.clone()));
+    }
+    if let Some(missing) = REQUIRED_VANTAGE_LABELS
+        .iter()
+        .find(|r| !labels.iter().any(|l| l == *r))
+    {
+        return Err(SpecError::MissingVantage((*missing).to_owned()));
+    }
+    Ok(())
 }
 
 impl fmt::Display for SpecError {
@@ -250,6 +280,13 @@ impl fmt::Display for SpecError {
             SpecError::EmptyVantageSubset(label) => {
                 write!(f, "vantage-subset arm {label:?} lists no probes")
             }
+            SpecError::UnknownVantage(label) => {
+                write!(f, "vantage subset names unknown probe {label:?}")
+            }
+            SpecError::MissingVantage(label) => write!(
+                f,
+                "vantage subset omits {label:?}, which the pipeline requires"
+            ),
         }
     }
 }
@@ -471,6 +508,7 @@ impl SweepAxis {
                     if arm.labels.is_empty() {
                         return Err(SpecError::EmptyVantageSubset(arm.label.clone()));
                     }
+                    validate_vantage_subset(&arm.labels)?;
                 }
                 arms.iter().map(|a| a.label.as_str()).collect()
             }
@@ -583,6 +621,9 @@ impl ScenarioSpec {
             if !(0.0..=1.0).contains(&rate) {
                 return Err(SpecError::RateOutOfRange(rate));
             }
+        }
+        if let Some(labels) = &self.patch.vantage_labels {
+            validate_vantage_subset(labels)?;
         }
         for axis in &self.sweep {
             axis.validate()?;
@@ -1259,6 +1300,53 @@ mod tests {
             empty_fleet.validate(),
             Err(SpecError::EmptyVantageSubset(_))
         ));
+    }
+
+    fn labels(labels: &[&str]) -> Vec<String> {
+        labels.iter().map(|l| (*l).to_owned()).collect()
+    }
+
+    #[test]
+    fn vantage_subsets_must_name_paper_probes_and_keep_the_required_ones() {
+        let patched = |subset: &[&str]| ScenarioSpec {
+            patch: ConfigPatch {
+                vantage_labels: Some(labels(subset)),
+                ..ConfigPatch::default()
+            },
+            ..ScenarioSpec::single("subset", "patched fleet")
+        };
+        let swept = |subset: &[&str]| ScenarioSpec {
+            sweep: vec![SweepAxis::VantageSubsets {
+                arms: vec![
+                    VantageArm {
+                        label: "full".to_owned(),
+                        labels: labels(&crate::scenario::VANTAGE_SUBSET_LABELS),
+                    },
+                    VantageArm {
+                        label: "bad".to_owned(),
+                        labels: labels(subset),
+                    },
+                ],
+            }],
+            ..ScenarioSpec::single("subsets", "swept fleets")
+        };
+        for spec in [patched, swept] {
+            assert_eq!(
+                spec(&["USA - Boston", "Germany - Berlin"]).validate(),
+                Err(SpecError::MissingVantage("Finland - Tampere".to_owned()))
+            );
+            assert_eq!(
+                spec(&["Finland - Tampere"]).validate(),
+                Err(SpecError::MissingVantage("USA - Boston".to_owned()))
+            );
+            assert_eq!(
+                spec(&["USA - Boston", "Mars - Olympus", "Finland - Tampere"]).validate(),
+                Err(SpecError::UnknownVantage("Mars - Olympus".to_owned()))
+            );
+            assert_eq!(spec(&REQUIRED_VANTAGE_LABELS).validate(), Ok(()));
+        }
+        let err = patched(&["Mars - Olympus"]).validate().unwrap_err();
+        assert!(err.to_string().contains("\"Mars - Olympus\""), "{err}");
     }
 
     #[test]

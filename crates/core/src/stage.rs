@@ -11,8 +11,9 @@
 //!   the analysis's web probes ([`ProbeRecord`]),
 //! * [`AnalysisArtifact`] — every figure and table ([`Report`]).
 //!
-//! The stage functions are free functions over `(&World, plan/config,
-//! &Executor, &dyn RunObserver)`; the caching engine
+//! The measurement stage functions are free functions over `(&World,
+//! plan/config, &Executor, &dyn RunObserver)`; the analysis takes the
+//! plan's [`AnalysisContext`] instead of the world. The caching engine
 //! ([`crate::Engine`]) and the legacy [`crate::Experiment`] shim both
 //! call them, so a stage behaves identically whether it is cached,
 //! re-run, loaded from an on-disk store ([`crate::store`]), sequential
@@ -30,12 +31,12 @@
 
 use crate::config::ExperimentConfig;
 use crate::executor::Executor;
-use crate::frames::{FrameCache, FrameStats};
+use crate::frames::{FrameCache, FrameStats, StoreFrame};
 use crate::observer::{RunObserver, StageKind};
 use crate::report::{Fig8Grid, Report};
 use crate::scenario::RunPlan;
 use crate::store::{Artifact, ChunkedPayload, StoreError};
-use crate::world::World;
+use crate::world::{AnalysisContext, World};
 use pd_analysis::thirdparty::{self, ThirdPartyTable};
 use pd_analysis::{crawl, crowd as crowd_figs, location, login, strategy, summary, Attribution};
 use pd_crawler::crawl::RetailerCrawlStats;
@@ -560,8 +561,8 @@ pub fn targets_from_crowd(
 /// Where an analysis input store's rows come from: memory, or a chunked
 /// binary payload on disk that is decoded one domain chunk at a time
 /// (never materialized whole). Both variants yield row-identical frames
-/// and summaries; only the `frames_chunks_loaded` counter tells them
-/// apart.
+/// and summaries; only the `frames_chunks_loaded` and `chunks_decoded`
+/// counters tell them apart.
 #[derive(Clone, Copy)]
 pub(crate) enum StoreSource<'a> {
     /// Rows already in memory.
@@ -571,65 +572,87 @@ pub(crate) enum StoreSource<'a> {
 }
 
 impl StoreSource<'_> {
-    /// The analysis frame for this source — through the cache under
-    /// `key` when one is given, built uncached otherwise.
+    /// The analysis frame and crawl tally for this source — through the
+    /// cache under `key` when one is given, through a throwaway cache
+    /// otherwise.
     fn frame(
         &self,
         keyed: Option<(&FrameCache, u64)>,
         fx: &pd_currency::FxSeries,
         exec: &Executor,
-    ) -> Result<(std::sync::Arc<pd_analysis::CheckFrame>, FrameStats), StoreError> {
-        match (self, keyed) {
-            (Self::Memory(store), Some((cache, key))) => Ok(cache.frame_for(key, store, fx, exec)),
-            (Self::Memory(store), None) => Ok((
-                std::sync::Arc::new(pd_analysis::CheckFrame::build(store, fx)),
-                FrameStats::default(),
-            )),
-            (Self::Chunked(payload, section), Some((cache, key))) => {
-                cache.frame_for_chunked(key, payload, section, fx, exec)
+    ) -> Result<(StoreFrame, FrameStats), StoreError> {
+        let scratch;
+        let (cache, key) = match keyed {
+            Some(keyed) => keyed,
+            None => {
+                scratch = FrameCache::new();
+                (&scratch, 0)
             }
-            (Self::Chunked(payload, section), None) => {
-                FrameCache::new().frame_for_chunked(0, payload, section, fx, exec)
+        };
+        match self {
+            Self::Memory(store) => Ok(cache.frame_for(key, store, fx, exec)),
+            Self::Chunked(payload, section) => {
+                cache.frame_for_chunked(key, payload, section, fx, exec)
             }
         }
     }
 
     /// Feeds every row of this source to `f`, one chunk at a time for
-    /// chunked sources.
-    fn scan(&self, mut f: impl FnMut(&pd_sheriff::Measurement)) -> Result<(), StoreError> {
+    /// chunked sources; returns the number of chunks decoded.
+    fn scan(&self, mut f: impl FnMut(&pd_sheriff::Measurement)) -> Result<usize, StoreError> {
         match self {
             Self::Memory(store) => {
                 for m in store.records() {
                     f(m);
                 }
-                Ok(())
+                Ok(0)
             }
             Self::Chunked(payload, section) => {
-                for name in payload.chunk_names(section) {
+                let names = payload.chunk_names(section);
+                for name in &names {
                     for m in payload.read_chunk_rows::<pd_sheriff::Measurement>(section, name)? {
                         f(&m);
                     }
                 }
-                Ok(())
+                Ok(names.len())
             }
         }
     }
 }
 
-/// Stage 5: every figure and table, from the upstream artifacts. The
-/// web probes come from the persona artifact's [`ProbeRecord`], and the
-/// check frames come from the [`FrameCache`]: per-domain shards built in
-/// parallel on the first call, reused (`frames_built = 0`) by every
-/// later `analyze()` on the same measurement fingerprints — including
-/// `pd rerun` and sweep arms sharing an upstream crawl.
+/// The persona artifact's stored web probes, when they were measured at
+/// the plan's product count; `None` means analysis must probe the web
+/// itself (a record at another count, or a store written before the
+/// probes moved into the persona stage).
+#[must_use]
+pub(crate) fn stored_probes<'a>(
+    persona_art: &'a PersonaArtifact,
+    config: &ExperimentConfig,
+) -> Option<&'a ProbeRecord> {
+    persona_art
+        .probes
+        .as_ref()
+        .filter(|p| p.attribution_products == config.analysis.attribution_products)
+}
+
+/// Stage 5: every figure and table, from the upstream artifacts and the
+/// plan's [`AnalysisContext`]. The web probes come from the persona
+/// artifact's [`ProbeRecord`]; `probe_world` is read only when there
+/// is no record measured at the plan's `attribution_products`, and must
+/// then be given. The check frames come from the [`FrameCache`]: per-domain
+/// shards built in parallel on the first call, reused
+/// (`frames_built = 0`) by every later `analyze()` on the same
+/// measurement fingerprints — including `pd rerun` and sweep arms
+/// sharing an upstream crawl.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn analysis_stage(
-    world: &World,
+    ctx: &AnalysisContext,
     plan: &RunPlan,
     crowd: &CrowdArtifact,
     crawl_art: &CrawlArtifact,
     persona_art: &PersonaArtifact,
+    probe_world: Option<&World>,
     frames: &FrameCache,
     exec: &Executor,
     obs: &dyn RunObserver,
@@ -640,13 +663,14 @@ pub fn analysis_stage(
         crawl: crate::store::crawl_fingerprint(plan).as_u64(),
     };
     analysis_over(
-        world,
+        ctx,
         &plan.config,
         StoreSource::Memory(&crowd.raw),
         StoreSource::Memory(&crowd.cleaned),
         crowd.cleaning,
         StoreSource::Memory(&crawl_art.store),
         persona_art,
+        probe_world,
         Some(keys),
         exec,
         obs,
@@ -669,22 +693,25 @@ pub(crate) struct FrameKeys<'a> {
 /// [`analysis_stage`], the engine's chunked read path (which streams
 /// domain chunks off disk), and the legacy `Experiment::analyze` shim
 /// (which receives bare store references with no plan lineage, so it
-/// passes no frame keys and builds uncached).
+/// passes no frame keys and builds uncached). Each stored chunk is
+/// decoded at most once: the crawl frame's tally is the summary's crawl
+/// half, and the raw crowd rows are read only for the summary.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn analysis_over(
-    world: &World,
+    ctx: &AnalysisContext,
     config: &ExperimentConfig,
     crowd_raw: StoreSource<'_>,
     crowd_clean: StoreSource<'_>,
     cleaning: CleaningReport,
     crawl_store: StoreSource<'_>,
     persona_art: &PersonaArtifact,
+    probe_world: Option<&World>,
     frames: Option<FrameKeys<'_>>,
     exec: &Executor,
     obs: &dyn RunObserver,
 ) -> Result<AnalysisArtifact, StoreError> {
     observed(obs, StageKind::Analysis, || {
-        let fx = world.web.fx();
+        let fx = &ctx.fx;
         let keyed = frames.is_some();
         let (crowd_frame, crowd_stats) =
             crowd_clean.frame(frames.as_ref().map(|k| (k.cache, k.crowd)), fx, exec)?;
@@ -707,9 +734,9 @@ pub(crate) fn analysis_over(
                 (crowd_stats.chunks_loaded + crawl_stats.chunks_loaded) as u64,
             );
         }
-        let crowd_frame = &*crowd_frame;
-        let crawl_frame = &*crawl_frame;
-        let labels = world.vantage_labels();
+        let crowd_frame = &*crowd_frame.frame;
+        let crawl_tally = &*crawl_frame.tally;
+        let crawl_frame = &*crawl_frame.frame;
 
         // Fig. 1 + Fig. 2 (crowd view).
         let fig1 = crowd_figs::fig1_ranking(crowd_frame, config.analysis.fig1_domains);
@@ -723,26 +750,17 @@ pub(crate) fn analysis_over(
 
         // Fig. 6: digitalrev (multiplicative) and energie (additive), at
         // the paper's three locations: New York, UK, Finland.
-        let fig6_locs: Vec<_> = ["USA - New York", "UK - London", "Finland - Tampere"]
-            .iter()
-            .filter_map(|l| world.vantage_by_label(l).map(|vp| (vp.id, vp.label())))
-            .collect();
+        let fig6_locs = ctx.vantage_pairs(&["USA - New York", "UK - London", "Finland - Tampere"]);
         let fig6a = strategy::fig6_curves(crawl_frame, "www.digitalrev.com", &fig6_locs);
         let fig6b = strategy::fig6_curves(crawl_frame, "www.energie.it", &fig6_locs);
 
         // Fig. 7 over the full fleet.
-        let fig7 = location::fig7_location_boxes(crawl_frame, &labels);
+        let fig7 = location::fig7_location_boxes(crawl_frame, &ctx.vantage);
 
         // Fig. 8 grids.
-        let grid = |domain: &str, labels: &[&str]| {
-            let vps: Vec<_> = labels
-                .iter()
-                .filter_map(|l| world.vantage_by_label(l).map(|vp| (vp.id, vp.label())))
-                .collect();
-            Fig8Grid {
-                domain: domain.to_owned(),
-                cells: location::fig8_pairwise(crawl_frame, domain, &vps),
-            }
+        let grid = |domain: &str, labels: &[&str]| Fig8Grid {
+            domain: domain.to_owned(),
+            cells: location::fig8_pairwise(crawl_frame, domain, &ctx.vantage_pairs(labels)),
         };
         let fig8a = grid(
             "www.homedepot.com",
@@ -779,23 +797,28 @@ pub(crate) fn analysis_over(
         );
 
         // Fig. 9: Finland vs min.
-        let finland = world
+        let finland = ctx
             .vantage_by_label("Finland - Tampere")
-            .expect("Finland probe exists")
-            .id;
+            .expect("spec validation keeps the Finland probe");
         let fig9 = location::fig9_finland(crawl_frame, finland);
 
         // Fig. 10 + persona summary, from the persona artifact.
         let fig10 = login::fig10(&persona_art.login);
         let persona = login::persona_summary(&persona_art.persona);
 
-        // The Sec. 3.2 summary is a streaming scan: chunked sources
-        // feed it one domain chunk at a time, memory sources row by row
-        // — identical numbers either way.
+        // The Sec. 3.2 summary: the raw crowd rows stream through the
+        // scan (chunk by chunk for chunked sources); the crawl half is
+        // the tally cut alongside the crawl frame — identical numbers
+        // either way, with no second pass over the crawl.
         let mut scan = summary::SummaryScan::new();
-        crowd_raw.scan(|m| scan.crowd_row(m))?;
-        crawl_store.scan(|m| scan.crawl_row(m))?;
-        let summary = scan.finish(&world.crowd);
+        let raw_chunks = crowd_raw.scan(|m| scan.crowd_row(m))?;
+        scan.crawl(crawl_tally);
+        let summary = scan.finish(ctx.crowd_countries);
+        obs.counter(
+            StageKind::Analysis,
+            "chunks_decoded",
+            (crowd_stats.chunks_loaded + crawl_stats.chunks_loaded + raw_chunks) as u64,
+        );
 
         // Third-party presence and the per-retailer factor attribution
         // (an extension): stored with the persona artifact, re-probed
@@ -805,9 +828,11 @@ pub(crate) fn analysis_over(
             attribution,
             third_party,
             ..
-        } = match &persona_art.probes {
-            Some(p) if p.attribution_products == config.analysis.attribution_products => p.clone(),
-            _ => {
+        } = match stored_probes(persona_art, config) {
+            Some(p) => p.clone(),
+            None => {
+                let world =
+                    probe_world.expect("the caller builds the world when the probes do not fit");
                 let p = run_probes(world, config, exec);
                 obs.counter(
                     StageKind::Analysis,

@@ -1,6 +1,9 @@
-//! World assembly: retailers + vantage fleet + crowd.
+//! World assembly: retailers + vantage fleet + crowd, and the small
+//! [`AnalysisContext`] the analysis reads instead of a built world.
 
 use crate::config::ExperimentConfig;
+use crate::scenario::RunPlan;
+use pd_currency::FxSeries;
 use pd_net::ip::IpAllocator;
 use pd_net::latency::LatencyModel;
 use pd_net::vantage::{paper_vantage_points, VantagePoint};
@@ -80,6 +83,62 @@ impl World {
             .iter()
             .filter(|s| s.spec().crawled)
             .map(|s| s.spec().domain.clone())
+            .collect()
+    }
+}
+
+/// What the analysis reads of the world, derived from a [`RunPlan`]
+/// without building one: the FX series, the vantage `(id, label)` table
+/// after the plan's subset, and the crowd's distinct country count. A
+/// re-analysis of stored measurements needs nothing else, so it builds
+/// no retailer catalogs, pricing engines or crowd population.
+#[derive(Debug, Clone)]
+pub struct AnalysisContext {
+    /// The daily exchange-rate series the world's web would carry.
+    pub fx: FxSeries,
+    /// `(id, Fig. 7 label)` for every vantage point in the plan's fleet,
+    /// in fleet order.
+    pub vantage: Vec<(VantageId, String)>,
+    /// Distinct home countries of the crowd population.
+    pub crowd_countries: usize,
+}
+
+impl AnalysisContext {
+    /// The context a [`World`] built for `plan` would give.
+    #[must_use]
+    pub fn from_plan(plan: &RunPlan) -> Self {
+        let config = &plan.config;
+        let mut vantage: Vec<(VantageId, String)> = paper_vantage_points(&mut IpAllocator::new())
+            .into_iter()
+            .map(|vp| (vp.id, vp.label()))
+            .collect();
+        // The same rule as `Sheriff::with_vantage_subset`.
+        if let Some(labels) = &plan.vantage_labels {
+            vantage.retain(|(_, label)| labels.contains(label));
+        }
+        AnalysisContext {
+            fx: FxSeries::generate(config.seed, config.fx_days),
+            vantage,
+            crowd_countries: Crowd::planned_country_count(config.seed, &config.crowd),
+        }
+    }
+
+    /// The vantage point with Fig. 7 label `label`, if the fleet has it.
+    #[must_use]
+    pub fn vantage_by_label(&self, label: &str) -> Option<VantageId> {
+        self.vantage
+            .iter()
+            .find(|(_, l)| l == label)
+            .map(|(id, _)| *id)
+    }
+
+    /// `(id, label)` for each of `labels` the fleet has, in `labels`
+    /// order.
+    #[must_use]
+    pub fn vantage_pairs(&self, labels: &[&str]) -> Vec<(VantageId, String)> {
+        labels
+            .iter()
+            .filter_map(|l| self.vantage_by_label(l).map(|id| (id, (*l).to_owned())))
             .collect()
     }
 }

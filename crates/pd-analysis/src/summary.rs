@@ -3,7 +3,7 @@
 use pd_sheriff::{Crowd, Measurement, MeasurementStore};
 use pd_util::UserId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// The headline numbers of Sec. 3.2.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -26,20 +26,59 @@ pub struct DatasetSummary {
     pub crawled_prices: usize,
 }
 
-/// Streaming accumulator behind [`dataset_summary`]: feed it crowd and
-/// crawl measurements one at a time — in any order, e.g. chunk by chunk
-/// from an on-disk store — and [`SummaryScan::finish`] yields the same
-/// numbers as a whole-store scan. Every statistic is a count, a set
-/// cardinality or a sum, so the scan never has to hold the stores.
+/// The crawl half of the Sec. 3.2 summary over one or more whole
+/// domains: built per domain from that domain's rows
+/// ([`CrawlTally::of_domain`]) and merged across domains
+/// ([`CrawlTally::merge`]). Every figure is a count, a sum or a set
+/// union, so the merge is order-free — the frame cache keeps one tally
+/// beside each domain shard and the summary needs no second pass over
+/// the crawl.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CrawlTally {
+    retailers: usize,
+    products: usize,
+    days: BTreeSet<usize>,
+    prices: usize,
+}
+
+impl CrawlTally {
+    /// The tally of one domain's rows (every row must carry the same
+    /// domain). An empty domain counts as no retailer.
+    #[must_use]
+    pub fn of_domain<'a>(rows: impl IntoIterator<Item = &'a Measurement>) -> Self {
+        let mut slugs: HashSet<&str> = HashSet::new();
+        let mut tally = CrawlTally::default();
+        for m in rows {
+            slugs.insert(&m.product_slug);
+            tally.days.insert(m.day());
+            tally.prices += m.observations.iter().filter(|o| o.price.is_some()).count();
+        }
+        tally.retailers = usize::from(!slugs.is_empty());
+        tally.products = slugs.len();
+        tally
+    }
+
+    /// Adds another tally over domains disjoint from this one's.
+    pub fn merge(&mut self, other: &CrawlTally) {
+        self.retailers += other.retailers;
+        self.products += other.products;
+        self.days.extend(&other.days);
+        self.prices += other.prices;
+    }
+}
+
+/// Streaming accumulator behind [`dataset_summary`]: feed it crowd
+/// measurements one at a time — in any order, e.g. chunk by chunk from
+/// an on-disk store — and the crawl as merged [`CrawlTally`]s, and
+/// [`SummaryScan::finish`] yields the same numbers as a whole-store
+/// scan. Every statistic is a count, a set cardinality or a sum, so the
+/// scan never has to hold the stores.
 #[derive(Debug, Default)]
 pub struct SummaryScan {
     crowd_requests: usize,
     crowd_users: HashSet<UserId>,
     crowd_domains: HashSet<String>,
-    crawl_domains: HashSet<String>,
-    crawled_products: HashSet<(String, String)>,
-    crawl_days: HashSet<usize>,
-    crawled_prices: usize,
+    crawl: CrawlTally,
 }
 
 impl SummaryScan {
@@ -58,29 +97,24 @@ impl SummaryScan {
         }
     }
 
-    /// Accounts one measurement from the **crawl** store.
-    pub fn crawl_row(&mut self, m: &Measurement) {
-        if !self.crawl_domains.contains(m.domain.as_str()) {
-            self.crawl_domains.insert(m.domain.clone());
-        }
-        self.crawled_products
-            .insert((m.domain.clone(), m.product_slug.clone()));
-        self.crawl_days.insert(m.day());
-        self.crawled_prices += m.prices().len();
+    /// Accounts the **crawl** store's tally over domains not fed yet.
+    pub fn crawl(&mut self, tally: &CrawlTally) {
+        self.crawl.merge(tally);
     }
 
-    /// The Sec. 3.2 headline numbers for everything fed so far.
+    /// The Sec. 3.2 headline numbers for everything fed so far, with the
+    /// crowd population's distinct country count.
     #[must_use]
-    pub fn finish(self, crowd: &Crowd) -> DatasetSummary {
+    pub fn finish(self, crowd_countries: usize) -> DatasetSummary {
         DatasetSummary {
             crowd_requests: self.crowd_requests,
             crowd_users: self.crowd_users.len(),
-            crowd_countries: crowd.country_count(),
+            crowd_countries,
             crowd_domains: self.crowd_domains.len(),
-            crawled_retailers: self.crawl_domains.len(),
-            crawled_products: self.crawled_products.len(),
-            crawl_days: self.crawl_days.len(),
-            crawled_prices: self.crawled_prices,
+            crawled_retailers: self.crawl.retailers,
+            crawled_products: self.crawl.products,
+            crawl_days: self.crawl.days.len(),
+            crawled_prices: self.crawl.prices,
         }
     }
 }
@@ -96,10 +130,14 @@ pub fn dataset_summary(
     for m in crowd_store.records() {
         scan.crowd_row(m);
     }
+    let mut by_domain: HashMap<&str, Vec<&Measurement>> = HashMap::new();
     for m in crawl_store.records() {
-        scan.crawl_row(m);
+        by_domain.entry(&m.domain).or_default().push(m);
     }
-    scan.finish(crowd)
+    for rows in by_domain.into_values() {
+        scan.crawl(&CrawlTally::of_domain(rows));
+    }
+    scan.finish(crowd.country_count())
 }
 
 #[cfg(test)]
@@ -163,16 +201,19 @@ mod tests {
         assert_eq!(s.crawl_days, 2);
         assert_eq!(s.crawled_prices, 14 + 14 + 13);
 
-        // Feeding the same rows through the streaming scan — crawl rows
-        // first, crowd rows reversed — lands on identical numbers: the
-        // chunked store path depends on this order independence.
+        // Feeding the same rows through the streaming scan — per-domain
+        // crawl tallies in reverse, crowd rows reversed — lands on
+        // identical numbers: the chunked store path depends on this
+        // order independence.
         let mut scan = SummaryScan::new();
-        for m in crawl_store.records().iter().rev() {
-            scan.crawl_row(m);
+        for domain in crawl_store.domains().iter().rev() {
+            let rows = crawl_store.records().iter().filter(|m| m.domain == *domain);
+            scan.crawl(&CrawlTally::of_domain(rows));
         }
+        scan.crawl(&CrawlTally::of_domain([]));
         for m in crowd_store.records().iter().rev() {
             scan.crowd_row(m);
         }
-        assert_eq!(scan.finish(&crowd), s);
+        assert_eq!(scan.finish(crowd.country_count()), s);
     }
 }

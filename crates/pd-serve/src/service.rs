@@ -986,6 +986,35 @@ mod tests {
             .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("did you mean \"smoke\""), "{msg}");
+        // A vantage subset the runner could not complete is refused with
+        // a 400 (`SubmitError::Invalid`), in the patch or a sweep arm.
+        let fleet = |labels: &[&str]| labels.iter().map(|l| (*l).to_owned()).collect();
+        let patched = pd_core::ScenarioSpec {
+            patch: pd_core::ConfigPatch {
+                vantage_labels: Some(fleet(&["USA - Boston", "Germany - Berlin"])),
+                ..pd_core::ConfigPatch::default()
+            },
+            ..pd_core::ScenarioSpec::single("subset", "no Finland probe")
+        };
+        let swept = pd_core::ScenarioSpec {
+            sweep: vec![pd_core::SweepAxis::VantageSubsets {
+                arms: vec![pd_core::spec::VantageArm {
+                    label: "mars".to_owned(),
+                    labels: fleet(&["Mars - Olympus"]),
+                }],
+            }],
+            ..pd_core::ScenarioSpec::single("subsets", "unknown probe")
+        };
+        for (spec, label) in [(patched, "Finland - Tampere"), (swept, "Mars - Olympus")] {
+            let err = svc
+                .submit(&SubmitRequest {
+                    spec: Some(spec),
+                    ..SubmitRequest::default()
+                })
+                .unwrap_err();
+            assert!(matches!(err, SubmitError::Invalid(_)), "{err}");
+            assert!(err.to_string().contains(label), "{err}");
+        }
         // Nothing was admitted into the job table.
         assert!(svc.list().runs.is_empty());
     }

@@ -110,6 +110,27 @@ fn user_country(rng: &mut StdRng, bias: Option<Country>) -> Country {
     Country::UnitedStates
 }
 
+/// The population's random draws, one `(home country, interest
+/// categories)` pair per user, in user order. Client addresses are not
+/// drawn: [`Crowd::new`] allocates them from the web world.
+fn population(seed: Seed, config: &CrowdConfig) -> Vec<(Country, Vec<usize>)> {
+    let mut rng = seed.derive("crowd").derive("population").rng();
+    (0..config.users)
+        .map(|_| {
+            let country = user_country(&mut rng, config.bias_country);
+            let n_interests = rng.random_range(1..=3);
+            let mut interests: Vec<usize> = (0..19).collect();
+            interests.shuffle(&mut rng);
+            interests.truncate(n_interests);
+            (country, interests)
+        })
+        .collect()
+}
+
+fn distinct_countries(countries: impl Iterator<Item = Country>) -> usize {
+    countries.collect::<std::collections::HashSet<_>>().len()
+}
+
 impl CrowdUser {
     /// The user's client IP address (needed by the cleaning refetch).
     #[must_use]
@@ -131,17 +152,12 @@ impl Crowd {
     /// `world`).
     #[must_use]
     pub fn new(seed: Seed, config: CrowdConfig, world: &mut WebWorld) -> Self {
-        let seed = seed.derive("crowd");
-        let mut rng = seed.derive("population").rng();
-        let users = (0..config.users)
-            .map(|i| {
-                let country = user_country(&mut rng, config.bias_country);
+        let users = population(seed, &config)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (country, interests))| {
                 let location = Location::new(country, "Home");
                 let addr = world.allocate_client(&location);
-                let n_interests = rng.random_range(1..=3);
-                let mut interests: Vec<usize> = (0..19).collect();
-                interests.shuffle(&mut rng);
-                interests.truncate(n_interests);
                 CrowdUser {
                     id: UserId::new(i as u32),
                     location,
@@ -153,8 +169,15 @@ impl Crowd {
         Crowd {
             users,
             config,
-            seed,
+            seed: seed.derive("crowd"),
         }
+    }
+
+    /// Number of distinct user countries the population [`Crowd::new`]
+    /// would create for `seed` and `config` — drawn without a web world.
+    #[must_use]
+    pub fn planned_country_count(seed: Seed, config: &CrowdConfig) -> usize {
+        distinct_countries(population(seed, config).into_iter().map(|(c, _)| c))
     }
 
     /// The user population.
@@ -166,11 +189,7 @@ impl Crowd {
     /// Number of distinct user countries (the paper reports 18).
     #[must_use]
     pub fn country_count(&self) -> usize {
-        self.users
-            .iter()
-            .map(|u| u.location.country)
-            .collect::<std::collections::HashSet<_>>()
-            .len()
+        distinct_countries(self.users.iter().map(|u| u.location.country))
     }
 
     /// Plans the whole campaign: draws every stochastic choice (user,
@@ -415,6 +434,28 @@ mod tests {
         assert_eq!(crowd.users().len(), 340);
         // Full-size population covers all 18 countries.
         assert_eq!(crowd.country_count(), 18);
+    }
+
+    #[test]
+    fn planned_country_count_matches_the_built_population() {
+        for seed in [1, 5, 1307] {
+            for config in [
+                small_config(),
+                CrowdConfig {
+                    users: 7,
+                    bias_country: Some(Country::Japan),
+                    ..small_config()
+                },
+            ] {
+                let (mut world, _) = small_world();
+                let crowd = Crowd::new(Seed::new(seed), config.clone(), &mut world);
+                assert_eq!(
+                    Crowd::planned_country_count(Seed::new(seed), &config),
+                    crowd.country_count(),
+                    "seed {seed}, {config:?}"
+                );
+            }
+        }
     }
 
     #[test]

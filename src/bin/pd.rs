@@ -471,7 +471,7 @@ fn execute_run(run: &RunArgs, registry: &ScenarioRegistry) -> Result<(), String>
         analysis,
     } in arms
     {
-        let fleet = engine.world().sheriff.vantage_points().len();
+        let fleet = engine.context().vantage.len();
         let report = analysis.report.clone();
         if label.is_empty() {
             outln!(

@@ -12,7 +12,8 @@
 
 use pd_core::store::{self, ArtifactStore, EntryHealth, Provenance, StoreError, StoreFormat};
 use pd_core::{
-    CrawlArtifact, CrowdArtifact, Experiment, ExperimentConfig, RunPlan, StageKind, TimingObserver,
+    CrawlArtifact, CrowdArtifact, Engine, Executor, Experiment, ExperimentConfig, RunPlan,
+    StageKind, TimingObserver,
 };
 use pd_currency::{Currency, Price};
 use pd_net::clock::SimTime;
@@ -478,6 +479,133 @@ fn personas_without_a_probe_record_rerun_to_the_same_report() {
     }
 }
 
+/// The sum of the `name` counter over every analysis run `observer` saw.
+fn analysis_counter(observer: &TimingObserver, name: &str) -> u64 {
+    observer
+        .timings()
+        .iter()
+        .filter(|t| t.stage == StageKind::Analysis)
+        .flat_map(|t| t.counters.iter())
+        .filter(|(n, _)| n == name)
+        .map(|(_, v)| *v)
+        .sum()
+}
+
+/// The engine `pd rerun` builds over a store: the stored plan, with
+/// `edit` applied, and a fresh timing observer.
+fn rerun_engine(
+    dir: &std::path::Path,
+    edit: impl FnOnce(&mut RunPlan),
+) -> (Engine, Arc<TimingObserver>) {
+    let mut plan = ArtifactStore::open(dir)
+        .expect("store opens")
+        .manifest()
+        .plan
+        .to_plan();
+    edit(&mut plan);
+    let observer = Arc::new(TimingObserver::new());
+    let mut engine = Engine::from_plan(plan, Executor::serial(), observer.clone());
+    assert!(engine.load_artifacts(dir).expect("store opens").complete());
+    (engine, observer)
+}
+
+/// A rerun over a binary store builds no world and decodes every stored
+/// row chunk exactly once: the crawl frame's tally stands in for the
+/// summary's second pass over the crawl.
+#[test]
+fn binary_rerun_decodes_each_chunk_once_and_builds_no_world() {
+    let dir = tmp("decode-once");
+    let mut producer = Experiment::builder()
+        .scenario("smoke")
+        .seed(7)
+        .store_format(StoreFormat::Binary)
+        .build()
+        .expect("smoke builds");
+    let direct = producer.run();
+    producer.save_artifacts(&dir).expect("save");
+
+    let plan = RunPlan::new(ExperimentConfig::smoke(7));
+    let store = ArtifactStore::open(&dir).expect("store opens");
+    let crowd = store
+        .open_chunked("crowd", store::crowd_fingerprint(&plan))
+        .expect("crowd opens");
+    let crawl = store
+        .open_chunked("crawl", store::crawl_fingerprint(&plan))
+        .expect("crawl opens");
+    let stored = crowd.chunk_names("raw").len()
+        + crowd.chunk_names("cleaned").len()
+        + crawl.chunk_names("store").len();
+
+    let (mut engine, observer) = rerun_engine(&dir, |_| {});
+    assert_eq!(engine.analyze().report.to_json(), direct.to_json());
+    assert_eq!(
+        observer.starts(StageKind::Build),
+        0,
+        "a rerun builds no world"
+    );
+    assert_eq!(analysis_counter(&observer, "chunks_decoded"), stored as u64);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A rerun at another attribution product count must probe the web, so
+/// it builds the world — once, outside the analysis window — and equals
+/// a direct run at that count.
+#[test]
+fn rerun_at_another_product_count_builds_one_world() {
+    let dir = tmp("one-world");
+    let mut producer = Experiment::builder()
+        .scenario("smoke")
+        .seed(11)
+        .build()
+        .expect("smoke builds");
+    producer.run();
+    producer.save_artifacts(&dir).expect("save");
+
+    let (mut engine, observer) =
+        rerun_engine(&dir, |plan| plan.config.analysis.attribution_products = 16);
+    let rerun = engine.analyze().report;
+    assert_eq!(observer.starts(StageKind::Build), 1);
+    assert_eq!(analysis_counter(&observer, "attributed_retailers"), 21);
+
+    let mut config = ExperimentConfig::smoke(11);
+    config.analysis.attribution_products = 16;
+    let mut direct = Experiment::builder()
+        .scenario("smoke")
+        .config(config)
+        .build()
+        .expect("smoke builds");
+    assert_eq!(rerun.to_json(), direct.run().to_json());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `pd run --artifacts` over a complete store reuses every stage and
+/// builds no world: the run header's probe count comes from the
+/// analysis context.
+#[test]
+fn second_run_over_a_complete_store_builds_no_world() {
+    let dir = tmp("second-run");
+    let run = |observer: Arc<TimingObserver>| {
+        let mut arms = Experiment::builder()
+            .scenario("smoke")
+            .seed(7)
+            .artifacts(dir.clone())
+            .observer(observer)
+            .run_sweep()
+            .expect("smoke runs");
+        let arm = arms.remove(0);
+        arm.engine.save_artifacts(&dir).expect("save");
+        (arm.engine.context().vantage.len(), arm.analysis.report)
+    };
+    let first = Arc::new(TimingObserver::new());
+    let (fleet, report) = run(first.clone());
+    assert_eq!((fleet, first.starts(StageKind::Build)), (14, 1));
+    let second = Arc::new(TimingObserver::new());
+    let (fleet, again) = run(second.clone());
+    assert_eq!((fleet, second.starts(StageKind::Build)), (14, 0));
+    assert_eq!(report.to_json(), again.to_json());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn pd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pd"))
 }
@@ -502,9 +630,9 @@ fn rerun_reanalyzes_a_stored_smoke_crawl_across_processes() {
         .expect("pd run executes");
     assert!(run.status.success(), "pd run failed: {run:?}");
     // A second run against the store names the reused stages in run
-    // order.
+    // order, and builds no world.
     let again = pd()
-        .args(["run", "smoke", "--seed", "7", "--artifacts"])
+        .args(["run", "smoke", "--seed", "7", "--timings", "--artifacts"])
         .arg(&dir)
         .output()
         .expect("pd run executes");
@@ -513,6 +641,10 @@ fn rerun_reanalyzes_a_stored_smoke_crawl_across_processes() {
     assert!(
         stdout.contains("reused crowd, crawl, personas"),
         "a second run must reuse every measurement stage:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("14 probes") && !stdout.lines().any(|l| l.starts_with("  build ")),
+        "a second run must build no world:\n{stdout}"
     );
 
     let rerun = pd()

@@ -97,10 +97,10 @@ proptest! {
         let exec = Executor::new(threads);
         let (cached, first) = cache.frame_for(key, &store, &fx, &exec);
         let direct = pd_analysis::CheckFrame::build(&store, &fx);
-        prop_assert_eq!(cached.rows(), direct.rows());
+        prop_assert_eq!(cached.frame.rows(), direct.rows());
         prop_assert_eq!(first.built + first.reused, store.domains().len());
         let (again, second) = cache.frame_for(key, &store, &fx, &exec);
-        prop_assert!(Arc::ptr_eq(&cached, &again), "second call must be a cache hit");
+        prop_assert!(Arc::ptr_eq(&cached.frame, &again.frame), "second call must be a cache hit");
         prop_assert_eq!(second.built, 0);
         prop_assert_eq!(second.reused, store.domains().len());
     }

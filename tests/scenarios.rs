@@ -279,3 +279,39 @@ fn desync_ablation_arms_carry_different_skews() {
     assert_eq!(skews[0], 0);
     assert_eq!(skews[1], 25 * 60_000);
 }
+
+/// The analysis context is derived from the plan alone, yet must equal
+/// what the built world gives — FX rates, the vantage table after the
+/// subset, the crowd's country count — for every builtin arm.
+#[test]
+fn analysis_context_equals_the_built_world() {
+    let registry = ScenarioRegistry::builtin();
+    for name in registry.names() {
+        for seed in [1307, 2024] {
+            let arms = Experiment::builder()
+                .scenario(name)
+                .profile(Profile::Small)
+                .seed(seed)
+                .build_variants()
+                .expect("builtin scenario builds");
+            for (label, engine) in arms {
+                let at = format!("{name}/{label} seed {seed}");
+                let ctx = engine.context();
+                let world = engine.world();
+                let fx = world.web.fx();
+                assert_eq!(ctx.fx.days(), fx.days(), "{at}");
+                for currency in pd_core::currency::Currency::ALL {
+                    for day in 0..fx.days() {
+                        assert_eq!(
+                            ctx.fx.rate(currency, day),
+                            fx.rate(currency, day),
+                            "{at}: {currency:?} day {day}"
+                        );
+                    }
+                }
+                assert_eq!(ctx.vantage, world.vantage_labels(), "{at}");
+                assert_eq!(ctx.crowd_countries, world.crowd.country_count(), "{at}");
+            }
+        }
+    }
+}

@@ -442,6 +442,30 @@ fn cli_set_overrides_and_error_paths() {
     );
 }
 
+/// A vantage subset that names an unknown probe, or drops one the
+/// pipeline needs, is a spec error (exit 1, the label named) before any
+/// stage runs — never a mid-run panic (exit 101).
+#[test]
+fn cli_rejects_vantage_subsets_the_pipeline_cannot_run() {
+    for (subset, named) in [
+        ("USA - Boston, Germany - Berlin", "\"Finland - Tampere\""),
+        ("Mars - Olympus", "\"Mars - Olympus\""),
+    ] {
+        let out = pd()
+            .args(["run", "smoke", "--set"])
+            .arg(format!("vantage_labels={subset}"))
+            .output()
+            .expect("pd runs");
+        assert_eq!(out.status.code(), Some(1), "{subset}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("invalid scenario spec") && stderr.contains(named),
+            "{subset}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
 /// A spec-driven artifact store records the exact producing spec in its
 /// manifest, and a second engine built from that recorded spec reloads
 /// the store without recomputing.

@@ -11,12 +11,12 @@ use pd_net::geo::{Country, Location};
 use pd_pricing::quote::QuoteContext;
 use pd_pricing::{paper_retailers, Catalog, Category, PricingEngine};
 use pd_util::{Money, Seed};
-use pd_web::template::{price_selector, render, RenderInput};
-use pd_web::{Request, WebWorld};
+use pd_web::template::{price_selector, render, render_html, RenderInput};
+use pd_web::{Request, RetailerServer, WebWorld};
 use std::hint::black_box;
 
-fn sample_page() -> String {
-    let input = RenderInput {
+fn sample_input() -> RenderInput<'static> {
+    RenderInput {
         domain: "www.bench.example",
         product_name: "Camera Nova 0042",
         price_text: "1.299,00\u{a0}€".to_owned(),
@@ -30,8 +30,11 @@ fn sample_page() -> String {
             pd_pricing::retailer::ThirdParty::Facebook,
         ],
         promo_text: "Save $10 today!".to_owned(),
-    };
-    render(0, &input).to_html(NodeId::ROOT)
+    }
+}
+
+fn sample_page() -> String {
+    render(0, &sample_input()).to_html(NodeId::ROOT)
 }
 
 fn bench_html(c: &mut Criterion) {
@@ -166,5 +169,45 @@ fn bench_pricing_and_web(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_html, bench_currency, bench_pricing_and_web);
+/// The server layer alone: one product page served from the retailer's
+/// skeleton (quotes, price formatting, splice), and the same page
+/// written by the template's HTML writer.
+fn bench_web(c: &mut Criterion) {
+    let seed = Seed::new(1307);
+    let spec = paper_retailers(seed)
+        .into_iter()
+        .find(|r| r.domain == "www.digitalrev.com")
+        .unwrap();
+    let server = RetailerServer::new(seed, spec);
+    let fx = FxSeries::generate(seed, 160);
+    let location = Location::new(Country::Germany, "Berlin");
+    let req = Request::get(
+        "www.digitalrev.com",
+        &format!("/product/{}", server.catalog().iter().next().unwrap().slug),
+        std::net::Ipv4Addr::new(10, 0, 0, 9),
+        SimTime::from_millis(12 * 24 * 3_600_000),
+    );
+    let input = sample_input();
+
+    let mut g = c.benchmark_group("web");
+    g.bench_function("product_page_served", |b| {
+        b.iter(|| {
+            black_box(server.handle(&req, Some(&location), &fx))
+                .body
+                .len()
+        });
+    });
+    g.bench_function("render_html", |b| {
+        b.iter(|| black_box(render_html(0, &input)).len());
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_html,
+    bench_currency,
+    bench_pricing_and_web,
+    bench_web
+);
 criterion_main!(benches);

@@ -107,14 +107,9 @@ impl Locale {
     /// `Money` major part).
     #[must_use]
     pub fn format(&self, amount: Money) -> String {
-        let digits = self.format_number(amount);
-        match self.symbol_pos {
-            SymbolPosition::Before => format!("{}{}", self.currency.symbol(), digits),
-            SymbolPosition::AfterWithNbsp => {
-                format!("{}\u{a0}{}", digits, self.currency.symbol())
-            }
-            SymbolPosition::After => format!("{}{}", digits, self.currency.symbol()),
-        }
+        let mut out = String::with_capacity(24);
+        self.write_price(Price::new(amount, self.currency), &mut out);
+        out
     }
 
     /// Formats a [`Price`]; the price's currency must match the locale's.
@@ -125,35 +120,67 @@ impl Locale {
     /// the locale they selected.
     #[must_use]
     pub fn format_price(&self, price: Price) -> String {
+        let mut out = String::with_capacity(24);
+        self.write_price(price, &mut out);
+        out
+    }
+
+    /// Appends [`Locale::format_price`]`(price)` to `out` without an
+    /// intermediate allocation — the one formatter behind `format` and
+    /// `format_price`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a currency mismatch, as [`Locale::format_price`] does.
+    pub fn write_price(&self, price: Price, out: &mut String) {
         assert_eq!(
             price.currency, self.currency,
             "locale/currency mismatch in template"
         );
-        self.format(price.amount)
+        let symbol = self.currency.symbol();
+        if self.symbol_pos == SymbolPosition::Before {
+            out.push_str(symbol);
+        }
+        self.write_number(price.amount, out);
+        match self.symbol_pos {
+            SymbolPosition::Before => {}
+            SymbolPosition::AfterWithNbsp => {
+                out.push('\u{a0}');
+                out.push_str(symbol);
+            }
+            SymbolPosition::After => out.push_str(symbol),
+        }
     }
 
-    fn format_number(&self, amount: Money) -> String {
-        let negative = amount.to_minor() < 0;
-        let major = amount.major().unsigned_abs();
-        let minor = amount.minor_part();
-        let mut int_part = String::new();
-        let digits = major.to_string();
-        let len = digits.len();
-        for (i, ch) in digits.chars().enumerate() {
-            if i > 0 && (len - i).is_multiple_of(3) {
-                int_part.push(self.group_sep);
-            }
-            int_part.push(ch);
+    /// `-1.234,56`: sign, grouped major digits, then (unless the currency
+    /// has no decimals) the separator and two minor digits.
+    fn write_number(&self, amount: Money, out: &mut String) {
+        if amount.to_minor() < 0 {
+            out.push('-');
         }
-        let body = if self.currency.decimals() == 0 {
-            int_part
-        } else {
-            format!("{int_part}{}{minor:02}", self.decimal_sep)
-        };
-        if negative {
-            format!("-{body}")
-        } else {
-            body
+        // Major digits, least significant first (u64 has at most 20).
+        let mut digits = [0u8; 20];
+        let mut len = 0;
+        let mut major = amount.major().unsigned_abs();
+        loop {
+            digits[len] = b'0' + (major % 10) as u8;
+            len += 1;
+            major /= 10;
+            if major == 0 {
+                break;
+            }
+        }
+        for i in 0..len {
+            if i > 0 && (len - i).is_multiple_of(3) {
+                out.push(self.group_sep);
+            }
+            out.push(char::from(digits[len - 1 - i]));
+        }
+        if self.currency.decimals() != 0 {
+            let minor = amount.minor_part();
+            out.push(self.decimal_sep);
+            out.push(char::from(b'0' + minor / 10));
+            out.push(char::from(b'0' + minor % 10));
         }
     }
 

@@ -22,7 +22,9 @@
 //! * [`path`] — structural node paths, the representation of a user's
 //!   highlight that travels to the other vantage points,
 //! * [`build`] — the [`HtmlSink`] the synthetic retailer templates are
-//!   written against, with a document-building and an HTML-writing sink.
+//!   written against, with a document-building and an HTML-writing sink,
+//!   and a [`Skeleton`] recorder for pages that differ only in a few
+//!   strings.
 //!
 //! The parser targets the well-formed-but-sloppy HTML that 2013 retail
 //! templates produce: unquoted attributes, void elements, unclosed `<li>`
@@ -41,7 +43,10 @@ mod pool;
 pub mod selector;
 pub mod token;
 
-pub use build::{write_page, DocBuilder, HtmlSink, HtmlWriter};
+pub use build::{
+    has_placeholder, placeholder, write_page, DocBuilder, HtmlSink, HtmlWriter, Skeleton,
+    SkeletonWriter,
+};
 pub use dom::{Document, NodeData, NodeId};
 pub use parser::parse;
 pub use path::NodePath;

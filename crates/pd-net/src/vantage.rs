@@ -61,20 +61,35 @@ impl Platform {
 
     /// A 2013-plausible `User-Agent` string for this platform.
     #[must_use]
-    pub fn user_agent(self) -> String {
-        let os = match self.os {
-            Os::Linux => "X11; Linux x86_64",
-            Os::MacOs => "Macintosh; Intel Mac OS X 10_8_3",
-            Os::Windows => "Windows NT 6.1; WOW64",
-        };
-        match self.browser {
-            Browser::Firefox => format!("Mozilla/5.0 ({os}; rv:21.0) Gecko/20100101 Firefox/21.0"),
-            Browser::Chrome => format!(
-                "Mozilla/5.0 ({os}) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/27.0.1453.110 Safari/537.36"
-            ),
-            Browser::Safari => format!(
-                "Mozilla/5.0 ({os}) AppleWebKit/536.28.10 (KHTML, like Gecko) Version/6.0.3 Safari/536.28.10"
-            ),
+    pub fn user_agent(self) -> &'static str {
+        match (self.os, self.browser) {
+            (Os::Linux, Browser::Firefox) => {
+                "Mozilla/5.0 (X11; Linux x86_64; rv:21.0) Gecko/20100101 Firefox/21.0"
+            }
+            (Os::MacOs, Browser::Firefox) => {
+                "Mozilla/5.0 (Macintosh; Intel Mac OS X 10_8_3; rv:21.0) Gecko/20100101 Firefox/21.0"
+            }
+            (Os::Windows, Browser::Firefox) => {
+                "Mozilla/5.0 (Windows NT 6.1; WOW64; rv:21.0) Gecko/20100101 Firefox/21.0"
+            }
+            (Os::Linux, Browser::Chrome) => {
+                "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/27.0.1453.110 Safari/537.36"
+            }
+            (Os::MacOs, Browser::Chrome) => {
+                "Mozilla/5.0 (Macintosh; Intel Mac OS X 10_8_3) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/27.0.1453.110 Safari/537.36"
+            }
+            (Os::Windows, Browser::Chrome) => {
+                "Mozilla/5.0 (Windows NT 6.1; WOW64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/27.0.1453.110 Safari/537.36"
+            }
+            (Os::Linux, Browser::Safari) => {
+                "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/536.28.10 (KHTML, like Gecko) Version/6.0.3 Safari/536.28.10"
+            }
+            (Os::MacOs, Browser::Safari) => {
+                "Mozilla/5.0 (Macintosh; Intel Mac OS X 10_8_3) AppleWebKit/536.28.10 (KHTML, like Gecko) Version/6.0.3 Safari/536.28.10"
+            }
+            (Os::Windows, Browser::Safari) => {
+                "Mozilla/5.0 (Windows NT 6.1; WOW64) AppleWebKit/536.28.10 (KHTML, like Gecko) Version/6.0.3 Safari/536.28.10"
+            }
         }
     }
 }
@@ -228,6 +243,31 @@ mod tests {
         let db = GeoIpDb::new();
         for vp in paper_vantage_points(&mut alloc) {
             assert_eq!(db.lookup(vp.addr), Some(vp.location.country));
+        }
+    }
+
+    #[test]
+    fn user_agents_match_the_os_browser_composition() {
+        for os in [Os::Linux, Os::MacOs, Os::Windows] {
+            for browser in [Browser::Firefox, Browser::Chrome, Browser::Safari] {
+                let os_token = match os {
+                    Os::Linux => "X11; Linux x86_64",
+                    Os::MacOs => "Macintosh; Intel Mac OS X 10_8_3",
+                    Os::Windows => "Windows NT 6.1; WOW64",
+                };
+                let expected = match browser {
+                    Browser::Firefox => format!(
+                        "Mozilla/5.0 ({os_token}; rv:21.0) Gecko/20100101 Firefox/21.0"
+                    ),
+                    Browser::Chrome => format!(
+                        "Mozilla/5.0 ({os_token}) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/27.0.1453.110 Safari/537.36"
+                    ),
+                    Browser::Safari => format!(
+                        "Mozilla/5.0 ({os_token}) AppleWebKit/536.28.10 (KHTML, like Gecko) Version/6.0.3 Safari/536.28.10"
+                    ),
+                };
+                assert_eq!(Platform { os, browser }.user_agent(), expected);
+            }
         }
     }
 

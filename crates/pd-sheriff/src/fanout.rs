@@ -91,7 +91,6 @@ impl Sheriff {
         time: SimTime,
         extra_cookies: &[(String, String)],
     ) -> Vec<PriceObservation> {
-        let _ = world.server_by_domain(host); // host may be unknown; fetch handles it
         (0..self.vantage_points.len())
             .map(|i| self.check_one(world, host, path, extractor, time, extra_cookies, i))
             .collect()
@@ -130,7 +129,7 @@ impl Sheriff {
                 self.latency.one_way_ms(vp.location.country, dst_country) + skew_ms,
             );
         let mut req = Request::get(host, path, vp.addr, arrive)
-            .with_header("user-agent", &vp.platform.user_agent());
+            .with_header("user-agent", vp.platform.user_agent());
         for (name, value) in extra_cookies {
             req = req.with_cookie(name, value);
         }

@@ -82,6 +82,17 @@ impl From<io::Error> for HttpError {
     }
 }
 
+/// Looks `name` up in a map of lowercased header names; only a name with
+/// ASCII uppercase is lowercased (allocated) first.
+fn header_of<'a>(headers: &'a BTreeMap<String, String>, name: &str) -> Option<&'a str> {
+    let value = if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        headers.get(&name.to_ascii_lowercase())
+    } else {
+        headers.get(name)
+    };
+    value.map(String::as_str)
+}
+
 /// Reads one CRLF- (or bare-LF-) terminated line, without the terminator.
 /// Returns `None` on clean EOF before any byte.
 fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, HttpError> {
@@ -304,12 +315,10 @@ impl Request {
         self
     }
 
-    /// Reads a header.
+    /// Reads a header (name matched case-insensitively).
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .get(&name.to_ascii_lowercase())
-            .map(String::as_str)
+        header_of(&self.headers, name)
     }
 
     /// Parses one cookie value out of the `Cookie` header.
@@ -544,12 +553,10 @@ impl Response {
         }
     }
 
-    /// Reads a header.
+    /// Reads a header (name matched case-insensitively).
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .get(&name.to_ascii_lowercase())
-            .map(String::as_str)
+        header_of(&self.headers, name)
     }
 
     /// Adds/replaces a header (name lowercased).
@@ -668,6 +675,26 @@ mod tests {
         assert_eq!(r.header("user-agent"), Some("test"));
         assert_eq!(r.header("USER-AGENT"), Some("test"));
         assert_eq!(r.header("missing"), None);
+    }
+
+    #[test]
+    fn mixed_case_lookups_find_lowercased_names() {
+        let req = Request::get("shop.example", "/", addr(), SimTime::EPOCH)
+            .with_header("X-Trace-Id", "7")
+            .with_cookie("sid", "1");
+        let resp = Response::ok(String::new()).with_header("Content-TYPE", "text/html");
+        for name in ["x-trace-id", "X-Trace-Id", "X-TRACE-ID", "x-TRACE-id"] {
+            assert_eq!(req.header(name), Some("7"), "{name}");
+        }
+        for name in ["cookie", "Cookie", "COOKIE"] {
+            assert_eq!(req.header(name), Some("sid=1"), "{name}");
+        }
+        for name in ["content-type", "Content-Type", "CONTENT-TYPE"] {
+            assert_eq!(resp.header(name), Some("text/html"), "{name}");
+        }
+        // Non-ASCII case is not folded: the wire lowercases ASCII only.
+        assert_eq!(req.header("x-trace-ıd"), None);
+        assert_eq!(resp.header("content-typ"), None);
     }
 
     #[test]

@@ -7,16 +7,28 @@
 //! the product page, which is exactly why the paper's product-page
 //! methodology is not confounded by them ("most e-retailers do not
 //! include shipping and taxing before checkout").
+//!
+//! A server renders its template family once, when it is built, into a
+//! [`PageSkeleton`]; a product page is that skeleton with the product's
+//! and the recommended products' names and localized prices spliced in,
+//! the prices written straight into the page buffer
+//! ([`Locale::write_price`]). The page is byte for byte what
+//! [`template::render_html`](crate::template::render_html) writes for
+//! the same [`RenderInput`](crate::template::RenderInput).
 
 use crate::convert::usd_to_local;
 use crate::http::{Request, Response};
-use crate::template::{render_html, RenderInput};
+use crate::template::{PageSkeleton, RECOMMENDED};
 use pd_currency::{FxSeries, Locale};
 use pd_net::geo::{Country, Location, Region};
 use pd_pricing::quote::{LoginState, QuoteContext};
 use pd_pricing::{Catalog, PricingEngine, RetailerSpec};
-use pd_util::{Money, Seed};
+use pd_util::{Money, ProductId, Seed};
 use std::sync::LazyLock;
+
+/// The promo banner every product page carries (a literal dollar amount,
+/// one of the extractor's decoys).
+pub const PROMO_TEXT: &str = "Save $10 on orders over $100 today!";
 
 /// Where a client the geo-IP database cannot place is assumed to be.
 static UNKNOWN_LOCATION: LazyLock<Location> =
@@ -29,22 +41,36 @@ pub struct RetailerServer {
     catalog: Catalog,
     engine: PricingEngine,
     seed: Seed,
+    /// The product page with names and prices left out.
+    page: PageSkeleton,
 }
 
 impl RetailerServer {
     /// Builds the server for a retailer spec. Catalog and engine are
     /// derived from `seed` × the retailer's domain, so every retailer
-    /// prices independently.
+    /// prices independently; the product-page skeleton is rendered here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the domain holds a Unicode private-use character (the
+    /// skeleton's placeholders).
     #[must_use]
     pub fn new(seed: Seed, spec: RetailerSpec) -> Self {
         let rseed = seed.derive("retailer").derive(&spec.domain);
         let catalog = Catalog::generate(rseed, &spec.categories, spec.catalog_size);
         let engine = PricingEngine::new(rseed, spec.components.clone());
+        let page = PageSkeleton::new(
+            spec.template_style,
+            &spec.domain,
+            &spec.third_parties,
+            PROMO_TEXT,
+        );
         RetailerServer {
             spec,
             catalog,
             engine,
             seed: rseed,
+            page,
         }
     }
 
@@ -137,29 +163,25 @@ impl RetailerServer {
         if self.spec.inlines_tax {
             usd = usd.scale(1.0 + tax_rate(location.country));
         }
-        let price = usd_to_local(fx, usd, locale.currency, day);
-        let price_text = locale.format_price(price);
-
         // Deterministic recommendations: the next three products.
-        let recommended: Vec<(String, String)> = (1..=3)
-            .map(|k| {
-                let idx = (product.id.index() + k) % self.catalog.len();
-                let rp = self.catalog.product(pd_util::ProductId::new(idx as u32));
-                let rusd = self.engine.quote(rp, &ctx);
-                let rprice = usd_to_local(fx, rusd, locale.currency, day);
-                (rp.name.clone(), locale.format_price(rprice))
-            })
-            .collect();
-
-        let input = RenderInput {
-            domain: &self.spec.domain,
-            product_name: &product.name,
-            price_text,
-            recommended,
-            third_parties: &self.spec.third_parties,
-            promo_text: "Save $10 on orders over $100 today!".to_owned(),
-        };
-        let mut resp = Response::ok(render_html(self.spec.template_style, &input));
+        let recommended = std::array::from_fn::<_, RECOMMENDED, _>(|k| {
+            let idx = (product.id.index() + k + 1) % self.catalog.len();
+            self.catalog.product(ProductId::new(idx as u32))
+        });
+        let mut prices = [usd_to_local(fx, usd, locale.currency, day); 1 + RECOMMENDED];
+        for (price, rp) in prices[1..].iter_mut().zip(recommended) {
+            *price = usd_to_local(fx, self.engine.quote(rp, &ctx), locale.currency, day);
+        }
+        let names = [
+            product.name.as_str(),
+            &recommended[0].name,
+            &recommended[1].name,
+            &recommended[2].name,
+        ];
+        let body = self
+            .page
+            .write(names, |i, out| locale.write_price(prices[i], out));
+        let mut resp = Response::ok(body);
         if fresh_session {
             resp = resp.with_set_cookie("sid", &ctx.session_token.to_string());
         }

@@ -19,13 +19,24 @@
 //!
 //! Each family is written once against [`HtmlSink`]: [`render`] builds it
 //! into a [`Document`], [`render_html`] writes the same page straight to
-//! HTML text (the server's path), and the two agree byte for byte.
+//! HTML text, and the two agree byte for byte.
+//!
+//! Of a page's strings only eight change from one product page of a
+//! retailer to the next: the product name, three recommended names and
+//! the four price texts. [`PageSkeleton`] renders a retailer's family
+//! once with placeholders for those eight, through the same template
+//! code, and then writes each page by splicing the names and prices
+//! into the fixed runs — the server's path, equal to [`render_html`] of
+//! the same input.
 //!
 //! [`price_selector`] returns the family's ground-truth selector for the
 //! main price node — used only to *simulate the user's highlight*, never
 //! by the extraction pipeline itself.
 
-use pd_html::{write_page, DocBuilder, Document, HtmlSink, HtmlWriter, Selector};
+use pd_html::{
+    has_placeholder, placeholder, write_page, DocBuilder, Document, HtmlSink, HtmlWriter, Selector,
+    Skeleton, SkeletonWriter,
+};
 use pd_pricing::retailer::ThirdParty;
 
 /// Everything a template needs to render one product page.
@@ -76,6 +87,79 @@ fn render_into<S: HtmlSink>(style: u8, input: &RenderInput<'_>, sink: &mut S) {
         _ => render_cluttered,
     };
     write_page(sink, |h| head(h, input), |b| body(b, input));
+}
+
+/// Recommended products on a served page.
+pub const RECOMMENDED: usize = 3;
+
+/// Skeleton slots `0..=RECOMMENDED` are the product name and the
+/// recommended names; the next `1 + RECOMMENDED` are their price texts,
+/// in the same order.
+const NAMES: usize = 1 + RECOMMENDED;
+
+/// Room reserved per price text when sizing a page.
+const PRICE_BYTES: usize = 24;
+
+/// One retailer's product page with its per-page strings left out: the
+/// template family rendered once for the retailer's domain, third
+/// parties and promo, with slots for the product name, the recommended
+/// names and the four price texts.
+#[derive(Debug, Clone)]
+pub struct PageSkeleton {
+    skeleton: Skeleton,
+}
+
+impl PageSkeleton {
+    /// Renders family `style % 5` once, with placeholders for the
+    /// per-page strings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `domain` or `promo_text` holds a placeholder character
+    /// (Unicode private use, see [`pd_html::placeholder`]).
+    #[must_use]
+    pub fn new(style: u8, domain: &str, third_parties: &[ThirdParty], promo_text: &str) -> Self {
+        assert!(
+            !has_placeholder(domain) && !has_placeholder(promo_text),
+            "page strings may not hold skeleton placeholders"
+        );
+        let slot = |s: usize| placeholder(s).to_string();
+        let product_name = slot(0);
+        let input = RenderInput {
+            domain,
+            product_name: &product_name,
+            price_text: slot(NAMES),
+            recommended: (1..NAMES).map(|k| (slot(k), slot(NAMES + k))).collect(),
+            third_parties,
+            promo_text: promo_text.to_owned(),
+        };
+        let mut recorder = SkeletonWriter::with_capacity(page_capacity(&input));
+        render_into(style, &input, &mut recorder);
+        PageSkeleton {
+            skeleton: recorder.finish(),
+        }
+    }
+
+    /// Writes one page: `names` are the product's then the recommended
+    /// products' display names, and `price(i, out)` appends the price
+    /// text of the same `i`-th product (`0` is the main price). Equal to
+    /// [`render_html`] of the input holding those strings.
+    #[must_use]
+    pub fn write(&self, names: [&str; NAMES], mut price: impl FnMut(usize, &mut String)) -> String {
+        let slot_bytes: usize = self
+            .skeleton
+            .slots()
+            .map(|slot| names.get(slot).map_or(PRICE_BYTES, |name| name.len()))
+            .sum();
+        // The slack covers attribute quotes and a little escaping.
+        let mut out = String::with_capacity(self.skeleton.fixed_len() + slot_bytes + 32);
+        self.skeleton
+            .splice(&mut out, |slot, out| match names.get(slot) {
+                Some(name) => out.push_str(name),
+                None => price(slot - NAMES, out),
+            });
+        out
+    }
 }
 
 /// Output buffer size for one page: the fixed markup of the largest

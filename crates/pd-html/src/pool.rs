@@ -1,7 +1,9 @@
 //! Per-thread document reuse for parsing fetched pages.
 //!
-//! Every synchronized check parses 14 copies of a page, and the crawl
-//! makes thousands of checks. [`parse_pooled`] keeps each worker thread's
+//! Every synchronized check fetches 14 copies of a page and parses each
+//! distinct one (same-country copies with identical bytes are parsed
+//! once), and the crawl makes thousands of checks, so a run still parses
+//! thousands of pages. [`parse_pooled`] keeps each worker thread's
 //! finished documents on a small free list and parses the next page into
 //! one of them, so a page costs no arena or buffer allocation once the
 //! thread has warmed up. A global live count (documents currently checked

@@ -19,10 +19,11 @@ use crate::fanout::Sheriff;
 use crate::measurement::{Measurement, MeasurementStore, NoiseTruth, PriceObservation};
 use pd_currency::Locale;
 use pd_extract::HighlightExtractor;
+use pd_html::Selector;
 use pd_net::clock::{SimDuration, SimTime};
 use pd_net::geo::{Country, Location};
 use pd_util::{RequestId, Seed, UserId};
-use pd_web::template::price_selector;
+use pd_web::template::{price_selector, FAMILY_COUNT};
 use pd_web::{Request, WebWorld};
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -145,6 +146,10 @@ pub struct Crowd {
     users: Vec<CrowdUser>,
     config: CrowdConfig,
     seed: Seed,
+    /// Each template family's price highlight, parsed once, not per check.
+    price_highlights: Vec<Selector>,
+    /// The promo banner a mis-highlighting user picks instead.
+    promo_highlight: Selector,
 }
 
 impl Crowd {
@@ -170,6 +175,8 @@ impl Crowd {
             users,
             config,
             seed: seed.derive("crowd"),
+            price_highlights: (0..FAMILY_COUNT).map(price_selector).collect(),
+            promo_highlight: Selector::parse(".promo-banner > em").expect("static selector"),
         }
     }
 
@@ -285,13 +292,19 @@ impl Crowd {
         sheriff: &Sheriff,
         plan: &CheckPlan,
     ) -> Option<Measurement> {
+        // Highlight: the price element, or — mis-highlight noise — the promo.
+        let highlight = if plan.noise == NoiseTruth::MisHighlight {
+            &self.promo_highlight
+        } else {
+            &self.price_highlights[usize::from(plan.template_style % FAMILY_COUNT)]
+        };
         run_one_check(
             world,
             sheriff,
             &self.users[plan.user_index],
             &plan.domain,
             &plan.slug,
-            plan.template_style,
+            highlight,
             plan.time,
             plan.noise,
             plan.check_idx,
@@ -345,7 +358,7 @@ fn run_one_check(
     user: &CrowdUser,
     domain: &str,
     slug: &str,
-    template_style: u8,
+    highlight: &Selector,
     time: SimTime,
     noise: NoiseTruth,
     check_idx: usize,
@@ -357,14 +370,7 @@ fn run_one_check(
         return None;
     }
     let own_doc = pd_html::parse_pooled(&own_resp.body);
-
-    // Highlight: the price element, or — mis-highlight noise — the promo.
-    let selector = if noise == NoiseTruth::MisHighlight {
-        pd_html::Selector::parse(".promo-banner > em").expect("static selector")
-    } else {
-        price_selector(template_style)
-    };
-    let extractor = HighlightExtractor::from_highlight(&own_doc, &selector)?;
+    let extractor = HighlightExtractor::from_highlight(&own_doc, highlight)?;
     let own_locale = Locale::of_country(user.location.country);
     let own_extract = extractor.extract(&own_doc, Some(own_locale)).ok();
 

@@ -13,7 +13,7 @@ use pd_net::clock::{SimDuration, SimTime};
 use pd_net::geo::Country;
 use pd_net::latency::LatencyModel;
 use pd_net::vantage::VantagePoint;
-use pd_web::{Request, WebWorld};
+use pd_web::{Request, Response, WebWorld};
 
 /// The fan-out engine: the fixed vantage-point fleet plus the latency
 /// model used to timestamp each fetch.
@@ -81,6 +81,17 @@ impl Sheriff {
     /// `extra_cookies` ride on every fetch (the login experiment sets
     /// `login=<key>`; normal checks pass none). Each vantage fetch is a
     /// fresh session, as $heriff's probes were.
+    ///
+    /// Every copy is fetched at its own instant, but a copy is parsed and
+    /// extracted only if no earlier copy of this check came from the same
+    /// country with the same body bytes. Such a copy takes the earlier
+    /// copy's observation under its own vantage id: the extractor is fixed
+    /// for the check and the locale hint depends only on the country, so
+    /// re-extracting it would give exactly that observation. Failed
+    /// (non-200) copies are never reused. The result equals
+    /// [`check_one`] at every index.
+    ///
+    /// [`check_one`]: Sheriff::check_one
     #[must_use]
     pub fn check(
         &self,
@@ -91,15 +102,54 @@ impl Sheriff {
         time: SimTime,
         extra_cookies: &[(String, String)],
     ) -> Vec<PriceObservation> {
-        (0..self.vantage_points.len())
-            .map(|i| self.check_one(world, host, path, extractor, time, extra_cookies, i))
-            .collect()
+        self.check_with(world, host, path, time, extra_cookies, |resp, vp| {
+            extract_copy(resp, vp, extractor)
+        })
     }
 
-    /// Parallel-safe single-vantage entry point: the fetch + extraction
-    /// for vantage index `i` of a check. Pure in all inputs — callers
-    /// (e.g. the `pd-core` executor) may evaluate vantage indices in any
-    /// order or concurrently and obtain results identical to [`check`].
+    /// [`check`](Sheriff::check) with the per-copy extraction passed in,
+    /// so tests can count how many copies were actually extracted.
+    fn check_with(
+        &self,
+        world: &WebWorld,
+        host: &str,
+        path: &str,
+        time: SimTime,
+        extra_cookies: &[(String, String)],
+        mut extract: impl FnMut(&Response, &VantagePoint) -> PriceObservation,
+    ) -> Vec<PriceObservation> {
+        // The distinct 200 copies extracted so far, each with the index
+        // of its observation in `observations`. Dropped with the call.
+        let mut extracted: Vec<(Country, Response, usize)> = Vec::new();
+        let mut observations: Vec<PriceObservation> = Vec::with_capacity(self.vantage_points.len());
+        for (i, vp) in self.vantage_points.iter().enumerate() {
+            let resp = self.fetch_copy(world, host, path, time, extra_cookies, i);
+            let country = vp.location.country;
+            let ok = resp.status.code() == 200;
+            let earlier = extracted
+                .iter()
+                .find(|(c, r, _)| ok && *c == country && r.body == resp.body);
+            let observation = match earlier {
+                Some(&(_, _, j)) => PriceObservation {
+                    vantage: vp.id,
+                    ..observations[j].clone()
+                },
+                None => {
+                    let observation = extract(&resp, vp);
+                    if ok {
+                        extracted.push((country, resp, i));
+                    }
+                    observation
+                }
+            };
+            observations.push(observation);
+        }
+        observations
+    }
+
+    /// One copy of a check, fetched and extracted on its own: the
+    /// single-vantage reference that [`check`] is tested against, equal
+    /// to `check(..)[i]` whatever order the indices are evaluated in.
     ///
     /// [`check`]: Sheriff::check
     ///
@@ -118,6 +168,21 @@ impl Sheriff {
         extra_cookies: &[(String, String)],
         i: usize,
     ) -> PriceObservation {
+        let resp = self.fetch_copy(world, host, path, time, extra_cookies, i);
+        extract_copy(&resp, &self.vantage_points[i], extractor)
+    }
+
+    /// Fetches the copy of vantage index `i`: a fresh session arriving at
+    /// the check instant plus its one-way latency (and desync skew).
+    fn fetch_copy(
+        &self,
+        world: &WebWorld,
+        host: &str,
+        path: &str,
+        time: SimTime,
+        extra_cookies: &[(String, String)],
+        i: usize,
+    ) -> Response {
         // All simulated retailers are modeled as US-hosted origin
         // servers; only the relative latency spread matters for the
         // synchronization argument.
@@ -133,16 +198,25 @@ impl Sheriff {
         for (name, value) in extra_cookies {
             req = req.with_cookie(name, value);
         }
-        let resp = world.fetch(&req);
-        if resp.status.code() != 200 {
-            return PriceObservation::failed(vp.id, format!("http {}", resp.status.code()));
-        }
-        let doc = pd_html::parse_pooled(&resp.body);
-        let hint = Locale::of_country(vp.location.country);
-        match extractor.extract(&doc, Some(hint)) {
-            Ok(ex) => PriceObservation::ok(vp.id, ex.price, ex.raw_text),
-            Err(e) => PriceObservation::failed(vp.id, e.to_string()),
-        }
+        world.fetch(&req)
+    }
+}
+
+/// Parses one fetched copy and replays the highlight on it, with the
+/// vantage point's country as the locale hint.
+fn extract_copy(
+    resp: &Response,
+    vp: &VantagePoint,
+    extractor: &HighlightExtractor,
+) -> PriceObservation {
+    if resp.status.code() != 200 {
+        return PriceObservation::failed(vp.id, format!("http {}", resp.status.code()));
+    }
+    let doc = pd_html::parse_pooled(&resp.body);
+    let hint = Locale::of_country(vp.location.country);
+    match extractor.extract(&doc, Some(hint)) {
+        Ok(ex) => PriceObservation::ok(vp.id, ex.price, ex.raw_text),
+        Err(e) => PriceObservation::failed(vp.id, e.to_string()),
     }
 }
 
@@ -373,37 +447,139 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn check_one_matches_full_check_at_every_index() {
-        let r = rig();
-        let slug = r
-            .world
-            .server_by_domain("www.energie.it")
+    /// The first `n` catalog slugs of `domain`.
+    fn slugs(rig: &Rig, domain: &str, n: usize) -> Vec<String> {
+        rig.world
+            .server_by_domain(domain)
             .unwrap()
             .catalog()
             .iter()
-            .next()
-            .unwrap()
-            .slug
-            .clone();
-        let ex = highlight_for(&r, "www.energie.it", &slug);
-        let path = format!("/product/{slug}");
-        let full = r
-            .sheriff
-            .check(&r.world, "www.energie.it", &path, &ex, SimTime::EPOCH, &[]);
-        // Evaluate in reverse order: results must still line up per index.
-        for i in (0..full.len()).rev() {
-            let one = r.sheriff.check_one(
-                &r.world,
-                "www.energie.it",
-                &path,
-                &ex,
-                SimTime::EPOCH,
-                &[],
-                i,
-            );
-            assert_eq!(one, full[i], "vantage {i}");
+            .take(n)
+            .map(|p| p.slug.clone())
+            .collect()
+    }
+
+    #[test]
+    fn check_one_matches_full_check_at_every_index() {
+        // `check` extracts each distinct same-country copy once and
+        // reuses it; `check_one` fetches and extracts its copy alone.
+        // They must agree everywhere: every paper retailer, three
+        // products, anonymous and logged in, synchronized and skewed.
+        let r = rig();
+        let login = [("login".to_owned(), "7".to_owned())];
+        let desynced = r.sheriff.clone().with_desync(SimDuration::from_mins(25));
+        let time = SimTime::from_millis(40 * 24 * 3_600_000);
+        for spec in paper_retailers(Seed::new(1307)) {
+            let domain = spec.domain.as_str();
+            for slug in slugs(&r, domain, 3) {
+                let ex = highlight_for(&r, domain, &slug);
+                let path = format!("/product/{slug}");
+                for sheriff in [&r.sheriff, &desynced] {
+                    for cookies in [&[][..], &login[..]] {
+                        let full = sheriff.check(&r.world, domain, &path, &ex, time, cookies);
+                        assert_eq!(full.len(), 14);
+                        // Evaluate in reverse order: results must still
+                        // line up per index.
+                        for i in (0..full.len()).rev() {
+                            let one =
+                                sheriff.check_one(&r.world, domain, &path, &ex, time, cookies, i);
+                            assert_eq!(
+                                one,
+                                full[i],
+                                "{domain}{path} vantage {i}, desync {:?}, cookies {cookies:?}",
+                                sheriff.desync()
+                            );
+                        }
+                    }
+                }
+            }
         }
+    }
+
+    /// Runs a check through a counting extraction: the observations and
+    /// the number of copies actually extracted.
+    fn counted_check(
+        r: &Rig,
+        host: &str,
+        path: &str,
+        ex: &HighlightExtractor,
+    ) -> (Vec<PriceObservation>, usize) {
+        let mut extractions = 0;
+        let obs = r
+            .sheriff
+            .check_with(&r.world, host, path, SimTime::EPOCH, &[], |resp, vp| {
+                extractions += 1;
+                extract_copy(resp, vp, ex)
+            });
+        (obs, extractions)
+    }
+
+    /// The distinct `(country, body)` pairs among the 200 copies of a
+    /// check, counted from independent fetches.
+    fn distinct_copies(r: &Rig, host: &str, path: &str) -> usize {
+        let mut seen: Vec<(Country, String)> = Vec::new();
+        for (i, vp) in r.sheriff.vantage_points().iter().enumerate() {
+            let resp = r
+                .sheriff
+                .fetch_copy(&r.world, host, path, SimTime::EPOCH, &[], i);
+            assert_eq!(resp.status.code(), 200);
+            let copy = (vp.location.country, resp.body);
+            if !seen.contains(&copy) {
+                seen.push(copy);
+            }
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn each_distinct_copy_is_extracted_once() {
+        let r = rig();
+        // Fig. 7's fleet: Belgium, Brazil, Finland, Germany, Spain (3),
+        // the UK and the US (6).
+        let countries = 7;
+
+        // Country-keyed: the six US and the three Spain probes see one
+        // page per country.
+        let slug = &slugs(&r, "www.digitalrev.com", 1)[0];
+        let path = format!("/product/{slug}");
+        let ex = highlight_for(&r, "www.digitalrev.com", slug);
+        let (obs, n) = counted_check(&r, "www.digitalrev.com", &path, &ex);
+        assert_eq!(n, countries);
+        assert!(obs.iter().all(|o| o.price.is_some()), "{obs:?}");
+        // Reused observations carry their own vantage id.
+        let ids: Vec<_> = obs.iter().map(|o| o.vantage).collect();
+        let fleet: Vec<_> = r.sheriff.vantage_points().iter().map(|vp| vp.id).collect();
+        assert_eq!(ids, fleet);
+
+        // Amazon prices by country too, but its session jitter gives
+        // every probe (a fresh session each) its own price: same-country
+        // copies differ in their bytes, so none is reused.
+        let slug = &slugs(&r, "www.amazon.com", 1)[0];
+        let path = format!("/product/{slug}");
+        let ex = highlight_for(&r, "www.amazon.com", slug);
+        let (_, n) = counted_check(&r, "www.amazon.com", &path, &ex);
+        assert_eq!(n, distinct_copies(&r, "www.amazon.com", &path));
+        assert_eq!(n, 14);
+
+        // City-keyed: homedepot's US cities see different prices, so
+        // their copies are extracted separately.
+        let slug = &slugs(&r, "www.homedepot.com", 1)[0];
+        let path = format!("/product/{slug}");
+        let ex = highlight_for(&r, "www.homedepot.com", slug);
+        let (obs, n) = counted_check(&r, "www.homedepot.com", &path, &ex);
+        assert_eq!(n, distinct_copies(&r, "www.homedepot.com", &path));
+        assert!(n > countries, "homedepot's US copies differ: {n}");
+        let us: Vec<_> = (8..14).map(|i| obs[i].price.unwrap()).collect();
+        assert!(us.iter().any(|p| *p != us[0]), "{us:?}");
+
+        // Failed copies are never reused, even with identical bodies.
+        let doc = parse("<html><body><span class=price>$5</span></body></html>");
+        let ex =
+            HighlightExtractor::from_highlight(&doc, &pd_html::Selector::parse(".price").unwrap())
+                .unwrap();
+        let (obs, n) = counted_check(&r, "gone.example", "/product/x", &ex);
+        assert_eq!(n, 14);
+        assert!(obs.iter().all(|o| o.error.as_deref() == Some("http 404")));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use pd_currency::{Locale, Price};
 use pd_extract::HighlightExtractor;
+use pd_html::Selector;
 use pd_net::clock::SimTime;
 use pd_net::geo::Location;
 use pd_util::Seed;
@@ -58,16 +59,17 @@ pub struct PersonaExperiment {
     pub total_pairs: usize,
 }
 
+#[allow(clippy::too_many_arguments)]
 fn fetch_price(
     world: &WebWorld,
     domain: &str,
+    highlight: &Selector,
     slug: &str,
     addr: Ipv4Addr,
     time: SimTime,
     location: &Location,
     cookies: &[(&str, &str)],
 ) -> Option<Price> {
-    let style = world.server_by_domain(domain)?.spec().template_style;
     let mut req = Request::get(domain, &format!("/product/{slug}"), addr, time);
     for (name, value) in cookies {
         req = req.with_cookie(name, value);
@@ -77,7 +79,7 @@ fn fetch_price(
         return None;
     }
     let doc = pd_html::parse_pooled(&resp.body);
-    let ex = HighlightExtractor::from_highlight(&doc, &price_selector(style))?;
+    let ex = HighlightExtractor::from_highlight(&doc, highlight)?;
     ex.extract(&doc, Some(Locale::of_country(location.country)))
         .ok()
         .map(|e| e.price)
@@ -118,26 +120,18 @@ pub fn login_row(
     // Four distinct browser sessions, fixed across products.
     let session_base = seed.derive("login-exp").value() | 1;
     let sid = |k: u64| (session_base.wrapping_add(k * 7919)).to_string();
-    let without_login = fetch_price(
-        world,
-        domain,
-        slug,
-        addr,
-        time,
-        location,
-        &[("sid", &sid(0))],
-    );
-    let users = [1u64, 2, 3].map(|k| {
+    // One parsed highlight for the row's four fetches.
+    let highlight = world
+        .server_by_domain(domain)
+        .map(|server| price_selector(server.spec().template_style));
+    let price = |cookies: &[(&str, &str)]| {
+        let highlight = highlight.as_ref()?;
         fetch_price(
-            world,
-            domain,
-            slug,
-            addr,
-            time,
-            location,
-            &[("sid", &sid(k)), ("login", &k.to_string())],
+            world, domain, highlight, slug, addr, time, location, cookies,
         )
-    });
+    };
+    let without_login = price(&[("sid", &sid(0))]);
+    let users = [1u64, 2, 3].map(|k| price(&[("sid", &sid(k)), ("login", &k.to_string())]));
     LoginRow {
         product,
         slug: slug.to_owned(),
@@ -258,12 +252,14 @@ pub fn persona_pairs(
         .take(products)
         .map(|p| p.slug.clone())
         .collect();
+    let highlight = price_selector(server.spec().template_style);
     let mut differing = 0;
     let mut total = 0;
     for slug in &slugs {
         let affluent = fetch_price(
             world,
             domain,
+            &highlight,
             slug,
             addr,
             time,
@@ -273,6 +269,7 @@ pub fn persona_pairs(
         let budget = fetch_price(
             world,
             domain,
+            &highlight,
             slug,
             addr,
             time,

@@ -1,7 +1,7 @@
-//! Measures artifact-store footprint per format into `BENCH_store.json`
-//! (the repo's bench-artifact convention): one run, saved as JSON, then
-//! migrated in place to the chunked binary format, with per-stage
-//! before/after byte counts off the store's own manifest.
+//! Measures artifact-store footprint into `BENCH_store.json` (the repo's
+//! bench-artifact convention): one run, saved with every stage, and each
+//! stage's file bytes, payload (chunk-region) bytes and chunk count read
+//! straight off the store's own manifest.
 //!
 //! ```text
 //! store_sizes [--scenario NAME] [--profile smoke|small|medium|paper]
@@ -11,10 +11,9 @@
 //! Defaults: the `smoke` scenario (the store CI tracks), seed 1307,
 //! 1 thread, writing `BENCH_store.json` in the working directory into a
 //! throwaway temp store. `--artifacts DIR` measures into `DIR` instead
-//! and keeps it (left in binary format — `pd artifacts migrate` swaps
-//! it back). Single-run scenarios only: a sweep has no single store.
+//! and keeps it. Single-run scenarios only: a sweep has no single store.
 
-use pd_core::store::{ArtifactStore, StoreFormat};
+use pd_core::store::{ArtifactStore, ManifestEntry};
 use pd_core::{Experiment, Profile};
 use std::path::PathBuf;
 
@@ -61,57 +60,29 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One stage's footprint in both encodings.
-struct StageRow {
-    stage: String,
-    json_bytes: u64,
-    binary_bytes: u64,
-    chunks: Option<u32>,
-}
-
 /// Hand-rolled JSON so the bin does not need a serde derive for what is
 /// a flat telemetry record.
-#[allow(clippy::cast_precision_loss)]
-fn render_json(args: &Args, rows: &[StageRow]) -> String {
-    let ratio = |json: u64, bin: u64| {
-        if bin == 0 {
-            0.0
-        } else {
-            json as f64 / bin as f64
-        }
-    };
+fn render_json(args: &Args, entries: &[ManifestEntry]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"scenario\": \"{}\",\n", args.scenario));
     out.push_str(&format!("  \"profile\": \"{}\",\n", args.profile.name()));
     out.push_str(&format!("  \"seed\": {},\n", args.seed));
     out.push_str(&format!("  \"threads\": {},\n", args.threads));
     out.push_str("  \"stages\": [\n");
-    let lines: Vec<String> = rows
+    let lines: Vec<String> = entries
         .iter()
-        .map(|r| {
-            let chunks = r
-                .chunks
-                .map_or_else(|| "null".to_owned(), |c| c.to_string());
+        .map(|e| {
             format!(
-                "    {{\"stage\": \"{}\", \"json_bytes\": {}, \"binary_bytes\": {}, \
-                 \"ratio\": {:.2}, \"chunks\": {chunks}}}",
-                r.stage,
-                r.json_bytes,
-                r.binary_bytes,
-                ratio(r.json_bytes, r.binary_bytes)
+                "    {{\"stage\": \"{}\", \"binary_bytes\": {}, \"payload_bytes\": {}, \
+                 \"chunks\": {}}}",
+                e.stage, e.bytes, e.payload_bytes, e.chunks
             )
         })
         .collect();
     out.push_str(&lines.join(",\n"));
-    let json_total: u64 = rows.iter().map(|r| r.json_bytes).sum();
-    let binary_total: u64 = rows.iter().map(|r| r.binary_bytes).sum();
+    let binary_total: u64 = entries.iter().map(|e| e.bytes).sum();
     out.push_str("\n  ],\n");
-    out.push_str(&format!("  \"json_total_bytes\": {json_total},\n"));
-    out.push_str(&format!("  \"binary_total_bytes\": {binary_total},\n"));
-    out.push_str(&format!(
-        "  \"ratio\": {:.2}\n",
-        ratio(json_total, binary_total)
-    ));
+    out.push_str(&format!("  \"binary_total_bytes\": {binary_total}\n"));
     out.push_str("}\n");
     out
 }
@@ -149,30 +120,16 @@ fn main() {
         .save_analysis(&dir, &analysis)
         .unwrap_or_else(|e| fatal(e.to_string()));
 
-    // The store starts as pretty JSON; migrating in place to the
-    // chunked binary format yields the per-stage before/after bytes
-    // straight from the manifest rewrite.
-    let mut store = ArtifactStore::open(&dir).unwrap_or_else(|e| fatal(e.to_string()));
-    let migrated = store
-        .migrate(StoreFormat::Binary)
-        .unwrap_or_else(|e| fatal(e.to_string()));
-    let rows: Vec<StageRow> = migrated
-        .into_iter()
-        .map(|(stage, json_bytes, binary_bytes)| {
-            let chunks = store.entry(&stage).and_then(|e| e.chunks);
-            StageRow {
-                stage,
-                json_bytes,
-                binary_bytes,
-                chunks,
-            }
-        })
-        .collect();
+    let entries = ArtifactStore::open(&dir)
+        .unwrap_or_else(|e| fatal(e.to_string()))
+        .manifest()
+        .entries
+        .clone();
     if throwaway {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    let json = render_json(&args, &rows);
+    let json = render_json(&args, &entries);
     std::fs::write(&args.out, &json).unwrap_or_else(|e| {
         eprintln!("error: writing {:?}: {e}", args.out);
         std::process::exit(1);

@@ -576,7 +576,7 @@ mod tests {
         use crate::config::ExperimentConfig;
         use crate::scenario::RunPlan;
         use crate::stage::CrawlArtifact;
-        use crate::store::{self, ArtifactStore, Provenance, StoreFormat};
+        use crate::store::{self, ArtifactStore, Provenance};
 
         let dir = std::env::temp_dir().join(format!("pd-frames-chunked-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -588,7 +588,6 @@ mod tests {
             None,
         )
         .expect("store creates");
-        artifacts.set_format(StoreFormat::Binary);
         let store = sample_store();
         let fp = store::crawl_fingerprint(&plan);
         let art = CrawlArtifact {

@@ -31,10 +31,9 @@
 //! telemetry flow through the [`RunObserver`] hooks.
 //!
 //! Artifacts also **persist across processes**: the [`store`] module
-//! writes each stage artifact as a versioned, fingerprinted envelope
-//! under a directory ([`store::ArtifactStore`]) — pretty JSON or a
-//! compact chunked binary format ([`store::StoreFormat`]) that analysis
-//! streams domain by domain — and an engine built with
+//! writes each stage artifact as a versioned, fingerprinted, chunked
+//! binary file under a directory ([`store::ArtifactStore`]) that
+//! analysis streams domain by domain — and an engine built with
 //! [`ExperimentBuilder::artifacts`] checks that store before computing —
 //! the paper's "measure once, analyze many ways" methodology, on disk.
 //! See `docs/ARCHITECTURE.md` for the full lifecycle.
@@ -93,8 +92,7 @@ pub use spec::{
 };
 pub use stage::{AnalysisArtifact, CrawlArtifact, CrowdArtifact, PersonaArtifact};
 pub use store::{
-    ArtifactStore, ChunkedPayload, Fingerprint, Provenance, StoreError, StoreFormat,
-    MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    ArtifactStore, ChunkedPayload, Fingerprint, Provenance, StoreError, StoreFormat, SCHEMA_VERSION,
 };
 pub use world::{AnalysisContext, World};
 

@@ -52,8 +52,6 @@ pub struct Engine {
     /// Per-domain frame cache the analysis stage reuses across repeated
     /// `analyze()` calls; shared across sweep arms built by one builder.
     frames: Arc<FrameCache>,
-    /// Payload format for artifacts this engine saves.
-    store_format: StoreFormat,
     /// The stage memo (see [`StoreCache`]): consulted before the disk
     /// store on every measurement stage; per engine unless shared by the
     /// builder or injected by a long-lived caller.
@@ -106,6 +104,17 @@ impl LoadSummary {
     pub fn complete(&self) -> bool {
         self.loaded.len() == 3
     }
+
+    /// Files one stage's load outcome under loaded, missing, stale or
+    /// corrupt.
+    fn record(&mut self, kind: StageKind, outcome: Result<(), StoreError>) {
+        match outcome {
+            Ok(()) => self.loaded.push(kind),
+            Err(StoreError::MissingStage { .. }) => self.missing.push(kind),
+            Err(StoreError::StaleFingerprint { .. }) => self.stale.push(kind),
+            Err(_) => self.corrupt.push(kind),
+        }
+    }
 }
 
 /// What [`Engine::save_artifacts`] wrote, per stage name.
@@ -142,7 +151,6 @@ impl Engine {
             spec: None,
             loaded_stages: Vec::new(),
             frames: Arc::new(FrameCache::new()),
-            store_format: StoreFormat::Json,
             stores: Arc::new(StoreCache::new()),
             crowd: None,
             crawl: None,
@@ -220,23 +228,6 @@ impl Engine {
         &self.stores
     }
 
-    /// Sets the payload format artifacts are saved in (default
-    /// [`StoreFormat::Json`]; [`StoreFormat::Binary`] for the compact
-    /// chunked encoding). Loading auto-detects per entry, so this only
-    /// shapes what [`Engine::save_artifacts`] and
-    /// [`Engine::save_analysis`] write.
-    #[must_use]
-    pub fn with_store_format(mut self, format: StoreFormat) -> Self {
-        self.store_format = format;
-        self
-    }
-
-    /// The payload format in force for saves.
-    #[must_use]
-    pub fn store_format(&self) -> StoreFormat {
-        self.store_format
-    }
-
     /// The attached read-through store directory, if any.
     #[must_use]
     pub fn artifacts_dir(&self) -> Option<&Path> {
@@ -307,9 +298,10 @@ impl Engine {
     /// Resolves one measurement stage past the engine slot: the stage
     /// memo, then the attached read-through store. A hit is reported via
     /// [`RunObserver::stage_loaded`] and recorded in
-    /// [`Engine::loaded_stages`]; a disk load is kept in the memo. Any failure (no store, stale fingerprint,
-    /// corrupt file) is a miss: the caller computes. `pd artifacts ls`
-    /// is the diagnostic surface for unhealthy stores.
+    /// [`Engine::loaded_stages`]; a disk load is kept in the memo. Any
+    /// failure (no store, an older layout, stale fingerprint, corrupt
+    /// file) is a miss: the caller computes. `pd artifacts ls` is the
+    /// diagnostic surface for unhealthy stores.
     fn probe_store<T: store::Artifact + Send + Sync + 'static>(
         &mut self,
         kind: StageKind,
@@ -317,12 +309,8 @@ impl Engine {
         if let Some(hit) = self.probe_memo(kind) {
             return Some(hit);
         }
-        let dir = self.artifacts_dir.as_deref()?;
         let fp = store::measurement_fingerprint(kind, &self.plan)?;
-        if !ArtifactStore::is_store(dir) {
-            return None;
-        }
-        let store = ArtifactStore::open(dir).ok()?;
+        let store = self.attached_store()?;
         let artifact = Arc::new(store.load::<T>(kind.as_str(), fp).ok()?);
         let artifact = self.stores.insert(kind, fp.as_u64(), artifact);
         self.note_loaded(kind, fp);
@@ -363,24 +351,58 @@ impl Engine {
         self.stores.admit(kind, fp.as_u64(), Arc::new(artifact))
     }
 
-    /// Probes the attached store for a **binary** entry of `kind` and
-    /// opens it as a chunked handle (fingerprint- and checksum-checked,
-    /// rows left on disk). `None` when there is no store, the entry is
-    /// missing/JSON/stale/corrupt — the caller falls back to
-    /// [`Engine::probe_store`] or computing.
-    fn probe_chunked(&mut self, kind: StageKind) -> Option<ChunkedPayload> {
+    /// The attached read-through store, when there is one and it opens
+    /// (an older layout, like any open failure, reads as no store).
+    fn attached_store(&self) -> Option<ArtifactStore> {
         let dir = self.artifacts_dir.as_deref()?;
         if !ArtifactStore::is_store(dir) {
             return None;
         }
-        let store = ArtifactStore::open(dir).ok()?;
-        if store.entry(kind.as_str())?.store_format() != StoreFormat::Binary {
-            return None;
+        ArtifactStore::open(dir).ok()
+    }
+
+    /// Opens the crowd and crawl stages the engine does not hold yet as
+    /// chunked handles on the attached store. A stage the store cannot
+    /// supply stays a miss, to be computed.
+    fn heavy_from_disk(&mut self) {
+        let kinds = [StageKind::Crowd, StageKind::Crawl];
+        if kinds.iter().all(|&kind| self.holds_heavy(kind)) {
+            return;
         }
-        let fp = store::measurement_fingerprint(kind, &self.plan)?;
-        let payload = store.open_chunked(kind.as_str(), fp).ok()?;
+        let Some(store) = self.attached_store() else {
+            return;
+        };
+        for kind in kinds {
+            if !self.holds_heavy(kind) {
+                let _ = self.open_heavy(&store, kind);
+            }
+        }
+    }
+
+    /// Is the crowd (or crawl) stage held, in memory or as a handle?
+    fn holds_heavy(&self, kind: StageKind) -> bool {
+        match kind {
+            StageKind::Crowd => self.crowd.is_some() || self.crowd_chunked.is_some(),
+            _ => self.crawl.is_some() || self.crawl_chunked.is_some(),
+        }
+    }
+
+    /// Opens the crowd or crawl stage of `store` as a chunked handle
+    /// (fingerprint- and checksum-checked, rows left on disk) and parks
+    /// it in the engine; the crowd's cleaning report comes from its meta
+    /// chunk, which holds the artifact with its row sections emptied.
+    fn open_heavy(&mut self, store: &ArtifactStore, kind: StageKind) -> Result<(), StoreError> {
+        let fp = store::measurement_fingerprint(kind, &self.plan)
+            .expect("measurement stage has a fingerprint");
+        let payload = store.open_chunked(kind.as_str(), fp)?;
+        if kind == StageKind::Crowd {
+            self.crowd_cleaning = Some(payload.meta::<CrowdArtifact>()?.cleaning);
+            self.crowd_chunked = Some(payload);
+        } else {
+            self.crawl_chunked = Some(payload);
+        }
         self.note_loaded(kind, fp);
-        Some(payload)
+        Ok(())
     }
 
     /// The crowd campaign artifact: from the engine's slot, else the
@@ -471,92 +493,31 @@ impl Engine {
         if self.personas.is_none() {
             self.personas = self.probe_memo(StageKind::Personas);
         }
-        let outcome =
-            |kind: StageKind, summary: &mut LoadSummary, loaded: bool, err: Option<&StoreError>| {
-                if loaded {
-                    summary.loaded.push(kind);
-                } else {
-                    match err {
-                        Some(StoreError::MissingStage { .. }) => summary.missing.push(kind),
-                        Some(StoreError::StaleFingerprint { .. }) => summary.stale.push(kind),
-                        _ => summary.corrupt.push(kind),
-                    }
-                }
-            };
-        // Binary crowd/crawl entries open as chunked handles: the rows
-        // stay on disk and `analyze()` streams them one domain chunk at
-        // a time instead of materializing the whole payload.
-        let mut streamed: Vec<StageKind> = Vec::new();
+        // Crowd and crawl open as chunked handles: the rows stay on disk
+        // and `analyze()` streams them one domain chunk at a time.
         for kind in [StageKind::Crowd, StageKind::Crawl] {
-            let chunked_cached = match kind {
-                StageKind::Crowd => self.crowd_chunked.is_some(),
-                _ => self.crawl_chunked.is_some(),
+            let outcome = if self.holds_heavy(kind) {
+                Ok(())
+            } else {
+                self.open_heavy(&store, kind)
             };
-            if chunked_cached {
-                // A previous load already opened this stage's handle.
-                streamed.push(kind);
-                outcome(kind, &mut summary, true, None);
-                continue;
-            }
-            let in_memory = match kind {
-                StageKind::Crowd => self.crowd.is_some(),
-                _ => self.crawl.is_some(),
-            };
-            if in_memory
-                || !store
-                    .entry(kind.as_str())
-                    .is_some_and(|e| e.store_format() == StoreFormat::Binary)
-            {
-                continue;
-            }
-            streamed.push(kind);
-            let fp = store::measurement_fingerprint(kind, &self.plan)
-                .expect("measurement stage has a fingerprint");
-            match store.open_chunked(kind.as_str(), fp) {
-                Ok(payload) => {
-                    if kind == StageKind::Crowd {
-                        match chunked_cleaning(&payload) {
-                            Some(cleaning) => self.crowd_cleaning = Some(cleaning),
-                            None => {
-                                outcome(kind, &mut summary, false, None);
-                                continue;
-                            }
-                        }
-                        self.crowd_chunked = Some(payload);
-                    } else {
-                        self.crawl_chunked = Some(payload);
-                    }
-                    self.note_loaded(kind, fp);
-                    outcome(kind, &mut summary, true, None);
-                }
-                Err(e) => outcome(kind, &mut summary, false, Some(&e)),
-            }
+            summary.record(kind, outcome);
         }
-        macro_rules! load_stage {
-            ($kind:expr, $slot:ident, $ty:ty) => {
-                if streamed.contains(&$kind) {
-                    // Resolved above as a chunked handle (or reported).
-                } else if self.$slot.is_none() {
-                    let fp = store::measurement_fingerprint($kind, &self.plan)
-                        .expect("measurement stage has a fingerprint");
-                    match store.load::<$ty>($kind.as_str(), fp) {
-                        Ok(artifact) => {
-                            self.note_loaded($kind, fp);
-                            self.$slot =
-                                Some(self.stores.insert($kind, fp.as_u64(), Arc::new(artifact)));
-                            outcome($kind, &mut summary, true, None);
-                        }
-                        Err(e) => outcome($kind, &mut summary, false, Some(&e)),
-                    }
-                } else {
-                    // Already in memory: counts as loaded for completeness.
-                    outcome($kind, &mut summary, true, None);
-                }
-            };
-        }
-        load_stage!(StageKind::Crowd, crowd, CrowdArtifact);
-        load_stage!(StageKind::Crawl, crawl, CrawlArtifact);
-        load_stage!(StageKind::Personas, personas, PersonaArtifact);
+        let outcome = match &self.personas {
+            Some(_) => Ok(()),
+            None => {
+                let kind = StageKind::Personas;
+                let fp = store::personas_fingerprint(&self.plan);
+                store
+                    .load::<PersonaArtifact>(kind.as_str(), fp)
+                    .map(|artifact| {
+                        self.note_loaded(kind, fp);
+                        self.personas =
+                            Some(self.stores.insert(kind, fp.as_u64(), Arc::new(artifact)));
+                    })
+            }
+        };
+        summary.record(StageKind::Personas, outcome);
         Ok(summary)
     }
 
@@ -573,27 +534,27 @@ impl Engine {
     pub fn save_artifacts(&self, dir: &Path) -> Result<SaveSummary, StoreError> {
         let mut store = self.open_or_create_store(dir)?;
         let mut summary = SaveSummary::default();
+        // A stage streamed as a chunked handle came from a store: it is
+        // fresh there and has nothing in memory to save.
         macro_rules! save_stage {
-            ($kind:expr, $slot:ident) => {
-                if let Some(artifact) = &self.$slot {
-                    let fp = store::measurement_fingerprint($kind, &self.plan)
-                        .expect("measurement stage has a fingerprint");
-                    let name = $kind.as_str();
-                    if store
-                        .entry(name)
-                        .is_some_and(|e| e.fingerprint == fp.to_string())
-                    {
-                        summary.fresh.push(name);
-                    } else {
-                        store.save(name, fp, &[], artifact.as_ref())?;
-                        summary.saved.push(name);
-                    }
+            ($kind:expr, $slot:ident, $streamed:expr) => {
+                let fp = store::measurement_fingerprint($kind, &self.plan)
+                    .expect("measurement stage has a fingerprint");
+                let name = $kind.as_str();
+                let stored = store
+                    .entry(name)
+                    .is_some_and(|e| e.fingerprint == fp.to_string());
+                if stored && (self.$slot.is_some() || $streamed) {
+                    summary.fresh.push(name);
+                } else if let Some(artifact) = &self.$slot {
+                    store.save(name, fp, &[], artifact.as_ref())?;
+                    summary.saved.push(name);
                 }
             };
         }
-        save_stage!(StageKind::Crowd, crowd);
-        save_stage!(StageKind::Crawl, crawl);
-        save_stage!(StageKind::Personas, personas);
+        save_stage!(StageKind::Crowd, crowd, self.crowd_chunked.is_some());
+        save_stage!(StageKind::Crawl, crawl, self.crawl_chunked.is_some());
+        save_stage!(StageKind::Personas, personas, false);
         Ok(summary)
     }
 
@@ -631,88 +592,65 @@ impl Engine {
 
     /// Opens the store at `dir` if it was produced by this engine's
     /// plan, or creates it fresh if the directory is not a store yet.
-    /// A store produced by a *different* plan (or one whose manifest is
-    /// unreadable) is never clobbered: a paper-scale dataset must not
-    /// die to a seed typo. The caller decides whether to delete the
-    /// directory and retry (the CLI's `--overwrite-artifacts`).
+    /// A store produced by a *different* plan, in an older layout, or
+    /// with an unreadable manifest is never clobbered: a paper-scale
+    /// dataset must not die to a seed typo. The caller decides whether
+    /// to delete the directory and retry (the CLI's
+    /// `--overwrite-artifacts`).
     fn open_or_create_store(&self, dir: &Path) -> Result<ArtifactStore, StoreError> {
-        let mut store = match ArtifactStore::open(dir) {
-            Ok(existing) => {
-                if existing.manifest().plan == store::PlanRecord::from_plan(&self.plan) {
-                    existing
-                } else {
-                    return Err(StoreError::PlanMismatch {
-                        dir: dir.display().to_string(),
-                    });
-                }
+        match ArtifactStore::open(dir) {
+            Ok(existing)
+                if existing.manifest().plan == store::PlanRecord::from_plan(&self.plan) =>
+            {
+                Ok(existing)
             }
+            Ok(_) => Err(StoreError::PlanMismatch {
+                dir: dir.display().to_string(),
+            }),
             Err(StoreError::NoManifest { .. }) => {
-                ArtifactStore::create(dir, self.provenance.clone(), &self.plan, self.spec.clone())?
+                ArtifactStore::create(dir, self.provenance.clone(), &self.plan, self.spec.clone())
             }
-            Err(e) => return Err(e),
-        };
-        store.set_format(self.store_format);
-        Ok(store)
+            Err(e) => Err(e),
+        }
     }
 
     /// Runs the analysis over the (cached) upstream artifacts and
     /// returns the analysis artifact. Upstream stages run at most once;
     /// calling this twice re-analyzes but does not re-measure.
     ///
-    /// When the attached store holds a stage in the **binary chunked**
-    /// format, its rows are streamed one domain chunk at a time (the
-    /// `frames_chunks_loaded` counter reports how many) instead of
-    /// deserializing the whole payload; a chunk that fails mid-read
-    /// drops the handle and falls back to computing in memory.
+    /// Each stage resolves through the engine slot, the stage memo, the
+    /// attached store, then compute. Crowd and crawl rows found on disk
+    /// stay there as chunked handles and are streamed one domain chunk
+    /// at a time (the `frames_chunks_loaded` counter reports how many)
+    /// instead of deserializing whole payloads; a chunk that fails
+    /// mid-read drops the handles and the stages are recomputed.
     pub fn analyze(&mut self) -> AnalysisArtifact {
         self.personas();
-        // A memo hit wins; otherwise prefer streaming handles for the
-        // heavy measurement payloads.
         self.heavy_from_memo();
-        if self.crowd.is_none() && self.crowd_chunked.is_none() {
-            if let Some(payload) = self.probe_chunked(StageKind::Crowd) {
-                if let Some(cleaning) = chunked_cleaning(&payload) {
-                    self.crowd_cleaning = Some(cleaning);
-                    self.crowd_chunked = Some(payload);
-                }
+        self.heavy_from_disk();
+        match self.analyze_held() {
+            Ok(analysis) => analysis,
+            Err(_) => {
+                // A chunk rotted between open and read: recompute from
+                // scratch rather than serve a partial analysis.
+                self.crowd_chunked = None;
+                self.crowd_cleaning = None;
+                self.crawl_chunked = None;
+                self.analyze_held()
+                    .expect("in-memory analysis sources cannot fail")
             }
         }
-        if self.crawl.is_none() && self.crawl_chunked.is_none() {
-            self.crawl_chunked = self.probe_chunked(StageKind::Crawl);
-        }
-        if let Some(analysis) = self.try_analyze_chunked() {
-            return analysis;
-        }
-        self.crowd();
-        self.crawl();
-        stage::analysis_stage(
-            &self.context,
-            &self.plan,
-            self.crowd.as_deref().expect("cached above"),
-            self.crawl.as_deref().expect("cached above"),
-            self.personas.as_deref().expect("cached above"),
-            self.probe_world(),
-            &self.frames,
-            &self.executor,
-            self.observer.as_ref(),
-        )
     }
 
-    /// The chunked analysis attempt: runs [`stage::analysis_over`] with
-    /// whatever mix of in-memory artifacts and chunked handles the
-    /// engine holds. `None` when no handle is open (nothing to stream)
-    /// or a chunk failed mid-read — the handles are dropped so the
-    /// caller recomputes in memory.
-    fn try_analyze_chunked(&mut self) -> Option<AnalysisArtifact> {
-        if self.crowd_chunked.is_none() && self.crawl_chunked.is_none() {
-            return None;
-        }
-        // Materialize whichever heavy stage has no handle (mixed-format
-        // stores: e.g. a v2 JSON crawl next to a v3 binary crowd).
-        if self.crowd.is_none() && self.crowd_chunked.is_none() {
+    /// Runs [`stage::analysis_over`] over whatever mix of in-memory
+    /// artifacts and chunked handles the engine holds (a memo hit can
+    /// sit beside a disk handle), computing a heavy stage it holds
+    /// neither way. Fails only when a chunk fails mid-read.
+    fn analyze_held(&mut self) -> Result<AnalysisArtifact, StoreError> {
+        if !self.holds_heavy(StageKind::Crowd) {
             self.crowd();
         }
-        if self.crawl.is_none() && self.crawl_chunked.is_none() {
+        if !self.holds_heavy(StageKind::Crawl) {
             self.crawl();
         }
         let keys = stage::FrameKeys {
@@ -734,36 +672,26 @@ impl Engine {
                     .as_ref()
                     .expect("cleaning stashed with the crowd handle"),
             ),
-            (None, None) => unreachable!("crowd materialized above"),
+            (None, None) => unreachable!("crowd resolved above"),
         };
         let crawl_store = match (&self.crawl, &self.crawl_chunked) {
             (Some(art), _) => stage::StoreSource::Memory(&art.store),
             (None, Some(payload)) => stage::StoreSource::Chunked(payload, "store"),
-            (None, None) => unreachable!("crawl materialized above"),
+            (None, None) => unreachable!("crawl resolved above"),
         };
-        match stage::analysis_over(
+        stage::analysis_over(
             &self.context,
             &self.plan.config,
             crowd_raw,
             crowd_clean,
             cleaning,
             crawl_store,
-            self.personas.as_deref().expect("personas cached"),
+            self.personas.as_deref().expect("personas resolved first"),
             self.probe_world(),
             Some(keys),
             &self.executor,
             self.observer.as_ref(),
-        ) {
-            Ok(analysis) => Some(analysis),
-            Err(_) => {
-                // A chunk rotted between open and read: recompute from
-                // scratch rather than serve a partial analysis.
-                self.crowd_chunked = None;
-                self.crowd_cleaning = None;
-                self.crawl_chunked = None;
-                None
-            }
-        }
+        )
     }
 
     /// The world for the analysis's probe fallback: built — before the
@@ -780,16 +708,6 @@ impl Engine {
     pub fn run(&mut self) -> Report {
         self.analyze().report
     }
-}
-
-/// The cleaning report parked in a chunked crowd payload's meta chunk
-/// (the meta chunk is the artifact with its row arrays emptied, so it
-/// deserializes as a hollow [`CrowdArtifact`]).
-fn chunked_cleaning(payload: &ChunkedPayload) -> Option<CleaningReport> {
-    payload
-        .meta::<CrowdArtifact>()
-        .ok()
-        .map(|hollow| hollow.cleaning)
 }
 
 /// Why a builder could not produce an engine.
@@ -861,7 +779,6 @@ pub struct ExperimentBuilder {
     threads: usize,
     observer: Arc<dyn RunObserver>,
     artifacts: Option<PathBuf>,
-    store_format: StoreFormat,
     frame_cache: Option<Arc<FrameCache>>,
     store_cache: Option<Arc<StoreCache>>,
 }
@@ -889,7 +806,6 @@ impl Default for ExperimentBuilder {
             threads: 1,
             observer: Arc::new(NullObserver),
             artifacts: None,
-            store_format: StoreFormat::Json,
             frame_cache: None,
             store_cache: None,
         }
@@ -981,11 +897,10 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Sets the payload format for artifacts the built engines save
-    /// (default [`StoreFormat::Json`]; what `pd run --format` drives).
+    /// Kept for callers written when stores had two payload formats:
+    /// a no-op, since every store is binary ([`StoreFormat::Binary`]).
     #[must_use]
-    pub fn store_format(mut self, format: StoreFormat) -> Self {
-        self.store_format = format;
+    pub fn store_format(self, _format: StoreFormat) -> Self {
         self
     }
 
@@ -1108,8 +1023,7 @@ impl ExperimentBuilder {
             .with_provenance(provenance)
             .with_spec(spec.clone())
             .with_frame_cache(Arc::clone(&caches.frames))
-            .with_store_cache(Arc::clone(&caches.stores))
-            .with_store_format(self.store_format);
+            .with_store_cache(Arc::clone(&caches.stores));
         if let Some(dir) = &self.artifacts {
             let arm_dir = if label.is_empty() {
                 dir.clone()
@@ -1582,7 +1496,6 @@ mod tests {
         let mut producer = Experiment::builder()
             .scenario("smoke")
             .seed(7)
-            .store_format(StoreFormat::Binary)
             .build()
             .expect("smoke builds");
         let report = producer.run();
@@ -1698,17 +1611,16 @@ mod tests {
         let first = engine
             .save_analysis(&dir, &analysis)
             .expect("save analysis");
-        let written = std::fs::read(dir.join("analysis.json")).expect("file exists");
+        assert!(dir.join("analysis.bin").is_file());
         // A second save under the same fingerprint must not rewrite.
-        std::fs::write(dir.join("analysis.json"), b"sentinel").expect("scribble");
+        std::fs::write(dir.join("analysis.bin"), b"sentinel").expect("scribble");
         let second = engine.save_analysis(&dir, &analysis).expect("fresh skip");
         assert_eq!(first, second, "reported size must be the stored size");
         assert_eq!(
-            std::fs::read(dir.join("analysis.json")).expect("file exists"),
+            std::fs::read(dir.join("analysis.bin")).expect("file exists"),
             b"sentinel",
             "a fresh entry must be left untouched"
         );
-        let _ = written;
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1857,9 +1769,16 @@ mod tests {
         };
         let mut loader = build();
         assert_eq!(loader.run().to_json(), reference);
-        // `analyze` resolves personas before the heavy stages.
+        // `analyze` resolves personas before the heavy stages, and
+        // streams those off disk: only the whole persona load is kept.
         let load_order = [StageKind::Personas, StageKind::Crowd, StageKind::Crawl];
         assert_eq!(loader.loaded_stages(), load_order.as_slice());
+        assert_eq!(memo.len(), 1, "streamed stages stay on disk");
+        // Whole-payload loads of the heavy stages are kept at once too.
+        let mut whole = build();
+        whole.crowd();
+        whole.crawl();
+        assert_eq!(whole.loaded_stages(), &load_order[1..]);
         assert_eq!(memo.len(), 3, "loads are kept at once");
         // The next engine hits the memo without opening the store.
         std::fs::remove_dir_all(&dir).ok();

@@ -5,10 +5,14 @@
 //! evaluation. This module gives the engine the same property across
 //! process lifetimes. Each stage artifact ([`crate::CrowdArtifact`],
 //! [`crate::CrawlArtifact`], [`crate::PersonaArtifact`],
-//! [`crate::AnalysisArtifact`]) is written as versioned JSON under a
-//! directory, and a `manifest.json` records provenance: which scenario
-//! produced it, at which seed, profile and thread count, under which
-//! [`RunPlan`], and with which upstream fingerprints.
+//! [`crate::AnalysisArtifact`]) is written under a directory as one
+//! versioned, checksummed binary file (`<stage>.bin`): framed rows in
+//! domain-partitioned chunks behind a chunk index, so analysis can
+//! stream a single domain without decoding the whole payload. A
+//! `manifest.json` records provenance: which scenario produced the
+//! store, at which seed, profile and thread count, under which
+//! [`RunPlan`], and with which upstream fingerprints. `pd artifacts cat`
+//! prints a stored stage as JSON for inspection.
 //!
 //! ## Fingerprints, not file names
 //!
@@ -55,7 +59,6 @@ use crate::config::ExperimentConfig;
 use crate::observer::StageKind;
 use crate::scenario::RunPlan;
 use crate::spec::ScenarioSpec;
-use crate::stage::{AnalysisArtifact, CrawlArtifact, CrowdArtifact, PersonaArtifact};
 use pd_sheriff::MeasurementStore;
 use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
@@ -63,24 +66,21 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// On-disk schema version. Bump whenever an artifact's serialized shape
-/// changes; every envelope and manifest records it, and a version this
-/// build cannot read is a hard rejection (never a silent misparse).
+/// changes; every manifest and binary header records it, and a version
+/// this build cannot read is a hard rejection (never a silent misparse).
 ///
 /// v2: `ExperimentConfig` grew the `world` section (failure injection),
 /// `RunPlan` grew `targets_from_crowd`, and the manifest records the
 /// producing [`ScenarioSpec`].
 ///
-/// v3: the store learned the compact binary payload format
-/// ([`StoreFormat::Binary`]) and the manifest entries record a format
-/// and chunk count. The *artifact shapes* did not change, so v2 stores
-/// remain fully readable ([`MIN_SCHEMA_VERSION`]) and their
-/// fingerprints stay valid (the fingerprint basis carries its own
-/// schema revision, `FINGERPRINT_SCHEMA`, which did not move).
+/// v3: payloads moved to the chunked binary layout (`<stage>.bin`,
+/// magic `PDB3`) and manifest entries record a format tag and chunk
+/// count. The *artifact shapes* did not change, so fingerprints stayed
+/// valid (the fingerprint basis carries its own schema revision,
+/// `FINGERPRINT_SCHEMA`, which did not move). v3 is the only layout this
+/// build reads: [`ArtifactStore::open`] refuses an older one with
+/// [`StoreError::OlderLayout`].
 pub const SCHEMA_VERSION: u32 = 3;
-
-/// Oldest on-disk schema version this build still reads. v2 stores are
-/// plain-JSON-only but shape-identical, so they load as-is.
-pub const MIN_SCHEMA_VERSION: u32 = 2;
 
 /// The schema revision folded into every fingerprint basis. This is
 /// *not* bumped in lockstep with [`SCHEMA_VERSION`]: a container-level
@@ -131,54 +131,24 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// How a stage payload is laid out on disk.
-///
-/// Both formats sit behind the exact same schema + fingerprint checks;
-/// the format decides only how the payload bytes are produced and
-/// consumed. JSON (`<stage>.json`) is the human-inspectable default;
-/// binary (`<stage>.bin`) is the compact v3 encoding: framed rows in
+/// The payload layout tag every manifest entry records. The chunked
+/// binary layout (`<stage>.bin`) is the only one: framed rows in
 /// domain-partitioned chunks behind a chunk index, so a single domain
-/// loads without deserializing the whole payload.
+/// loads without deserializing the whole payload. The tag is kept so
+/// manifests stay readable by builds that also knew other layouts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreFormat {
-    /// One JSON envelope per stage, payload inline.
-    Json,
     /// Length-prefixed framed-rows binary envelope with a chunk index.
     Binary,
 }
 
 impl StoreFormat {
-    /// The flag spelling (`json` / `binary`).
+    /// The manifest spelling (`binary`).
     #[must_use]
     pub const fn as_str(self) -> &'static str {
         match self {
-            StoreFormat::Json => "json",
             StoreFormat::Binary => "binary",
         }
-    }
-
-    /// Parses the flag spelling produced by [`Self::as_str`].
-    #[must_use]
-    pub fn parse(s: &str) -> Option<StoreFormat> {
-        match s {
-            "json" => Some(StoreFormat::Json),
-            "binary" => Some(StoreFormat::Binary),
-            _ => None,
-        }
-    }
-
-    /// The artifact file name for a stage in this format.
-    fn file_name(self, stage: &str) -> String {
-        match self {
-            StoreFormat::Json => format!("{stage}.json"),
-            StoreFormat::Binary => format!("{stage}.bin"),
-        }
-    }
-}
-
-impl fmt::Display for StoreFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -191,9 +161,8 @@ impl Serialize for StoreFormat {
 impl Deserialize for StoreFormat {
     fn deserialize(v: &Value) -> Result<Self, serde::Error> {
         match v.as_str() {
-            Some(s) => {
-                StoreFormat::parse(s).ok_or_else(|| serde::Error::unknown_variant(s, "StoreFormat"))
-            }
+            Some("binary") => Ok(StoreFormat::Binary),
+            Some(s) => Err(serde::Error::unknown_variant(s, "StoreFormat")),
             None => Err(serde::Error::expected("string", "StoreFormat")),
         }
     }
@@ -351,7 +320,7 @@ pub enum StoreError {
         /// What went wrong.
         detail: String,
     },
-    /// The file was written by a different on-disk schema version.
+    /// The file was written by a newer on-disk schema version.
     SchemaMismatch {
         /// The offending file.
         path: String,
@@ -379,6 +348,18 @@ pub enum StoreError {
         /// The store directory.
         dir: String,
     },
+    /// The store was written in an older layout this build no longer
+    /// reads: a schema-v2 manifest, or an entry stored as JSON (or with
+    /// no format tag). Re-measuring into a fresh store recovers.
+    OlderLayout {
+        /// The store directory.
+        dir: String,
+        /// The first stage the manifest lists in the older layout
+        /// (`None` for an older manifest with no entries).
+        stage: Option<String>,
+        /// What is old about it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -393,8 +374,7 @@ impl fmt::Display for StoreError {
             }
             StoreError::SchemaMismatch { path, found } => write!(
                 f,
-                "{path} uses on-disk schema v{found}, this build reads \
-                 v{MIN_SCHEMA_VERSION}..v{SCHEMA_VERSION}"
+                "{path} uses on-disk schema v{found}, this build reads v{SCHEMA_VERSION}"
             ),
             StoreError::StaleFingerprint {
                 stage,
@@ -412,6 +392,17 @@ impl fmt::Display for StoreError {
                 "{dir} holds artifacts from a different run plan; refusing to overwrite \
                  (inspect with `pd artifacts ls {dir}`, or choose another directory)"
             ),
+            StoreError::OlderLayout { dir, stage, reason } => {
+                let stage = stage
+                    .as_deref()
+                    .map_or_else(String::new, |s| format!(" (stage {s})"));
+                write!(
+                    f,
+                    "{dir} is an older artifact store{stage}: {reason}; this build reads only \
+                     binary schema-v{SCHEMA_VERSION} stores (remove the directory, or pass \
+                     --overwrite-artifacts to `pd run` to replace it)"
+                )
+            }
         }
     }
 }
@@ -514,32 +505,21 @@ pub struct ManifestEntry {
     /// Hex fingerprint the artifact was stored under.
     pub fingerprint: String,
     /// File name inside the store directory (a locator only — the
-    /// envelope's own fingerprint is what gets trusted).
+    /// file header's own fingerprint is what gets trusted).
     pub file: String,
     /// Serialized size in bytes.
     pub bytes: u64,
-    /// Serialized size of the payload alone (the artifact body without
-    /// the envelope framing — the number the binary payload encoding
-    /// shrinks). `None` in manifests written before this field existed.
-    pub payload_bytes: Option<u64>,
-    /// Payload layout of the file. `None` in manifests written before
-    /// the binary format existed (implied [`StoreFormat::Json`]).
-    pub format: Option<StoreFormat>,
-    /// Chunk count of a binary file (one meta chunk + one row chunk per
-    /// domain per row section). `None` for JSON entries.
-    pub chunks: Option<u32>,
+    /// Size of the chunk region alone (the artifact body without the
+    /// header and chunk index).
+    pub payload_bytes: u64,
+    /// Payload layout of the file (always [`StoreFormat::Binary`]).
+    pub format: StoreFormat,
+    /// Chunk count (one meta chunk + one row chunk per domain per row
+    /// section).
+    pub chunks: u32,
     /// Hex fingerprints of the upstream artifacts this one was derived
     /// from (empty for measurement stages).
     pub upstream: Vec<String>,
-}
-
-impl ManifestEntry {
-    /// The entry's payload layout ([`StoreFormat::Json`] when the
-    /// manifest predates the format field).
-    #[must_use]
-    pub fn store_format(&self) -> StoreFormat {
-        self.format.unwrap_or(StoreFormat::Json)
-    }
 }
 
 /// The store's index: provenance, the producing plan, and every entry.
@@ -560,26 +540,16 @@ pub struct Manifest {
     pub entries: Vec<ManifestEntry>,
 }
 
-/// The versioned wrapper around every artifact file. The payload is
-/// only handed to deserialization after the schema version, stage name
-/// and fingerprint all check out.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Envelope {
-    schema_version: u32,
-    stage: String,
-    fingerprint: String,
-    payload: Value,
-}
-
 /// Health of one manifest entry, as reported by [`ArtifactStore::verify`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EntryHealth {
-    /// File present, envelope consistent with the manifest.
+    /// File present, header and chunk checksums consistent with the
+    /// manifest.
     Ok,
     /// The manifest references a file that does not exist.
     MissingFile,
-    /// The file exists but is unreadable, unparsable, or contradicts
-    /// the manifest (wrong stage, fingerprint or schema).
+    /// The file exists but is unreadable, fails a checksum, or
+    /// contradicts the manifest (wrong stage, fingerprint or schema).
     Corrupt(String),
 }
 
@@ -599,7 +569,6 @@ impl fmt::Display for EntryHealth {
 pub struct ArtifactStore {
     dir: PathBuf,
     manifest: Manifest,
-    format: StoreFormat,
 }
 
 impl ArtifactStore {
@@ -634,7 +603,6 @@ impl ArtifactStore {
                 spec,
                 entries: Vec::new(),
             },
-            format: StoreFormat::Json,
         };
         store.write_manifest()?;
         Ok(store)
@@ -646,8 +614,10 @@ impl ArtifactStore {
     ///
     /// [`StoreError::NoManifest`] when `dir` has no manifest;
     /// [`StoreError::Corrupt`] when the manifest does not parse;
-    /// [`StoreError::SchemaMismatch`] when it was written by a
-    /// different schema version; [`StoreError::Io`] on read failure.
+    /// [`StoreError::OlderLayout`] when it was written in a layout
+    /// older than [`SCHEMA_VERSION`] or lists a stage not stored as
+    /// binary; [`StoreError::SchemaMismatch`] when a newer build wrote
+    /// it; [`StoreError::Io`] on read failure.
     pub fn open(dir: &Path) -> Result<Self, StoreError> {
         let path = dir.join(MANIFEST_FILE);
         if !path.is_file() {
@@ -656,20 +626,16 @@ impl ArtifactStore {
             });
         }
         let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, &e))?;
-        let manifest: Manifest = serde_json::from_str(&text).map_err(|e| StoreError::Corrupt {
+        let corrupt = |e: serde::Error| StoreError::Corrupt {
             path: path.display().to_string(),
             detail: e.to_string(),
-        })?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&manifest.schema_version) {
-            return Err(StoreError::SchemaMismatch {
-                path: path.display().to_string(),
-                found: manifest.schema_version,
-            });
-        }
+        };
+        let value: Value = serde_json::from_str(&text).map_err(corrupt)?;
+        check_layout(dir, &path, &value)?;
+        let manifest = Manifest::deserialize(&value).map_err(corrupt)?;
         Ok(ArtifactStore {
             dir: dir.to_path_buf(),
             manifest,
-            format: StoreFormat::Json,
         })
     }
 
@@ -677,19 +643,6 @@ impl ArtifactStore {
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The payload format subsequent [`save`](Self::save) calls write.
-    /// Loads always auto-detect from the manifest entry, so a store can
-    /// hold mixed formats.
-    #[must_use]
-    pub fn format(&self) -> StoreFormat {
-        self.format
-    }
-
-    /// Sets the payload format for subsequent saves.
-    pub fn set_format(&mut self, format: StoreFormat) {
-        self.format = format;
     }
 
     /// The manifest (provenance, plan, entries).
@@ -706,8 +659,7 @@ impl ArtifactStore {
 
     /// Saves an artifact under its fingerprint, replacing any previous
     /// entry for the same stage. The file is written atomically (unique
-    /// temp file + fsync + rename) in the store's current
-    /// [`format`](Self::format) and the manifest is updated on disk
+    /// temp file + fsync + rename) and the manifest is updated on disk
     /// before the call returns. Returns the serialized size in bytes.
     ///
     /// # Errors
@@ -721,56 +673,16 @@ impl ArtifactStore {
         upstream: &[Fingerprint],
         artifact: &T,
     ) -> Result<u64, StoreError> {
-        let (bytes, payload_bytes, chunks) = match self.format {
-            StoreFormat::Json => {
-                let envelope = Envelope {
-                    schema_version: SCHEMA_VERSION,
-                    stage: stage.to_owned(),
-                    fingerprint: fingerprint.to_string(),
-                    payload: serde_json::to_value(artifact),
-                };
-                let text = serde_json::to_string(&envelope).expect("envelope serializes");
-                // Payload size without re-serializing the payload:
-                // render the same envelope around a `null` payload and
-                // subtract the framing (rendering is deterministic —
-                // sorted keys, no whitespace — so the framing length is
-                // exact).
-                let framing = {
-                    let hollow = Envelope {
-                        payload: Value::Null,
-                        ..envelope
-                    };
-                    serde_json::to_string(&hollow)
-                        .expect("envelope serializes")
-                        .len()
-                        - "null".len()
-                };
-                let payload_bytes = (text.len() - framing) as u64;
-                (text.into_bytes(), payload_bytes, None)
-            }
-            StoreFormat::Binary => {
-                let (bytes, payload_bytes, chunks) = encode_binary(stage, fingerprint, artifact);
-                (bytes, payload_bytes, Some(chunks))
-            }
-        };
-        let file = self.format.file_name(stage);
-        let path = self.dir.join(&file);
-        write_atomic(&path, &bytes)?;
-        // A format switch leaves the stage's old file under the other
-        // extension; drop it so the directory never holds two
-        // generations of one stage.
-        if let Some(old) = self.entry(stage).map(|e| e.file.clone()) {
-            if old != file {
-                let _ = std::fs::remove_file(self.dir.join(old));
-            }
-        }
+        let (bytes, payload_bytes, chunks) = encode_binary(stage, fingerprint, artifact);
+        let file = format!("{stage}.bin");
+        write_atomic(&self.dir.join(&file), &bytes)?;
         let entry = ManifestEntry {
             stage: stage.to_owned(),
             fingerprint: fingerprint.to_string(),
             file,
             bytes: bytes.len() as u64,
-            payload_bytes: Some(payload_bytes),
-            format: Some(self.format),
+            payload_bytes,
+            format: StoreFormat::Binary,
             chunks,
             upstream: upstream.iter().map(Fingerprint::to_string).collect(),
         };
@@ -778,17 +690,15 @@ impl ArtifactStore {
             Some(existing) => *existing = entry,
             None => self.manifest.entries.push(entry),
         }
-        // Any save from this build upgrades the container version (the
-        // artifact shapes are unchanged; see SCHEMA_VERSION docs).
-        self.manifest.schema_version = SCHEMA_VERSION;
         self.write_manifest()?;
         Ok(bytes.len() as u64)
     }
 
     /// Loads a stage artifact, trusting nothing: the manifest must list
-    /// the stage, the manifest's fingerprint and the envelope's own
-    /// fingerprint must both equal `expected`, the schema version must
-    /// match, and only then is the payload deserialized.
+    /// the stage, the manifest's fingerprint and the file header's own
+    /// fingerprint must both equal `expected`, the schema version and
+    /// every chunk checksum must match, and only then is the payload
+    /// decoded.
     ///
     /// # Errors
     ///
@@ -798,48 +708,19 @@ impl ArtifactStore {
     /// [`StoreError::Corrupt`] or [`StoreError::Io`] when the file is
     /// unusable.
     pub fn load<T: Artifact>(&self, stage: &str, expected: Fingerprint) -> Result<T, StoreError> {
-        let entry = self.entry(stage).ok_or_else(|| StoreError::MissingStage {
-            stage: stage.to_owned(),
-        })?;
-        if entry.fingerprint != expected.to_string() {
-            return Err(StoreError::StaleFingerprint {
-                stage: stage.to_owned(),
-                expected: expected.to_string(),
-                found: entry.fingerprint.clone(),
-            });
-        }
-        self.load_entry(entry)
+        self.open_chunked(stage, expected)?.assemble()
     }
 
-    /// Decodes an entry's artifact in whichever format it is stored
-    /// (the envelope or header must agree with the manifest entry).
-    fn load_entry<T: Artifact>(&self, entry: &ManifestEntry) -> Result<T, StoreError> {
-        match entry.store_format() {
-            StoreFormat::Json => {
-                let payload = self.read_envelope(entry)?.payload;
-                serde_json::from_value(payload).map_err(|e| StoreError::Corrupt {
-                    path: self.dir.join(&entry.file).display().to_string(),
-                    detail: format!("payload does not deserialize: {e}"),
-                })
-            }
-            StoreFormat::Binary => self.open_chunked_entry(entry)?.assemble(),
-        }
-    }
-
-    /// Opens a binary stage entry for chunked reads: the header and
-    /// every chunk checksum are validated up front (so corruption is
-    /// caught here, exactly like a failed JSON parse), but no chunk is
-    /// *decoded* — [`ChunkedPayload::read_chunk_rows`] decodes single
-    /// domains on demand, which is what lets `pd rerun` re-analyze a
-    /// store without materializing whole measurement payloads.
+    /// Opens a stage entry for chunked reads: the header and every
+    /// chunk checksum are validated up front (so corruption is caught
+    /// here), but no chunk is *decoded* —
+    /// [`ChunkedPayload::read_chunk_rows`] decodes single domains on
+    /// demand, which is what lets `pd rerun` re-analyze a store without
+    /// materializing whole measurement payloads.
     ///
     /// # Errors
     ///
-    /// [`StoreError::MissingStage`] / [`StoreError::StaleFingerprint`]
-    /// as for [`load`](Self::load); [`StoreError::Corrupt`] when the
-    /// entry is stored as JSON (callers check
-    /// [`ManifestEntry::store_format`] first) or the file fails
-    /// validation.
+    /// As for [`load`](Self::load).
     pub fn open_chunked(
         &self,
         stage: &str,
@@ -855,107 +736,33 @@ impl ArtifactStore {
                 found: entry.fingerprint.clone(),
             });
         }
-        self.open_chunked_entry(entry)
+        self.open_entry(entry)
     }
 
-    /// Validates and opens an entry's binary file against its manifest
-    /// record (magic, schema, stage, fingerprint, every chunk checksum).
-    fn open_chunked_entry(&self, entry: &ManifestEntry) -> Result<ChunkedPayload, StoreError> {
-        let path = self.dir.join(&entry.file);
-        if entry.store_format() != StoreFormat::Binary {
-            return Err(StoreError::Corrupt {
-                path: path.display().to_string(),
-                detail: format!(
-                    "stage {} is stored as {}, not binary",
-                    entry.stage,
-                    entry.store_format()
-                ),
-            });
-        }
-        ChunkedPayload::open(&path, &entry.stage, &entry.fingerprint)
+    /// Validates and opens an entry's file against its manifest record
+    /// (magic, schema, stage, fingerprint, every chunk checksum).
+    fn open_entry(&self, entry: &ManifestEntry) -> Result<ChunkedPayload, StoreError> {
+        ChunkedPayload::open(
+            &self.dir.join(&entry.file),
+            &entry.stage,
+            &entry.fingerprint,
+        )
     }
 
-    /// Re-encodes every stored artifact in `format`, leaving stages,
-    /// fingerprints and payloads untouched. Idempotent: entries already
-    /// in the target format are rewritten in place. Each entry is
-    /// decoded as its stage's artifact type (any other stage name as an
-    /// opaque [`Value`]). Returns per-stage `(stage, old bytes, new
-    /// bytes)` rows in manifest order.
-    ///
-    /// # Errors
-    ///
-    /// Any [`StoreError`] from decoding an existing entry or writing
-    /// the re-encoded one; entries before the failing one are already
-    /// migrated (each save is atomic and manifest-consistent).
-    pub fn migrate(&mut self, format: StoreFormat) -> Result<Vec<(String, u64, u64)>, StoreError> {
-        let entries = self.manifest.entries.clone();
-        self.format = format;
-        let mut report = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let fingerprint =
-                Fingerprint::parse(&entry.fingerprint).ok_or_else(|| StoreError::Corrupt {
-                    path: self.dir.join(MANIFEST_FILE).display().to_string(),
-                    detail: format!(
-                        "manifest fingerprint {:?} for stage {} is not 16 hex digits",
-                        entry.fingerprint, entry.stage
-                    ),
-                })?;
-            let upstream: Vec<Fingerprint> = entry
-                .upstream
-                .iter()
-                .map(|fp| {
-                    Fingerprint::parse(fp).ok_or_else(|| StoreError::Corrupt {
-                        path: self.dir.join(MANIFEST_FILE).display().to_string(),
-                        detail: format!(
-                            "manifest upstream fingerprint {fp:?} for stage {} is not 16 hex \
-                             digits",
-                            entry.stage
-                        ),
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            let new_bytes = match entry.stage.as_str() {
-                "crowd" => self.resave::<CrowdArtifact>(&entry, fingerprint, &upstream),
-                "crawl" => self.resave::<CrawlArtifact>(&entry, fingerprint, &upstream),
-                "personas" => self.resave::<PersonaArtifact>(&entry, fingerprint, &upstream),
-                "analysis" => self.resave::<AnalysisArtifact>(&entry, fingerprint, &upstream),
-                _ => self.resave::<Value>(&entry, fingerprint, &upstream),
-            }?;
-            report.push((entry.stage, entry.bytes, new_bytes));
-        }
-        Ok(report)
-    }
-
-    /// Decodes one entry as `T` and saves it again in the current format.
-    fn resave<T: Artifact>(
-        &mut self,
-        entry: &ManifestEntry,
-        fingerprint: Fingerprint,
-        upstream: &[Fingerprint],
-    ) -> Result<u64, StoreError> {
-        let artifact: T = self.load_entry(entry)?;
-        self.save(&entry.stage, fingerprint, upstream, &artifact)
-    }
-
-    /// Checks every manifest entry against its file: existence, parse
-    /// (JSON) or header + chunk checksums (binary), schema version,
-    /// stage and fingerprint consistency. Used by `pd artifacts ls`
-    /// (payload sizes come straight off the manifest —
-    /// [`ManifestEntry::payload_bytes`] is recorded at save time).
+    /// Checks every manifest entry against its file: existence, header
+    /// and chunk checksums, schema version, stage and fingerprint
+    /// consistency. Used by `pd artifacts ls` (payload sizes come
+    /// straight off the manifest — [`ManifestEntry::payload_bytes`] is
+    /// recorded at save time).
     #[must_use]
     pub fn verify(&self) -> Vec<(ManifestEntry, EntryHealth)> {
         self.manifest
             .entries
             .iter()
             .map(|entry| {
-                let outcome = match entry.store_format() {
-                    StoreFormat::Json => self.read_envelope(entry).map(|_| ()),
-                    StoreFormat::Binary => self.open_chunked_entry(entry).map(|_| ()),
-                };
-                let health = match outcome {
-                    Ok(()) => EntryHealth::Ok,
-                    Err(StoreError::Io { detail, .. }) if !self.dir.join(&entry.file).is_file() => {
-                        let _ = detail;
+                let health = match self.open_entry(entry) {
+                    Ok(_) => EntryHealth::Ok,
+                    Err(StoreError::Io { .. }) if !self.dir.join(&entry.file).is_file() => {
                         EntryHealth::MissingFile
                     }
                     Err(e) => EntryHealth::Corrupt(e.to_string()),
@@ -965,40 +772,64 @@ impl ArtifactStore {
             .collect()
     }
 
-    /// Reads and validates an entry's envelope (schema, stage name and
-    /// fingerprint must agree with the manifest), without touching the
-    /// payload.
-    fn read_envelope(&self, entry: &ManifestEntry) -> Result<Envelope, StoreError> {
-        let path = self.dir.join(&entry.file);
-        let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, &e))?;
-        let envelope: Envelope = serde_json::from_str(&text).map_err(|e| StoreError::Corrupt {
-            path: path.display().to_string(),
-            detail: e.to_string(),
-        })?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&envelope.schema_version) {
-            return Err(StoreError::SchemaMismatch {
-                path: path.display().to_string(),
-                found: envelope.schema_version,
-            });
-        }
-        if envelope.stage != entry.stage || envelope.fingerprint != entry.fingerprint {
-            return Err(StoreError::Corrupt {
-                path: path.display().to_string(),
-                detail: format!(
-                    "envelope says stage {} fingerprint {}, manifest says stage {} \
-                     fingerprint {}",
-                    envelope.stage, envelope.fingerprint, entry.stage, entry.fingerprint
-                ),
-            });
-        }
-        Ok(envelope)
-    }
-
     fn write_manifest(&self) -> Result<(), StoreError> {
         let path = self.dir.join(MANIFEST_FILE);
         let text = serde_json::to_string_pretty(&self.manifest).expect("manifest serializes");
         write_atomic(&path, text.as_bytes())
     }
+}
+
+/// Refuses a manifest this build cannot read, before its typed decode:
+/// a newer schema ([`StoreError::SchemaMismatch`]), an older one, or any
+/// entry whose format tag is missing or not binary
+/// ([`StoreError::OlderLayout`], naming the first such stage). Shapes
+/// the typed decode would reject anyway pass through to it.
+fn check_layout(dir: &Path, path: &Path, manifest: &Value) -> Result<(), StoreError> {
+    let Value::Object(map) = manifest else {
+        return Ok(());
+    };
+    let entries: &[Value] = map
+        .get("entries")
+        .and_then(Value::as_array)
+        .map_or(&[], Vec::as_slice);
+    let stage_of = |entry: &Value| {
+        let stage = entry.as_object()?.get("stage")?.as_str()?;
+        Some(stage.to_owned())
+    };
+    let older = |stage: Option<String>, reason: String| StoreError::OlderLayout {
+        dir: dir.display().to_string(),
+        stage,
+        reason,
+    };
+    match map.get("schema_version").and_then(Value::as_u64) {
+        Some(v) if v > u64::from(SCHEMA_VERSION) => {
+            return Err(StoreError::SchemaMismatch {
+                path: path.display().to_string(),
+                found: u32::try_from(v).unwrap_or(u32::MAX),
+            })
+        }
+        Some(v) if v < u64::from(SCHEMA_VERSION) => {
+            return Err(older(
+                entries.first().and_then(stage_of),
+                format!("its manifest is schema v{v}"),
+            ))
+        }
+        _ => {}
+    }
+    for entry in entries {
+        let Value::Object(fields) = entry else {
+            continue;
+        };
+        let reason = match fields.get("format").unwrap_or(&Value::Null) {
+            Value::String(tag) if tag == StoreFormat::Binary.as_str() => continue,
+            Value::String(tag) => format!("it is stored as {tag}"),
+            Value::Null => "it has no format tag".to_owned(),
+            // Not a tag at all: the typed decode reports it as corrupt.
+            _ => continue,
+        };
+        return Err(older(stage_of(entry), reason));
+    }
+    Ok(())
 }
 
 /// Magic bytes opening every binary artifact file (`<stage>.bin`).
@@ -1205,7 +1036,7 @@ impl ChunkedPayload {
             .and_then(Value::as_u64)
             .ok_or_else(|| corrupt("header missing schema_version".to_owned()))?;
         let schema = u32::try_from(schema).unwrap_or(u32::MAX);
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
+        if schema != SCHEMA_VERSION {
             return Err(StoreError::SchemaMismatch {
                 path: path.display().to_string(),
                 found: schema,
@@ -1251,8 +1082,7 @@ impl ChunkedPayload {
         };
         // Eager integrity pass: read (not decode) every chunk once and
         // verify its checksum, so a bit-flipped or truncated chunk is
-        // rejected at open — the same failure point as a JSON parse
-        // error — rather than mid-analysis.
+        // rejected at open rather than mid-analysis.
         payload.read_chunk_bytes(&payload.meta)?;
         for chunk in &payload.chunks {
             payload.read_chunk_bytes(chunk)?;
@@ -1355,9 +1185,9 @@ impl ChunkedPayload {
             .collect())
     }
 
-    /// Reassembles and decodes the full artifact (the non-chunked load
-    /// path for binary entries): the meta chunk, with every section's
-    /// rows spliced back into their original positions.
+    /// Reassembles and decodes the full artifact (the whole-payload
+    /// load path): the meta chunk, with every section's rows spliced
+    /// back into their original positions.
     ///
     /// # Errors
     ///
@@ -1453,6 +1283,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::{CrawlArtifact, CrowdArtifact};
     use pd_sheriff::Measurement;
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -1570,8 +1401,9 @@ mod tests {
         let fp = crawl_fingerprint(&plan);
         store.save("crawl", fp, &[], &art).expect("save");
 
-        // Truncate the artifact file: load must fail, verify must flag it.
-        std::fs::write(dir.join("crawl.json"), b"{ not json").expect("scribble");
+        // Scribble over the artifact file: load must fail, verify must
+        // flag it.
+        std::fs::write(dir.join("crawl.bin"), b"{ not binary").expect("scribble");
         let reopened = ArtifactStore::open(&dir).expect("open");
         assert!(matches!(
             reopened.load::<CrawlArtifact>("crawl", fp),
@@ -1581,14 +1413,14 @@ mod tests {
         assert_eq!(verified.len(), 1);
         assert!(matches!(verified[0].1, EntryHealth::Corrupt(_)));
 
-        // A file renamed over another stage's slot fails the envelope
+        // A file renamed over another stage's slot fails the header
         // check even though the name looks right.
         store.save("crawl", fp, &[], &art).expect("re-save");
         let crowd_fp = crowd_fingerprint(&plan);
         store
             .save("crowd", crowd_fp, &[], &art)
             .expect("save crowd");
-        std::fs::copy(dir.join("crawl.json"), dir.join("crowd.json")).expect("swap");
+        std::fs::copy(dir.join("crawl.bin"), dir.join("crowd.bin")).expect("swap");
         let reopened = ArtifactStore::open(&dir).expect("open");
         assert!(matches!(
             reopened.load::<CrawlArtifact>("crowd", crowd_fp),
@@ -1682,50 +1514,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip_matches_json_and_is_smaller() {
-        let dir_json = tmp_dir("bin-vs-json-j");
-        let dir_bin = tmp_dir("bin-vs-json-b");
-        let plan = smoke_plan(7);
-        let fp = crawl_fingerprint(&plan);
-        let art = crawl_artifact(&["a.example", "b.example", "c.example"], 40);
-        let prov = || Provenance::new("smoke", "", "smoke", 7, 1);
-
-        let mut js = ArtifactStore::create(&dir_json, prov(), &plan, None).expect("create");
-        let json_bytes = js.save("crawl", fp, &[], &art).expect("json save");
-
-        let mut bs = ArtifactStore::create(&dir_bin, prov(), &plan, None).expect("create");
-        bs.set_format(StoreFormat::Binary);
-        let bin_bytes = bs.save("crawl", fp, &[], &art).expect("binary save");
-        assert!(dir_bin.join("crawl.bin").is_file());
-        assert!(
-            bin_bytes * 3 <= json_bytes,
-            "binary ({bin_bytes} B) must be ≤ 1/3 of JSON ({json_bytes} B)"
-        );
-
-        let from_json: CrawlArtifact = ArtifactStore::open(&dir_json)
-            .expect("open")
-            .load("crawl", fp)
-            .expect("json load");
-        let from_bin: CrawlArtifact = ArtifactStore::open(&dir_bin)
-            .expect("open")
-            .load("crawl", fp)
-            .expect("binary load");
-        assert_eq!(
-            serde_json::to_string(&serde_json::to_value(&from_json)),
-            serde_json::to_string(&serde_json::to_value(&from_bin)),
-            "the two formats must load identical artifacts"
-        );
-        assert_eq!(from_bin.store.len(), art.store.len());
-        assert_eq!(from_bin.store.records(), art.store.records());
-
-        let entry = bs.entry("crawl").expect("entry").clone();
-        assert_eq!(entry.store_format(), StoreFormat::Binary);
-        assert_eq!(entry.chunks, Some(4), "meta + one chunk per domain");
-        std::fs::remove_dir_all(&dir_json).ok();
-        std::fs::remove_dir_all(&dir_bin).ok();
-    }
-
-    #[test]
     fn chunked_open_reads_single_domains() {
         let dir = tmp_dir("chunked-read");
         let plan = smoke_plan(7);
@@ -1739,8 +1527,11 @@ mod tests {
             None,
         )
         .expect("create");
-        store.set_format(StoreFormat::Binary);
         store.save("crawl", fp, &[], &art).expect("save");
+        assert!(dir.join("crawl.bin").is_file());
+        let entry = store.entry("crawl").expect("entry");
+        assert_eq!(entry.format, StoreFormat::Binary);
+        assert_eq!(entry.chunks, 4, "meta + one chunk per domain");
 
         let chunked = store.open_chunked("crawl", fp).expect("open chunked");
         assert_eq!(chunked.chunk_count(), 4);
@@ -1781,7 +1572,6 @@ mod tests {
             None,
         )
         .expect("create");
-        store.set_format(StoreFormat::Binary);
         store
             .save(
                 "crawl",
@@ -1824,53 +1614,6 @@ mod tests {
     }
 
     #[test]
-    fn migrate_round_trips_byte_identically() {
-        let dir = tmp_dir("migrate");
-        let plan = smoke_plan(7);
-        let fp = crawl_fingerprint(&plan);
-        let mut store = ArtifactStore::create(
-            &dir,
-            Provenance::new("smoke", "", "smoke", 7, 1),
-            &plan,
-            None,
-        )
-        .expect("create");
-        store
-            .save(
-                "crawl",
-                fp,
-                &[],
-                &crawl_artifact(&["m.example", "n.example"], 12),
-            )
-            .expect("save");
-        let original = std::fs::read(dir.join("crawl.json")).expect("json bytes");
-
-        let mut store = ArtifactStore::open(&dir).expect("open");
-        let report = store.migrate(StoreFormat::Binary).expect("to binary");
-        assert_eq!(report.len(), 1);
-        assert_eq!(report[0].0, "crawl");
-        assert_eq!(report[0].1, original.len() as u64);
-        assert!(report[0].2 < report[0].1, "binary must shrink the store");
-        assert!(dir.join("crawl.bin").is_file());
-        assert!(
-            !dir.join("crawl.json").exists(),
-            "the superseded JSON file must be removed"
-        );
-        // The fingerprint is untouched, so the entry still loads.
-        let art: CrawlArtifact = store.load("crawl", fp).expect("load after migrate");
-        assert_eq!(art.store.len(), 24);
-
-        let report = store.migrate(StoreFormat::Json).expect("back to json");
-        let restored = std::fs::read(dir.join("crawl.json")).expect("json bytes");
-        assert_eq!(report[0].2, restored.len() as u64);
-        assert_eq!(
-            original, restored,
-            "json → binary → json must be byte-identical"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn concurrent_saves_never_publish_partial_bytes() {
         let dir = tmp_dir("concurrent-save");
         let plan = smoke_plan(7);
@@ -1886,7 +1629,7 @@ mod tests {
         // Eight threads, each with its own handle on the same dir,
         // hammer the same stage with payloads of very different sizes.
         // Before the unique-temp-name fix the writers shared one
-        // `crawl.json.tmp` and could rename each other's half-written
+        // `crawl.bin.tmp` and could rename each other's half-written
         // bytes into place.
         let sizes: Vec<u64> = (0..8).map(|i| 5 + 40 * i).collect();
         let threads: Vec<_> = sizes
@@ -1907,9 +1650,9 @@ mod tests {
         }
 
         // Whatever interleaving happened, the published file must be a
-        // complete, valid envelope holding one of the variants...
+        // complete, valid file holding one of the variants...
         let reopened = ArtifactStore::open(&dir).expect("manifest parses");
-        let art: CrawlArtifact = reopened.load("crawl", fp).expect("envelope parses");
+        let art: CrawlArtifact = reopened.load("crawl", fp).expect("file decodes");
         let len = art.store.len() as u64;
         assert!(
             sizes.iter().any(|&n| 2 * n == len),
@@ -1929,81 +1672,94 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn v2_json_stores_still_load() {
-        let dir = tmp_dir("v2-compat");
-        let plan = smoke_plan(7);
-        let fp = crawl_fingerprint(&plan);
-        let art = crawl_artifact(&["old.example"], 6);
-
-        // Write the store with this build, then rewrite both files the
-        // way a v2 build laid them down: schema_version 2 and no
-        // format/chunks keys in the manifest entry.
-        let mut store = ArtifactStore::create(
-            &dir,
-            Provenance::new("smoke", "", "smoke", 7, 1),
-            &plan,
-            None,
-        )
-        .expect("create");
-        store.save("crawl", fp, &[], &art).expect("save");
-
-        let downgrade = |v: &mut Value| {
-            if let Value::Object(map) = v {
-                map.insert("schema_version".to_owned(), Value::UInt(2));
-            }
-        };
-        let envelope_path = dir.join("crawl.json");
-        let mut envelope: Value =
-            serde_json::from_str(&std::fs::read_to_string(&envelope_path).expect("read"))
-                .expect("parse");
-        downgrade(&mut envelope);
-        std::fs::write(
-            &envelope_path,
-            serde_json::to_string(&envelope).expect("render"),
-        )
-        .expect("write");
-        let manifest_path = dir.join(MANIFEST_FILE);
+    /// Rewrites `dir`'s manifest through `edit` on its JSON tree.
+    fn edit_manifest(dir: &Path, edit: impl FnOnce(&mut serde::Map)) {
+        let path = dir.join(MANIFEST_FILE);
         let mut manifest: Value =
-            serde_json::from_str(&std::fs::read_to_string(&manifest_path).expect("read"))
-                .expect("parse");
-        downgrade(&mut manifest);
+            serde_json::from_str(&std::fs::read_to_string(&path).expect("read")).expect("parse");
         if let Value::Object(map) = &mut manifest {
-            if let Some(Value::Array(entries)) = map.get_mut("entries") {
-                for entry in entries {
-                    if let Value::Object(entry) = entry {
-                        entry.remove("format");
-                        entry.remove("chunks");
-                    }
-                }
-            }
+            edit(map);
         }
         std::fs::write(
-            &manifest_path,
+            &path,
             serde_json::to_string_pretty(&manifest).expect("render"),
         )
         .expect("write");
+    }
 
-        // The v2 store opens, reports JSON format, and loads — the
-        // fingerprint basis did not move with the container version.
-        let reopened = ArtifactStore::open(&dir).expect("v2 store opens");
-        assert_eq!(reopened.manifest().schema_version, 2);
-        let entry = reopened.entry("crawl").expect("entry");
-        assert_eq!(entry.store_format(), StoreFormat::Json);
-        let back: CrawlArtifact = reopened.load("crawl", fp).expect("v2 artifact loads");
+    /// Sets (or with `None`, removes) the `format` tag of every entry.
+    fn set_entry_formats(map: &mut serde::Map, format: Option<&str>) {
+        if let Some(Value::Array(entries)) = map.get_mut("entries") {
+            for entry in entries {
+                if let Value::Object(entry) = entry {
+                    match format {
+                        Some(tag) => entry.insert("format".to_owned(), Value::String(tag.into())),
+                        None => entry.remove("format"),
+                    };
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn older_layouts_are_refused_at_open() {
+        let dir = tmp_dir("older-layout");
+        let plan = smoke_plan(7);
+        let art = crawl_artifact(&["old.example"], 6);
+        let fresh = || {
+            let mut store = ArtifactStore::create(
+                &dir,
+                Provenance::new("smoke", "", "smoke", 7, 1),
+                &plan,
+                None,
+            )
+            .expect("create");
+            store
+                .save("crawl", crawl_fingerprint(&plan), &[], &art)
+                .expect("save");
+        };
+        fn set_schema(map: &mut serde::Map, v: u64) {
+            map.insert("schema_version".to_owned(), Value::UInt(v));
+        }
+
+        // The manifests older builds wrote: a v2 one (no format tags),
+        // a v3 one listing a JSON payload, and a v3 one without a tag.
+        for reason in ["schema v2", "stored as json", "no format tag"] {
+            fresh();
+            edit_manifest(&dir, |m| match reason {
+                "schema v2" => {
+                    set_schema(m, 2);
+                    set_entry_formats(m, None);
+                }
+                "stored as json" => set_entry_formats(m, Some("json")),
+                _ => set_entry_formats(m, None),
+            });
+            match ArtifactStore::open(&dir) {
+                Err(e @ StoreError::OlderLayout { .. }) => {
+                    let text = e.to_string();
+                    assert!(text.contains("stage crawl"), "{reason}: {text}");
+                    assert!(text.contains(reason), "{reason}: {text}");
+                    assert!(text.contains("--overwrite-artifacts"), "{reason}: {text}");
+                }
+                other => panic!("{reason}: expected OlderLayout, got {other:?}"),
+            }
+        }
+
+        // A newer build's store is a schema mismatch, not an older one.
+        fresh();
+        edit_manifest(&dir, |m| set_schema(m, u64::from(SCHEMA_VERSION) + 1));
+        assert!(matches!(
+            ArtifactStore::open(&dir),
+            Err(StoreError::SchemaMismatch { found: 4, .. })
+        ));
+
+        // Re-creating the store over the directory recovers.
+        fresh();
+        let reopened = ArtifactStore::open(&dir).expect("fresh store opens");
+        let back: CrawlArtifact = reopened
+            .load("crawl", crawl_fingerprint(&plan))
+            .expect("loads");
         assert_eq!(back.store.records(), art.store.records());
-
-        // Saving anything upgrades the container to the current version.
-        let mut reopened = reopened;
-        reopened.save("crawl", fp, &[], &art).expect("re-save");
-        assert_eq!(reopened.manifest().schema_version, SCHEMA_VERSION);
-        assert_eq!(
-            ArtifactStore::open(&dir)
-                .expect("reopen")
-                .manifest()
-                .schema_version,
-            SCHEMA_VERSION
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2108,7 +1864,6 @@ mod tests {
                 None,
             )
             .expect("create");
-            store.set_format(StoreFormat::Binary);
             store
                 .save("crowd", crowd_fingerprint(&plan), &[], &crowd)
                 .expect("save crowd");

@@ -5,13 +5,12 @@
 //!                   [--set key=value]... [--seed N] [--threads N]
 //!                   [--profile smoke|small|medium|paper]
 //!                   [--json PATH] [--render] [--timings]
-//!                   [--artifacts DIR [--overwrite-artifacts]
-//!                    [--format json|binary]]
+//!                   [--artifacts DIR [--overwrite-artifacts]]
 //! pd rerun <DIR> [--threads N] [--fig1-top N] [--attribution-products N]
 //!                [--json PATH] [--render] [--timings]
 //! pd scenarios show <NAME> [--json]
 //! pd artifacts ls <DIR>
-//! pd artifacts migrate <DIR> [--format json|binary]
+//! pd artifacts cat <DIR> <crowd|crawl|personas|analysis>
 //! pd serve [--addr HOST:PORT] [--threads N] [--job-threads N]
 //!          [--runners N] [--artifacts DIR] [--queue N]
 //! pd submit <scenario>|--spec FILE_OR_NAME [--addr HOST:PORT]
@@ -39,12 +38,12 @@
 //!
 //! `--artifacts DIR` is a transparent read-through cache: a stage whose
 //! fingerprint matches a stored artifact is loaded instead of computed,
-//! and freshly computed artifacts are persisted after the run. A store
-//! produced by a *different* run is never silently replaced — that
-//! takes `--overwrite-artifacts`. `--format binary` saves the compact
-//! chunked encoding (5–10x smaller; loads stream one domain chunk at a
-//! time); `pd artifacts migrate DIR` converts a store in place either
-//! way, byte-identically. `pd rerun DIR` re-analyzes a stored crawl —
+//! and freshly computed artifacts are persisted after the run. Stores
+//! are chunked binary files (loads stream one domain chunk at a time);
+//! `pd artifacts cat DIR STAGE` prints a stored stage as JSON. A store
+//! produced by a *different* run, or in an older layout this build no
+//! longer reads, is never silently replaced — that takes
+//! `--overwrite-artifacts`. `pd rerun DIR` re-analyzes a stored crawl —
 //! optionally under different analysis knobs — without re-measuring
 //! anything. The persona stage stores the analysis's web probes too;
 //! `--attribution-products N` reuses them when N is the stored count
@@ -68,10 +67,10 @@
 //! go to stderr. A closed stdout (`pd … | head -1`) ends the process
 //! quietly with status 0.
 
-use pd_core::store::{ArtifactStore, Provenance, StoreError, StoreFormat};
+use pd_core::store::{self, Artifact, ArtifactStore, Fingerprint, Provenance, StoreError};
 use pd_core::{
-    ConfigPatch, Engine, Executor, Experiment, Profile, ScenarioRegistry, ScenarioSpec, StageKind,
-    TimingObserver,
+    AnalysisArtifact, ConfigPatch, CrawlArtifact, CrowdArtifact, Engine, Executor, Experiment,
+    PersonaArtifact, Profile, ScenarioRegistry, ScenarioSpec, StageKind, TimingObserver,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -117,7 +116,6 @@ struct RunArgs {
     timings: bool,
     artifacts: Option<PathBuf>,
     overwrite_artifacts: bool,
-    format: StoreFormat,
 }
 
 struct RerunArgs {
@@ -191,12 +189,12 @@ fn usage(registry: &ScenarioRegistry) -> String {
          \x20                   [--seed N] [--threads N]\n\
          \x20                   [--profile smoke|small|medium|paper]\n\
          \x20                   [--json PATH] [--render] [--timings]\n\
-         \x20                   [--artifacts DIR [--format json|binary]]\n\
+         \x20                   [--artifacts DIR [--overwrite-artifacts]]\n\
          \x20 pd rerun <DIR> [--threads N] [--fig1-top N] [--attribution-products N]\n\
          \x20                [--json PATH] [--render] [--timings]\n\
          \x20 pd scenarios show <NAME> [--json]\n\
          \x20 pd artifacts ls <DIR>\n\
-         \x20 pd artifacts migrate <DIR> [--format json|binary]\n\
+         \x20 pd artifacts cat <DIR> <crowd|crawl|personas|analysis>\n\
          \x20 pd serve [--addr HOST:PORT] [--threads N] [--job-threads N]\n\
          \x20          [--runners N] [--artifacts DIR] [--queue N]\n\
          \x20 pd submit <scenario>|--spec FILE_OR_NAME [--addr HOST:PORT]\n\
@@ -224,16 +222,14 @@ fn usage(registry: &ScenarioRegistry) -> String {
          \x20 --json PATH      write the full report(s) as JSON\n\
          \x20 --render         print every figure, not just the summary\n\
          \x20 --timings        print per-stage wall-times and store loads\n\
-         \x20 --artifacts DIR  persist stage artifacts to DIR and reuse any\n\
-         \x20                  stored artifact whose fingerprint matches the\n\
-         \x20                  run (measure once, re-analyze forever)\n\
+         \x20 --artifacts DIR  persist stage artifacts to DIR (chunked binary\n\
+         \x20                  files; loads stream per-domain chunks) and reuse\n\
+         \x20                  any stored artifact whose fingerprint matches the\n\
+         \x20                  run (measure once, re-analyze forever).\n\
+         \x20                  `pd artifacts cat DIR STAGE` prints a stage as JSON\n\
          \x20 --overwrite-artifacts  allow --artifacts to replace a store\n\
-         \x20                  produced by a different run (refused otherwise)\n\
-         \x20 --format F       payload format for saved artifacts: json\n\
-         \x20                  (default, human-readable) or binary (compact\n\
-         \x20                  chunked encoding; loads stream per-domain\n\
-         \x20                  chunks). `pd artifacts migrate` converts a\n\
-         \x20                  store in place, byte-identically\n\
+         \x20                  produced by a different run or in an older\n\
+         \x20                  layout (refused otherwise)\n\
          \n\
          RERUN OPTIONS (re-analyze a stored crawl without re-measuring):\n\
          \x20 --fig1-top N              rank N domains in Fig. 1 (default 27)\n\
@@ -274,7 +270,6 @@ fn parse_run(mut args: std::env::Args, registry: &ScenarioRegistry) -> Result<Ru
         timings: false,
         artifacts: None,
         overwrite_artifacts: false,
-        format: StoreFormat::Json,
     };
     let mut first = true;
     while let Some(arg) = args.next() {
@@ -319,11 +314,6 @@ fn parse_run(mut args: std::env::Args, registry: &ScenarioRegistry) -> Result<Ru
                 ));
             }
             "--overwrite-artifacts" => run.overwrite_artifacts = true,
-            "--format" => {
-                let v = args.next().ok_or("--format needs json or binary")?;
-                run.format =
-                    StoreFormat::parse(&v).ok_or(format!("unknown format {v:?} (json|binary)"))?;
-            }
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -457,7 +447,7 @@ fn execute_run(run: &RunArgs, registry: &ScenarioRegistry) -> Result<(), String>
         .threads(run.threads)
         .observer(observer.clone());
     if let Some(dir) = &run.artifacts {
-        builder = builder.artifacts(dir.clone()).store_format(run.format);
+        builder = builder.artifacts(dir.clone());
     }
     // Sweep arms run concurrently (the thread budget splits arm-level ×
     // intra-arm); output, artifact saves and observer events stay in
@@ -498,9 +488,12 @@ fn execute_run(run: &RunArgs, registry: &ScenarioRegistry) -> Result<(), String>
             }
             let saved = match engine.save_artifacts(&dir) {
                 Ok(saved) => saved,
-                // A store from a different run is never silently
-                // clobbered; replacing it takes an explicit flag.
-                Err(StoreError::PlanMismatch { .. }) if run.overwrite_artifacts => {
+                // A store from a different run or in an older layout is
+                // never silently clobbered; replacing it takes an
+                // explicit flag (the older-layout error names it).
+                Err(StoreError::PlanMismatch { .. } | StoreError::OlderLayout { .. })
+                    if run.overwrite_artifacts =>
+                {
                     std::fs::remove_dir_all(&dir)
                         .map_err(|e| format!("clearing {}: {e}", dir.display()))?;
                     engine.save_artifacts(&dir).map_err(|e| e.to_string())?
@@ -646,23 +639,15 @@ fn execute_artifacts_ls(dir: &Path) -> Result<(), String> {
         "chunks"
     );
     for (entry, health) in store.verify() {
-        // Payload size (the artifact body inside the envelope, recorded
-        // at save time). "-" for manifests written before the field
-        // existed; likewise chunks for JSON entries (unchunked).
-        let payload = entry
-            .payload_bytes
-            .map_or_else(|| "-".to_owned(), |b| b.to_string());
-        let chunks = entry
-            .chunks
-            .map_or_else(|| "-".to_owned(), |c| c.to_string());
+        // The payload is the chunk region, recorded at save time.
         outln!(
             "  {:<10} {:<17} {:>10} {:>10} {:>7} {:>7}  {}",
             entry.stage,
             entry.fingerprint,
             entry.bytes,
-            payload,
-            entry.store_format().as_str(),
-            chunks,
+            entry.payload_bytes,
+            entry.format.as_str(),
+            entry.chunks,
             health
         );
         for up in &entry.upstream {
@@ -672,19 +657,32 @@ fn execute_artifacts_ls(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// `pd artifacts migrate DIR`: re-encode every stored payload in the
-/// requested format (binary by default), in place, under the same
-/// fingerprints — a later load sees byte-identical artifacts.
-fn execute_artifacts_migrate(dir: &Path, format: StoreFormat) -> Result<(), String> {
-    let mut store = ArtifactStore::open(dir).map_err(|e| e.to_string())?;
-    let moved = store.migrate(format).map_err(|e| e.to_string())?;
-    outln!("migrated {} to {format} payloads", dir.display());
-    if moved.is_empty() {
-        outln!("  (store has no entries)");
+/// The stages `pd artifacts cat` prints.
+const CAT_STAGES: &str = "crowd|crawl|personas|analysis";
+
+/// `pd artifacts cat DIR STAGE`: print one stored stage as compact
+/// JSON. The typed artifact is loaded like any load — under the
+/// fingerprint the store's own plan gives the stage, every chunk
+/// checksum verified — and rendered with `serde_json::to_string`.
+fn execute_artifacts_cat(dir: &Path, stage: &str) -> Result<(), String> {
+    fn render<T: Artifact>(
+        store: &ArtifactStore,
+        stage: &str,
+        fp: Fingerprint,
+    ) -> Result<String, String> {
+        let artifact: T = store.load(stage, fp).map_err(|e| e.to_string())?;
+        serde_json::to_string(&artifact).map_err(|e| e.to_string())
     }
-    for (stage, old_bytes, new_bytes) in moved {
-        outln!("  {stage:<10} {old_bytes:>10} -> {new_bytes:>10} bytes");
-    }
+    let store = ArtifactStore::open(dir).map_err(|e| e.to_string())?;
+    let plan = store.manifest().plan.to_plan();
+    let json = match stage {
+        "crowd" => render::<CrowdArtifact>(&store, stage, store::crowd_fingerprint(&plan)),
+        "crawl" => render::<CrawlArtifact>(&store, stage, store::crawl_fingerprint(&plan)),
+        "personas" => render::<PersonaArtifact>(&store, stage, store::personas_fingerprint(&plan)),
+        "analysis" => render::<AnalysisArtifact>(&store, stage, store::analysis_fingerprint(&plan)),
+        other => unreachable!("main admits only {CAT_STAGES}, not {other:?}"),
+    }?;
+    outln!("{json}");
     Ok(())
 }
 
@@ -982,23 +980,17 @@ fn main() {
                     fail(1, &e);
                 }
             }
-            (Some("migrate"), Some(dir)) => {
-                let format = match (args.next().as_deref(), args.next()) {
-                    (None, None) => StoreFormat::Binary,
-                    (Some("--format"), Some(v)) => StoreFormat::parse(&v)
-                        .unwrap_or_else(|| fail(2, &format!("unknown format {v:?} (json|binary)"))),
-                    _ => fail(
-                        2,
-                        "usage: pd artifacts migrate <DIR> [--format json|binary]",
-                    ),
-                };
-                if let Err(e) = execute_artifacts_migrate(Path::new(&dir), format) {
-                    fail(1, &e);
+            (Some("cat"), Some(dir)) => match (args.next(), args.next()) {
+                (Some(stage), None) if CAT_STAGES.split('|').any(|s| s == stage) => {
+                    if let Err(e) = execute_artifacts_cat(Path::new(&dir), &stage) {
+                        fail(1, &e);
+                    }
                 }
-            }
+                _ => fail(2, &format!("usage: pd artifacts cat <DIR> <{CAT_STAGES}>")),
+            },
             _ => fail(
                 2,
-                "usage: pd artifacts ls <DIR> | pd artifacts migrate <DIR> [--format json|binary]",
+                &format!("usage: pd artifacts ls <DIR> | pd artifacts cat <DIR> <{CAT_STAGES}>"),
             ),
         },
         Some("scenarios") => match (args.next().as_deref(), args.next(), args.next().as_deref()) {

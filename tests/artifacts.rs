@@ -4,16 +4,18 @@
 //!   over randomized measurement artifacts, and end-to-end over a full
 //!   smoke `Report`,
 //! * corrupted files and stale fingerprints are rejected (the engine
-//!   recomputes; it never trusts a file name),
+//!   recomputes; it never trusts a file name), and so are stores in the
+//!   older JSON-era layouts (refused with a recovery hint, never
+//!   misread),
 //! * a stored smoke crawl re-analyzes **across processes**: `pd run
 //!   --artifacts` then `pd rerun` in a fresh process reproduce the
 //!   direct run's JSON exactly, and the CLI's error paths exit nonzero
 //!   on stderr.
 
-use pd_core::store::{self, ArtifactStore, EntryHealth, Provenance, StoreError, StoreFormat};
+use pd_core::store::{self, ArtifactStore, EntryHealth, Provenance, StoreError};
 use pd_core::{
-    CrawlArtifact, CrowdArtifact, Engine, Executor, Experiment, ExperimentConfig, RunPlan,
-    StageKind, TimingObserver,
+    AnalysisArtifact, CrawlArtifact, CrowdArtifact, Engine, Executor, Experiment, ExperimentConfig,
+    PersonaArtifact, RunPlan, StageKind, TimingObserver,
 };
 use pd_currency::{Currency, Price};
 use pd_net::clock::SimTime;
@@ -67,10 +69,11 @@ fn measurement(i: u64, minor: i64, domain_tag: &str, fail: bool, time_ms: u64) -
 }
 
 proptest! {
-    /// Save → load → save again: the second file must be byte-identical
-    /// to the first, over randomized artifact contents (prices of every
-    /// sign and currency, failure strings with escapes, arbitrary
-    /// check times).
+    /// Save → load → save again: the loaded records equal the in-memory
+    /// artifact's, and the second `crowd.bin` is byte-identical to the
+    /// first, over randomized artifact contents (prices of every sign
+    /// and currency, failure strings with escapes, arbitrary check
+    /// times).
     #[test]
     fn prop_store_round_trip_is_byte_identical(
         n in 1usize..12,
@@ -101,7 +104,7 @@ proptest! {
         let mut s = ArtifactStore::create(&dir, Provenance::new("prop", "", "smoke", seed, 1), &plan, None)
             .expect("store creates");
         s.save("crowd", fp, &[], &artifact).expect("first save");
-        let first = std::fs::read(dir.join("crowd.json")).expect("artifact file exists");
+        let first = std::fs::read(dir.join("crowd.bin")).expect("artifact file exists");
 
         let loaded: CrowdArtifact = ArtifactStore::open(&dir)
             .expect("store reopens")
@@ -109,76 +112,13 @@ proptest! {
             .expect("round-trip load");
         prop_assert_eq!(loaded.raw.len(), artifact.raw.len());
         prop_assert_eq!(loaded.raw.records(), artifact.raw.records());
+        prop_assert_eq!(loaded.cleaned.records(), artifact.cleaned.records());
         prop_assert_eq!(loaded.cleaning, artifact.cleaning);
 
         s.save("crowd", fp, &[], &loaded).expect("re-save");
-        let second = std::fs::read(dir.join("crowd.json")).expect("artifact file exists");
+        let second = std::fs::read(dir.join("crowd.bin")).expect("artifact file exists");
         prop_assert_eq!(first, second, "round-trip must be byte-identical");
         std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-proptest! {
-    /// The binary payload format agrees with JSON: the same artifact
-    /// saved both ways loads to identical records, and the binary
-    /// save → load → save loop is byte-identical on disk — over
-    /// randomized contents (prices of every sign and currency, failure
-    /// strings with escapes, arbitrary check times).
-    #[test]
-    fn prop_binary_store_matches_json(
-        n in 1usize..12,
-        minor in -1_000_000i64..10_000_000,
-        tag in "[a-z0-9]{1,12}",
-        time_ms in 0u64..10_000_000_000,
-        seed in 0u64..1_000_000,
-    ) {
-        let json_dir = tmp(&format!("prop-fmt-json-{seed}-{n}"));
-        let bin_dir = tmp(&format!("prop-fmt-bin-{seed}-{n}"));
-        let plan = RunPlan::new(ExperimentConfig::smoke(seed));
-        let mut raw = MeasurementStore::new();
-        for i in 0..n as u64 {
-            raw.push(measurement(i.wrapping_add(seed), minor + i as i64, &tag, i % 5 == 0, time_ms + i));
-        }
-        let artifact = CrowdArtifact {
-            cleaned: raw.clone(),
-            raw,
-            cleaning: pd_sheriff::cleaning::CleaningReport {
-                kept: n,
-                dropped_inconsistent: n / 2,
-                dropped_unhealthy: 0,
-                dropped_tax_explained: 1,
-                dropped_truly_noisy: 0,
-                kept_truly_noisy: n / 3,
-            },
-        };
-        let fp = store::crowd_fingerprint(&plan);
-        let provenance = Provenance::new("prop", "", "smoke", seed, 1);
-        let mut json_store = ArtifactStore::create(&json_dir, provenance.clone(), &plan, None)
-            .expect("json store creates");
-        json_store.save("crowd", fp, &[], &artifact).expect("json save");
-        let mut bin_store = ArtifactStore::create(&bin_dir, provenance, &plan, None)
-            .expect("binary store creates");
-        bin_store.set_format(StoreFormat::Binary);
-        bin_store.save("crowd", fp, &[], &artifact).expect("binary save");
-        let first = std::fs::read(bin_dir.join("crowd.bin")).expect("binary file exists");
-
-        let from_json: CrowdArtifact = ArtifactStore::open(&json_dir)
-            .expect("json store reopens")
-            .load("crowd", fp)
-            .expect("json load");
-        let from_bin: CrowdArtifact = ArtifactStore::open(&bin_dir)
-            .expect("binary store reopens")
-            .load("crowd", fp)
-            .expect("binary load");
-        prop_assert_eq!(from_bin.raw.records(), from_json.raw.records());
-        prop_assert_eq!(from_bin.cleaned.records(), from_json.cleaned.records());
-        prop_assert_eq!(from_bin.cleaning, from_json.cleaning);
-
-        bin_store.save("crowd", fp, &[], &from_bin).expect("binary re-save");
-        let second = std::fs::read(bin_dir.join("crowd.bin")).expect("binary file exists");
-        prop_assert_eq!(first, second, "binary round-trip must be byte-identical");
-        std::fs::remove_dir_all(&json_dir).ok();
-        std::fs::remove_dir_all(&bin_dir).ok();
     }
 }
 
@@ -218,166 +158,200 @@ fn stored_smoke_report_is_byte_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Corruption is rejected: a scribbled-over artifact file fails its
-/// envelope check, the engine recomputes, and `verify` flags the entry.
-#[test]
-fn corrupted_artifacts_are_rejected_and_recomputed() {
-    let dir = tmp("corrupt");
-    let mut producer = Experiment::builder()
-        .scenario("smoke")
-        .seed(7)
-        .build()
-        .expect("smoke builds");
-    producer.crowd();
-    producer.save_artifacts(&dir).expect("save");
-    std::fs::write(dir.join("crowd.json"), "{\"schema_version\":1,").expect("corrupt the file");
-
-    let s = ArtifactStore::open(&dir).expect("manifest still fine");
-    let fp = store::crowd_fingerprint(&RunPlan::new(ExperimentConfig::smoke(7)));
-    assert!(matches!(
-        s.load::<CrowdArtifact>("crowd", fp),
-        Err(StoreError::Corrupt { .. })
-    ));
-    assert!(matches!(s.verify()[0].1, EntryHealth::Corrupt(_)));
-
-    let observer = Arc::new(TimingObserver::new());
-    let mut consumer = Experiment::builder()
-        .scenario("smoke")
-        .seed(7)
-        .observer(observer.clone())
-        .artifacts(dir.clone())
-        .build()
-        .expect("smoke builds");
-    consumer.crowd();
-    assert_eq!(observer.loads(StageKind::Crowd), 0, "corrupt must not load");
-    assert_eq!(
-        observer.starts(StageKind::Crowd),
-        1,
-        "corrupt must recompute"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Binary corruption is rejected chunk-by-chunk: scribbling over the
-/// chunk region fails the per-chunk checksums at open, both the full
-/// load and the streaming probe report `Corrupt`, and the engine falls
-/// back to recomputing the stage.
+/// Corruption is rejected: a scribbled-over file, a flipped byte in a
+/// row chunk or a truncated file fails the header or per-chunk checks
+/// at open, both the full load and the streaming probe report
+/// `Corrupt`, `verify` flags the entry, and the engine falls back to
+/// recomputing the stage — for the crowd and the crawl alike.
 #[test]
 fn corrupted_binary_chunks_are_rejected_and_recomputed() {
     let dir = tmp("corrupt-binary");
     let mut producer = Experiment::builder()
         .scenario("smoke")
         .seed(7)
-        .store_format(StoreFormat::Binary)
         .build()
         .expect("smoke builds");
+    producer.crowd();
     producer.crawl();
     producer.save_artifacts(&dir).expect("save");
 
-    // Flip bytes near the end of the file — inside the last domain
-    // chunk, well past the header — then also try a truncated copy.
-    let path = dir.join("crawl.bin");
-    let pristine = std::fs::read(&path).expect("binary artifact exists");
-    let mut flipped = pristine.clone();
-    let at = flipped.len() - 32;
-    for b in &mut flipped[at..] {
-        *b ^= 0xff;
-    }
-    let fp = store::crawl_fingerprint(&RunPlan::new(ExperimentConfig::smoke(7)));
-    for (label, bytes) in [
-        ("flipped", flipped),
-        ("truncated", pristine[..pristine.len() - 16].to_vec()),
+    let plan = RunPlan::new(ExperimentConfig::smoke(7));
+    for (kind, fp) in [
+        (StageKind::Crowd, store::crowd_fingerprint(&plan)),
+        (StageKind::Crawl, store::crawl_fingerprint(&plan)),
     ] {
-        std::fs::write(&path, bytes).expect("corrupt the file");
-        let s = ArtifactStore::open(&dir).expect("manifest still fine");
-        assert!(
-            matches!(
-                s.load::<CrawlArtifact>("crawl", fp),
-                Err(StoreError::Corrupt { .. })
-            ),
-            "{label} chunk must fail the full load"
-        );
-        assert!(
-            matches!(s.open_chunked("crawl", fp), Err(StoreError::Corrupt { .. })),
-            "{label} chunk must fail the streaming probe"
-        );
-    }
+        let stage = kind.as_str();
+        let path = dir.join(format!("{stage}.bin"));
+        let pristine = std::fs::read(&path).expect("binary artifact exists");
+        // Flip bytes near the end of the file — inside the last domain
+        // chunk, well past the header.
+        let mut flipped = pristine.clone();
+        let at = flipped.len() - 32;
+        for b in &mut flipped[at..] {
+            *b ^= 0xff;
+        }
+        for (label, bytes) in [
+            ("scribbled", b"{\"schema_version\":1,".to_vec()),
+            ("flipped", flipped),
+            ("truncated", pristine[..pristine.len() - 16].to_vec()),
+        ] {
+            std::fs::write(&path, bytes).expect("corrupt the file");
+            let s = ArtifactStore::open(&dir).expect("manifest still fine");
+            let load = match kind {
+                StageKind::Crowd => s.load::<CrowdArtifact>(stage, fp).map(drop),
+                _ => s.load::<CrawlArtifact>(stage, fp).map(drop),
+            };
+            assert!(
+                matches!(load, Err(StoreError::Corrupt { .. })),
+                "{stage} {label}: the full load must fail"
+            );
+            assert!(
+                matches!(s.open_chunked(stage, fp), Err(StoreError::Corrupt { .. })),
+                "{stage} {label}: the streaming probe must fail"
+            );
+            let health = s.verify();
+            let entry = health
+                .iter()
+                .find(|(e, _)| e.stage == stage)
+                .expect("listed");
+            assert!(
+                matches!(entry.1, EntryHealth::Corrupt(_)),
+                "{stage} {label}: verify must flag it"
+            );
 
-    let observer = Arc::new(TimingObserver::new());
-    let mut consumer = Experiment::builder()
-        .scenario("smoke")
-        .seed(7)
-        .observer(observer.clone())
-        .artifacts(dir.clone())
-        .build()
-        .expect("smoke builds");
-    consumer.crawl();
-    assert_eq!(observer.loads(StageKind::Crawl), 0, "corrupt must not load");
-    assert_eq!(
-        observer.starts(StageKind::Crawl),
-        1,
-        "corrupt must recompute"
-    );
+            let observer = Arc::new(TimingObserver::new());
+            let mut consumer = Experiment::builder()
+                .scenario("smoke")
+                .seed(7)
+                .observer(observer.clone())
+                .artifacts(dir.clone())
+                .build()
+                .expect("smoke builds");
+            match kind {
+                StageKind::Crowd => drop(consumer.crowd()),
+                _ => drop(consumer.crawl()),
+            }
+            assert_eq!(
+                observer.loads(kind),
+                0,
+                "{stage} {label}: corrupt must not load"
+            );
+            assert_eq!(
+                observer.starts(kind),
+                1,
+                "{stage} {label}: corrupt must recompute"
+            );
+        }
+        std::fs::write(&path, pristine).expect("restore");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Formats and container versions mix freely within one store: a v2-era
-/// JSON crawl (schema_version 2 envelope, no format/chunks manifest
-/// keys) sits beside v3 binary stages, and a consumer loads all of them
-/// into a byte-identical report.
+/// The JSON text of the artifact stored for `stage` in `store` — what
+/// `pd artifacts cat` prints, and what the envelopes of the JSON-era
+/// layout held as `payload`.
+fn stored_json(store: &ArtifactStore, stage: &str) -> serde_json::Value {
+    let plan = store.manifest().plan.to_plan();
+    match stage {
+        "crowd" => serde_json::to_value(
+            &store
+                .load::<CrowdArtifact>(stage, store::crowd_fingerprint(&plan))
+                .expect("crowd loads"),
+        ),
+        "crawl" => serde_json::to_value(
+            &store
+                .load::<CrawlArtifact>(stage, store::crawl_fingerprint(&plan))
+                .expect("crawl loads"),
+        ),
+        "personas" => serde_json::to_value(
+            &store
+                .load::<PersonaArtifact>(stage, store::personas_fingerprint(&plan))
+                .expect("personas load"),
+        ),
+        _ => serde_json::to_value(
+            &store
+                .load::<AnalysisArtifact>(stage, store::analysis_fingerprint(&plan))
+                .expect("analysis loads"),
+        ),
+    }
+}
+
+/// Rewrites the store in `dir` into the layout builds before the single
+/// binary format wrote by default: a schema-v2 manifest whose entries
+/// carry no format tag or chunk count and name `<stage>.json` files,
+/// each a JSON envelope around the artifact. The `.bin` files go.
+fn downgrade_to_json_era(dir: &std::path::Path) {
+    let store = ArtifactStore::open(dir).expect("store opens");
+    let mut manifest = serde_json::to_value(store.manifest());
+    let serde_json::Value::Object(map) = &mut manifest else {
+        panic!("manifest is an object");
+    };
+    map.insert("schema_version".to_owned(), serde_json::Value::Int(2));
+    let Some(serde_json::Value::Array(entries)) = map.get_mut("entries") else {
+        panic!("manifest lists entries");
+    };
+    for entry in entries {
+        let serde_json::Value::Object(entry) = entry else {
+            panic!("entries are objects");
+        };
+        let stage = entry["stage"].as_str().expect("stage").to_owned();
+        let mut envelope = serde_json::Map::new();
+        envelope.insert("schema_version".to_owned(), serde_json::Value::Int(2));
+        envelope.insert("stage".to_owned(), entry["stage"].clone());
+        envelope.insert("fingerprint".to_owned(), entry["fingerprint"].clone());
+        envelope.insert("payload".to_owned(), stored_json(&store, &stage));
+        let file = format!("{stage}.json");
+        let text = serde_json::to_string(&serde_json::Value::Object(envelope)).expect("render");
+        std::fs::write(dir.join(&file), &text).expect("write envelope");
+        std::fs::remove_file(dir.join(format!("{stage}.bin"))).expect("drop the binary file");
+        entry.insert("file".to_owned(), serde_json::Value::String(file));
+        entry.insert("bytes".to_owned(), serde_json::to_value(&text.len()));
+        entry.remove("format");
+        entry.remove("chunks");
+    }
+    std::fs::write(
+        dir.join("manifest.json"),
+        serde_json::to_string_pretty(&manifest).expect("render"),
+    )
+    .expect("write manifest");
+}
+
+/// A store in the older JSON-era layout is refused, not misread: `pd
+/// rerun` exits 1 naming the stage and the way out, `load_artifacts`
+/// returns the refusal, and a read-through engine treats it as a miss —
+/// it measures every stage and reports exactly what the direct run did.
 #[test]
-fn mixed_version_mixed_format_store_loads() {
-    let dir = tmp("mixed-version");
+fn older_layout_store_is_refused_and_recomputed() {
+    let dir = tmp("older-layout");
     let mut producer = Experiment::builder()
         .scenario("smoke")
         .seed(7)
-        .store_format(StoreFormat::Binary)
         .build()
         .expect("smoke builds");
     let direct = producer.run();
     producer.save_artifacts(&dir).expect("save");
+    downgrade_to_json_era(&dir);
 
-    // Re-save the crawl the way a v2 build laid it down: JSON payload,
-    // schema_version 2 envelope, manifest entry without format/chunks.
-    let plan = RunPlan::new(ExperimentConfig::smoke(7));
-    let fp = store::crawl_fingerprint(&plan);
-    let mut s = ArtifactStore::open(&dir).expect("store opens");
-    let crawl: CrawlArtifact = s.load("crawl", fp).expect("binary crawl loads");
-    s.set_format(StoreFormat::Json);
-    s.save("crawl", fp, &[], &crawl).expect("json re-save");
-    let envelope_path = dir.join("crawl.json");
-    let mut envelope: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&envelope_path).expect("read"))
-            .expect("parse");
-    if let serde_json::Value::Object(map) = &mut envelope {
-        map.insert("schema_version".to_owned(), serde_json::Value::UInt(2));
-    }
-    std::fs::write(
-        &envelope_path,
-        serde_json::to_string(&envelope).expect("render"),
-    )
-    .expect("write");
-    let manifest_path = dir.join("manifest.json");
-    let mut manifest: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&manifest_path).expect("read"))
-            .expect("parse");
-    if let serde_json::Value::Object(map) = &mut manifest {
-        if let Some(serde_json::Value::Array(entries)) = map.get_mut("entries") {
-            for entry in entries {
-                if let serde_json::Value::Object(entry) = entry {
-                    if entry.get("stage") == Some(&serde_json::Value::String("crawl".to_owned())) {
-                        entry.remove("format");
-                        entry.remove("chunks");
-                    }
-                }
-            }
-        }
-    }
-    std::fs::write(
-        &manifest_path,
-        serde_json::to_string_pretty(&manifest).expect("render"),
-    )
-    .expect("write");
+    let rerun = pd()
+        .arg("rerun")
+        .arg(&dir)
+        .output()
+        .expect("pd rerun executes");
+    let stderr = String::from_utf8_lossy(&rerun.stderr);
+    assert_eq!(rerun.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.contains("stage crowd"), "stderr: {stderr}");
+    assert!(stderr.contains("--overwrite-artifacts"), "stderr: {stderr}");
+
+    let mut loader = Experiment::builder()
+        .scenario("smoke")
+        .seed(7)
+        .build()
+        .expect("smoke builds");
+    assert!(matches!(
+        loader.load_artifacts(&dir),
+        Err(StoreError::OlderLayout { .. })
+    ));
 
     let observer = Arc::new(TimingObserver::new());
     let mut consumer = Experiment::builder()
@@ -387,11 +361,14 @@ fn mixed_version_mixed_format_store_loads() {
         .artifacts(dir.clone())
         .build()
         .expect("smoke builds");
-    let reloaded = consumer.run();
-    assert_eq!(direct.to_json(), reloaded.to_json(), "JSON must match");
+    assert_eq!(
+        direct.to_json(),
+        consumer.run().to_json(),
+        "JSON must match"
+    );
     for kind in [StageKind::Crowd, StageKind::Crawl, StageKind::Personas] {
-        assert_eq!(observer.starts(kind), 0, "{kind} must not recompute");
-        assert_eq!(observer.loads(kind), 1, "{kind} must load from the store");
+        assert_eq!(observer.loads(kind), 0, "{kind} must not load");
+        assert_eq!(observer.starts(kind), 1, "{kind} must recompute");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -431,52 +408,46 @@ fn stale_fingerprints_are_rejected() {
 }
 
 /// Stores written before the persona artifact carried the analysis's
-/// web probes have no `probes` field in `personas`: in either format
-/// such a store still loads, its analysis probes the web itself, and
-/// the report is byte-identical to the direct run's.
+/// web probes have no `probes` field in `personas`: such a store still
+/// loads, its analysis probes the web itself, and the report is
+/// byte-identical to the direct run's.
 #[test]
 fn personas_without_a_probe_record_rerun_to_the_same_report() {
-    for format in [StoreFormat::Json, StoreFormat::Binary] {
-        let dir = tmp(&format!("no-probes-{format}"));
-        let mut producer = Experiment::builder()
-            .scenario("smoke")
-            .seed(7)
-            .store_format(format)
-            .build()
-            .expect("smoke builds");
-        let direct = producer.run();
-        assert!(producer.personas().probes.is_some(), "the stage probes");
-        producer.save_artifacts(&dir).expect("save");
+    let dir = tmp("no-probes");
+    let mut producer = Experiment::builder()
+        .scenario("smoke")
+        .seed(7)
+        .build()
+        .expect("smoke builds");
+    let direct = producer.run();
+    assert!(producer.personas().probes.is_some(), "the stage probes");
+    producer.save_artifacts(&dir).expect("save");
 
-        // Re-save `personas` without the field, as older builds wrote it.
-        let fp = store::personas_fingerprint(&RunPlan::new(ExperimentConfig::smoke(7)));
-        let mut s = ArtifactStore::open(&dir).expect("store opens");
-        let mut personas: serde_json::Value = s.load("personas", fp).expect("personas load");
-        if let serde_json::Value::Object(map) = &mut personas {
-            assert!(map.remove("probes").is_some(), "{format}: field stored");
-        }
-        s.save("personas", fp, &[], &personas).expect("re-save");
-
-        let observer = Arc::new(TimingObserver::new());
-        let mut consumer = Experiment::builder()
-            .scenario("smoke")
-            .seed(7)
-            .observer(observer.clone())
-            .artifacts(dir.clone())
-            .build()
-            .expect("smoke builds");
-        assert!(
-            consumer.personas().probes.is_none(),
-            "{format}: absent is None"
-        );
-        assert_eq!(observer.loads(StageKind::Personas), 1, "{format}");
-        assert_eq!(
-            direct.to_json(),
-            consumer.run().to_json(),
-            "{format}: report must match"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+    // Re-save `personas` without the field, as older builds wrote it.
+    let fp = store::personas_fingerprint(&RunPlan::new(ExperimentConfig::smoke(7)));
+    let mut s = ArtifactStore::open(&dir).expect("store opens");
+    let mut personas: serde_json::Value = s.load("personas", fp).expect("personas load");
+    if let serde_json::Value::Object(map) = &mut personas {
+        assert!(map.remove("probes").is_some(), "field stored");
     }
+    s.save("personas", fp, &[], &personas).expect("re-save");
+
+    let observer = Arc::new(TimingObserver::new());
+    let mut consumer = Experiment::builder()
+        .scenario("smoke")
+        .seed(7)
+        .observer(observer.clone())
+        .artifacts(dir.clone())
+        .build()
+        .expect("smoke builds");
+    assert!(consumer.personas().probes.is_none(), "absent is None");
+    assert_eq!(observer.loads(StageKind::Personas), 1);
+    assert_eq!(
+        direct.to_json(),
+        consumer.run().to_json(),
+        "report must match"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The sum of the `name` counter over every analysis run `observer` saw.
@@ -518,7 +489,6 @@ fn binary_rerun_decodes_each_chunk_once_and_builds_no_world() {
     let mut producer = Experiment::builder()
         .scenario("smoke")
         .seed(7)
-        .store_format(StoreFormat::Binary)
         .build()
         .expect("smoke builds");
     let direct = producer.run();
@@ -679,52 +649,40 @@ fn rerun_reanalyzes_a_stored_smoke_crawl_across_processes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The binary-format acceptance, cross-process: `pd run --format
-/// binary` writes a store several times smaller than JSON, `pd rerun`
-/// reproduces the direct report byte for byte from it, `pd artifacts
-/// ls` shows the format and chunk counts, and `pd artifacts migrate`
-/// converts in place without changing what a rerun computes.
+/// The binary store, cross-process: `pd run --artifacts` writes `.bin`
+/// files no larger in total than the format's sizing run, `pd rerun`
+/// reproduces the direct report byte for byte from them, `pd artifacts
+/// ls` shows the format and chunk counts, and `pd artifacts cat` prints
+/// each stage as exactly the JSON of the engine's artifact while
+/// leaving every file as it was.
 #[test]
 fn binary_store_reruns_byte_identically_across_processes() {
     let bin_dir = tmp("cross-binary");
-    let json_dir = tmp("cross-binary-json");
     let direct_json = bin_dir.join("direct.json");
     let rerun_json = bin_dir.join("rerun.json");
-    let migrated_json = bin_dir.join("migrated.json");
     std::fs::create_dir_all(&bin_dir).expect("mkdir");
 
     let run = pd()
         .args(["run", "smoke", "--seed", "7", "--artifacts"])
         .arg(&bin_dir)
-        .args(["--format", "binary", "--json"])
+        .arg("--json")
         .arg(&direct_json)
         .output()
         .expect("pd run executes");
     assert!(run.status.success(), "pd run failed: {run:?}");
-    let run_json = pd()
-        .args(["run", "smoke", "--seed", "7", "--artifacts"])
-        .arg(&json_dir)
-        .output()
-        .expect("pd run executes");
-    assert!(run_json.status.success(), "pd run failed: {run_json:?}");
 
-    // The compression target: the binary payloads together are at
-    // least 3x smaller than their JSON twins.
-    let total = |dir: &PathBuf, ext: &str| -> u64 {
-        ["crowd", "crawl", "personas", "analysis"]
-            .iter()
-            .map(|stage| {
-                std::fs::metadata(dir.join(format!("{stage}.{ext}")))
-                    .unwrap_or_else(|_| panic!("{stage}.{ext} missing"))
-                    .len()
-            })
-            .sum()
-    };
-    let (bin_total, json_total) = (total(&bin_dir, "bin"), total(&json_dir, "json"));
-    assert!(
-        bin_total * 3 <= json_total,
-        "binary stores must be >= 3x smaller: {bin_total} vs {json_total} bytes"
-    );
+    // The four stage files of smoke seed 7 totalled 138,751 bytes when
+    // the binary format became the only one; they may not grow.
+    const STAGES: [&str; 4] = ["crowd", "crawl", "personas", "analysis"];
+    let files: Vec<Vec<u8>> = STAGES
+        .iter()
+        .map(|stage| {
+            std::fs::read(bin_dir.join(format!("{stage}.bin")))
+                .unwrap_or_else(|_| panic!("{stage}.bin missing"))
+        })
+        .collect();
+    let bin_total: usize = files.iter().map(Vec::len).sum();
+    assert!(bin_total <= 138_751, "binary store grew: {bin_total} bytes");
 
     let rerun = pd()
         .arg("rerun")
@@ -762,41 +720,53 @@ fn binary_store_reruns_byte_identically_across_processes() {
         "ls must show chunk counts:\n{ls_out}"
     );
 
-    // Migrate binary -> json in place; a rerun still reproduces the
-    // same report from the converted store.
-    let migrate = pd()
-        .args(["artifacts", "migrate"])
+    // `pd artifacts cat` prints each stage as the JSON of the artifact
+    // the engine computes in-process, and reads without writing.
+    let mut engine = Experiment::builder()
+        .scenario("smoke")
+        .seed(7)
+        .build()
+        .expect("smoke builds");
+    let analysis = engine.analyze();
+    let expected = [
+        serde_json::to_string(engine.crowd()),
+        serde_json::to_string(engine.crawl()),
+        serde_json::to_string(engine.personas()),
+        serde_json::to_string(&analysis),
+    ];
+    for (stage, expected) in STAGES.iter().zip(expected) {
+        let cat = pd()
+            .args(["artifacts", "cat"])
+            .arg(&bin_dir)
+            .arg(stage)
+            .output()
+            .expect("cat");
+        assert!(cat.status.success(), "cat {stage} failed: {cat:?}");
+        assert_eq!(
+            String::from_utf8(cat.stdout).expect("utf-8"),
+            format!("{}\n", expected.expect("renders")),
+            "cat {stage} must print the engine's artifact"
+        );
+    }
+    for (stage, before) in STAGES.iter().zip(&files) {
+        assert_eq!(
+            &std::fs::read(bin_dir.join(format!("{stage}.bin"))).expect("still there"),
+            before,
+            "cat must leave {stage}.bin untouched"
+        );
+    }
+    let bad = pd()
+        .args(["artifacts", "cat"])
         .arg(&bin_dir)
-        .args(["--format", "json"])
+        .arg("build")
         .output()
-        .expect("migrate");
-    assert!(migrate.status.success(), "migrate failed: {migrate:?}");
-    assert!(
-        bin_dir.join("crawl.json").exists(),
-        "migrate must re-encode"
-    );
-    assert!(
-        !bin_dir.join("crawl.bin").exists(),
-        "migrate must drop the old file"
-    );
-    let rerun2 = pd()
-        .arg("rerun")
-        .arg(&bin_dir)
-        .arg("--json")
-        .arg(&migrated_json)
-        .output()
-        .expect("pd rerun executes");
-    assert!(
-        rerun2.status.success(),
-        "rerun after migrate failed: {rerun2:?}"
-    );
+        .expect("cat");
     assert_eq!(
-        direct,
-        std::fs::read(&migrated_json).expect("migrated report written"),
-        "rerun after migrate must equal the direct run's JSON"
+        bad.status.code(),
+        Some(2),
+        "an unknown stage is a usage error"
     );
     std::fs::remove_dir_all(&bin_dir).ok();
-    std::fs::remove_dir_all(&json_dir).ok();
 }
 
 /// CLI error-path contract: unknown scenarios/commands/stores exit
@@ -914,7 +884,7 @@ fn different_plan_never_clobbers_a_store_without_consent() {
         .output()
         .expect("seed-7 run");
     assert!(run7.status.success());
-    let crowd_before = std::fs::read(dir.join("crowd.json")).expect("stored");
+    let crowd_before = std::fs::read(dir.join("crowd.bin")).expect("stored");
 
     let run8 = pd()
         .args(["run", "smoke", "--seed", "8", "--artifacts"])
@@ -926,7 +896,7 @@ fn different_plan_never_clobbers_a_store_without_consent() {
     assert!(err.contains("different run plan"), "stderr: {err}");
     assert!(err.contains("--overwrite-artifacts"), "stderr: {err}");
     assert_eq!(
-        std::fs::read(dir.join("crowd.json")).expect("still stored"),
+        std::fs::read(dir.join("crowd.bin")).expect("still stored"),
         crowd_before,
         "the refused save must leave the original artifacts intact"
     );
@@ -950,5 +920,60 @@ fn different_plan_never_clobbers_a_store_without_consent() {
         .output()
         .expect("ls");
     assert!(String::from_utf8_lossy(&ls.stdout).contains("seed 8"));
+
+    // A JSON-era store (the default layout of older builds) is refused
+    // the same way, even for the very plan that produced it: without the
+    // flag the run fails naming the flag and leaves every file as it
+    // was; with it the store is replaced by a binary one.
+    downgrade_to_json_era(&dir);
+    let json_era: Vec<(std::ffi::OsString, Vec<u8>)> = std::fs::read_dir(&dir)
+        .expect("readdir")
+        .map(|e| {
+            let e = e.expect("entry");
+            (e.file_name(), std::fs::read(e.path()).expect("read"))
+        })
+        .collect();
+    let refused = pd()
+        .args(["run", "smoke", "--seed", "8", "--artifacts"])
+        .arg(&dir)
+        .output()
+        .expect("seed-8 run over a JSON-era store");
+    assert_eq!(refused.status.code(), Some(1), "{refused:?}");
+    let err = String::from_utf8_lossy(&refused.stderr);
+    assert!(err.contains("older artifact store"), "stderr: {err}");
+    assert!(err.contains("--overwrite-artifacts"), "stderr: {err}");
+    for (name, bytes) in &json_era {
+        assert_eq!(
+            &std::fs::read(dir.join(name)).expect("still stored"),
+            bytes,
+            "the refused save must leave {name:?} intact"
+        );
+    }
+    assert_eq!(
+        std::fs::read_dir(&dir).expect("readdir").count(),
+        json_era.len()
+    );
+
+    let replaced = pd()
+        .args([
+            "run",
+            "smoke",
+            "--seed",
+            "8",
+            "--overwrite-artifacts",
+            "--artifacts",
+        ])
+        .arg(&dir)
+        .output()
+        .expect("forced seed-8 run over a JSON-era store");
+    assert!(replaced.status.success(), "{replaced:?}");
+    assert!(dir.join("crowd.bin").is_file() && !dir.join("crowd.json").exists());
+    let ls = pd()
+        .args(["artifacts", "ls"])
+        .arg(&dir)
+        .output()
+        .expect("ls");
+    let ls_out = String::from_utf8_lossy(&ls.stdout);
+    assert!(ls.status.success() && ls_out.contains("binary"), "{ls_out}");
     std::fs::remove_dir_all(&dir).ok();
 }

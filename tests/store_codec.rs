@@ -11,9 +11,15 @@
 //! * **no corrupt file panics the loader**: arbitrary bytes, and
 //!   truncations and single-byte flips of real smoke store files, make
 //!   `open_chunked` and `load` return `Ok` or `Err` — never a panic,
-//!   never an allocation sized by a corrupt header.
+//!   never an allocation sized by a corrupt header;
+//! * **no corrupt manifest panics the store**: the manifest is the
+//!   store's only JSON decoder. Arbitrary bytes, truncations, byte flips
+//!   and retyped fields of a real manifest make `ArtifactStore::open`,
+//!   `verify` and `Engine::load_artifacts` return `Ok` or `Err`, and the
+//!   manifests older builds wrote (schema v2, JSON payloads, no format
+//!   tag) are refused as an older layout, never misread.
 
-use pd_core::store::{self, ArtifactStore, StoreFormat};
+use pd_core::store::{self, ArtifactStore, StoreError, MANIFEST_FILE};
 use pd_core::{AnalysisArtifact, CrawlArtifact, CrowdArtifact, Experiment, PersonaArtifact};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -36,16 +42,15 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
-/// Runs the smoke scenario and persists every stage (analysis too) as
-/// a binary store in `dir`, the way `pd run --artifacts DIR --format
-/// binary` does. Returns the run's report JSON.
+/// Runs the smoke scenario and persists every stage (analysis too) in
+/// `dir`, the way `pd run --artifacts DIR` does. Returns the run's
+/// report JSON.
 fn write_smoke_store(seed: u64, dir: &Path) -> String {
     let mut engine = Experiment::builder()
         .scenario("smoke")
         .seed(seed)
         .threads(2)
         .artifacts(dir)
-        .store_format(StoreFormat::Binary)
         .build()
         .expect("smoke builds");
     let analysis = engine.analyze();
@@ -202,4 +207,173 @@ proptest! {
         std::fs::write(dir.join(format!("{stage}.bin")), &bytes).expect("write");
         load_every_way(&dir, stage);
     }
+}
+
+fn original_manifest() -> Vec<u8> {
+    std::fs::read(base_store().join(MANIFEST_FILE)).expect("manifest")
+}
+
+/// Writes `bytes` as the manifest of a scratch copy of the base store
+/// and opens it every way the program does — `ArtifactStore::open`,
+/// `verify` over every entry, and a smoke engine's `load_artifacts` —
+/// ignoring the outcomes: only a panic (or an abort) fails the caller.
+/// Returns what `open` said.
+fn open_every_way(name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+    let dir = scratch_store(name);
+    std::fs::write(dir.join(MANIFEST_FILE), bytes).expect("write manifest");
+    let opened = ArtifactStore::open(&dir).map(|store| drop(store.verify()));
+    let mut engine = Experiment::builder()
+        .scenario("smoke")
+        .seed(7)
+        .build()
+        .expect("smoke builds");
+    let _ = engine.load_artifacts(&dir);
+    opened
+}
+
+/// The number of values in `v`, itself included.
+fn node_count(v: &serde_json::Value) -> usize {
+    1 + match v {
+        serde_json::Value::Array(items) => items.iter().map(node_count).sum(),
+        serde_json::Value::Object(map) => map.values().map(node_count).sum(),
+        _ => 0,
+    }
+}
+
+/// Replaces the value at the `pick`-th node (pre-order) of `v` with
+/// `with`; returns how many nodes remain to skip.
+fn replace_node(v: &mut serde_json::Value, pick: usize, with: &serde_json::Value) -> usize {
+    if pick == 0 {
+        *v = with.clone();
+        return usize::MAX;
+    }
+    let mut left = pick - 1;
+    let children: Vec<&mut serde_json::Value> = match v {
+        serde_json::Value::Array(items) => items.iter_mut().collect(),
+        serde_json::Value::Object(map) => map.values_mut().collect(),
+        _ => Vec::new(),
+    };
+    for child in children {
+        left = replace_node(child, left, with);
+        if left == usize::MAX {
+            break;
+        }
+    }
+    left
+}
+
+proptest! {
+    #[test]
+    fn truncated_manifests_never_panic(cut in 0usize..usize::MAX) {
+        let bytes = original_manifest();
+        let _ = open_every_way("manifest-truncate", &bytes[..cut % bytes.len()]);
+    }
+
+    #[test]
+    fn flipped_manifests_never_panic(at in 0usize..usize::MAX, mask in 1u8..=255) {
+        let mut bytes = original_manifest();
+        let at = at % bytes.len();
+        bytes[at] ^= mask;
+        let _ = open_every_way("manifest-flip", &bytes);
+    }
+
+    #[test]
+    fn arbitrary_manifests_never_panic(
+        body in proptest::collection::vec(0u8..=255, 0..256),
+        printable in proptest::collection::vec(32u8..127, 0..256),
+    ) {
+        let _ = open_every_way("manifest-arbitrary", &body);
+        let _ = open_every_way("manifest-arbitrary", &printable);
+    }
+
+    /// Well-formed JSON of the wrong shape: one node of the real
+    /// manifest (any depth, objects and arrays included) replaced by a
+    /// value of another type or an extreme number.
+    #[test]
+    fn retyped_manifest_fields_never_panic(pick in 0usize..usize::MAX, kind in 0u8..8) {
+        let mut manifest: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(&original_manifest()).expect("utf-8"))
+                .expect("manifest parses");
+        let with = match kind {
+            0 => serde_json::Value::Null,
+            1 => serde_json::Value::Bool(true),
+            2 => serde_json::Value::Int(-1),
+            3 => serde_json::Value::UInt(u64::MAX),
+            4 => serde_json::Value::Float(f64::MAX),
+            5 => serde_json::Value::String("../../x".to_owned()),
+            6 => serde_json::Value::Array(Vec::new()),
+            _ => serde_json::Value::Object(serde_json::Map::new()),
+        };
+        let count = node_count(&manifest);
+        replace_node(&mut manifest, pick % count, &with);
+        let text = serde_json::to_string_pretty(&manifest).expect("renders");
+        let _ = open_every_way("manifest-retype", text.as_bytes());
+    }
+}
+
+/// Sets the manifest's schema version and every entry's format tag
+/// (`None` removes it), as the builds before the single binary layout
+/// wrote them.
+fn older_manifest(schema: u64, format: Option<&str>) -> Vec<u8> {
+    let mut manifest: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&original_manifest()).expect("utf-8"))
+            .expect("manifest parses");
+    if let serde_json::Value::Object(map) = &mut manifest {
+        map.insert("schema_version".to_owned(), serde_json::Value::UInt(schema));
+        if let Some(serde_json::Value::Array(entries)) = map.get_mut("entries") {
+            for entry in entries {
+                if let serde_json::Value::Object(entry) = entry {
+                    match format {
+                        Some(tag) => {
+                            entry
+                                .insert("format".to_owned(), serde_json::Value::String(tag.into()));
+                        }
+                        None => {
+                            entry.remove("format");
+                            entry.remove("chunks");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    serde_json::to_string_pretty(&manifest)
+        .expect("renders")
+        .into_bytes()
+}
+
+#[test]
+fn json_era_manifests_are_refused_not_misread() {
+    for (label, bytes) in [
+        ("schema v2", older_manifest(2, None)),
+        ("format json", older_manifest(3, Some("json"))),
+        ("format missing", older_manifest(3, None)),
+    ] {
+        match open_every_way("manifest-json-era", &bytes) {
+            Err(StoreError::OlderLayout { stage, .. }) => {
+                assert_eq!(stage.as_deref(), Some("crowd"), "{label}");
+            }
+            other => panic!("{label}: expected OlderLayout, got {other:?}"),
+        }
+        let mut engine = Experiment::builder()
+            .scenario("smoke")
+            .seed(7)
+            .build()
+            .expect("smoke builds");
+        assert!(
+            matches!(
+                engine.load_artifacts(&scratch_store("manifest-json-era")),
+                Err(StoreError::OlderLayout { .. })
+            ),
+            "{label}"
+        );
+    }
+    // The unmodified manifest still opens, every entry healthy.
+    let dir = scratch_store("manifest-json-era");
+    std::fs::write(dir.join(MANIFEST_FILE), original_manifest()).expect("restore");
+    let store = ArtifactStore::open(&dir).expect("opens");
+    assert!(store
+        .verify()
+        .iter()
+        .all(|(_, health)| *health == store::EntryHealth::Ok));
 }

@@ -23,6 +23,11 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+/// One task of [`Executor::run_all`]: it writes its result into a
+/// variable it borrows.
+pub type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
 
 /// A deterministic fork-join executor over indexed tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,6 +149,41 @@ impl Executor {
         tagged.sort_unstable_by_key(|(i, _)| *i);
         tagged.into_iter().map(|(_, t)| t).collect()
     }
+
+    /// Runs independent tasks whose results differ in type: each task
+    /// writes its result into a variable it borrows mutably, and the
+    /// caller reads them all once this returns. Under the same contract
+    /// as [`Executor::map_indexed`] (a task is pure apart from its own
+    /// output) the results are identical at every thread count. Tasks
+    /// are taken in list order, so list the longest first.
+    ///
+    /// ```
+    /// use pd_core::Executor;
+    ///
+    /// let (mut sum, mut text) = (0, String::new());
+    /// Executor::new(2).run_all(vec![
+    ///     Box::new(|| sum = (1..=10).sum()),
+    ///     Box::new(|| text = "ten".repeat(2)),
+    /// ]);
+    /// assert_eq!((sum, text.as_str()), (55, "tenten"));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic from any task.
+    pub fn run_all(&self, tasks: Vec<Task<'_>>) {
+        let slots: Vec<Mutex<Option<Task<'_>>>> =
+            tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        self.map_indexed(slots.len(), |i| {
+            let task = slots[i]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            if let Some(task) = task {
+                task();
+            }
+        });
+    }
 }
 
 #[cfg(test)]
@@ -207,6 +247,20 @@ mod tests {
         assert_eq!(Executor::new(8).split(2).1.threads(), 4);
         assert_eq!(Executor::new(4).split(3).0.threads(), 3);
         assert_eq!(Executor::new(4).split(3).1.threads(), 1);
+    }
+
+    #[test]
+    fn run_all_fills_every_slot_at_any_thread_count() {
+        for threads in [1, 2, 4] {
+            let mut slots = vec![0usize; 9];
+            let tasks: Vec<Task<'_>> = slots
+                .iter_mut()
+                .enumerate()
+                .map(|(i, slot)| Box::new(move || *slot = i * 3) as Task<'_>)
+                .collect();
+            Executor::new(threads).run_all(tasks);
+            assert_eq!(slots, (0..9).map(|i| i * 3).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -92,7 +92,8 @@ pub use spec::{
 };
 pub use stage::{AnalysisArtifact, CrawlArtifact, CrowdArtifact, PersonaArtifact};
 pub use store::{
-    ArtifactStore, ChunkedPayload, Fingerprint, Provenance, StoreError, StoreFormat, SCHEMA_VERSION,
+    ArtifactStore, ChunkedPayload, Fingerprint, Provenance, StageWrite, StoreError, StoreFormat,
+    SCHEMA_VERSION,
 };
 pub use world::{AnalysisContext, World};
 

@@ -21,7 +21,9 @@ use crate::report::Report;
 use crate::scenario::{Profile, RunPlan, ScenarioParams, ScenarioRegistry};
 use crate::spec::ScenarioSpec;
 use crate::stage::{self, AnalysisArtifact, CrawlArtifact, CrowdArtifact, PersonaArtifact};
-use crate::store::{self, ArtifactStore, ChunkedPayload, Provenance, StoreError, StoreFormat};
+use crate::store::{
+    self, ArtifactStore, ChunkedPayload, Provenance, StageWrite, StoreError, StoreFormat,
+};
 use crate::world::{AnalysisContext, World};
 use pd_sheriff::cleaning::CleaningReport;
 use pd_sheriff::MeasurementStore;
@@ -190,6 +192,12 @@ impl Engine {
         self
     }
 
+    /// The provenance stamped into manifests this engine writes.
+    #[must_use]
+    pub fn provenance(&self) -> &Provenance {
+        &self.provenance
+    }
+
     /// The spec this engine was built from, if it came from one.
     #[must_use]
     pub fn spec(&self) -> Option<&ScenarioSpec> {
@@ -251,7 +259,7 @@ impl Engine {
     pub fn world(&self) -> &World {
         self.world.get_or_init(|| {
             stage::observed(self.observer.as_ref(), StageKind::Build, || {
-                let mut world = World::build(&self.plan.config);
+                let mut world = World::build_on(&self.plan.config, &self.executor);
                 if let Some(labels) = &self.plan.vantage_labels {
                     world.sheriff = world.sheriff.clone().with_vantage_subset(labels);
                 }
@@ -534,9 +542,10 @@ impl Engine {
     pub fn save_artifacts(&self, dir: &Path) -> Result<SaveSummary, StoreError> {
         let mut store = self.open_or_create_store(dir)?;
         let mut summary = SaveSummary::default();
+        let mut writes = Vec::new();
         // A stage streamed as a chunked handle came from a store: it is
         // fresh there and has nothing in memory to save.
-        macro_rules! save_stage {
+        macro_rules! queue_stage {
             ($kind:expr, $slot:ident, $streamed:expr) => {
                 let fp = store::measurement_fingerprint($kind, &self.plan)
                     .expect("measurement stage has a fingerprint");
@@ -547,14 +556,17 @@ impl Engine {
                 if stored && (self.$slot.is_some() || $streamed) {
                     summary.fresh.push(name);
                 } else if let Some(artifact) = &self.$slot {
-                    store.save(name, fp, &[], artifact.as_ref())?;
+                    writes.push(StageWrite::new(name, fp, &[], artifact.as_ref()));
                     summary.saved.push(name);
                 }
             };
         }
-        save_stage!(StageKind::Crowd, crowd, self.crowd_chunked.is_some());
-        save_stage!(StageKind::Crawl, crawl, self.crawl_chunked.is_some());
-        save_stage!(StageKind::Personas, personas, false);
+        queue_stage!(StageKind::Crowd, crowd, self.crowd_chunked.is_some());
+        queue_stage!(StageKind::Crawl, crawl, self.crawl_chunked.is_some());
+        queue_stage!(StageKind::Personas, personas, false);
+        if !writes.is_empty() {
+            store.save_all(&writes, &self.executor)?;
+        }
         Ok(summary)
     }
 
@@ -587,7 +599,8 @@ impl Engine {
             store::crawl_fingerprint(&self.plan),
             store::personas_fingerprint(&self.plan),
         ];
-        store.save(name, fp, &upstream, artifact)
+        let write = StageWrite::new(name, fp, &upstream, artifact);
+        Ok(store.save_all(&[write], &self.executor)?[0])
     }
 
     /// Opens the store at `dir` if it was produced by this engine's
@@ -1015,7 +1028,7 @@ impl ExperimentBuilder {
         let provenance = Provenance::new(
             &spec.name,
             label,
-            self.profile.name(),
+            spec.profile_for(self.profile).name(),
             plan.config.seed.value(),
             executor.threads(),
         );
@@ -1621,6 +1634,75 @@ mod tests {
             b"sentinel",
             "a fresh entry must be left untouched"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn provenance_records_the_resolved_profile() {
+        // `smoke` pins its base profile, whatever the builder asks for.
+        let pinned = Experiment::builder()
+            .scenario("smoke")
+            .profile(Profile::Small)
+            .build()
+            .expect("smoke builds");
+        assert_eq!(pinned.provenance().profile, "smoke");
+        let requested = Experiment::builder()
+            .scenario("paper")
+            .profile(Profile::Medium)
+            .build()
+            .expect("paper builds");
+        assert_eq!(requested.provenance().profile, "medium");
+    }
+
+    #[test]
+    fn failed_batched_save_leaves_the_old_store_intact() {
+        let dir = tmp_store("failed-batch");
+        let smoke = || {
+            Experiment::builder()
+                .scenario("smoke")
+                .seed(7)
+                .threads(2)
+                .build()
+                .expect("smoke builds")
+        };
+        let mut producer = smoke();
+        producer.crowd();
+        producer.save_artifacts(&dir).expect("save crowd");
+        let manifest = std::fs::read(dir.join(store::MANIFEST_FILE)).expect("manifest");
+        let crowd_bin = std::fs::read(dir.join("crowd.bin")).expect("crowd.bin");
+
+        // A directory where the crawl file goes makes its rename fail.
+        std::fs::create_dir(dir.join("crawl.bin")).expect("mkdir");
+        let mut engine = smoke();
+        engine.crowd();
+        engine.crawl();
+        engine.personas();
+        assert!(matches!(
+            engine.save_artifacts(&dir),
+            Err(StoreError::Io { .. })
+        ));
+        assert_eq!(
+            std::fs::read(dir.join(store::MANIFEST_FILE)).expect("manifest"),
+            manifest,
+            "a failed batch must not touch the manifest"
+        );
+        assert_eq!(
+            std::fs::read(dir.join("crowd.bin")).expect("crowd"),
+            crowd_bin
+        );
+        let leftovers: Vec<String> = std::fs::read_dir(&dir)
+            .expect("readdir")
+            .filter_map(Result::ok)
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+        // The old store still opens and serves its crowd stage.
+        let reopened = ArtifactStore::open(&dir).expect("open");
+        assert_eq!(reopened.entry("crawl"), None);
+        reopened
+            .open_chunked("crowd", store::crowd_fingerprint(engine.plan()))
+            .expect("crowd still loads");
         std::fs::remove_dir_all(&dir).ok();
     }
 

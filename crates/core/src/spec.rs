@@ -631,6 +631,16 @@ impl ScenarioSpec {
         Ok(())
     }
 
+    /// The profile a run of this spec uses: the pinned `base` when the
+    /// spec sets a known one, else `requested`.
+    #[must_use]
+    pub fn profile_for(&self, requested: Profile) -> Profile {
+        self.base
+            .as_deref()
+            .and_then(Profile::parse)
+            .unwrap_or(requested)
+    }
+
     /// Lowers the spec to labeled [`RunPlan`]s at the given parameters:
     /// base profile (pinned or requested) → patch → sweep-axis cross
     /// product. No axes = a [`ScenarioRun::Single`]; otherwise every
@@ -642,10 +652,7 @@ impl ScenarioSpec {
     /// [`SpecError`] if the spec fails [`ScenarioSpec::validate`].
     pub fn lower(&self, params: &ScenarioParams) -> Result<ScenarioRun, SpecError> {
         self.validate()?;
-        let profile = match &self.base {
-            Some(base) => Profile::parse(base).expect("validated above"),
-            None => params.profile,
-        };
+        let profile = self.profile_for(params.profile);
         let seed = self.patch.seed.unwrap_or(params.seed);
         let mut base = RunPlan::new(profile.config(seed));
         self.patch.apply(&mut base);

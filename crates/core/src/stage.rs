@@ -46,7 +46,7 @@ use pd_extract::HighlightExtractor;
 use pd_html::Selector;
 use pd_net::clock::SimTime;
 use pd_net::geo::{Country, Location};
-use pd_sheriff::cleaning::{clean, CleaningReport};
+use pd_sheriff::cleaning::{clean, reaches_refetch, CleaningReport};
 use pd_sheriff::personas::{self, LoginExperiment, PersonaExperiment};
 use pd_sheriff::MeasurementStore;
 use pd_web::template::{price_selector, FAMILY_COUNT};
@@ -224,9 +224,11 @@ fn clean_crowd_store(
     let fx = web.fx();
     // One parsed highlight selector per template family, not per refetch.
     let selectors: Vec<Selector> = (0..FAMILY_COUNT).map(price_selector).collect();
-    let (mut cleaned, mut report) = clean(raw, fx, |m| {
-        // Refetch the URI as the user's own browser would and re-extract
-        // with the retailer's template highlight.
+    // Refetch the URI as the user's own browser would and re-extract
+    // with the retailer's template highlight. Every refetch is pure, so
+    // the ones `clean` asks for are computed across the executor first
+    // and handed to it in record order.
+    let refetch = |m: &pd_sheriff::Measurement| {
         let user = crowd.users().get(m.user.index())?;
         let server = web.server_by_domain(&m.domain)?;
         let req = Request::get(
@@ -245,6 +247,19 @@ fn clean_crowd_store(
         ex.extract(&doc, Some(Locale::of_country(user.location.country)))
             .ok()
             .map(|e| e.price)
+    };
+    let asked: Vec<&pd_sheriff::Measurement> = raw
+        .records()
+        .iter()
+        .filter(|m| reaches_refetch(m))
+        .collect();
+    let mut refetched = exec
+        .map_indexed(asked.len(), |i| refetch(asked[i]))
+        .into_iter();
+    let (mut cleaned, mut report) = clean(raw, fx, |_| {
+        refetched
+            .next()
+            .expect("clean refetches exactly the records that reach rule 1")
     });
     // The paper's manual tax check, automated: drop domains whose
     // variation is explained by inlined taxes (pre-tax checkout items
@@ -738,82 +753,101 @@ pub(crate) fn analysis_over(
         let crawl_tally = &*crawl_frame.tally;
         let crawl_frame = &*crawl_frame.frame;
 
-        // Fig. 1 + Fig. 2 (crowd view).
-        let fig1 = crowd_figs::fig1_ranking(crowd_frame, config.analysis.fig1_domains);
-        let fig1_domains: Vec<String> = fig1.iter().map(|b| b.domain.clone()).collect();
-        let fig2 = crowd_figs::fig2_ratio_boxes(crowd_frame, &fig1_domains);
-
-        // Figs. 3–5 (crawl view).
-        let fig3 = crawl::fig3_extent(crawl_frame);
-        let fig4 = crawl::fig4_magnitude(crawl_frame);
-        let (fig5_points, fig5_envelope) = crawl::fig5_scatter(crawl_frame);
-
-        // Fig. 6: digitalrev (multiplicative) and energie (additive), at
-        // the paper's three locations: New York, UK, Finland.
-        let fig6_locs = ctx.vantage_pairs(&["USA - New York", "UK - London", "Finland - Tampere"]);
-        let fig6a = strategy::fig6_curves(crawl_frame, "www.digitalrev.com", &fig6_locs);
-        let fig6b = strategy::fig6_curves(crawl_frame, "www.energie.it", &fig6_locs);
-
-        // Fig. 7 over the full fleet.
-        let fig7 = location::fig7_location_boxes(crawl_frame, &ctx.vantage);
-
-        // Fig. 8 grids.
+        // Every figure, and the Sec. 3.2 summary's scan of the raw crowd
+        // rows, is a pure function of the frames and artifacts: they run
+        // as independent tasks across the executor, longest first.
         let grid = |domain: &str, labels: &[&str]| Fig8Grid {
             domain: domain.to_owned(),
             cells: location::fig8_pairwise(crawl_frame, domain, &ctx.vantage_pairs(labels)),
         };
-        let fig8a = grid(
-            "www.homedepot.com",
-            &[
-                "USA - Albany",
-                "USA - Boston",
-                "USA - Los Angeles",
-                "USA - Chicago",
-                "USA - Lincoln",
-                "USA - New York",
-            ],
-        );
-        let fig8b = grid(
-            "www.amazon.com",
-            &[
-                "Belgium - Liege",
-                "Brazil - Sao Paulo",
-                "Finland - Tampere",
-                "Germany - Berlin",
-                "Spain (Linux,FF)",
-                "USA - New York",
-            ],
-        );
-        let fig8c = grid(
-            "store.killah.com",
-            &[
-                "Brazil - Sao Paulo",
-                "Finland - Tampere",
-                "Germany - Berlin",
-                "Spain (Linux,FF)",
-                "UK - London",
-                "USA - New York",
-            ],
-        );
-
-        // Fig. 9: Finland vs min.
         let finland = ctx
             .vantage_by_label("Finland - Tampere")
             .expect("spec validation keeps the Finland probe");
-        let fig9 = location::fig9_finland(crawl_frame, finland);
+        let (mut fig1, mut fig2) = (Vec::new(), Vec::new());
+        let (mut fig3, mut fig4) = (Vec::new(), Vec::new());
+        let (mut fig5_points, mut fig5_envelope) = (Vec::new(), Vec::new());
+        let (mut fig6a, mut fig6b) = (Vec::new(), Vec::new());
+        let mut fig7 = Vec::new();
+        let (mut fig8a, mut fig8b, mut fig8c) = (None, None, None);
+        let mut fig9 = None;
+        let mut scan = summary::SummaryScan::new();
+        let mut raw_chunks = Ok(0);
+        exec.run_all(vec![
+            // Fig. 7 over the full fleet.
+            Box::new(|| fig7 = location::fig7_location_boxes(crawl_frame, &ctx.vantage)),
+            // The summary: the raw crowd rows stream through the scan
+            // (chunk by chunk for chunked sources); the crawl half is the
+            // tally cut alongside the crawl frame, so the crawl is not
+            // passed over twice.
+            Box::new(|| raw_chunks = crowd_raw.scan(|m| scan.crowd_row(m))),
+            // Fig. 8 grids.
+            Box::new(|| {
+                fig8a = Some(grid(
+                    "www.homedepot.com",
+                    &[
+                        "USA - Albany",
+                        "USA - Boston",
+                        "USA - Los Angeles",
+                        "USA - Chicago",
+                        "USA - Lincoln",
+                        "USA - New York",
+                    ],
+                ));
+            }),
+            Box::new(|| {
+                fig8b = Some(grid(
+                    "www.amazon.com",
+                    &[
+                        "Belgium - Liege",
+                        "Brazil - Sao Paulo",
+                        "Finland - Tampere",
+                        "Germany - Berlin",
+                        "Spain (Linux,FF)",
+                        "USA - New York",
+                    ],
+                ));
+            }),
+            Box::new(|| {
+                fig8c = Some(grid(
+                    "store.killah.com",
+                    &[
+                        "Brazil - Sao Paulo",
+                        "Finland - Tampere",
+                        "Germany - Berlin",
+                        "Spain (Linux,FF)",
+                        "UK - London",
+                        "USA - New York",
+                    ],
+                ));
+            }),
+            // Figs. 3–5 (crawl view).
+            Box::new(|| fig4 = crawl::fig4_magnitude(crawl_frame)),
+            Box::new(|| (fig5_points, fig5_envelope) = crawl::fig5_scatter(crawl_frame)),
+            // Fig. 9: Finland vs min.
+            Box::new(|| fig9 = Some(location::fig9_finland(crawl_frame, finland))),
+            Box::new(|| fig3 = crawl::fig3_extent(crawl_frame)),
+            // Fig. 1 + Fig. 2 (crowd view).
+            Box::new(|| {
+                fig1 = crowd_figs::fig1_ranking(crowd_frame, config.analysis.fig1_domains);
+                let fig1_domains: Vec<String> = fig1.iter().map(|b| b.domain.clone()).collect();
+                fig2 = crowd_figs::fig2_ratio_boxes(crowd_frame, &fig1_domains);
+            }),
+            // Fig. 6: digitalrev (multiplicative) and energie (additive),
+            // at the paper's three locations: New York, UK, Finland.
+            Box::new(|| {
+                let locs =
+                    ctx.vantage_pairs(&["USA - New York", "UK - London", "Finland - Tampere"]);
+                fig6a = strategy::fig6_curves(crawl_frame, "www.digitalrev.com", &locs);
+                fig6b = strategy::fig6_curves(crawl_frame, "www.energie.it", &locs);
+            }),
+        ]);
+        let raw_chunks = raw_chunks?;
+        scan.crawl(crawl_tally);
+        let summary = scan.finish(ctx.crowd_countries);
 
         // Fig. 10 + persona summary, from the persona artifact.
         let fig10 = login::fig10(&persona_art.login);
         let persona = login::persona_summary(&persona_art.persona);
-
-        // The Sec. 3.2 summary: the raw crowd rows stream through the
-        // scan (chunk by chunk for chunked sources); the crawl half is
-        // the tally cut alongside the crawl frame — identical numbers
-        // either way, with no second pass over the crawl.
-        let mut scan = summary::SummaryScan::new();
-        let raw_chunks = crowd_raw.scan(|m| scan.crowd_row(m))?;
-        scan.crawl(crawl_tally);
-        let summary = scan.finish(ctx.crowd_countries);
         obs.counter(
             StageKind::Analysis,
             "chunks_decoded",
@@ -856,10 +890,10 @@ pub(crate) fn analysis_over(
                 fig6a,
                 fig6b,
                 fig7,
-                fig8a,
-                fig8b,
-                fig8c,
-                fig9,
+                fig8a: fig8a.expect("fig. 8a task ran"),
+                fig8b: fig8b.expect("fig. 8b task ran"),
+                fig8c: fig8c.expect("fig. 8c task ran"),
+                fig9: fig9.expect("fig. 9 task ran"),
                 fig10,
                 persona,
                 third_party,

@@ -56,6 +56,7 @@
 
 use crate::binfmt;
 use crate::config::ExperimentConfig;
+use crate::executor::Executor;
 use crate::observer::StageKind;
 use crate::scenario::RunPlan;
 use crate::spec::ScenarioSpec;
@@ -64,6 +65,7 @@ use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// On-disk schema version. Bump whenever an artifact's serialized shape
 /// changes; every manifest and binary header records it, and a version
@@ -658,40 +660,101 @@ impl ArtifactStore {
     }
 
     /// Saves an artifact under its fingerprint, replacing any previous
-    /// entry for the same stage. The file is written atomically (unique
-    /// temp file + fsync + rename) and the manifest is updated on disk
-    /// before the call returns. Returns the serialized size in bytes.
+    /// entry for the same stage: [`ArtifactStore::save_all`] with one
+    /// stage, on the calling thread. Returns the serialized size in
+    /// bytes.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the artifact or manifest cannot be
-    /// written.
-    pub fn save<T: Artifact>(
+    /// As for [`ArtifactStore::save_all`].
+    pub fn save<T: Artifact + Sync>(
         &mut self,
         stage: &str,
         fingerprint: Fingerprint,
         upstream: &[Fingerprint],
         artifact: &T,
     ) -> Result<u64, StoreError> {
-        let (bytes, payload_bytes, chunks) = encode_binary(stage, fingerprint, artifact);
-        let file = format!("{stage}.bin");
-        write_atomic(&self.dir.join(&file), &bytes)?;
-        let entry = ManifestEntry {
-            stage: stage.to_owned(),
-            fingerprint: fingerprint.to_string(),
-            file,
-            bytes: bytes.len() as u64,
-            payload_bytes,
-            format: StoreFormat::Binary,
-            chunks,
-            upstream: upstream.iter().map(Fingerprint::to_string).collect(),
-        };
-        match self.manifest.entries.iter_mut().find(|e| e.stage == stage) {
-            Some(existing) => *existing = entry,
-            None => self.manifest.entries.push(entry),
+        let write = StageWrite::new(stage, fingerprint, upstream, artifact);
+        Ok(self.save_all(&[write], &Executor::serial())?[0])
+    }
+
+    /// Saves a batch of stage artifacts, each replacing any previous
+    /// entry for its stage, and returns their serialized sizes in batch
+    /// order. Every chunk of every file is encoded in one pass across
+    /// `exec`, and each file is written to a temp file and fsynced there
+    /// too; the bytes do not depend on the thread count. Then the files
+    /// are renamed into place, the directory is fsynced once, and the
+    /// manifest naming them is written last (temp file, fsync, rename,
+    /// directory fsync). So when this returns every file and the
+    /// manifest are durable, and the manifest never names a file that
+    /// was not fsynced and renamed first.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when a file or the manifest cannot be written.
+    /// A failure before the manifest write leaves the manifest on disk as
+    /// it was and no temp file behind.
+    pub fn save_all(
+        &mut self,
+        writes: &[StageWrite<'_>],
+        exec: &Executor,
+    ) -> Result<Vec<u64>, StoreError> {
+        let chunks = encode_chunks(writes, exec);
+        let dir = &self.dir;
+        let staged = exec.map_indexed(writes.len(), |i| {
+            let write = &writes[i];
+            let (prefix, payload_bytes) = file_prefix(write.stage, write.fingerprint, &chunks[i]);
+            let parts: Vec<&[u8]> = std::iter::once(&prefix[..])
+                .chain(chunks[i].iter().map(|c| &c.bytes[..]))
+                .collect();
+            let file = format!("{}.bin", write.stage);
+            let path = dir.join(&file);
+            let tmp = write_temp(&path, &parts)?;
+            let entry = ManifestEntry {
+                stage: write.stage.to_owned(),
+                fingerprint: write.fingerprint.to_string(),
+                file,
+                bytes: prefix.len() as u64 + payload_bytes,
+                payload_bytes,
+                format: StoreFormat::Binary,
+                chunks: chunks[i].len() as u32,
+                upstream: write.upstream.iter().map(Fingerprint::to_string).collect(),
+            };
+            Ok(((tmp, path), entry))
+        });
+        let mut renames = Vec::with_capacity(staged.len());
+        let mut entries = Vec::with_capacity(staged.len());
+        let mut failed = None;
+        for outcome in staged {
+            match outcome {
+                Ok((rename, entry)) => {
+                    renames.push(rename);
+                    entries.push(entry);
+                }
+                Err(e) => failed = failed.or(Some(e)),
+            }
+        }
+        if let Some(e) = failed {
+            for (tmp, _) in &renames {
+                let _ = std::fs::remove_file(tmp);
+            }
+            return Err(e);
+        }
+        publish(&self.dir, &renames)?;
+        let sizes = entries.iter().map(|e| e.bytes).collect();
+        for entry in entries {
+            match self
+                .manifest
+                .entries
+                .iter_mut()
+                .find(|e| e.stage == entry.stage)
+            {
+                Some(existing) => *existing = entry,
+                None => self.manifest.entries.push(entry),
+            }
         }
         self.write_manifest()?;
-        Ok(bytes.len() as u64)
+        Ok(sizes)
     }
 
     /// Loads a stage artifact, trusting nothing: the manifest must list
@@ -775,7 +838,8 @@ impl ArtifactStore {
     fn write_manifest(&self) -> Result<(), StoreError> {
         let path = self.dir.join(MANIFEST_FILE);
         let text = serde_json::to_string_pretty(&self.manifest).expect("manifest serializes");
-        write_atomic(&path, text.as_bytes())
+        let tmp = write_temp(&path, &[text.as_bytes()])?;
+        publish(&self.dir, &[(tmp, path)])
     }
 }
 
@@ -900,56 +964,147 @@ impl ChunkInfo {
     }
 }
 
-/// Encodes an artifact into the binary file layout: magic, u32-LE
-/// header length, binfmt-encoded header (schema, stage, fingerprint,
-/// chunk index), then the chunk region — the meta chunk (the
-/// [`Artifact::hollow`] artifact) followed by one framed-rows chunk per
-/// domain per section, domains in first-seen order (matching
-/// `MeasurementStore::domains`). Every row carries its original index,
-/// so reassembly is exact regardless of chunk order. Returns the file
-/// bytes, the chunk-region size (the payload-only byte count) and the
-/// chunk count.
-fn encode_binary<T: Artifact>(
-    stage: &str,
+/// A stage artifact queued for [`ArtifactStore::save_all`]: the stage
+/// name and fingerprint it is stored under, its upstream lineage, and
+/// the artifact itself.
+pub struct StageWrite<'a> {
+    stage: &'a str,
     fingerprint: Fingerprint,
-    artifact: &T,
-) -> (Vec<u8>, u64, u32) {
-    let mut region: Vec<u8> = Vec::new();
-    let mut place = |section: &str, name: &str, rows: u64, bytes: &[u8]| {
-        let chunk = ChunkInfo {
-            section: section.to_owned(),
-            name: name.to_owned(),
-            offset: region.len() as u64,
-            len: bytes.len() as u64,
-            rows,
-            checksum: fnv1a64(bytes),
-        };
-        region.extend_from_slice(bytes);
-        chunk
-    };
-    let meta = place("", "", 0, &binfmt::encode_one(&*artifact.hollow()));
-    let mut chunks: Vec<ChunkInfo> = Vec::new();
-    for &section in T::SECTIONS {
-        let Some(store) = artifact.section(section) else {
-            continue;
-        };
-        let records = store.records();
-        let mut order: Vec<&str> = Vec::new();
-        let mut by_domain: std::collections::HashMap<&str, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (index, m) in records.iter().enumerate() {
-            let bucket = by_domain.entry(m.domain.as_str()).or_default();
-            if bucket.is_empty() {
-                order.push(&m.domain);
-            }
-            bucket.push(index);
-        }
-        for domain in order {
-            let bucket = &by_domain[domain];
-            let bytes = binfmt::encode_rows(bucket.iter().map(|&i| (i as u64, &records[i])));
-            chunks.push(place(section, domain, bucket.len() as u64, &bytes));
+    upstream: &'a [Fingerprint],
+    artifact: &'a dyn Encode,
+}
+
+impl<'a> StageWrite<'a> {
+    /// Queues `artifact` under `stage` and `fingerprint`, derived from
+    /// the `upstream` fingerprints (empty for measurement stages).
+    #[must_use]
+    pub fn new<T: Artifact + Sync>(
+        stage: &'a str,
+        fingerprint: Fingerprint,
+        upstream: &'a [Fingerprint],
+        artifact: &'a T,
+    ) -> Self {
+        StageWrite {
+            stage,
+            fingerprint,
+            upstream,
+            artifact,
         }
     }
+}
+
+/// What the binary encoder reads of an artifact, without its type, so
+/// one batch can hold different stages.
+trait Encode: Sync {
+    /// The encoded meta chunk: the [`Artifact::hollow`] artifact.
+    fn meta_chunk(&self) -> Vec<u8>;
+    /// The row sections present, in [`Artifact::SECTIONS`] order.
+    fn row_sections(&self) -> Vec<(&'static str, &MeasurementStore)>;
+}
+
+impl<T: Artifact + Sync> Encode for T {
+    fn meta_chunk(&self) -> Vec<u8> {
+        binfmt::encode_one(&*self.hollow())
+    }
+
+    fn row_sections(&self) -> Vec<(&'static str, &MeasurementStore)> {
+        T::SECTIONS
+            .iter()
+            .filter_map(|&section| self.section(section).map(|store| (section, store)))
+            .collect()
+    }
+}
+
+/// One encoded chunk of a file: the meta chunk (empty section and
+/// name, no rows) or one domain's rows of one section.
+struct EncodedChunk<'a> {
+    section: &'static str,
+    name: &'a str,
+    rows: u64,
+    bytes: Vec<u8>,
+}
+
+/// Encodes every chunk of every queued file in one indexed map: each
+/// file's meta chunk, then one framed-rows chunk per domain per section,
+/// domains in first-seen order (matching `MeasurementStore::domains`).
+/// Every row carries its original index, so reassembly is exact
+/// regardless of chunk order. Chunks encode independently, so the bytes
+/// are the same at every thread count. Returns each file's chunks in
+/// layout order.
+fn encode_chunks<'a>(writes: &[StageWrite<'a>], exec: &Executor) -> Vec<Vec<EncodedChunk<'a>>> {
+    // (file, section, domain, that domain's row indices in the section).
+    type Job<'a> = (
+        usize,
+        &'static str,
+        &'a str,
+        Option<(&'a MeasurementStore, Vec<usize>)>,
+    );
+    let mut jobs: Vec<Job<'a>> = Vec::new();
+    for (file, write) in writes.iter().enumerate() {
+        jobs.push((file, "", "", None));
+        for (section, store) in write.artifact.row_sections() {
+            let mut order: Vec<&str> = Vec::new();
+            let mut by_domain: std::collections::HashMap<&str, Vec<usize>> =
+                std::collections::HashMap::new();
+            for (index, m) in store.records().iter().enumerate() {
+                let bucket = by_domain.entry(m.domain.as_str()).or_default();
+                if bucket.is_empty() {
+                    order.push(&m.domain);
+                }
+                bucket.push(index);
+            }
+            for domain in order {
+                let rows = by_domain.remove(domain).expect("bucketed above");
+                jobs.push((file, section, domain, Some((store, rows))));
+            }
+        }
+    }
+    let encoded = exec.map_indexed(jobs.len(), |i| match &jobs[i] {
+        (file, _, _, None) => writes[*file].artifact.meta_chunk(),
+        (_, _, _, Some((store, rows))) => {
+            let records = store.records();
+            binfmt::encode_rows(rows.iter().map(|&r| (r as u64, &records[r])))
+        }
+    });
+    let mut files: Vec<Vec<EncodedChunk<'a>>> = writes.iter().map(|_| Vec::new()).collect();
+    for ((file, section, name, rows), bytes) in jobs.into_iter().zip(encoded) {
+        files[file].push(EncodedChunk {
+            section,
+            name,
+            rows: rows.map_or(0, |(_, rows)| rows.len() as u64),
+            bytes,
+        });
+    }
+    files
+}
+
+/// The prefix that goes before one file's encoded chunks in the binary
+/// file layout: magic, u32-LE header length, and the binfmt-encoded
+/// header (schema, stage, fingerprint, chunk index); the chunk region
+/// follows, meta chunk first. Returns the prefix and the chunk-region
+/// size (the payload-only byte count).
+fn file_prefix(
+    stage: &str,
+    fingerprint: Fingerprint,
+    chunks: &[EncodedChunk<'_>],
+) -> (Vec<u8>, u64) {
+    let mut offset = 0u64;
+    let mut index: Vec<ChunkInfo> = chunks
+        .iter()
+        .map(|chunk| {
+            let info = ChunkInfo {
+                section: chunk.section.to_owned(),
+                name: chunk.name.to_owned(),
+                offset,
+                len: chunk.bytes.len() as u64,
+                rows: chunk.rows,
+                checksum: fnv1a64(&chunk.bytes),
+            };
+            offset += info.len;
+            info
+        })
+        .collect();
+    let meta = index.remove(0);
 
     let mut header = serde::Map::new();
     header.insert(
@@ -964,51 +1119,51 @@ fn encode_binary<T: Artifact>(
     header.insert("meta".to_owned(), meta.to_value());
     header.insert(
         "chunks".to_owned(),
-        Value::Array(chunks.iter().map(ChunkInfo::to_value).collect()),
+        Value::Array(index.iter().map(ChunkInfo::to_value).collect()),
     );
     let header_bytes = binfmt::encode_one(&Value::Object(header));
 
-    let mut file = Vec::with_capacity(8 + header_bytes.len() + region.len());
-    file.extend_from_slice(&BIN_MAGIC);
-    file.extend_from_slice(&(header_bytes.len() as u32).to_le_bytes());
-    file.extend_from_slice(&header_bytes);
-    file.extend_from_slice(&region);
-    let payload_bytes = region.len() as u64;
-    (file, payload_bytes, 1 + chunks.len() as u32)
+    let mut prefix = Vec::with_capacity(8 + header_bytes.len());
+    prefix.extend_from_slice(&BIN_MAGIC);
+    prefix.extend_from_slice(&(header_bytes.len() as u32).to_le_bytes());
+    prefix.extend_from_slice(&header_bytes);
+    (prefix, offset)
 }
 
 /// A validated, open binary artifact whose row chunks decode on
-/// demand. Produced by [`ArtifactStore::open_chunked`]; every chunk's
-/// checksum was verified at open time, so reads fail only on
-/// filesystem races. Cheap to keep around: it holds the chunk index,
-/// not the payload.
+/// demand. Produced by [`ArtifactStore::open_chunked`]: the file is read
+/// once, at open, and every chunk's checksum is verified on those
+/// bytes. Reads decode the verified bytes and never touch the file
+/// again, so a file replaced after open cannot change what is read.
+/// Cheap to clone: the bytes are shared.
 #[derive(Debug, Clone)]
 pub struct ChunkedPayload {
     path: PathBuf,
-    chunk_base: u64,
+    bytes: Arc<[u8]>,
+    chunk_base: usize,
     meta: ChunkInfo,
     chunks: Vec<ChunkInfo>,
 }
 
 impl ChunkedPayload {
-    /// Opens `path` and validates it end to end against the manifest's
-    /// expectations: magic, readable schema version, stage name,
-    /// fingerprint, every chunk's range inside the file, and the
-    /// checksum of every chunk (bytes are read once and hashed, never
-    /// decoded). Lengths come from an unchecksummed header, so each is
-    /// checked against the file's size before anything is allocated
-    /// for it.
+    /// Reads `path` once and validates it end to end against the
+    /// manifest's expectations: magic, readable schema version, stage
+    /// name, fingerprint, every chunk's range inside the file, and the
+    /// checksum of every chunk (hashed, never decoded). Lengths come
+    /// from an unchecksummed header, so each is checked against the
+    /// file's size before it is used.
     fn open(path: &Path, stage: &str, fingerprint: &str) -> Result<ChunkedPayload, StoreError> {
-        use std::io::Read;
         let corrupt = |detail: String| StoreError::Corrupt {
             path: path.display().to_string(),
             detail,
         };
-        let mut file = std::fs::File::open(path).map_err(|e| io_err(path, &e))?;
-        let file_len = file.metadata().map_err(|e| io_err(path, &e))?.len();
-        let mut prefix = [0u8; 8];
-        file.read_exact(&mut prefix)
-            .map_err(|e| corrupt(format!("file shorter than its fixed prefix: {e}")))?;
+        let bytes: Arc<[u8]> = std::fs::read(path).map_err(|e| io_err(path, &e))?.into();
+        let file_len = bytes.len() as u64;
+        let Some(prefix) = bytes.get(..8) else {
+            return Err(corrupt(format!(
+                "file shorter than its fixed prefix ({file_len} bytes)"
+            )));
+        };
         if prefix[..4] != BIN_MAGIC {
             return Err(corrupt(format!(
                 "bad magic {:02x?} (not a binary artifact)",
@@ -1022,10 +1177,9 @@ impl ChunkedPayload {
                 "header length {header_len} overruns the {file_len}-byte file"
             )));
         }
-        let mut header_bytes = vec![0u8; header_len as usize];
-        file.read_exact(&mut header_bytes)
-            .map_err(|e| corrupt(format!("truncated header: {e}")))?;
-        let header: Value = binfmt::decode_one(&header_bytes)
+        // Within the in-memory file, so it fits a usize.
+        let chunk_base = chunk_base as usize;
+        let header: Value = binfmt::decode_one(&bytes[8..chunk_base])
             .map_err(|e| corrupt(format!("header does not decode: {e}")))?;
         let map = match &header {
             Value::Object(map) => map,
@@ -1063,8 +1217,11 @@ impl ChunkedPayload {
             .map(ChunkInfo::from_value)
             .collect::<Result<_, _>>()
             .map_err(&corrupt)?;
+        // Integrity pass over the bytes just read: every chunk in range
+        // and matching its checksum, so a bit-flipped or truncated chunk
+        // is rejected at open rather than mid-analysis.
         for chunk in std::iter::once(&meta).chain(&chunks) {
-            let end = chunk_base
+            let end = (chunk_base as u64)
                 .checked_add(chunk.offset)
                 .and_then(|start| start.checked_add(chunk.len));
             if end.is_none_or(|end| end > file_len) {
@@ -1073,21 +1230,20 @@ impl ChunkedPayload {
                     chunk.section, chunk.name, chunk.len, chunk.offset
                 )));
             }
+            if fnv1a64(chunk_slice(&bytes, chunk_base, chunk)) != chunk.checksum {
+                return Err(corrupt(format!(
+                    "chunk {}/{} fails its checksum (expected {:016x})",
+                    chunk.section, chunk.name, chunk.checksum
+                )));
+            }
         }
-        let payload = ChunkedPayload {
+        Ok(ChunkedPayload {
             path: path.to_path_buf(),
+            bytes,
             chunk_base,
             meta,
             chunks,
-        };
-        // Eager integrity pass: read (not decode) every chunk once and
-        // verify its checksum, so a bit-flipped or truncated chunk is
-        // rejected at open rather than mid-analysis.
-        payload.read_chunk_bytes(&payload.meta)?;
-        for chunk in &payload.chunks {
-            payload.read_chunk_bytes(chunk)?;
-        }
-        Ok(payload)
+        })
     }
 
     /// Total chunk count (meta + row chunks).
@@ -1113,37 +1269,16 @@ impl ChunkedPayload {
         }
     }
 
-    /// Reads and verifies one chunk's raw bytes (its range was checked
-    /// against the file at open).
-    fn read_chunk_bytes(&self, chunk: &ChunkInfo) -> Result<Vec<u8>, StoreError> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut file = std::fs::File::open(&self.path).map_err(|e| io_err(&self.path, &e))?;
-        file.seek(SeekFrom::Start(self.chunk_base + chunk.offset))
-            .map_err(|e| io_err(&self.path, &e))?;
-        let len = usize::try_from(chunk.len)
-            .map_err(|_| self.corrupt(format!("chunk length {} overflows", chunk.len)))?;
-        let mut bytes = vec![0u8; len];
-        file.read_exact(&mut bytes).map_err(|e| {
-            self.corrupt(format!(
-                "chunk {}/{} truncated at offset {}: {e}",
-                chunk.section, chunk.name, chunk.offset
-            ))
-        })?;
-        if fnv1a64(&bytes) != chunk.checksum {
-            return Err(self.corrupt(format!(
-                "chunk {}/{} fails its checksum (expected {:016x})",
-                chunk.section, chunk.name, chunk.checksum
-            )));
-        }
-        Ok(bytes)
+    /// One chunk's verified bytes.
+    fn chunk_bytes(&self, chunk: &ChunkInfo) -> &[u8] {
+        chunk_slice(&self.bytes, self.chunk_base, chunk)
     }
 
     /// Decodes the meta chunk: the artifact with every row section
     /// empty (stores decode with zero records, stats and cleaning
     /// metadata intact).
     pub(crate) fn meta<T: Deserialize>(&self) -> Result<T, StoreError> {
-        let bytes = self.read_chunk_bytes(&self.meta)?;
-        binfmt::decode_one(&bytes)
+        binfmt::decode_one(self.chunk_bytes(&self.meta))
             .map_err(|e| self.corrupt(format!("meta chunk does not decode: {e}")))
     }
 
@@ -1160,8 +1295,7 @@ impl ChunkedPayload {
             .iter()
             .find(|c| c.section == section && c.name == name)
             .ok_or_else(|| self.corrupt(format!("no chunk {section}/{name} in the index")))?;
-        let bytes = self.read_chunk_bytes(chunk)?;
-        binfmt::decode_rows(&bytes)
+        binfmt::decode_rows(self.chunk_bytes(chunk))
             .map_err(|e| self.corrupt(format!("chunk {section}/{name} does not decode: {e}")))
     }
 
@@ -1193,7 +1327,7 @@ impl ChunkedPayload {
     ///
     /// [`StoreError::Corrupt`] when a chunk fails to decode, the rows of
     /// a section do not fill it exactly once, or the artifact has no
-    /// such section; [`StoreError::Io`] on read races.
+    /// such section.
     pub fn assemble<T: Artifact>(&self) -> Result<T, StoreError> {
         let mut artifact: T = self.meta()?;
         let mut sections: Vec<&str> = Vec::new();
@@ -1241,15 +1375,19 @@ impl ChunkedPayload {
     }
 }
 
-/// Writes via a unique sibling temp file, fsync and rename, so a crash
-/// mid-write never leaves a truncated artifact behind a valid-looking
-/// name — the data hits the disk before the name does, and the parent
-/// directory is fsynced after the rename so the name itself survives a
-/// crash. The temp name embeds the pid and a process-wide counter, so
-/// concurrent savers (threads or processes sharing one store dir) each
-/// write their own temp file and can never publish another writer's
-/// partial bytes.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+/// One chunk's bytes inside a file whose ranges were checked at open.
+fn chunk_slice<'b>(bytes: &'b [u8], chunk_base: usize, chunk: &ChunkInfo) -> &'b [u8] {
+    let start = chunk_base + chunk.offset as usize;
+    &bytes[start..start + chunk.len as usize]
+}
+
+/// Writes `parts`, in order, to a unique sibling temp file of `path` and
+/// fsyncs it, so the data is on disk before any name points at it;
+/// returns the temp path for [`publish`]. The temp name embeds the pid and a process-wide
+/// counter, so concurrent savers (threads or processes sharing one store
+/// dir) each write their own temp file and can never publish another
+/// writer's partial bytes. A failed write leaves no temp file behind.
+fn write_temp(path: &Path, parts: &[&[u8]]) -> Result<PathBuf, StoreError> {
     use std::io::Write;
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -1258,24 +1396,41 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         .and_then(|n| n.to_str())
         .unwrap_or("artifact");
     let tmp = path.with_file_name(format!(".{name}.{}.{seq}.tmp", std::process::id()));
-    let result = (|| {
-        let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, &e))?;
-        file.write_all(bytes).map_err(|e| io_err(&tmp, &e))?;
-        file.sync_all().map_err(|e| io_err(&tmp, &e))?;
-        std::fs::rename(&tmp, path).map_err(|e| io_err(path, &e))
+    let written = (|| {
+        let file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, &e))?;
+        let mut out = std::io::BufWriter::new(file);
+        for part in parts {
+            out.write_all(part).map_err(|e| io_err(&tmp, &e))?;
+        }
+        let file = out.into_inner().map_err(|e| io_err(&tmp, e.error()))?;
+        file.sync_all().map_err(|e| io_err(&tmp, &e))
     })();
-    if result.is_err() {
+    if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
-        return result;
     }
-    // The rename is durable only once the directory entry is synced;
+    written.map(|()| tmp)
+}
+
+/// Renames each fsynced temp file over its destination, in order, then
+/// fsyncs `dir` once so every new name survives a crash. A crash at any
+/// point leaves each destination either old or complete and new, never
+/// truncated. If a rename fails, it and the temp files not yet renamed
+/// are removed and the error returned.
+fn publish(dir: &Path, staged: &[(PathBuf, PathBuf)]) -> Result<(), StoreError> {
+    for (i, (tmp, path)) in staged.iter().enumerate() {
+        if let Err(e) = std::fs::rename(tmp, path) {
+            for (tmp, _) in &staged[i..] {
+                let _ = std::fs::remove_file(tmp);
+            }
+            return Err(io_err(path, &e));
+        }
+    }
+    // The renames are durable only once the directory entry is synced;
     // opening a directory read-only for fsync works on the Unix
     // platforms we support, and a platform that refuses the open keeps
-    // the old (rename-only) guarantee rather than failing the save.
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            dir.sync_all().map_err(|e| io_err(parent, &e))?;
-        }
+    // the rename-only guarantee rather than failing the save.
+    if let Ok(handle) = std::fs::File::open(dir) {
+        handle.sync_all().map_err(|e| io_err(dir, &e))?;
     }
     Ok(())
 }
@@ -1614,6 +1769,100 @@ mod tests {
     }
 
     #[test]
+    fn chunked_reads_come_from_the_bytes_verified_at_open() {
+        let dir = tmp_dir("read-once");
+        let plan = smoke_plan(7);
+        let fp = crawl_fingerprint(&plan);
+        let art = crawl_artifact(&["a.example", "b.example"], 6);
+        let mut store = ArtifactStore::create(
+            &dir,
+            Provenance::new("smoke", "", "smoke", 7, 1),
+            &plan,
+            None,
+        )
+        .expect("create");
+        store.save("crawl", fp, &[], &art).expect("save");
+        let chunked = store.open_chunked("crawl", fp).expect("open chunked");
+
+        // Replace the file after open, first with garbage, then with
+        // another valid artifact, then remove it: every read still
+        // returns the rows verified at open.
+        let path = dir.join("crawl.bin");
+        std::fs::write(&path, b"garbage").expect("scribble");
+        let rows: Vec<Measurement> = chunked.read_chunk_rows("store", "b.example").expect("rows");
+        assert_eq!(rows, art.store.records()[6..12].to_vec());
+        store
+            .save("crawl", fp, &[], &crawl_artifact(&["a.example"], 2))
+            .expect("overwrite");
+        std::fs::remove_file(&path).expect("remove");
+        let back: CrawlArtifact = chunked.assemble().expect("assemble");
+        assert_eq!(back.store.records(), art.store.records());
+        assert_eq!(chunked.chunk_names("store"), ["a.example", "b.example"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn batched_saves_equal_one_by_one_saves_at_any_thread_count() {
+        let plan = smoke_plan(7);
+        let crowd = CrowdArtifact {
+            raw: crawl_artifact(&["a.example", "b.example", "c.example"], 4).store,
+            cleaned: crawl_artifact(&["b.example"], 3).store,
+            cleaning: pd_sheriff::cleaning::CleaningReport {
+                kept: 3,
+                dropped_inconsistent: 1,
+                dropped_unhealthy: 2,
+                dropped_tax_explained: 0,
+                dropped_truly_noisy: 1,
+                kept_truly_noisy: 0,
+            },
+        };
+        let crawl = crawl_artifact(&["x.example", "y.example"], 5);
+        let (crowd_fp, crawl_fp) = (crowd_fingerprint(&plan), crawl_fingerprint(&plan));
+        let files = |dir: &Path| {
+            ["crowd.bin", "crawl.bin"].map(|f| std::fs::read(dir.join(f)).expect("stage file"))
+        };
+        let one_by_one = tmp_dir("one-by-one");
+        let mut store = ArtifactStore::create(
+            &one_by_one,
+            Provenance::new("smoke", "", "smoke", 7, 1),
+            &plan,
+            None,
+        )
+        .expect("create");
+        store.save("crowd", crowd_fp, &[], &crowd).expect("crowd");
+        store.save("crawl", crawl_fp, &[], &crawl).expect("crawl");
+        let expected = (files(&one_by_one), store.manifest().entries.clone());
+        for threads in [1, 2, 4] {
+            let dir = tmp_dir(&format!("batched-{threads}"));
+            let mut store = ArtifactStore::create(
+                &dir,
+                Provenance::new("smoke", "", "smoke", 7, threads),
+                &plan,
+                None,
+            )
+            .expect("create");
+            let sizes = store
+                .save_all(
+                    &[
+                        StageWrite::new("crowd", crowd_fp, &[], &crowd),
+                        StageWrite::new("crawl", crawl_fp, &[], &crawl),
+                    ],
+                    &Executor::new(threads),
+                )
+                .expect("batch");
+            let on_disk = ArtifactStore::open(&dir).expect("open").manifest().clone();
+            assert_eq!(
+                (files(&dir), on_disk.entries),
+                expected,
+                "{threads} threads"
+            );
+            assert_eq!(sizes, vec![expected.1[0].bytes, expected.1[1].bytes]);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        std::fs::remove_dir_all(&one_by_one).ok();
+    }
+
+    #[test]
     fn concurrent_saves_never_publish_partial_bytes() {
         let dir = tmp_dir("concurrent-save");
         let plan = smoke_plan(7);
@@ -1877,7 +2126,7 @@ mod tests {
             ] {
                 let payload = store.open_chunked(stage, fp).expect("opens");
                 for chunk in std::iter::once(&payload.meta).chain(&payload.chunks) {
-                    chunks.push(payload.read_chunk_bytes(chunk).expect("chunk bytes"));
+                    chunks.push(payload.chunk_bytes(chunk).to_vec());
                 }
             }
             std::fs::remove_dir_all(&dir).ok();

@@ -2,6 +2,7 @@
 //! [`AnalysisContext`] the analysis reads instead of a built world.
 
 use crate::config::ExperimentConfig;
+use crate::executor::Executor;
 use crate::scenario::RunPlan;
 use pd_currency::FxSeries;
 use pd_net::ip::IpAllocator;
@@ -10,7 +11,7 @@ use pd_net::vantage::{paper_vantage_points, VantagePoint};
 use pd_pricing::{filler_retailers, paper_retailers};
 use pd_sheriff::{Crowd, Sheriff};
 use pd_util::VantageId;
-use pd_web::WebWorld;
+use pd_web::{RetailerServer, WebWorld};
 
 /// The assembled simulation world.
 #[derive(Debug)]
@@ -24,13 +25,24 @@ pub struct World {
 }
 
 impl World {
-    /// Builds the world for a configuration.
+    /// Builds the world for a configuration on the calling thread.
     #[must_use]
     pub fn build(config: &ExperimentConfig) -> Self {
+        Self::build_on(config, &Executor::serial())
+    }
+
+    /// Builds the world for a configuration, its retailer servers fanned
+    /// across `exec` (each is a pure function of the seed and its spec)
+    /// and registered in spec order, so the world is the same at every
+    /// thread count.
+    #[must_use]
+    pub fn build_on(config: &ExperimentConfig, exec: &Executor) -> Self {
         let seed = config.seed;
         let mut specs = paper_retailers(seed);
         specs.extend(filler_retailers(seed, config.filler_domains));
-        let mut web = WebWorld::build(seed, specs, config.fx_days);
+        let servers =
+            exec.map_indexed(specs.len(), |i| RetailerServer::new(seed, specs[i].clone()));
+        let mut web = WebWorld::from_servers(seed, servers, config.fx_days);
         // Failure injection is part of the world, not the campaign: a
         // spec-set rate shapes every fetch (crowd, crawl, personas) and
         // is therefore in every measurement fingerprint.
@@ -185,6 +197,35 @@ mod tests {
             w.web.fetch(&req).status.code() != 200
         });
         assert!(failed, "configured failure rate must reach the web world");
+    }
+
+    #[test]
+    fn worlds_built_on_any_thread_count_serve_the_same_pages() {
+        let config = ExperimentConfig::small(1307);
+        let serial = World::build(&config);
+        let fanned = World::build_on(&config, &Executor::new(4));
+        assert_eq!(serial.web.servers().len(), fanned.web.servers().len());
+        let vp = &serial.sheriff.vantage_points()[3];
+        assert_eq!(vp, &fanned.sheriff.vantage_points()[3]);
+        for (a, b) in serial.web.servers().iter().zip(fanned.web.servers()) {
+            let domain = &a.spec().domain;
+            assert_eq!(a.spec(), b.spec());
+            assert_eq!(
+                serial.web.hosts().resolve(domain),
+                fanned.web.hosts().resolve(domain)
+            );
+            for product in a.catalog().iter().take(3) {
+                let req = pd_web::Request::get(
+                    domain,
+                    &format!("/product/{}", product.slug),
+                    vp.addr,
+                    pd_net::clock::SimTime::from_millis(86_400_000),
+                );
+                let (pa, pb) = (serial.web.fetch(&req), fanned.web.fetch(&req));
+                assert_eq!(pa.status, pb.status, "{domain}");
+                assert_eq!(pa.body, pb.body, "{domain}/{}", product.slug);
+            }
+        }
     }
 
     #[test]

@@ -44,9 +44,25 @@ pub struct CleaningReport {
     pub kept_truly_noisy: usize,
 }
 
+/// Rule 2, extraction health: did at least half the vantage points
+/// extract a price?
+fn is_healthy(m: &Measurement) -> bool {
+    m.prices().len() * 2 >= m.observations.len()
+}
+
+/// Does [`clean`] refetch this measurement? Exactly when it passes rule
+/// 2 and carries the user's own price for rule 1 to compare against.
+/// A caller that computes refetches ahead of `clean` (in parallel, say)
+/// computes them for these records, in store order.
+#[must_use]
+pub fn reaches_refetch(m: &Measurement) -> bool {
+    m.user_price.is_some() && is_healthy(m)
+}
+
 /// Cleans a crowdsourced store. `user_refetch` must return the price the
 /// user's own location would see for a measurement (the crowd driver
-/// wires this to a real refetch through the web world).
+/// wires this to a real refetch through the web world); it is called
+/// once per record that [`reaches_refetch`], in store order.
 pub fn clean<F>(
     store: &MeasurementStore,
     fx: &FxSeries,
@@ -67,8 +83,7 @@ where
 
     for m in store.records() {
         // Rule 2: extraction health.
-        let ok = m.prices().len();
-        if ok * 2 < m.observations.len() {
+        if !is_healthy(m) {
             report.dropped_unhealthy += 1;
             if m.noise_truth != NoiseTruth::Clean {
                 report.dropped_truly_noisy += 1;
@@ -77,7 +92,8 @@ where
         }
         // Rule 1: refetch consistency (only checkable when the user's
         // price was captured).
-        if let (Some(user_price), Some(refetched)) = (m.user_price, user_refetch(m)) {
+        let refetch = m.user_price.and_then(|p| user_refetch(m).map(|r| (p, r)));
+        if let Some((user_price, refetched)) = refetch {
             let day = m.day().min(fx.days().saturating_sub(1));
             if let Some(verdict) = band_filter(fx, &[user_price, refetched], day) {
                 if verdict.genuine {
@@ -224,5 +240,36 @@ mod tests {
         let (kept, report) = clean(&store, &fx(), |_| Some(usd(10_000)));
         assert_eq!(kept.len(), 1);
         assert_eq!(report.dropped_inconsistent, 0);
+    }
+
+    #[test]
+    fn refetches_exactly_the_records_that_reach_rule_one() {
+        let mut store = MeasurementStore::new();
+        for (i, (user, obs)) in [
+            (Some(usd(100)), &[Some(100), Some(100)][..]),
+            (None, &[Some(100), Some(100)][..]),
+            (Some(usd(100)), &[Some(100), None, None][..]),
+            (Some(usd(200)), &[Some(200), None][..]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut m = meas(user, obs, NoiseTruth::Clean);
+            m.product_slug = format!("p{i}");
+            store.push(m);
+        }
+        let expected: Vec<String> = store
+            .records()
+            .iter()
+            .filter(|m| reaches_refetch(m))
+            .map(|m| m.product_slug.clone())
+            .collect();
+        assert_eq!(expected, ["p0", "p3"]);
+        let mut asked = Vec::new();
+        clean(&store, &fx(), |m| {
+            asked.push(m.product_slug.clone());
+            None
+        });
+        assert_eq!(asked, expected);
     }
 }

@@ -37,16 +37,28 @@ pub struct WebWorld {
 }
 
 impl WebWorld {
-    /// Builds the world from retailer specs. `fx_days` bounds the
-    /// simulated horizon (the paper's window is 151 days, Jan–May 2013).
+    /// Builds the world from retailer specs, one server after another.
+    /// `fx_days` bounds the simulated horizon (the paper's window is 151
+    /// days, Jan–May 2013).
     #[must_use]
     pub fn build(seed: Seed, specs: Vec<RetailerSpec>, fx_days: usize) -> Self {
+        let servers = specs
+            .into_iter()
+            .map(|spec| RetailerServer::new(seed, spec))
+            .collect();
+        Self::from_servers(seed, servers, fx_days)
+    }
+
+    /// Wires already-built servers into a world, registering their hosts
+    /// in the given order. Each [`RetailerServer::new`] is a pure function
+    /// of the seed and its spec, so a caller may build the servers in
+    /// parallel and get the world [`WebWorld::build`] would give.
+    #[must_use]
+    pub fn from_servers(seed: Seed, servers: Vec<RetailerServer>, fx_days: usize) -> Self {
         let mut hosts = HostRegistry::new();
-        let mut servers = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let id = hosts.register(&spec.domain);
-            debug_assert_eq!(id.index(), servers.len(), "dense server ids");
-            servers.push(RetailerServer::new(seed, spec));
+        for (i, server) in servers.iter().enumerate() {
+            let id = hosts.register(&server.spec().domain);
+            debug_assert_eq!(id.index(), i, "dense server ids");
         }
         WebWorld {
             hosts,

@@ -467,7 +467,7 @@ fn execute_run(run: &RunArgs, registry: &ScenarioRegistry) -> Result<(), String>
             outln!(
                 "== {} (profile {}, seed {}, {} threads, {fleet} probes) ==",
                 scenario_name,
-                run.profile.name(),
+                engine.provenance().profile,
                 run.seed,
                 engine.executor().threads(),
             );

@@ -15,7 +15,7 @@
 use pd_core::store::{self, ArtifactStore, EntryHealth, Provenance, StoreError};
 use pd_core::{
     AnalysisArtifact, CrawlArtifact, CrowdArtifact, Engine, Executor, Experiment, ExperimentConfig,
-    PersonaArtifact, RunPlan, StageKind, TimingObserver,
+    PersonaArtifact, Profile, RunPlan, StageKind, TimingObserver,
 };
 use pd_currency::{Currency, Price};
 use pd_net::clock::SimTime;
@@ -576,6 +576,50 @@ fn second_run_over_a_complete_store_builds_no_world() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The store does not depend on the thread count: a full run saved at 1
+/// and at 4 threads (world build, cleaning, figures and the batched
+/// save all fan across the executor) writes byte-identical `.bin` files
+/// and equal manifest entries.
+#[test]
+fn stores_saved_at_any_thread_count_are_byte_identical() {
+    let save = |scenario: &str, profile: Profile, seed: u64, threads: usize| {
+        let dir = tmp(&format!("threads-{scenario}-{threads}"));
+        let mut arms = Experiment::builder()
+            .scenario(scenario)
+            .profile(profile)
+            .seed(seed)
+            .threads(threads)
+            .run_sweep()
+            .expect("scenario runs");
+        let arm = arms.remove(0);
+        arm.engine.save_artifacts(&dir).expect("save");
+        arm.engine
+            .save_analysis(&dir, &arm.analysis)
+            .expect("save analysis");
+        let files: Vec<Vec<u8>> = ["crowd", "crawl", "personas", "analysis"]
+            .iter()
+            .map(|stage| std::fs::read(dir.join(format!("{stage}.bin"))).expect("stage file"))
+            .collect();
+        let entries = ArtifactStore::open(&dir)
+            .expect("store opens")
+            .manifest()
+            .entries
+            .clone();
+        std::fs::remove_dir_all(&dir).ok();
+        (files, entries)
+    };
+    for (scenario, profile, seed) in [
+        ("smoke", Profile::Smoke, 7),
+        ("paper", Profile::Small, 1307),
+    ] {
+        assert_eq!(
+            save(scenario, profile, seed, 1),
+            save(scenario, profile, seed, 4),
+            "{scenario} seed {seed}"
+        );
+    }
+}
+
 fn pd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pd"))
 }
@@ -599,6 +643,13 @@ fn rerun_reanalyzes_a_stored_smoke_crawl_across_processes() {
         .output()
         .expect("pd run executes");
     assert!(run.status.success(), "pd run failed: {run:?}");
+    // `smoke` pins its base profile: the header says so, although no
+    // `--profile` was given (the CLI default is small).
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        stdout.starts_with("== smoke (profile smoke, seed 7,"),
+        "header must name the resolved profile:\n{stdout}"
+    );
     // A second run against the store names the reused stages in run
     // order, and builds no world.
     let again = pd()
@@ -643,7 +694,15 @@ fn rerun_reanalyzes_a_stored_smoke_crawl_across_processes() {
         .expect("ls");
     assert!(ls.status.success());
     let ls_out = String::from_utf8_lossy(&ls.stdout);
-    for needle in ["crowd", "crawl", "personas", "analysis", "upstream", "ok"] {
+    for needle in [
+        "crowd",
+        "crawl",
+        "personas",
+        "analysis",
+        "upstream",
+        "ok",
+        "profile smoke",
+    ] {
         assert!(ls_out.contains(needle), "missing {needle:?} in:\n{ls_out}");
     }
     std::fs::remove_dir_all(&dir).ok();

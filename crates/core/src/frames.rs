@@ -1,21 +1,17 @@
-//! The incremental per-domain analysis cache.
+//! The analysis frame cache.
 //!
 //! Every `analyze()` call used to rebuild the full [`CheckFrame`] from
 //! the measurement stores — at paper scale that is hundreds of
 //! thousands of band-filter evaluations repeated for every re-analysis,
 //! every `pd rerun`, and every sweep arm. The [`FrameCache`] memoizes
-//! frames at two granularities, keyed by the **measurement fingerprint**
-//! of the store they were cut from ([`crate::store`]):
-//!
-//! * *domain shards* — `(fingerprint, domain) →` the domain's
-//!   `CheckFrame` and its [`CrawlTally`], cut from the same rows in one
-//!   pass, built in parallel (one task per retailer) on the
-//!   deterministic [`Executor`]; held only while a store's assembly is
-//!   in flight and released once the assembled frame is memoized (the
-//!   rows would otherwise be retained twice);
-//! * *assembled frames* — `fingerprint →` [`StoreFrame`], the shards
-//!   spliced back into exact store order with
-//!   [`CheckFrame::merge_shards`] and their tallies merged beside them.
+//! each store's assembled frame, keyed by the **measurement
+//! fingerprint** of the store it was cut from ([`crate::store`]):
+//! `fingerprint →` [`StoreFrame`]. A miss builds one shard per domain —
+//! the domain's `CheckFrame` and its [`CrawlTally`], cut from the same
+//! rows in one pass — in parallel (one task per retailer) on the
+//! deterministic [`Executor`], splices them back into exact store order
+//! with [`CheckFrame::merge_shards`] and merges their tallies beside
+//! them. The shards themselves are not kept.
 //!
 //! Because the key is the fingerprint — a digest of everything that can
 //! reshape the store — a cache hit is exactly as trustworthy as the
@@ -27,7 +23,7 @@
 //! through seed, config or engine knobs, all part of the fingerprint) —
 //! cross-arm reuse only materializes for custom sweeps whose arms vary
 //! nothing but [`crate::AnalysisConfig`]. If two such arms do race on a
-//! key, both may build the same shards; results are unaffected (equal
+//! key, both may build the same frame; results are unaffected (equal
 //! values, first insert wins) and only the per-arm `frames_built`
 //! counters over-report.
 //!
@@ -42,7 +38,7 @@
 //! let store = MeasurementStore::new();
 //! let exec = Executor::serial();
 //! let (frame, stats) = cache.frame_for(7, &store, &fx, &exec);
-//! assert_eq!((stats.built, stats.reused), (0, 0), "empty store, no shards");
+//! assert_eq!((stats.built, stats.reused), (0, 0), "empty store, no domains");
 //! let (again, stats) = cache.frame_for(7, &store, &fx, &exec);
 //! assert!(std::sync::Arc::ptr_eq(&frame.frame, &again.frame), "second call is a hit");
 //! assert_eq!(stats.built, 0);
@@ -67,9 +63,11 @@ use std::sync::{Arc, Mutex};
 /// counters on [`crate::RunObserver`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameStats {
-    /// Domain frames built by this call.
+    /// Domain frames built by this call (the store's domain count on a
+    /// miss).
     pub built: usize,
-    /// Domain frames (or a whole assembled frame) served from cache.
+    /// Domain frames served from cache (the store's domain count on a
+    /// hit).
     pub reused: usize,
     /// Binary store chunks decoded from a [`ChunkedPayload`] by this
     /// call. Zero on the in-memory path and on every cache hit — a
@@ -91,18 +89,13 @@ pub struct StoreFrame {
 }
 
 /// One domain's frame shard and the tally of its rows.
-type Shard = (Arc<CheckFrame>, CrawlTally);
+type Shard = (CheckFrame, CrawlTally);
 
-/// One store's per-domain shards, keyed by interned domain.
-type DomainShards = HashMap<Arc<str>, Shard>;
-
-/// Shared, thread-safe cache of per-domain [`CheckFrame`]s keyed by
+/// Shared, thread-safe cache of assembled [`CheckFrame`]s keyed by
 /// store fingerprint. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct FrameCache {
-    /// `store fingerprint → domain →` that domain's shard.
-    shards: Mutex<HashMap<u64, DomainShards>>,
-    /// `store fingerprint → (full frame, number of domain shards)`.
+    /// `store fingerprint → (full frame, number of domains)`.
     assembled: Mutex<HashMap<u64, (StoreFrame, usize)>>,
 }
 
@@ -114,10 +107,10 @@ impl FrameCache {
     }
 
     /// The analysis-ready frame for `store`, identified by `key` (the
-    /// producing stage's fingerprint). Missing domain shards are built
-    /// in parallel on `exec` — one task per retailer — and spliced into
-    /// store order; present shards (and whole assembled frames) are
-    /// reused. The returned frame is row-for-row identical to
+    /// producing stage's fingerprint). On a miss one shard per domain is
+    /// built in parallel on `exec` — one task per retailer — and the
+    /// shards are spliced into store order; a hit returns the memoized
+    /// frame. The returned frame is row-for-row identical to
     /// `CheckFrame::build(store, fx)` at any thread count.
     ///
     /// Correctness rests on the fingerprint contract: `key` must change
@@ -126,7 +119,7 @@ impl FrameCache {
     ///
     /// # Panics
     ///
-    /// Panics if a cache lock is poisoned (a frame build panicked).
+    /// Panics if the cache lock is poisoned (a frame build panicked).
     #[must_use]
     pub fn frame_for(
         &self,
@@ -136,24 +129,22 @@ impl FrameCache {
         exec: &Executor,
     ) -> (StoreFrame, FrameStats) {
         let domains = || store.domains();
-        // One pass over the store partitions rows for the missing
-        // domains (`build_domain` per domain would rescan the whole
-        // store once per domain — quadratic at paper scale).
-        let build = |domains: &[String], missing: &[usize]| {
-            let slot_of: HashMap<&str, usize> = missing
+        // One pass over the store partitions its rows by domain
+        // (`build_domain` per domain would rescan the whole store once
+        // per domain — quadratic at paper scale).
+        let build = |domains: &[String]| {
+            let slot_of: HashMap<&str, usize> = domains
                 .iter()
                 .enumerate()
-                .map(|(slot, &i)| (domains[i].as_str(), slot))
+                .map(|(slot, domain)| (domain.as_str(), slot))
                 .collect();
-            let mut members: Vec<Vec<&Measurement>> = vec![Vec::new(); missing.len()];
-            if !missing.is_empty() {
-                for m in store.records() {
-                    if let Some(&slot) = slot_of.get(m.domain.as_str()) {
-                        members[slot].push(m);
-                    }
+            let mut members: Vec<Vec<&Measurement>> = vec![Vec::new(); domains.len()];
+            for m in store.records() {
+                if let Some(&slot) = slot_of.get(m.domain.as_str()) {
+                    members[slot].push(m);
                 }
             }
-            exec.map_indexed(missing.len(), |j| Ok(shard(members[j].iter().copied(), fx)))
+            exec.map_indexed(domains.len(), |j| Ok(shard(members[j].iter().copied(), fx)))
         };
         self.assemble(key, domains, build)
             .expect("in-memory shards cannot fail")
@@ -161,11 +152,11 @@ impl FrameCache {
 
     /// Like [`FrameCache::frame_for`], but cut from a **chunked binary
     /// payload** instead of an in-memory [`MeasurementStore`]: each
-    /// missing domain shard is produced by decoding only that domain's
-    /// chunk of `section` from `payload` — the whole measurement store
-    /// is never materialized. `FrameStats::chunks_loaded` reports how
-    /// many chunks were actually decoded (zero on a cache hit), which
-    /// is what the `frames_chunks_loaded` counter surfaces.
+    /// domain shard is produced by decoding only that domain's chunk of
+    /// `section` from `payload` — the whole measurement store is never
+    /// materialized. `FrameStats::chunks_loaded` reports how many
+    /// chunks were actually decoded (zero on a cache hit), which is
+    /// what the `frames_chunks_loaded` counter surfaces.
     ///
     /// Chunks are partitioned by domain in store first-seen order and
     /// each chunk keeps original store order internally, so the result
@@ -179,7 +170,7 @@ impl FrameCache {
     ///
     /// # Panics
     ///
-    /// Panics if a cache lock is poisoned (a frame build panicked).
+    /// Panics if the cache lock is poisoned (a frame build panicked).
     pub fn frame_for_chunked(
         &self,
         key: u64,
@@ -195,12 +186,11 @@ impl FrameCache {
                 .map(str::to_owned)
                 .collect()
         };
-        // Decode the missing domains' chunks in parallel — one disk
-        // read + row decode per retailer, nothing else leaves the file.
-        let build = |domains: &[String], missing: &[usize]| {
-            exec.map_indexed(missing.len(), |j| {
-                let rows: Vec<Measurement> =
-                    payload.read_chunk_rows(section, &domains[missing[j]])?;
+        // Decode the domains' chunks in parallel — one row decode per
+        // retailer, nothing else leaves the payload.
+        let build = |domains: &[String]| {
+            exec.map_indexed(domains.len(), |j| {
+                let rows: Vec<Measurement> = payload.read_chunk_rows(section, &domains[j])?;
                 Ok(shard(&rows, fx))
             })
         };
@@ -210,72 +200,36 @@ impl FrameCache {
     }
 
     /// The one assembly path behind both sources: an assembled-frame
-    /// hit, else the store's `domains()` split into cached shards and
-    /// missing ones, `build(domains, missing)` producing the missing
-    /// shards (in `missing` order), and the shards spliced into store
-    /// order with their tallies merged alongside.
+    /// hit, else `build(domains)` producing one shard per domain (in
+    /// `domains` order), spliced into store order with their tallies
+    /// merged alongside.
     fn assemble(
         &self,
         key: u64,
         domains: impl FnOnce() -> Vec<String>,
-        build: impl FnOnce(&[String], &[usize]) -> Vec<Result<Shard, StoreError>>,
+        build: impl FnOnce(&[String]) -> Vec<Result<Shard, StoreError>>,
     ) -> Result<(StoreFrame, FrameStats), StoreError> {
-        if let Some((frame, shards)) = self.assembled.lock().expect("frame cache lock").get(&key) {
+        if let Some((frame, count)) = self.assembled.lock().expect("frame cache lock").get(&key) {
             return Ok((
                 frame.clone(),
                 FrameStats {
                     built: 0,
-                    reused: *shards,
+                    reused: *count,
                     chunks_loaded: 0,
                 },
             ));
         }
 
+        // Built outside the lock; the executor's index-ordered merge
+        // keeps this deterministic.
         let domains = domains();
-        let mut have: Vec<Option<Shard>> = Vec::with_capacity(domains.len());
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let shards = self.shards.lock().expect("frame cache lock");
-            let for_key = shards.get(&key);
-            for (i, domain) in domains.iter().enumerate() {
-                match for_key.and_then(|m| m.get(domain.as_str())) {
-                    Some(hit) => have.push(Some(hit.clone())),
-                    None => {
-                        have.push(None);
-                        missing.push(i);
-                    }
-                }
-            }
-        }
-        let reused = domains.len() - missing.len();
-
-        // Build the missing shards outside the lock; the executor's
-        // index-ordered merge keeps this deterministic.
-        let built = build(&domains, &missing)
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-        {
-            let mut shards = self.shards.lock().expect("frame cache lock");
-            let for_key = shards.entry(key).or_default();
-            for (j, shard) in built.iter().enumerate() {
-                let domain: Arc<str> = pd_util::intern(&domains[missing[j]]);
-                for_key.entry(domain).or_insert_with(|| shard.clone());
-            }
-        }
-        for (j, shard) in built.into_iter().enumerate() {
-            have[missing[j]] = Some(shard);
-        }
-
-        let shards: Vec<Shard> = have
-            .into_iter()
-            .map(|s| s.expect("all shards present"))
-            .collect();
+        let shards = build(&domains).into_iter().collect::<Result<Vec<_>, _>>()?;
         let mut tally = CrawlTally::default();
         for (_, domain_tally) in &shards {
             tally.merge(domain_tally);
         }
         let frame = StoreFrame {
-            frame: Arc::new(CheckFrame::merge_shards(shards.iter().map(|(f, _)| &**f))),
+            frame: Arc::new(CheckFrame::merge_shards(shards.iter().map(|(f, _)| f))),
             tally: Arc::new(tally),
         };
         self.assembled
@@ -283,35 +237,14 @@ impl FrameCache {
             .expect("frame cache lock")
             .entry(key)
             .or_insert_with(|| (frame.clone(), domains.len()));
-        // The assembled frame supersedes the shards: every future call
-        // under this key returns it before consulting the shard map, so
-        // keeping the shards would hold every row in memory twice.
-        self.shards.lock().expect("frame cache lock").remove(&key);
         Ok((
             frame,
             FrameStats {
-                built: missing.len(),
-                reused,
+                built: domains.len(),
+                reused: 0,
                 chunks_loaded: 0,
             },
         ))
-    }
-
-    /// Number of domain shards currently held for in-flight assemblies
-    /// (diagnostics only; drops back to zero once a store's assembled
-    /// frame is memoized).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock is poisoned (a frame build panicked).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards
-            .lock()
-            .expect("frame cache lock")
-            .values()
-            .map(DomainShards::len)
-            .sum()
     }
 }
 
@@ -324,7 +257,7 @@ fn shard<'a>(rows: impl IntoIterator<Item = &'a Measurement> + Clone, fx: &FxSer
             .filter_map(|m| pd_analysis::CheckRow::from_measurement(m, fx))
             .collect(),
     );
-    (Arc::new(frame), CrawlTally::of_domain(rows))
+    (frame, CrawlTally::of_domain(rows))
 }
 
 /// The engine's **stage memo**: a shared, thread-safe map from
@@ -564,11 +497,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(
-            cache.shard_count(),
-            0,
-            "shards are released once the assembled frame is memoized"
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!    week, ≤100 products each, from every vantage point
 //!    ([`stage::crawl_stage`] → [`stage::CrawlArtifact`]).
 //! 4. **Analysis** — every figure and table of the paper's evaluation is
-//!    recomputed ([`stage::analysis_stage`] → [`report::Report`]).
+//!    recomputed ([`Engine::analyze`] → [`report::Report`]).
 //!
 //! The engine is **scenario-driven and data-driven**: workloads are
 //! declarative [`ScenarioSpec`] values (base profile + typed

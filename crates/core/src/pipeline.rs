@@ -27,8 +27,133 @@ use crate::store::{
 use crate::world::{AnalysisContext, World};
 use pd_sheriff::cleaning::CleaningReport;
 use pd_sheriff::MeasurementStore;
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
+
+/// One measurement stage's artifact as the engine holds it.
+enum Slot<A> {
+    /// Whole, in memory: computed, a stage-memo hit, or assembled.
+    Memory(Arc<A>),
+    /// Opened on a store: the decoded meta chunk (the artifact with its
+    /// row sections empty, the crowd's cleaning report included) and
+    /// the checksummed payload the rows stream from.
+    Stored { hollow: A, payload: ChunkedPayload },
+}
+
+impl<A: store::Artifact> Slot<A> {
+    /// The artifact's fields outside its row sections: the whole
+    /// artifact in memory, or the decoded meta chunk.
+    fn meta(&self) -> &A {
+        match self {
+            Slot::Memory(artifact) => artifact,
+            Slot::Stored { hollow, .. } => hollow,
+        }
+    }
+
+    /// Where analysis reads the rows of `section`.
+    fn source(&self, section: &'static str) -> stage::StoreSource<'_> {
+        match self {
+            Slot::Memory(artifact) => stage::StoreSource::Memory(
+                artifact
+                    .section(section)
+                    .expect("a row section of the artifact"),
+            ),
+            Slot::Stored { payload, .. } => stage::StoreSource::Chunked(payload, section),
+        }
+    }
+
+    /// The whole artifact, assembled from the payload when stored.
+    fn whole(&self) -> Result<Cow<'_, A>, StoreError> {
+        match self {
+            Slot::Memory(artifact) => Ok(Cow::Borrowed(artifact)),
+            Slot::Stored { payload, .. } => payload.assemble().map(Cow::Owned),
+        }
+    }
+}
+
+/// A measurement stage's artifact type: its stage, its slot in the
+/// engine, and how the engine computes it.
+trait Measured: store::Artifact + Send + Sync + 'static {
+    const KIND: StageKind;
+    fn slot(engine: &Engine) -> &Option<Slot<Self>>;
+    fn slot_mut(engine: &mut Engine) -> &mut Option<Slot<Self>>;
+    fn compute(engine: &mut Engine) -> Self;
+}
+
+impl Measured for CrowdArtifact {
+    const KIND: StageKind = StageKind::Crowd;
+
+    fn slot(engine: &Engine) -> &Option<Slot<Self>> {
+        &engine.crowd
+    }
+
+    fn slot_mut(engine: &mut Engine) -> &mut Option<Slot<Self>> {
+        &mut engine.crowd
+    }
+
+    fn compute(engine: &mut Engine) -> Self {
+        stage::crowd_stage(
+            engine.world(),
+            &engine.plan,
+            &engine.executor,
+            engine.observer.as_ref(),
+        )
+    }
+}
+
+impl Measured for CrawlArtifact {
+    const KIND: StageKind = StageKind::Crawl;
+
+    fn slot(engine: &Engine) -> &Option<Slot<Self>> {
+        &engine.crawl
+    }
+
+    fn slot_mut(engine: &mut Engine) -> &mut Option<Slot<Self>> {
+        &mut engine.crawl
+    }
+
+    /// With [`RunPlan::targets_from_crowd`] set, the crowd stage runs
+    /// (or loads) first and the targets are the domains with confirmed
+    /// crowd variation instead of the paper's fixed list.
+    fn compute(engine: &mut Engine) -> Self {
+        let targets = match engine.plan.targets_from_crowd {
+            Some(min_confirmed) => {
+                let crowd = Arc::clone(engine.whole::<CrowdArtifact>());
+                stage::targets_from_crowd(engine.world(), &crowd.cleaned, min_confirmed)
+            }
+            None => engine.world().paper_crawl_targets(),
+        };
+        stage::crawl_stage(
+            engine.world(),
+            &engine.plan.config,
+            &targets,
+            &engine.executor,
+            engine.observer.as_ref(),
+        )
+    }
+}
+
+impl Measured for PersonaArtifact {
+    const KIND: StageKind = StageKind::Personas;
+
+    fn slot(engine: &Engine) -> &Option<Slot<Self>> {
+        &engine.personas
+    }
+
+    fn slot_mut(engine: &mut Engine) -> &mut Option<Slot<Self>> {
+        &mut engine.personas
+    }
+
+    fn compute(engine: &mut Engine) -> Self {
+        stage::persona_stage(
+            engine.world(),
+            &engine.plan.config,
+            &engine.executor,
+            engine.observer.as_ref(),
+        )
+    }
+}
 
 /// The staged, artifact-caching experiment engine.
 pub struct Engine {
@@ -51,24 +176,16 @@ pub struct Engine {
     /// Stages whose artifact came from the stage memo or off disk
     /// rather than being computed here.
     loaded_stages: Vec<StageKind>,
-    /// Per-domain frame cache the analysis stage reuses across repeated
+    /// Per-store frame cache the analysis stage reuses across repeated
     /// `analyze()` calls; shared across sweep arms built by one builder.
     frames: Arc<FrameCache>,
     /// The stage memo (see [`StoreCache`]): consulted before the disk
     /// store on every measurement stage; per engine unless shared by the
     /// builder or injected by a long-lived caller.
     stores: Arc<StoreCache>,
-    crowd: Option<Arc<CrowdArtifact>>,
-    crawl: Option<Arc<CrawlArtifact>>,
-    personas: Option<Arc<PersonaArtifact>>,
-    /// Chunked handle onto an on-disk binary crowd payload: analysis
-    /// streams its rows per domain instead of materializing `crowd`.
-    crowd_chunked: Option<ChunkedPayload>,
-    /// The cleaning report from the chunked crowd payload's meta chunk
-    /// (present exactly when `crowd_chunked` is).
-    crowd_cleaning: Option<CleaningReport>,
-    /// Chunked handle onto an on-disk binary crawl payload.
-    crawl_chunked: Option<ChunkedPayload>,
+    crowd: Option<Slot<CrowdArtifact>>,
+    crawl: Option<Slot<CrawlArtifact>>,
+    personas: Option<Slot<PersonaArtifact>>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -157,9 +274,6 @@ impl Engine {
             crowd: None,
             crawl: None,
             personas: None,
-            crowd_chunked: None,
-            crowd_cleaning: None,
-            crawl_chunked: None,
         }
     }
 
@@ -303,47 +417,10 @@ impl Engine {
         &self.executor
     }
 
-    /// Resolves one measurement stage past the engine slot: the stage
-    /// memo, then the attached read-through store. A hit is reported via
-    /// [`RunObserver::stage_loaded`] and recorded in
-    /// [`Engine::loaded_stages`]; a disk load is kept in the memo. Any
-    /// failure (no store, an older layout, stale fingerprint, corrupt
-    /// file) is a miss: the caller computes. `pd artifacts ls` is the
-    /// diagnostic surface for unhealthy stores.
-    fn probe_store<T: store::Artifact + Send + Sync + 'static>(
-        &mut self,
-        kind: StageKind,
-    ) -> Option<Arc<T>> {
-        if let Some(hit) = self.probe_memo(kind) {
-            return Some(hit);
-        }
-        let fp = store::measurement_fingerprint(kind, &self.plan)?;
-        let store = self.attached_store()?;
-        let artifact = Arc::new(store.load::<T>(kind.as_str(), fp).ok()?);
-        let artifact = self.stores.insert(kind, fp.as_u64(), artifact);
-        self.note_loaded(kind, fp);
-        Some(artifact)
-    }
-
-    /// The stage memo's artifact for `kind` under this plan, reported
-    /// like a disk load: the fingerprint key certifies it as much as it
-    /// certifies the store's bytes.
-    fn probe_memo<T: Send + Sync + 'static>(&mut self, kind: StageKind) -> Option<Arc<T>> {
-        let fp = store::measurement_fingerprint(kind, &self.plan)?;
-        let hit = self.stores.get::<T>(kind, fp.as_u64())?;
-        self.note_loaded(kind, fp);
-        Some(hit)
-    }
-
-    /// Fills empty crowd and crawl slots (those without a chunked handle
-    /// either) from the stage memo.
-    fn heavy_from_memo(&mut self) {
-        if self.crowd.is_none() && self.crowd_chunked.is_none() {
-            self.crowd = self.probe_memo(StageKind::Crowd);
-        }
-        if self.crawl.is_none() && self.crawl_chunked.is_none() {
-            self.crawl = self.probe_memo(StageKind::Crawl);
-        }
+    /// The fingerprint `A`'s stage is stored and memoized under.
+    fn fingerprint<A: Measured>(&self) -> store::Fingerprint {
+        store::measurement_fingerprint(A::KIND, &self.plan)
+            .expect("measurement stage has a fingerprint")
     }
 
     fn note_loaded(&mut self, kind: StageKind, fp: store::Fingerprint) {
@@ -351,12 +428,86 @@ impl Engine {
         self.loaded_stages.push(kind);
     }
 
-    /// Offers a just-computed artifact to the stage memo, which keeps it
-    /// on its fingerprint's second offer; returns the `Arc` to hold.
-    fn memoize<T: Send + Sync + 'static>(&self, kind: StageKind, artifact: T) -> Arc<T> {
-        let fp = store::measurement_fingerprint(kind, &self.plan)
-            .expect("measurement stage has a fingerprint");
-        self.stores.admit(kind, fp.as_u64(), Arc::new(artifact))
+    /// Is `A`'s slot filled, if need be from the stage memo? A memo hit
+    /// is reported like a disk load: the fingerprint key certifies it
+    /// as much as it certifies the store's bytes.
+    fn recall<A: Measured>(&mut self) -> bool {
+        if A::slot(self).is_some() {
+            return true;
+        }
+        let fp = self.fingerprint::<A>();
+        let Some(hit) = self.stores.get::<A>(A::KIND, fp.as_u64()) else {
+            return false;
+        };
+        *A::slot_mut(self) = Some(Slot::Memory(hit));
+        self.note_loaded(A::KIND, fp);
+        true
+    }
+
+    /// Fills `A`'s slot from `store` (fingerprint- and checksum-checked)
+    /// and reports the load. A stage with row sections stays `Stored`,
+    /// its rows on disk; one without is whole in its meta chunk, so it
+    /// is held in memory and kept in the stage memo.
+    fn open_slot<A: Measured>(&mut self, store: &ArtifactStore) -> Result<(), StoreError> {
+        let fp = self.fingerprint::<A>();
+        let payload = store.open_chunked(A::KIND.as_str(), fp)?;
+        let hollow: A = payload.meta()?;
+        let slot = if A::SECTIONS.is_empty() {
+            Slot::Memory(self.stores.insert(A::KIND, fp.as_u64(), Arc::new(hollow)))
+        } else {
+            Slot::Stored { hollow, payload }
+        };
+        *A::slot_mut(self) = Some(slot);
+        self.note_loaded(A::KIND, fp);
+        Ok(())
+    }
+
+    /// Resolves `A`'s slot through the one order: the slot itself, the
+    /// stage memo, the attached store, then compute. Any store failure
+    /// (no store, an older layout, a stale fingerprint, a corrupt file)
+    /// is a miss; `pd artifacts ls` is the diagnostic surface for
+    /// unhealthy stores.
+    fn resolve<A: Measured>(&mut self) {
+        if self.recall::<A>() {
+            return;
+        }
+        let loaded = self
+            .attached_store()
+            .is_some_and(|store| self.open_slot::<A>(&store).is_ok());
+        if !loaded {
+            self.run_stage::<A>();
+        }
+    }
+
+    /// Computes `A`'s stage into its slot. The artifact is offered to the
+    /// stage memo, which keeps it on its fingerprint's second offer.
+    fn run_stage<A: Measured>(&mut self) {
+        let computed = A::compute(self);
+        let fp = self.fingerprint::<A>().as_u64();
+        let held = self.stores.admit(A::KIND, fp, Arc::new(computed));
+        *A::slot_mut(self) = Some(Slot::Memory(held));
+    }
+
+    /// `A`'s whole artifact: resolved, and assembled from the payload
+    /// already held when the slot is `Stored` (the load was reported
+    /// when the slot was opened). Rows that pass their checksum but do
+    /// not decode are a miss: the stage is computed.
+    fn whole<A: Measured>(&mut self) -> &Arc<A> {
+        self.resolve::<A>();
+        if let Some(Slot::Stored { payload, .. }) = A::slot(self) {
+            match payload.assemble::<A>() {
+                Ok(artifact) => {
+                    let fp = self.fingerprint::<A>().as_u64();
+                    let held = self.stores.insert(A::KIND, fp, Arc::new(artifact));
+                    *A::slot_mut(self) = Some(Slot::Memory(held));
+                }
+                Err(_) => self.run_stage::<A>(),
+            }
+        }
+        match A::slot(self) {
+            Some(Slot::Memory(artifact)) => artifact,
+            _ => unreachable!("resolved and assembled above"),
+        }
     }
 
     /// The attached read-through store, when there is one and it opens
@@ -369,118 +520,24 @@ impl Engine {
         ArtifactStore::open(dir).ok()
     }
 
-    /// Opens the crowd and crawl stages the engine does not hold yet as
-    /// chunked handles on the attached store. A stage the store cannot
-    /// supply stays a miss, to be computed.
-    fn heavy_from_disk(&mut self) {
-        let kinds = [StageKind::Crowd, StageKind::Crawl];
-        if kinds.iter().all(|&kind| self.holds_heavy(kind)) {
-            return;
-        }
-        let Some(store) = self.attached_store() else {
-            return;
-        };
-        for kind in kinds {
-            if !self.holds_heavy(kind) {
-                let _ = self.open_heavy(&store, kind);
-            }
-        }
-    }
-
-    /// Is the crowd (or crawl) stage held, in memory or as a handle?
-    fn holds_heavy(&self, kind: StageKind) -> bool {
-        match kind {
-            StageKind::Crowd => self.crowd.is_some() || self.crowd_chunked.is_some(),
-            _ => self.crawl.is_some() || self.crawl_chunked.is_some(),
-        }
-    }
-
-    /// Opens the crowd or crawl stage of `store` as a chunked handle
-    /// (fingerprint- and checksum-checked, rows left on disk) and parks
-    /// it in the engine; the crowd's cleaning report comes from its meta
-    /// chunk, which holds the artifact with its row sections emptied.
-    fn open_heavy(&mut self, store: &ArtifactStore, kind: StageKind) -> Result<(), StoreError> {
-        let fp = store::measurement_fingerprint(kind, &self.plan)
-            .expect("measurement stage has a fingerprint");
-        let payload = store.open_chunked(kind.as_str(), fp)?;
-        if kind == StageKind::Crowd {
-            self.crowd_cleaning = Some(payload.meta::<CrowdArtifact>()?.cleaning);
-            self.crowd_chunked = Some(payload);
-        } else {
-            self.crawl_chunked = Some(payload);
-        }
-        self.note_loaded(kind, fp);
-        Ok(())
-    }
-
     /// The crowd campaign artifact: from the engine's slot, else the
     /// stage memo, else the attached artifact store (fingerprint
     /// permitting), else computed by running the stage.
     pub fn crowd(&mut self) -> &CrowdArtifact {
-        if self.crowd.is_none() {
-            self.crowd = self.probe_store(StageKind::Crowd);
-        }
-        if self.crowd.is_none() {
-            let computed = stage::crowd_stage(
-                self.world(),
-                &self.plan,
-                &self.executor,
-                self.observer.as_ref(),
-            );
-            self.crowd = Some(self.memoize(StageKind::Crowd, computed));
-        }
-        self.crowd.as_deref().expect("just computed")
+        self.whole::<CrowdArtifact>()
     }
 
-    /// The crawl artifact, cached after the first call (store-backed
-    /// like [`Engine::crowd`]). With [`RunPlan::targets_from_crowd`]
-    /// set, the crowd stage runs (or loads) first and the crawl targets
-    /// are the domains with confirmed crowd variation instead of the
-    /// paper's fixed list.
+    /// The crawl artifact, resolved like [`Engine::crowd`]. With
+    /// [`RunPlan::targets_from_crowd`] set, the crowd stage runs (or
+    /// loads) first and the crawl targets are the domains with
+    /// confirmed crowd variation instead of the paper's fixed list.
     pub fn crawl(&mut self) -> &CrawlArtifact {
-        if self.crawl.is_none() {
-            self.crawl = self.probe_store(StageKind::Crawl);
-        }
-        if self.crawl.is_none() {
-            let targets = match self.plan.targets_from_crowd {
-                Some(min_confirmed) => {
-                    self.crowd();
-                    stage::targets_from_crowd(
-                        self.world(),
-                        &self.crowd.as_ref().expect("crowd cached above").cleaned,
-                        min_confirmed,
-                    )
-                }
-                None => self.world().paper_crawl_targets(),
-            };
-            let computed = stage::crawl_stage(
-                self.world(),
-                &self.plan.config,
-                &targets,
-                &self.executor,
-                self.observer.as_ref(),
-            );
-            self.crawl = Some(self.memoize(StageKind::Crawl, computed));
-        }
-        self.crawl.as_deref().expect("just computed")
+        self.whole::<CrawlArtifact>()
     }
 
-    /// The persona/login artifact, cached after the first call
-    /// (store-backed like [`Engine::crowd`]).
+    /// The persona/login artifact, resolved like [`Engine::crowd`].
     pub fn personas(&mut self) -> &PersonaArtifact {
-        if self.personas.is_none() {
-            self.personas = self.probe_store(StageKind::Personas);
-        }
-        if self.personas.is_none() {
-            let computed = stage::persona_stage(
-                self.world(),
-                &self.plan.config,
-                &self.executor,
-                self.observer.as_ref(),
-            );
-            self.personas = Some(self.memoize(StageKind::Personas, computed));
-        }
-        self.personas.as_deref().expect("just computed")
+        self.whole::<PersonaArtifact>()
     }
 
     /// Eagerly loads every measurement artifact the store holds for this
@@ -488,6 +545,8 @@ impl Engine {
     /// read-through of [`Engine::with_artifacts`], this distinguishes
     /// *why* a stage did not load — `pd rerun` uses it to refuse
     /// incomplete or stale stores instead of silently re-measuring.
+    /// Each stage resolves as everywhere else, minus the compute step;
+    /// crowd and crawl stay on disk and `analyze()` streams their rows.
     ///
     /// # Errors
     ///
@@ -496,42 +555,27 @@ impl Engine {
     pub fn load_artifacts(&mut self, dir: &Path) -> Result<LoadSummary, StoreError> {
         let store = ArtifactStore::open(dir)?;
         let mut summary = LoadSummary::default();
-        // The stage memo comes before the disk, as on every path.
-        self.heavy_from_memo();
-        if self.personas.is_none() {
-            self.personas = self.probe_memo(StageKind::Personas);
-        }
-        // Crowd and crawl open as chunked handles: the rows stay on disk
-        // and `analyze()` streams them one domain chunk at a time.
-        for kind in [StageKind::Crowd, StageKind::Crawl] {
-            let outcome = if self.holds_heavy(kind) {
-                Ok(())
-            } else {
-                self.open_heavy(&store, kind)
-            };
-            summary.record(kind, outcome);
-        }
-        let outcome = match &self.personas {
-            Some(_) => Ok(()),
-            None => {
-                let kind = StageKind::Personas;
-                let fp = store::personas_fingerprint(&self.plan);
-                store
-                    .load::<PersonaArtifact>(kind.as_str(), fp)
-                    .map(|artifact| {
-                        self.note_loaded(kind, fp);
-                        self.personas =
-                            Some(self.stores.insert(kind, fp.as_u64(), Arc::new(artifact)));
-                    })
-            }
-        };
-        summary.record(StageKind::Personas, outcome);
+        summary.record(StageKind::Crowd, self.load::<CrowdArtifact>(&store));
+        summary.record(StageKind::Crawl, self.load::<CrawlArtifact>(&store));
+        summary.record(StageKind::Personas, self.load::<PersonaArtifact>(&store));
         Ok(summary)
     }
 
-    /// Persists every cached measurement artifact to `dir`, creating the
+    /// One stage of [`Engine::load_artifacts`]: the slot, the memo, then
+    /// `store`.
+    fn load<A: Measured>(&mut self, store: &ArtifactStore) -> Result<(), StoreError> {
+        if self.recall::<A>() {
+            return Ok(());
+        }
+        self.open_slot::<A>(store)
+    }
+
+    /// Persists every held measurement artifact to `dir`, creating the
     /// store (with this engine's provenance and plan) if needed. Stages
-    /// already in the store under the current fingerprint are skipped.
+    /// already in the store under the current fingerprint are skipped;
+    /// any other held stage is written, in memory or stored elsewhere
+    /// (the encode is deterministic, so a stage copied from another
+    /// store is byte-identical to its source).
     ///
     /// # Errors
     ///
@@ -542,32 +586,50 @@ impl Engine {
     pub fn save_artifacts(&self, dir: &Path) -> Result<SaveSummary, StoreError> {
         let mut store = self.open_or_create_store(dir)?;
         let mut summary = SaveSummary::default();
-        let mut writes = Vec::new();
-        // A stage streamed as a chunked handle came from a store: it is
-        // fresh there and has nothing in memory to save.
-        macro_rules! queue_stage {
-            ($kind:expr, $slot:ident, $streamed:expr) => {
-                let fp = store::measurement_fingerprint($kind, &self.plan)
-                    .expect("measurement stage has a fingerprint");
-                let name = $kind.as_str();
-                let stored = store
-                    .entry(name)
-                    .is_some_and(|e| e.fingerprint == fp.to_string());
-                if stored && (self.$slot.is_some() || $streamed) {
-                    summary.fresh.push(name);
-                } else if let Some(artifact) = &self.$slot {
-                    writes.push(StageWrite::new(name, fp, &[], artifact.as_ref()));
-                    summary.saved.push(name);
-                }
-            };
-        }
-        queue_stage!(StageKind::Crowd, crowd, self.crowd_chunked.is_some());
-        queue_stage!(StageKind::Crawl, crawl, self.crawl_chunked.is_some());
-        queue_stage!(StageKind::Personas, personas, false);
-        if !writes.is_empty() {
+        let crowd = self.unsaved::<CrowdArtifact>(&store, &mut summary)?;
+        let crawl = self.unsaved::<CrawlArtifact>(&store, &mut summary)?;
+        let personas = self.unsaved::<PersonaArtifact>(&store, &mut summary)?;
+        let writes: Vec<StageWrite<'_>> = [
+            crowd.as_deref().map(|a| self.stage_write(a)),
+            crawl.as_deref().map(|a| self.stage_write(a)),
+            personas.as_deref().map(|a| self.stage_write(a)),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        // A new store gets its manifest from its first batch, empty or
+        // not.
+        if !writes.is_empty() || !ArtifactStore::is_store(dir) {
             store.save_all(&writes, &self.executor)?;
         }
         Ok(summary)
+    }
+
+    /// `A`'s artifact when the engine holds it and `store` lacks it under
+    /// this plan's fingerprint (a `Stored` slot is assembled), recording
+    /// the stage in `summary` as saved or fresh.
+    fn unsaved<A: Measured>(
+        &self,
+        store: &ArtifactStore,
+        summary: &mut SaveSummary,
+    ) -> Result<Option<Cow<'_, A>>, StoreError> {
+        let Some(slot) = A::slot(self) else {
+            return Ok(None);
+        };
+        let name = A::KIND.as_str();
+        let fp = self.fingerprint::<A>().to_string();
+        if store.entry(name).is_some_and(|e| e.fingerprint == fp) {
+            summary.fresh.push(name);
+            return Ok(None);
+        }
+        let artifact = slot.whole()?;
+        summary.saved.push(name);
+        Ok(Some(artifact))
+    }
+
+    /// Queues a measurement artifact under its stage and fingerprint.
+    fn stage_write<'a, A: Measured>(&self, artifact: &'a A) -> StageWrite<'a> {
+        StageWrite::new(A::KIND.as_str(), self.fingerprint::<A>(), &[], artifact)
     }
 
     /// Persists an analysis artifact to `dir`, recording the three
@@ -633,73 +695,48 @@ impl Engine {
     ///
     /// Each stage resolves through the engine slot, the stage memo, the
     /// attached store, then compute. Crowd and crawl rows found on disk
-    /// stay there as chunked handles and are streamed one domain chunk
-    /// at a time (the `frames_chunks_loaded` counter reports how many)
-    /// instead of deserializing whole payloads; a chunk that fails
-    /// mid-read drops the handles and the stages are recomputed.
+    /// stay there (`Stored` slots) and are streamed one domain chunk at
+    /// a time (the `frames_chunks_loaded` counter reports how many)
+    /// instead of deserializing whole payloads.
     pub fn analyze(&mut self) -> AnalysisArtifact {
         self.personas();
-        self.heavy_from_memo();
-        self.heavy_from_disk();
+        self.resolve::<CrowdArtifact>();
+        self.resolve::<CrawlArtifact>();
         match self.analyze_held() {
             Ok(analysis) => analysis,
             Err(_) => {
-                // A chunk rotted between open and read: recompute from
-                // scratch rather than serve a partial analysis.
-                self.crowd_chunked = None;
-                self.crowd_cleaning = None;
-                self.crawl_chunked = None;
+                // A chunk passed its checksum but did not decode: the
+                // stored slots are assembled whole, and a stage whose
+                // rows still fail is recomputed, rather than serve a
+                // partial analysis.
+                self.crowd();
+                self.crawl();
                 self.analyze_held()
                     .expect("in-memory analysis sources cannot fail")
             }
         }
     }
 
-    /// Runs [`stage::analysis_over`] over whatever mix of in-memory
-    /// artifacts and chunked handles the engine holds (a memo hit can
-    /// sit beside a disk handle), computing a heavy stage it holds
-    /// neither way. Fails only when a chunk fails mid-read.
-    fn analyze_held(&mut self) -> Result<AnalysisArtifact, StoreError> {
-        if !self.holds_heavy(StageKind::Crowd) {
-            self.crowd();
-        }
-        if !self.holds_heavy(StageKind::Crawl) {
-            self.crawl();
-        }
+    /// Runs [`stage::analysis_over`] over the resolved slots, whichever
+    /// mix of memory and stored payloads they are (a memo hit can sit
+    /// beside a stored stage). Fails only when a chunk fails mid-read.
+    fn analyze_held(&self) -> Result<AnalysisArtifact, StoreError> {
+        let resolved = "resolved before the analysis";
+        let crowd = self.crowd.as_ref().expect(resolved);
+        let crawl = self.crawl.as_ref().expect(resolved);
         let keys = stage::FrameKeys {
             cache: self.frames.as_ref(),
-            crowd: store::crowd_fingerprint(&self.plan).as_u64(),
-            crawl: store::crawl_fingerprint(&self.plan).as_u64(),
-        };
-        let (crowd_raw, crowd_clean, cleaning) = match (&self.crowd, &self.crowd_chunked) {
-            (Some(art), _) => (
-                stage::StoreSource::Memory(&art.raw),
-                stage::StoreSource::Memory(&art.cleaned),
-                art.cleaning,
-            ),
-            (None, Some(payload)) => (
-                stage::StoreSource::Chunked(payload, "raw"),
-                stage::StoreSource::Chunked(payload, "cleaned"),
-                *self
-                    .crowd_cleaning
-                    .as_ref()
-                    .expect("cleaning stashed with the crowd handle"),
-            ),
-            (None, None) => unreachable!("crowd resolved above"),
-        };
-        let crawl_store = match (&self.crawl, &self.crawl_chunked) {
-            (Some(art), _) => stage::StoreSource::Memory(&art.store),
-            (None, Some(payload)) => stage::StoreSource::Chunked(payload, "store"),
-            (None, None) => unreachable!("crawl resolved above"),
+            crowd: self.fingerprint::<CrowdArtifact>().as_u64(),
+            crawl: self.fingerprint::<CrawlArtifact>().as_u64(),
         };
         stage::analysis_over(
             &self.context,
             &self.plan.config,
-            crowd_raw,
-            crowd_clean,
-            cleaning,
-            crawl_store,
-            self.personas.as_deref().expect("personas resolved first"),
+            crowd.source("raw"),
+            crowd.source("cleaned"),
+            crowd.meta().cleaning,
+            crawl.source("store"),
+            self.personas.as_ref().expect(resolved).meta(),
             self.probe_world(),
             Some(keys),
             &self.executor,
@@ -711,8 +748,8 @@ impl Engine {
     /// analysis window opens — only when the persona artifact's stored
     /// probes do not fit the plan ([`stage::stored_probes`]).
     fn probe_world(&self) -> Option<&World> {
-        let personas = self.personas.as_deref().expect("personas resolved first");
-        stage::stored_probes(personas, &self.plan.config)
+        let personas = self.personas.as_ref().expect("personas resolved first");
+        stage::stored_probes(personas.meta(), &self.plan.config)
             .is_none()
             .then(|| self.world())
     }
@@ -1706,6 +1743,78 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Fills the first row chunk of `section` in `dir/<stage>.bin` with
+    /// bytes that do not decode and re-checksums it, so the file still
+    /// opens and the chunk fails only when it is read.
+    fn rot_first_chunk(dir: &Path, stage: &str, section: &str) {
+        use serde::Value;
+        let path = dir.join(format!("{stage}.bin"));
+        let mut file = std::fs::read(&path).expect("stage file");
+        let header_len = u32::from_le_bytes(file[4..8].try_into().expect("4 bytes")) as usize;
+        let base = 8 + header_len;
+        let mut header: Value = crate::binfmt::decode_one(&file[8..base]).expect("header");
+        let Value::Object(map) = &mut header else {
+            panic!("header is an object");
+        };
+        let Some(Value::Array(chunks)) = map.get_mut("chunks") else {
+            panic!("header has a chunk index");
+        };
+        let chunk = chunks
+            .iter_mut()
+            .find_map(|c| match c {
+                Value::Object(c) if c.get("section").and_then(Value::as_str) == Some(section) => {
+                    Some(c)
+                }
+                _ => None,
+            })
+            .expect("a row chunk of the section");
+        let field = |key: &str| chunk.get(key).and_then(Value::as_u64).expect("u64 field") as usize;
+        let (start, len) = (base + field("offset"), field("len"));
+        file[start..start + len].fill(0xff);
+        let checksum = format!("{:016x}", store::fnv1a64(&file[start..start + len]));
+        chunk.insert("checksum".to_owned(), Value::String(checksum));
+        let encoded = crate::binfmt::encode_one(&header);
+        assert_eq!(encoded.len(), header_len, "the header keeps its length");
+        file[8..base].copy_from_slice(&encoded);
+        std::fs::write(&path, file).expect("rewrite");
+    }
+
+    #[test]
+    fn rows_that_fail_to_decode_mid_analysis_are_recomputed() {
+        use crate::observer::TimingObserver;
+        let dir = tmp_store("rotted-chunk");
+        let smoke = || Experiment::builder().scenario("smoke").seed(7);
+        let mut producer = smoke().build().expect("smoke builds");
+        let reference = producer.run().to_json();
+        producer.save_artifacts(&dir).expect("save");
+        rot_first_chunk(&dir, "crawl", "store");
+        let fp = store::crawl_fingerprint(producer.plan());
+        let payload = ArtifactStore::open(&dir)
+            .expect("store opens")
+            .open_chunked("crawl", fp)
+            .expect("checksums still pass");
+        let first = payload.chunk_names("store")[0].to_owned();
+        assert!(payload
+            .read_chunk_rows::<pd_sheriff::Measurement>("store", &first)
+            .is_err());
+
+        let observer = Arc::new(TimingObserver::new());
+        let mut consumer = smoke()
+            .observer(observer.clone())
+            .artifacts(dir.clone())
+            .build()
+            .expect("smoke builds");
+        assert_eq!(consumer.run().to_json(), reference);
+        // Both stored stages opened once; the crowd's rows were then
+        // assembled whole, and the crawl was recomputed.
+        let load_order = [StageKind::Personas, StageKind::Crowd, StageKind::Crawl];
+        assert_eq!(consumer.loaded_stages(), load_order.as_slice());
+        assert_eq!(observer.starts(StageKind::Crowd), 0);
+        assert_eq!(observer.starts(StageKind::Crawl), 1);
+        assert!(matches!(consumer.crowd, Some(Slot::Memory(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn load_artifacts_reports_per_stage_outcomes() {
         let dir = tmp_store("outcomes");
@@ -1813,17 +1922,11 @@ mod tests {
         let crowd = memo
             .get::<CrowdArtifact>(StageKind::Crowd, fp(StageKind::Crowd))
             .expect("resident crowd");
-        assert!(Arc::ptr_eq(
-            &crowd,
-            third.crowd.as_ref().expect("crowd slot")
-        ));
+        assert!(matches!(&third.crowd, Some(Slot::Memory(held)) if Arc::ptr_eq(&crowd, held)));
         let crawl = memo
             .get::<CrawlArtifact>(StageKind::Crawl, fp(StageKind::Crawl))
             .expect("resident crawl");
-        assert!(Arc::ptr_eq(
-            &crawl,
-            third.crawl.as_ref().expect("crawl slot")
-        ));
+        assert!(matches!(&third.crawl, Some(Slot::Memory(held)) if Arc::ptr_eq(&crawl, held)));
         assert_eq!(memo.len(), 3, "hits admit nothing new");
     }
 
@@ -1925,7 +2028,7 @@ mod tests {
         marker.domain = "marker.example".to_owned();
         record.attribution.push(marker.clone());
         record.third_party.scanned = 999;
-        engine.personas = Some(Arc::new(personas));
+        engine.personas = Some(Slot::Memory(Arc::new(personas)));
         let report = engine.run();
         assert_eq!(report.attribution.last(), Some(&marker));
         assert_eq!(report.third_party.scanned, 999);

@@ -650,49 +650,6 @@ pub(crate) fn stored_probes<'a>(
         .filter(|p| p.attribution_products == config.analysis.attribution_products)
 }
 
-/// Stage 5: every figure and table, from the upstream artifacts and the
-/// plan's [`AnalysisContext`]. The web probes come from the persona
-/// artifact's [`ProbeRecord`]; `probe_world` is read only when there
-/// is no record measured at the plan's `attribution_products`, and must
-/// then be given. The check frames come from the [`FrameCache`]: per-domain
-/// shards built in parallel on the first call, reused
-/// (`frames_built = 0`) by every later `analyze()` on the same
-/// measurement fingerprints — including `pd rerun` and sweep arms
-/// sharing an upstream crawl.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn analysis_stage(
-    ctx: &AnalysisContext,
-    plan: &RunPlan,
-    crowd: &CrowdArtifact,
-    crawl_art: &CrawlArtifact,
-    persona_art: &PersonaArtifact,
-    probe_world: Option<&World>,
-    frames: &FrameCache,
-    exec: &Executor,
-    obs: &dyn RunObserver,
-) -> AnalysisArtifact {
-    let keys = FrameKeys {
-        cache: frames,
-        crowd: crate::store::crowd_fingerprint(plan).as_u64(),
-        crawl: crate::store::crawl_fingerprint(plan).as_u64(),
-    };
-    analysis_over(
-        ctx,
-        &plan.config,
-        StoreSource::Memory(&crowd.raw),
-        StoreSource::Memory(&crowd.cleaned),
-        crowd.cleaning,
-        StoreSource::Memory(&crawl_art.store),
-        persona_art,
-        probe_world,
-        Some(keys),
-        exec,
-        obs,
-    )
-    .expect("in-memory analysis sources cannot fail")
-}
-
 /// How [`analysis_over`] should obtain its frames: through a
 /// [`FrameCache`] under the plan's measurement fingerprints.
 pub(crate) struct FrameKeys<'a> {
@@ -704,13 +661,23 @@ pub(crate) struct FrameKeys<'a> {
     pub crawl: u64,
 }
 
-/// The analysis body over [`StoreSource`]s — shared by the artifact-based
-/// [`analysis_stage`], the engine's chunked read path (which streams
-/// domain chunks off disk), and the legacy `Experiment::analyze` shim
-/// (which receives bare store references with no plan lineage, so it
-/// passes no frame keys and builds uncached). Each stored chunk is
-/// decoded at most once: the crawl frame's tally is the summary's crawl
-/// half, and the raw crowd rows are read only for the summary.
+/// Stage 5: every figure and table, from the upstream stores (in memory
+/// or streamed one domain chunk at a time off disk, see
+/// [`StoreSource`]), the persona artifact and the plan's
+/// [`AnalysisContext`]. Shared by [`crate::Engine::analyze`] and the
+/// legacy `Experiment::analyze` shim (which receives bare store
+/// references with no plan lineage, so it passes no frame keys and
+/// builds uncached).
+///
+/// The web probes come from the persona artifact's [`ProbeRecord`];
+/// `probe_world` is read only when there is no record measured at the
+/// plan's `attribution_products`, and must then be given. The check
+/// frames come from the [`FrameCache`]: built in parallel on the first
+/// call, reused (`frames_built = 0`) by every later analysis on the same
+/// measurement fingerprints — including `pd rerun` and sweep arms
+/// sharing an upstream crawl. Each stored chunk is decoded at most
+/// once: the crawl frame's tally is the summary's crawl half, and the
+/// raw crowd rows are read only for the summary.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn analysis_over(
     ctx: &AnalysisContext,

@@ -581,14 +581,14 @@ impl ArtifactStore {
     }
 
     /// Creates (or wipes and re-creates) a store at `dir` for the given
-    /// producer. The directory is created if missing; an existing
-    /// manifest is replaced, and superseded stage files are overwritten
-    /// lazily as stages save.
+    /// producer. The directory is created if missing. No manifest is
+    /// written here: the first [`ArtifactStore::save_all`] (an empty
+    /// batch included) writes it, replacing any existing one, and
+    /// superseded stage files are overwritten lazily as stages save.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the directory or manifest cannot be
-    /// written.
+    /// [`StoreError::Io`] when the directory cannot be created.
     pub fn create(
         dir: &Path,
         provenance: Provenance,
@@ -596,7 +596,7 @@ impl ArtifactStore {
         spec: Option<ScenarioSpec>,
     ) -> Result<Self, StoreError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
-        let store = ArtifactStore {
+        Ok(ArtifactStore {
             dir: dir.to_path_buf(),
             manifest: Manifest {
                 schema_version: SCHEMA_VERSION,
@@ -605,9 +605,7 @@ impl ArtifactStore {
                 spec,
                 entries: Vec::new(),
             },
-        };
-        store.write_manifest()?;
-        Ok(store)
+        })
     }
 
     /// Opens an existing store.
@@ -1588,13 +1586,14 @@ mod tests {
     fn manifest_records_provenance_and_plan() {
         let dir = tmp_dir("manifest");
         let plan = smoke_plan(9);
-        let store = ArtifactStore::create(
+        let mut store = ArtifactStore::create(
             &dir,
             Provenance::new("paper", "arm-1", "medium", 9, 4),
             &plan,
             None,
         )
         .expect("create");
+        store.save_all(&[], &Executor::serial()).expect("manifest");
         let m = ArtifactStore::open(&dir).expect("open").manifest().clone();
         assert_eq!(m.schema_version, SCHEMA_VERSION);
         assert_eq!(m.provenance.scenario, "paper");
@@ -1620,7 +1619,9 @@ mod tests {
             &plan,
             Some(spec.clone()),
         )
-        .expect("create");
+        .expect("create")
+        .save_all(&[], &Executor::serial())
+        .expect("manifest");
         let m = ArtifactStore::open(&dir).expect("open").manifest().clone();
         let recorded = m.spec.expect("spec recorded");
         assert_eq!(recorded, spec, "spec must round-trip through the manifest");
@@ -1873,7 +1874,9 @@ mod tests {
             &plan,
             None,
         )
-        .expect("create");
+        .expect("create")
+        .save_all(&[], &Executor::serial())
+        .expect("manifest");
 
         // Eight threads, each with its own handle on the same dir,
         // hammer the same stage with payloads of very different sizes.
@@ -1918,6 +1921,30 @@ mod tests {
             leftovers.is_empty(),
             "temp files left behind: {leftovers:?}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_first_save_writes_the_manifest() {
+        let dir = tmp_dir("manifest-on-save");
+        let plan = smoke_plan(7);
+        let mut store = ArtifactStore::create(
+            &dir,
+            Provenance::new("smoke", "", "smoke", 7, 1),
+            &plan,
+            None,
+        )
+        .expect("create");
+        assert!(dir.is_dir(), "create makes the directory");
+        assert!(
+            !dir.join(MANIFEST_FILE).exists(),
+            "create writes no manifest"
+        );
+        assert!(!ArtifactStore::is_store(&dir));
+        store.save_all(&[], &Executor::serial()).expect("save");
+        let reopened = ArtifactStore::open(&dir).expect("an empty store opens");
+        assert!(reopened.manifest().entries.is_empty());
+        assert_eq!(reopened.manifest().plan, PlanRecord::from_plan(&plan));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -576,6 +576,101 @@ fn second_run_over_a_complete_store_builds_no_world() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A crawl targeted from the crowd, over a store that holds only the
+/// crowd: the crowd loads once — its stored slot is assembled from the
+/// payload already read when the crawl needs its cleaned rows — and the
+/// report equals a direct run's.
+#[test]
+fn a_crowd_targeted_crawl_loads_the_stored_crowd_once() {
+    let dir = tmp("targeted-once");
+    let targeted = || {
+        Experiment::builder()
+            .scenario("targeted-crawl")
+            .profile(Profile::Smoke)
+            .seed(7)
+    };
+    let mut producer = targeted().build().expect("targeted-crawl builds");
+    producer.crowd();
+    assert_eq!(
+        producer
+            .save_artifacts(&dir)
+            .expect("save crowd only")
+            .saved,
+        vec!["crowd"]
+    );
+    let direct = targeted().build().expect("targeted-crawl builds").run();
+
+    let observer = Arc::new(TimingObserver::new());
+    let mut consumer = targeted()
+        .observer(observer.clone())
+        .artifacts(dir.clone())
+        .build()
+        .expect("targeted-crawl builds");
+    assert_eq!(consumer.run().to_json(), direct.to_json());
+    assert_eq!(consumer.loaded_stages(), [StageKind::Crowd].as_slice());
+    assert_eq!(observer.loads(StageKind::Crowd), 1);
+    assert_eq!(observer.starts(StageKind::Crowd), 0);
+    assert_eq!(observer.starts(StageKind::Crawl), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Stages loaded from one store are saved into another: `save_artifacts`
+/// writes every held stage the target lacks, streamed or not, and the
+/// deterministic encode makes each copied `.bin` byte-identical to its
+/// source. `pd rerun` over the copy equals the direct run.
+#[test]
+fn loaded_stages_save_into_another_store_byte_identically() {
+    let root = tmp("copy-store");
+    let (from, to) = (root.join("a"), root.join("b"));
+    let mut producer = Experiment::builder()
+        .scenario("smoke")
+        .seed(7)
+        .build()
+        .expect("smoke builds");
+    producer.run();
+    producer.save_artifacts(&from).expect("save a");
+
+    let mut loader = Experiment::builder()
+        .scenario("smoke")
+        .seed(7)
+        .build()
+        .expect("smoke builds");
+    assert!(loader.load_artifacts(&from).expect("a opens").complete());
+    let summary = loader.save_artifacts(&to).expect("save b");
+    assert_eq!(summary.saved, vec!["crowd", "crawl", "personas"]);
+    assert!(summary.fresh.is_empty(), "{summary:?}");
+    for stage in ["crowd", "crawl", "personas"] {
+        let file = format!("{stage}.bin");
+        assert_eq!(
+            std::fs::read(to.join(&file)).expect("copied stage"),
+            std::fs::read(from.join(&file)).expect("source stage"),
+            "{file} must be byte-identical to its source"
+        );
+    }
+
+    let (direct_json, rerun_json) = (root.join("direct.json"), root.join("rerun.json"));
+    let direct = pd()
+        .args(["run", "smoke", "--seed", "7", "--json"])
+        .arg(&direct_json)
+        .output()
+        .expect("pd run executes");
+    assert!(direct.status.success(), "pd run failed: {direct:?}");
+    let rerun = pd()
+        .arg("rerun")
+        .arg(&to)
+        .arg("--json")
+        .arg(&rerun_json)
+        .output()
+        .expect("pd rerun executes");
+    assert!(rerun.status.success(), "pd rerun failed: {rerun:?}");
+    assert_eq!(
+        std::fs::read(&direct_json).expect("direct report"),
+        std::fs::read(&rerun_json).expect("rerun report"),
+        "a rerun over the copy must equal the direct run"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// The store does not depend on the thread count: a full run saved at 1
 /// and at 4 threads (world build, cleaning, figures and the batched
 /// save all fan across the executor) writes byte-identical `.bin` files

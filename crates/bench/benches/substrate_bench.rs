@@ -52,6 +52,22 @@ fn bench_html(c: &mut Criterion) {
     g.bench_function("selector_query", |b| {
         b.iter(|| black_box(sel.query_all(&doc)).len());
     });
+    // Extraction from the HTML text of a vantage copy: parsed whole, or
+    // only as far as the highlight's anchor target. Family 0 is anchored
+    // on `#product-detail` and stops early; family 3 has no id, so its
+    // prefix parse is the whole page and the two cases should tie.
+    for style in [0, 3] {
+        let page = render_html(style, &sample_input());
+        let own = parse(&page);
+        let ex = HighlightExtractor::from_highlight(&own, &price_selector(style)).unwrap();
+        let hint = Some(Locale::of_country(Country::Germany));
+        g.bench_function(&format!("extract_full_parse_family_{style}"), |b| {
+            b.iter(|| black_box(ex.extract(&pd_html::parse_pooled(&page), hint).unwrap()));
+        });
+        g.bench_function(&format!("extract_prefix_parse_family_{style}"), |b| {
+            b.iter(|| black_box(ex.extract_html(&page, hint).unwrap()));
+        });
+    }
     g.bench_function("highlight_capture_and_resolve", |b| {
         let ex = HighlightExtractor::from_highlight(&doc, &sel).unwrap();
         b.iter(|| {

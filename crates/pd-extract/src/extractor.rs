@@ -107,6 +107,23 @@ impl HighlightExtractor {
             raw_text: trimmed.to_owned(),
         })
     }
+
+    /// Extracts the price from one page copy given as HTML text: equal
+    /// to [`extract`](HighlightExtractor::extract) on the whole parsed
+    /// page, but the copy is parsed only as far as
+    /// [`NodePath::parse_pooled_prefix`] needs.
+    ///
+    /// # Errors
+    ///
+    /// See [`ExtractError`].
+    pub fn extract_html(
+        &self,
+        html: &str,
+        locale_hint: Option<Locale>,
+    ) -> Result<Extracted, ExtractError> {
+        let doc = self.path.parse_pooled_prefix(html);
+        self.extract(&doc, locale_hint)
+    }
 }
 
 /// The naive baseline: first currency-looking string in document order.

@@ -20,7 +20,9 @@
 //! * [`selector`] — a CSS-like selector engine (tag / `#id` / `.class` /
 //!   `[attr]`, descendant and child combinators),
 //! * [`path`] — structural node paths, the representation of a user's
-//!   highlight that travels to the other vantage points,
+//!   highlight that travels to the other vantage points, and
+//!   [`NodePath::parse_pooled_prefix`], which parses a copy only as far
+//!   as the highlight's anchor target,
 //! * [`build`] — the [`HtmlSink`] the synthetic retailer templates are
 //!   written against, with a document-building and an HTML-writing sink,
 //!   and a [`Skeleton`] recorder for pages that differ only in a few

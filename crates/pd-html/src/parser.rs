@@ -13,6 +13,11 @@
 //! Tokens are consumed as the tokenizer produces them. The open-element
 //! stack is the insertion point's ancestor chain, so the parser walks
 //! parent links instead of keeping a stack of its own.
+//!
+//! The one tree-building loop, `parse_into_until`, can stop after any
+//! token that closes an element; [`parse`] and [`crate::parse_pooled`]
+//! never stop it, and [`crate::NodePath::parse_pooled_prefix`] stops it
+//! once the highlighted element has closed.
 
 use crate::dom::{is_void, Document, NodeData, NodeId};
 use crate::token::{Token, Tokenizer};
@@ -33,24 +38,35 @@ use crate::token::{Token, Tokenizer};
 #[must_use]
 pub fn parse(input: &str) -> Document {
     let mut doc = Document::with_capacity_for(input.len());
-    parse_into(input, &mut doc);
+    parse_into_until(input, &mut doc, |_, _| false);
     doc
 }
 
 /// Builds the tree of `input` under the root of `doc`, which must hold
-/// only its root.
-pub(crate) fn parse_into(input: &str, doc: &mut Document) {
-    debug_assert_eq!(doc.len(), 1, "parse_into needs an empty document");
+/// only its root, until `done` says to stop: after each token that
+/// closes an element (a matched end tag, an implicit close, or a void or
+/// self-closing start tag) it asks `done(doc, top)`, where `top` is the
+/// new insertion point. The tree is append-only, so a stopped parse has
+/// built exactly what the whole input builds at those nodes, and a
+/// closed element's subtree is final.
+pub(crate) fn parse_into_until(
+    input: &str,
+    doc: &mut Document,
+    mut done: impl FnMut(&Document, NodeId) -> bool,
+) {
+    debug_assert_eq!(doc.len(), 1, "parse_into_until needs an empty document");
     let mut tokens = Tokenizer::new(input);
     // The insertion point: the innermost open element (or the root).
     let mut top = NodeId::ROOT;
     while let Some(token) = tokens.next() {
-        match token {
+        let closed = match token {
             Token::Doctype(d) => {
                 doc.append(NodeId::ROOT, NodeData::Doctype(d));
+                false
             }
             Token::Comment(c) => {
                 doc.append(top, NodeData::Comment(c));
+                false
             }
             Token::Text(t) => {
                 // Skip pure inter-tag whitespace to keep trees small; real
@@ -59,6 +75,7 @@ pub(crate) fn parse_into(input: &str, doc: &mut Document) {
                 if !t.trim().is_empty() || doc.tag(top).is_some_and(is_phrasing_container) {
                     doc.append_text(top, t);
                 }
+                false
             }
             Token::StartTag {
                 name,
@@ -67,23 +84,35 @@ pub(crate) fn parse_into(input: &str, doc: &mut Document) {
             } => {
                 // Implicit close: a new <li> closes the previous <li>, etc.,
                 // unless a list/table container sits between them.
+                let mut closed = false;
                 if implicitly_self_nesting(&name) {
                     if let Some(open) = open_element(doc, top, &name, is_scope_boundary) {
                         top = doc.parent(open).expect("an open element has a parent");
+                        closed = true;
                     }
                 }
                 let id = doc.append_element(top, &name, attrs.iter().map(|a| (&*a.name, a.value)));
                 tokens.recycle(attrs);
-                if !self_closing && !is_void(&name) {
+                if self_closing || is_void(&name) {
+                    closed = true;
+                } else {
                     top = id;
                 }
+                closed
             }
             Token::EndTag { name } => {
                 // Stray end tags match nothing and are ignored.
-                if let Some(open) = open_element(doc, top, &name, |_| false) {
-                    top = doc.parent(open).expect("an open element has a parent");
+                match open_element(doc, top, &name, |_| false) {
+                    Some(open) => {
+                        top = doc.parent(open).expect("an open element has a parent");
+                        true
+                    }
+                    None => false,
                 }
             }
+        };
+        if closed && done(doc, top) {
+            return;
         }
     }
 }

@@ -17,8 +17,14 @@
 //! order, in one pass, without allocating. The layered design is what
 //! makes extraction robust when a foreign copy inserts or removes
 //! sibling elements — exactly the noise the paper had to survive.
+//!
+//! [`NodePath::parse_pooled_prefix`] parses a copy only as far as the
+//! anchor strategy needs: the first element with the id and each step's
+//! same-tag child are fixed once the append-only tree builder has made
+//! them, and a closed element's subtree is final.
 
 use crate::dom::{Document, NodeId};
+use crate::pool::{parse_pooled, parse_pooled_until, PooledDocument};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -117,6 +123,31 @@ impl NodePath {
         }
     }
 
+    /// Parses `html` like [`crate::parse_pooled`], but stops once the
+    /// anchor strategy has resolved to an element with the captured tag
+    /// and that element has closed. The anchor strategy comes first and
+    /// is first-match, so on the returned prefix
+    /// [`NodePath::resolve_with_strategy`] gives the node, strategy and
+    /// text it gives on the whole page. With no anchor, an anchor id
+    /// that never appears, steps that never resolve or a target of
+    /// another tag, the later strategies need the whole page, and the
+    /// page is parsed to its end.
+    #[must_use]
+    pub fn parse_pooled_prefix(&self, html: &str) -> PooledDocument {
+        let Some((id, steps)) = &self.anchor else {
+            return parse_pooled(html);
+        };
+        let mut stop = AnchorStop {
+            id,
+            steps,
+            tag: &self.tag,
+            scanned: 1,
+            anchor: None,
+            target: None,
+        };
+        parse_pooled_until(html, |doc, top| stop.closed(doc, top))
+    }
+
     fn resolve_by_anchor(&self, doc: &Document) -> Option<NodeId> {
         let (id, steps) = self.anchor.as_ref()?;
         let anchor = doc
@@ -163,6 +194,49 @@ pub enum ResolveStrategy {
     ClassSignature,
     /// Matched via absolute tag/index steps.
     Absolute,
+}
+
+/// The stop rule of [`NodePath::parse_pooled_prefix`], asked after each
+/// token that closes an element.
+struct AnchorStop<'p> {
+    id: &'p str,
+    steps: &'p [Step],
+    tag: &'p str,
+    /// Arena nodes already searched for the anchor id. Elements are
+    /// appended in document order, so the first hit among the new nodes
+    /// is the page's first element with the id.
+    scanned: usize,
+    anchor: Option<NodeId>,
+    /// The resolved target: `Some(None)` when it has another tag, so the
+    /// anchor strategy fails whatever follows.
+    target: Option<Option<NodeId>>,
+}
+
+impl AnchorStop<'_> {
+    /// Whether the anchor target exists, has the captured tag and is no
+    /// longer on the open-element chain that ends at `top`.
+    fn closed(&mut self, doc: &Document, top: NodeId) -> bool {
+        let target = match self.target {
+            Some(target) => target,
+            None => {
+                if self.anchor.is_none() {
+                    self.anchor = (self.scanned..doc.len())
+                        .map(NodeId::new)
+                        .find(|&n| doc.element_id(n) == Some(self.id));
+                    self.scanned = doc.len();
+                }
+                let Some(target) = self.anchor.and_then(|a| walk_steps(doc, a, self.steps)) else {
+                    return false;
+                };
+                let target = (doc.tag(target) == Some(self.tag)).then_some(target);
+                self.target = Some(target);
+                target
+            }
+        };
+        target.is_some_and(|target| {
+            !std::iter::successors(Some(top), |&n| doc.parent(n)).any(|n| n == target)
+        })
+    }
 }
 
 fn walk_steps(doc: &Document, from: NodeId, steps: &[Step]) -> Option<NodeId> {

@@ -2,15 +2,16 @@
 //!
 //! Every synchronized check fetches 14 copies of a page and parses each
 //! distinct one (same-country copies with identical bytes are parsed
-//! once), and the crawl makes thousands of checks, so a run still parses
-//! thousands of pages. [`parse_pooled`] keeps each worker thread's
-//! finished documents on a small free list and parses the next page into
-//! one of them, so a page costs no arena or buffer allocation once the
-//! thread has warmed up. A global live count (documents currently checked
+//! once), most of them only as far as the highlighted price
+//! ([`crate::NodePath::parse_pooled_prefix`]), and the crawl makes
+//! thousands of checks, so a run still parses thousands of pages.
+//! [`parse_pooled`] keeps each worker thread's finished documents on a
+//! small free list and parses the next page into one of them, so a page
+//! costs no arena or buffer allocation once the thread has warmed up. A global live count (documents currently checked
 //! out) lets tests prove every guard gave its document back.
 
-use crate::dom::Document;
-use crate::parser::parse_into;
+use crate::dom::{Document, NodeId};
+use crate::parser::parse_into_until;
 use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,10 +40,19 @@ static LIVE: AtomicUsize = AtomicUsize::new(0);
 /// ```
 #[must_use]
 pub fn parse_pooled(input: &str) -> PooledDocument {
+    parse_pooled_until(input, |_, _| false)
+}
+
+/// [`parse_pooled`] that stops as soon as `done(doc, top)` says so; see
+/// [`parse_into_until`].
+pub(crate) fn parse_pooled_until(
+    input: &str,
+    done: impl FnMut(&Document, NodeId) -> bool,
+) -> PooledDocument {
     let mut doc = FREE
         .with(|free| free.borrow_mut().pop())
         .unwrap_or_else(|| Document::with_capacity_for(input.len()));
-    parse_into(input, &mut doc);
+    parse_into_until(input, &mut doc, done);
     LIVE.fetch_add(1, Ordering::Relaxed);
     PooledDocument { doc: Some(doc) }
 }

@@ -88,8 +88,11 @@ impl Sheriff {
     /// copy's observation under its own vantage id: the extractor is fixed
     /// for the check and the locale hint depends only on the country, so
     /// re-extracting it would give exactly that observation. Failed
-    /// (non-200) copies are never reused. The result equals
-    /// [`check_one`] at every index.
+    /// (non-200) copies are never reused. An extracted copy is parsed
+    /// only until the highlight's anchor target has closed
+    /// ([`HighlightExtractor::extract_html`]), which gives what the whole
+    /// page would; a copy the anchor does not resolve on is parsed whole.
+    /// The result equals [`check_one`] at every index.
     ///
     /// [`check_one`]: Sheriff::check_one
     #[must_use]
@@ -202,8 +205,8 @@ impl Sheriff {
     }
 }
 
-/// Parses one fetched copy and replays the highlight on it, with the
-/// vantage point's country as the locale hint.
+/// Replays the highlight on one fetched copy, parsed only as far as the
+/// highlight needs, with the vantage point's country as the locale hint.
 fn extract_copy(
     resp: &Response,
     vp: &VantagePoint,
@@ -212,9 +215,8 @@ fn extract_copy(
     if resp.status.code() != 200 {
         return PriceObservation::failed(vp.id, format!("http {}", resp.status.code()));
     }
-    let doc = pd_html::parse_pooled(&resp.body);
     let hint = Locale::of_country(vp.location.country);
-    match extractor.extract(&doc, Some(hint)) {
+    match extractor.extract_html(&resp.body, Some(hint)) {
         Ok(ex) => PriceObservation::ok(vp.id, ex.price, ex.raw_text),
         Err(e) => PriceObservation::failed(vp.id, e.to_string()),
     }

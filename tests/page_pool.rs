@@ -2,11 +2,12 @@
 //! guard gives its document back (the live count returns to its base
 //! after parsing across a scoped executor), nested guards on one thread
 //! are independent, and a reused document parses exactly like a fresh
-//! one. One test function, so nothing else in this binary moves the
-//! process-wide live count while it is checked.
+//! one — also when the parse that held it before stopped early
+//! (`NodePath::parse_pooled_prefix`). One test function, so nothing else
+//! in this binary moves the process-wide live count while it is checked.
 
 use pd_core::Executor;
-use pd_html::{parse, parse_pooled, pooled_live, NodeId};
+use pd_html::{parse, parse_pooled, pooled_live, NodeId, NodePath, Selector};
 
 const PAGES: [&str; 3] = [
     "<!DOCTYPE html><html><body><div id=product><span class=\"price main\">$1,299.00</span>\
@@ -47,6 +48,45 @@ fn pooled_documents_return_to_the_pool_and_parse_like_fresh_ones() {
         let doc = parse_pooled(page);
         let nested = parse_pooled(PAGES[(i + 1) % PAGES.len()]);
         *doc == parse(page) && *nested == parse(PAGES[(i + 1) % PAGES.len()])
+    });
+    assert!(matched.iter().all(|&ok| ok));
+    assert_eq!(pooled_live(), base);
+
+    // Early-stopped parses: the highlight of PAGES[0] is anchored on
+    // `#product`, so its prefix parse ends after the price's `</span>`.
+    let whole = parse(PAGES[0]);
+    let price = Selector::parse("#product span").unwrap();
+    let path = NodePath::capture(&whole, price.query_first(&whole).unwrap());
+    {
+        let stopped = path.parse_pooled_prefix(PAGES[0]);
+        assert_eq!(pooled_live(), base + 1);
+        assert!(stopped.len() < whole.len(), "the prefix parse stopped");
+        let hit = path.resolve(&stopped).unwrap();
+        assert_eq!(stopped.text_content(hit), "$1,299.00");
+    }
+    assert_eq!(pooled_live(), base);
+    // The document the stopped parse returned holds nothing of it: the
+    // next page parses exactly like a fresh one, whether parsed whole or
+    // stopped early in turn.
+    for page in [PAGES[1], PAGES[2], PAGES[0]] {
+        let stopped = path.parse_pooled_prefix(PAGES[0]);
+        drop(stopped);
+        let reused = parse_pooled(page);
+        assert_eq!(*reused, parse(page));
+        assert_eq!(
+            reused.to_html(NodeId::ROOT),
+            parse(page).to_html(NodeId::ROOT)
+        );
+    }
+    assert_eq!(pooled_live(), base);
+
+    // Stopped and whole parses mixed across the executor also all go
+    // home.
+    let matched = executor.map_indexed(240, |i| {
+        let stopped = path.parse_pooled_prefix(PAGES[0]);
+        let page = PAGES[i % PAGES.len()];
+        let nested = parse_pooled(page);
+        stopped.len() < whole.len() && *nested == parse(page)
     });
     assert!(matched.iter().all(|&ok| ok));
     assert_eq!(pooled_live(), base);

@@ -42,13 +42,12 @@ use pd_analysis::{crawl, crowd as crowd_figs, location, login, strategy, summary
 use pd_crawler::crawl::RetailerCrawlStats;
 use pd_crawler::{select_targets, Crawler};
 use pd_currency::Locale;
-use pd_extract::HighlightExtractor;
 use pd_html::Selector;
 use pd_net::clock::SimTime;
 use pd_net::geo::{Country, Location};
 use pd_sheriff::cleaning::{clean, reaches_refetch, CleaningReport};
 use pd_sheriff::personas::{self, LoginExperiment, PersonaExperiment};
-use pd_sheriff::MeasurementStore;
+use pd_sheriff::{own_page_price, CopyTally, DistinctCopies, MeasurementStore};
 use pd_web::template::{price_selector, FAMILY_COUNT};
 use pd_web::Request;
 use serde::{Deserialize, Serialize};
@@ -231,22 +230,17 @@ fn clean_crowd_store(
     let refetch = |m: &pd_sheriff::Measurement| {
         let user = crowd.users().get(m.user.index())?;
         let server = web.server_by_domain(&m.domain)?;
-        let req = Request::get(
-            &m.domain,
-            &format!("/product/{}", m.product_slug),
-            user.addr(),
-            m.time,
-        );
-        let resp = web.fetch(&req);
-        if resp.status.code() != 200 {
-            return None;
-        }
-        let doc = pd_html::parse_pooled(&resp.body);
         let family = usize::from(server.spec().template_style % FAMILY_COUNT);
-        let ex = HighlightExtractor::from_highlight(&doc, &selectors[family])?;
-        ex.extract(&doc, Some(Locale::of_country(user.location.country)))
-            .ok()
-            .map(|e| e.price)
+        own_page_price(
+            web,
+            &mut DistinctCopies::new(),
+            &selectors[family],
+            &m.domain,
+            &m.product_slug,
+            (user.addr(), user.location.country),
+            m.time,
+            &[],
+        )
     };
     let asked: Vec<&pd_sheriff::Measurement> = raw
         .records()
@@ -327,17 +321,16 @@ pub fn is_tax_explained(world: &World, config: &ExperimentConfig, domain: &str) 
     let day = (time.day_index() as usize).min(fx.days().saturating_sub(1));
 
     let page_price = |addr, country| {
-        let req = Request::get(domain, &format!("/product/{}", product.slug), addr, time)
-            .with_cookie("sid", "424242");
-        let resp = web.fetch(&req);
-        if resp.status.code() != 200 {
-            return None;
-        }
-        let doc = pd_html::parse_pooled(&resp.body);
-        let ex = HighlightExtractor::from_highlight(&doc, &selector)?;
-        ex.extract(&doc, Some(Locale::of_country(country)))
-            .ok()
-            .map(|e| e.price)
+        own_page_price(
+            web,
+            &mut DistinctCopies::new(),
+            &selector,
+            domain,
+            &product.slug,
+            (addr, country),
+            time,
+            &[("sid", "424242")],
+        )
     };
     let item_price = |addr, country| {
         let req = Request::get(domain, &format!("/checkout/{}", product.slug), addr, time)
@@ -439,7 +432,10 @@ const PERSONA_DOMAINS: [&str; 4] = [
 
 /// Stage 4a: the Sec. 4.4 persona and login probes, holding location and
 /// time fixed, plus the analysis's web probes ([`run_probes`]). Login
-/// rows fan per product, persona pairs and attributions per domain.
+/// rows fan per product, persona pairs and attributions per domain. Each
+/// probe family reports its fetched copies and how many of them were
+/// extracted (`<family>_copies`, `<family>_extracted`): a copy
+/// byte-identical to an earlier one of its scope is not parsed again.
 #[must_use]
 pub fn persona_stage(
     world: &World,
@@ -450,18 +446,24 @@ pub fn persona_stage(
     observed(obs, StageKind::Personas, || {
         let (boston, addr, exp_time) = persona_site(world, config);
         let slugs = personas::login_slugs(&world.web, "www.amazon.com", config.login_products);
-        let rows = exec.map_indexed(slugs.len(), |i| {
-            personas::login_row(
-                &world.web,
-                config.seed,
-                "www.amazon.com",
-                &boston,
-                addr,
-                exp_time,
-                i,
-                &slugs[i],
-            )
-        });
+        let (rows, tallies): (Vec<_>, Vec<_>) = exec
+            .map_indexed(slugs.len(), |i| {
+                let mut tally = CopyTally::default();
+                let row = personas::login_row(
+                    &world.web,
+                    config.seed,
+                    "www.amazon.com",
+                    &boston,
+                    addr,
+                    exp_time,
+                    i,
+                    &slugs[i],
+                    &mut tally,
+                );
+                (row, tally)
+            })
+            .into_iter()
+            .unzip();
         let login = LoginExperiment {
             domain: "www.amazon.com".to_owned(),
             rows,
@@ -471,17 +473,24 @@ pub fn persona_stage(
             "login_products",
             login.rows.len() as u64,
         );
+        copy_counters(obs, StageKind::Personas, "login", tallies.into_iter().sum());
 
-        let pairs = exec.map_indexed(PERSONA_DOMAINS.len(), |i| {
-            personas::persona_pairs(
-                &world.web,
-                PERSONA_DOMAINS[i],
-                &boston,
-                addr,
-                exp_time,
-                config.persona_products,
-            )
-        });
+        let (pairs, tallies): (Vec<_>, Vec<_>) = exec
+            .map_indexed(PERSONA_DOMAINS.len(), |i| {
+                let mut tally = CopyTally::default();
+                let pair = personas::persona_pairs(
+                    &world.web,
+                    PERSONA_DOMAINS[i],
+                    &boston,
+                    addr,
+                    exp_time,
+                    config.persona_products,
+                    &mut tally,
+                );
+                (pair, tally)
+            })
+            .into_iter()
+            .unzip();
         let (differing, total) = pairs
             .into_iter()
             .fold((0, 0), |(d, t), (pd, pt)| (d + pd, t + pt));
@@ -496,12 +505,13 @@ pub fn persona_stage(
             "persona_pairs",
             persona.total_pairs as u64,
         );
-        let probes = run_probes(world, config, exec);
-        obs.counter(
+        copy_counters(
+            obs,
             StageKind::Personas,
-            "attributed_retailers",
-            probes.attribution.len() as u64,
+            "persona",
+            tallies.into_iter().sum(),
         );
+        let probes = run_probes(world, config, exec, obs, StageKind::Personas);
         PersonaArtifact {
             login,
             persona,
@@ -510,20 +520,47 @@ pub fn persona_stage(
     })
 }
 
+/// Reports a probe family's fetched and extracted copies under `stage`.
+fn copy_counters(obs: &dyn RunObserver, stage: StageKind, family: &str, tally: CopyTally) {
+    obs.counter(stage, &format!("{family}_copies"), tally.copies);
+    obs.counter(stage, &format!("{family}_extracted"), tally.extracted);
+}
+
 /// The analysis's web probes: factor attribution of every paper crawl
 /// target (fanned per retailer) and the third-party scan, both from the
-/// persona experiment's Boston site.
+/// persona experiment's Boston site. Reports the attributed retailers
+/// and the attribution's copy counters under `stage`.
 #[must_use]
-pub fn run_probes(world: &World, config: &ExperimentConfig, exec: &Executor) -> ProbeRecord {
+pub fn run_probes(
+    world: &World,
+    config: &ExperimentConfig,
+    exec: &Executor,
+    obs: &dyn RunObserver,
+    stage: StageKind,
+) -> ProbeRecord {
     let targets = world.paper_crawl_targets();
     let products = config.analysis.attribution_products;
-    let attribution = exec
+    let probes = probe_set(world);
+    let (attribution, tallies): (Vec<_>, Vec<_>) = exec
         .map_indexed(targets.len(), |i| {
-            attribute_factors(world, config, &targets[i], products)
+            let mut tally = CopyTally::default();
+            let attribution = probes.as_ref().and_then(|probes| {
+                pd_analysis::attribute(
+                    &world.web,
+                    probes,
+                    &targets[i],
+                    products,
+                    probe_day(config),
+                    &mut tally,
+                )
+            });
+            (attribution, tally)
         })
         .into_iter()
-        .flatten()
-        .collect();
+        .unzip();
+    let attribution: Vec<Attribution> = attribution.into_iter().flatten().collect();
+    obs.counter(stage, "attributed_retailers", attribution.len() as u64);
+    copy_counters(obs, stage, "attribution", tallies.into_iter().sum());
     let (_, boston, exp_time) = persona_site(world, config);
     let third_party = thirdparty::scan_third_parties(&world.web, &targets, boston, exp_time);
     ProbeRecord {
@@ -543,19 +580,35 @@ pub fn attribute_factors(
     config: &ExperimentConfig,
     domain: &str,
     products: usize,
-) -> Option<pd_analysis::Attribution> {
+) -> Option<Attribution> {
+    pd_analysis::attribute(
+        &world.web,
+        &probe_set(world)?,
+        domain,
+        products,
+        probe_day(config),
+        &mut CopyTally::default(),
+    )
+}
+
+/// The attribution's probe endpoints, from the vantage fleet; `None`
+/// when one of them is missing.
+fn probe_set(world: &World) -> Option<pd_analysis::ProbeSet> {
     let vp = |label: &str| {
         let v = world.vantage_by_label(label)?;
         Some((v.addr, v.location.clone()))
     };
-    let probes = pd_analysis::ProbeSet {
+    Some(pd_analysis::ProbeSet {
         us_a: vp("USA - Boston")?,
         us_b: vp("USA - Chicago")?,
         us_c: vp("USA - New York")?,
         foreign: vp("Finland - Tampere")?,
-    };
-    let base_day = config.crawl.start_day + config.crawl.days + 2;
-    pd_analysis::attribute(&world.web, &probes, domain, products, base_day)
+    })
+}
+
+/// The attribution's base day: two days after the crawl window.
+fn probe_day(config: &ExperimentConfig) -> u64 {
+    config.crawl.start_day + config.crawl.days + 2
 }
 
 /// Data-driven variant of target selection (used by the
@@ -834,13 +887,7 @@ pub(crate) fn analysis_over(
             None => {
                 let world =
                     probe_world.expect("the caller builds the world when the probes do not fit");
-                let p = run_probes(world, config, exec);
-                obs.counter(
-                    StageKind::Analysis,
-                    "attributed_retailers",
-                    p.attribution.len() as u64,
-                );
-                p
+                run_probes(world, config, exec, obs, StageKind::Analysis)
             }
         };
 

@@ -13,12 +13,12 @@
 //! largest observed ratio, i.e. precisely the attribution table the
 //! authors wanted.
 
-use pd_currency::{band_filter, Locale, Price};
-use pd_extract::HighlightExtractor;
+use pd_currency::{band_filter, Price};
 use pd_net::clock::SimTime;
-use pd_net::geo::{Country, Location};
+use pd_net::geo::Location;
+use pd_sheriff::copies::{own_page_price, CopyTally, DistinctCopies};
 use pd_web::template::price_selector;
-use pd_web::{Request, WebWorld};
+use pd_web::WebWorld;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
@@ -122,7 +122,10 @@ const SESSIONS_PER_PRODUCT: usize = 6;
 /// Runs the controlled probe against one retailer.
 ///
 /// `products` bounds the probe size; `base_day` must leave one spare day
-/// in the FX series for the day factor.
+/// in the FX series for the day factor. Each product's probes share one
+/// [`DistinctCopies`] scope, counted into `tally`: a probe whose page is
+/// byte-identical to an earlier one from the same country (a retailer
+/// that ignores the probed factor) is not parsed again.
 #[must_use]
 pub fn attribute(
     world: &WebWorld,
@@ -130,41 +133,21 @@ pub fn attribute(
     domain: &str,
     products: usize,
     base_day: u64,
+    tally: &mut CopyTally,
 ) -> Option<Attribution> {
     let server = world.server_by_domain(domain)?;
     let selector = price_selector(server.spec().template_style);
-    let slugs: Vec<String> = server
+    let slugs: Vec<&str> = server
         .catalog()
         .iter()
         .take(products)
-        .map(|p| p.slug.clone())
+        .map(|p| p.slug.as_str())
         .collect();
     if slugs.is_empty() {
         return None;
     }
     let t0 = SimTime::from_millis(base_day * 24 * 3_600_000 + 10 * 3_600_000);
     let t1 = SimTime::from_millis((base_day + 1) * 24 * 3_600_000 + 10 * 3_600_000);
-
-    let fetch = |slug: &str,
-                 addr: Ipv4Addr,
-                 country: Country,
-                 time: SimTime,
-                 cookies: &[(&str, &str)]|
-     -> Option<Price> {
-        let mut req = Request::get(domain, &format!("/product/{slug}"), addr, time);
-        for (n, v) in cookies {
-            req = req.with_cookie(n, v);
-        }
-        let resp = world.fetch(&req);
-        if resp.status.code() != 200 {
-            return None;
-        }
-        let doc = pd_html::parse_pooled(&resp.body);
-        let ex = HighlightExtractor::from_highlight(&doc, &selector)?;
-        ex.extract(&doc, Some(Locale::of_country(country)))
-            .ok()
-            .map(|e| e.price)
-    };
 
     // Cross-currency pair: genuine iff the band filter confirms.
     let cross_ratio = |a: Price, b: Price, day: usize| -> (bool, f64) {
@@ -187,34 +170,37 @@ pub fn attribute(
         (ratio > 1.0 + SAME_CURRENCY_EPS, ratio)
     };
 
-    // The unvaried request (US baseline, day t0, session 9001) is the
-    // reference of the country, city, day and login factors. A fetch is
-    // a pure function of its request, so it is made once per product.
-    let us = (probes.us_a.0, probes.us_a.1.country);
+    // `(varies, max_ratio)` per factor, in `Factor::ALL` order.
+    let mut verdicts = [(false, 1.0f64); Factor::ALL.len()];
     let sid = [("sid", "9001")];
-    let base: Vec<Option<Price>> = slugs
-        .iter()
-        .map(|slug| fetch(slug, us.0, us.1, t0, &sid))
-        .collect();
-
-    let mut effects = Vec::with_capacity(Factor::ALL.len());
-    for factor in Factor::ALL {
-        let mut varies = false;
-        let mut max_ratio = 1.0f64;
-        for (slug, &base) in slugs.iter().zip(&base) {
+    for slug in slugs.iter().copied() {
+        let mut copies = DistinctCopies::new();
+        let mut price = |(addr, loc): &(Ipv4Addr, Location), time, cookies: &[(&str, &str)]| {
+            own_page_price(
+                world,
+                &mut copies,
+                &selector,
+                domain,
+                slug,
+                (*addr, loc.country),
+                time,
+                cookies,
+            )
+        };
+        // The unvaried request (US baseline, day t0, session 9001) is the
+        // reference of the country, city, day and login factors. A fetch
+        // is a pure function of its request, so it is made once.
+        let base = price(&probes.us_a, t0, &sid);
+        for (factor, verdict) in Factor::ALL.iter().zip(&mut verdicts) {
             let (v, r) = match factor {
                 Factor::Country => {
-                    let (Some(a), Some(b)) = (
-                        base,
-                        fetch(slug, probes.foreign.0, probes.foreign.1.country, t0, &sid),
-                    ) else {
+                    let (Some(a), Some(b)) = (base, price(&probes.foreign, t0, &sid)) else {
                         continue;
                     };
                     cross_ratio(a, b, base_day as usize)
                 }
                 Factor::CityWithinCountry => {
-                    let others = [&probes.us_b, &probes.us_c]
-                        .map(|(addr, loc)| fetch(slug, *addr, loc.country, t0, &sid));
+                    let others = [&probes.us_b, &probes.us_c].map(|p| price(p, t0, &sid));
                     let ps: Vec<Price> = std::iter::once(base).chain(others).flatten().collect();
                     if ps.len() < 3 {
                         continue;
@@ -225,7 +211,7 @@ pub fn attribute(
                     let ps: Vec<Price> = (0..SESSIONS_PER_PRODUCT)
                         .filter_map(|k| {
                             let sid_k = format!("77{k}");
-                            fetch(slug, us.0, us.1, t0, &[("sid", sid_k.as_str())])
+                            price(&probes.us_a, t0, &[("sid", sid_k.as_str())])
                         })
                         .collect();
                     if ps.len() < 2 {
@@ -234,29 +220,34 @@ pub fn attribute(
                     same_ratio(&ps)
                 }
                 Factor::Day => {
-                    let (Some(a), Some(b)) = (base, fetch(slug, us.0, us.1, t1, &sid)) else {
+                    let (Some(a), Some(b)) = (base, price(&probes.us_a, t1, &sid)) else {
                         continue;
                     };
                     same_ratio(&[a, b])
                 }
                 Factor::Login => {
                     let login = [("sid", "9001"), ("login", "3")];
-                    let (Some(a), Some(b)) = (base, fetch(slug, us.0, us.1, t0, &login)) else {
+                    let (Some(a), Some(b)) = (base, price(&probes.us_a, t0, &login)) else {
                         continue;
                     };
                     same_ratio(&[a, b])
                 }
             };
-            varies |= v;
-            max_ratio = max_ratio.max(r);
+            verdict.0 |= v;
+            verdict.1 = verdict.1.max(r);
         }
-        effects.push(FactorEffect {
+        *tally += copies.tally();
+    }
+    let effects = Factor::ALL
+        .iter()
+        .zip(verdicts)
+        .map(|(&factor, (varies, max_ratio))| FactorEffect {
             factor,
             varies,
             max_ratio,
             products: slugs.len(),
-        });
-    }
+        })
+        .collect();
     Some(Attribution {
         domain: domain.to_owned(),
         effects,
@@ -266,15 +257,19 @@ pub fn attribute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pd_net::geo::Country;
     use pd_util::Seed;
 
     fn rig() -> (WebWorld, ProbeSet) {
-        rig_at(1307)
+        rig_at(1307, 0.0)
     }
 
-    fn rig_at(seed: u64) -> (WebWorld, ProbeSet) {
+    /// The paper world at `seed`, its fetches failing transiently at
+    /// `failure_rate`, with the four probe endpoints.
+    fn rig_at(seed: u64, failure_rate: f64) -> (WebWorld, ProbeSet) {
         let seed = Seed::new(seed);
         let mut world = WebWorld::build(seed, pd_pricing::paper_retailers(seed), 160);
+        world.set_failure_rate(failure_rate);
         let mk = |w: &mut WebWorld, c, city: &str| {
             let loc = Location::new(c, city);
             (w.allocate_client(&loc), loc)
@@ -288,9 +283,9 @@ mod tests {
         (world, probes)
     }
 
-    /// `attribute` as first written: one fetch per probe, the baseline
-    /// request included, re-fetched by every factor that compares
-    /// against it.
+    /// `attribute` as first written: one fetch and one extraction per
+    /// probe (each copy in a scope of its own), the baseline request
+    /// included, re-fetched by every factor that compares against it.
     fn reference_attribute(
         world: &WebWorld,
         probes: &ProbeSet,
@@ -313,19 +308,16 @@ mod tests {
         let (t0, t1) = (day_ms(base_day), day_ms(base_day + 1));
         let price =
             |slug: &str, (addr, loc): &(Ipv4Addr, Location), time, cookies: &[(&str, &str)]| {
-                let mut req = Request::get(domain, &format!("/product/{slug}"), *addr, time);
-                for (n, v) in cookies {
-                    req = req.with_cookie(n, v);
-                }
-                let resp = world.fetch(&req);
-                if resp.status.code() != 200 {
-                    return None;
-                }
-                let doc = pd_html::parse_pooled(&resp.body);
-                HighlightExtractor::from_highlight(&doc, &selector)?
-                    .extract(&doc, Some(Locale::of_country(loc.country)))
-                    .ok()
-                    .map(|e| e.price)
+                own_page_price(
+                    world,
+                    &mut DistinctCopies::new(),
+                    &selector,
+                    domain,
+                    slug,
+                    (*addr, loc.country),
+                    time,
+                    cookies,
+                )
             };
         let same = |ps: &[Price]| {
             let lo = ps
@@ -414,21 +406,43 @@ mod tests {
 
     #[test]
     fn one_baseline_fetch_matches_a_fetch_per_probe() {
-        for seed in [1307, 2024] {
-            let (world, probes) = rig_at(seed);
+        // With transient failures some probes fail: a failed copy must
+        // neither be reused nor stand in for a later successful one.
+        for (seed, failure_rate) in [(1307, 0.0), (2024, 0.0), (1307, 0.3), (2024, 0.3)] {
+            let (world, probes) = rig_at(seed, failure_rate);
             for spec in pd_pricing::paper_retailers(Seed::new(seed)) {
                 let domain = spec.domain.as_str();
+                let mut tally = CopyTally::default();
                 assert_eq!(
-                    attribute(&world, &probes, domain, 8, 50),
+                    attribute(&world, &probes, domain, 8, 50, &mut tally),
                     reference_attribute(&world, &probes, domain, 8, 50),
-                    "seed {seed}, {domain}"
+                    "seed {seed}, failure rate {failure_rate}, {domain}"
                 );
+                assert_eq!(tally.copies, 8 * 12, "{domain}");
             }
         }
     }
 
+    #[test]
+    fn failures_are_extracted_not_reused() {
+        // Every probe fails: no copy is a 200, so every one is extracted
+        // (to `None`) and the memo never holds a failure.
+        let (world, probes) = rig_at(1307, 1.0);
+        let mut tally = CopyTally::default();
+        let a = attribute(&world, &probes, "www.digitalrev.com", 4, 50, &mut tally)
+            .expect("domain exists");
+        assert!(a.varying_factors().is_empty(), "{a:?}");
+        assert_eq!(
+            tally,
+            CopyTally {
+                copies: 4 * 12,
+                extracted: 4 * 12
+            }
+        );
+    }
+
     fn attr(world: &WebWorld, probes: &ProbeSet, domain: &str) -> Attribution {
-        attribute(world, probes, domain, 10, 50).expect("domain exists")
+        attribute(world, probes, domain, 10, 50, &mut CopyTally::default()).expect("domain exists")
     }
 
     #[test]
@@ -485,6 +499,8 @@ mod tests {
     #[test]
     fn unknown_domain_is_none() {
         let (world, probes) = rig();
-        assert!(attribute(&world, &probes, "gone.example", 5, 50).is_none());
+        let mut tally = CopyTally::default();
+        assert!(attribute(&world, &probes, "gone.example", 5, 50, &mut tally).is_none());
+        assert_eq!(tally, CopyTally::default());
     }
 }

@@ -220,7 +220,7 @@ impl Crawler {
         if resp.status.code() != 200 {
             return None;
         }
-        let doc = pd_html::parse(&resp.body);
+        let doc = pd_html::parse_pooled(&resp.body);
         HighlightExtractor::from_highlight(&doc, &price_selector(server.spec().template_style))
     }
 }

@@ -6,6 +6,7 @@
 //! instant plus its one-way network latency (hundreds of ms at most — the
 //! ablation bench removes this synchronization to show what breaks).
 
+use crate::copies::DistinctCopies;
 use crate::measurement::PriceObservation;
 use pd_currency::Locale;
 use pd_extract::HighlightExtractor;
@@ -84,14 +85,15 @@ impl Sheriff {
     ///
     /// Every copy is fetched at its own instant, but a copy is parsed and
     /// extracted only if no earlier copy of this check came from the same
-    /// country with the same body bytes. Such a copy takes the earlier
-    /// copy's observation under its own vantage id: the extractor is fixed
-    /// for the check and the locale hint depends only on the country, so
-    /// re-extracting it would give exactly that observation. Failed
-    /// (non-200) copies are never reused. An extracted copy is parsed
-    /// only until the highlight's anchor target has closed
-    /// ([`HighlightExtractor::extract_html`]), which gives what the whole
-    /// page would; a copy the anchor does not resolve on is parsed whole.
+    /// country with the same body bytes ([`DistinctCopies`], scoped to the
+    /// check). Such a copy takes the earlier copy's observation under its
+    /// own vantage id: the extractor is fixed for the check and the locale
+    /// hint depends only on the country, so re-extracting it would give
+    /// exactly that observation. Failed (non-200) copies are never
+    /// reused. An extracted copy is parsed only until the highlight's
+    /// anchor target has closed ([`HighlightExtractor::extract_html`]),
+    /// which gives what the whole page would; a copy the anchor does not
+    /// resolve on is parsed whole.
     /// The result equals [`check_one`] at every index.
     ///
     /// [`check_one`]: Sheriff::check_one
@@ -121,33 +123,20 @@ impl Sheriff {
         extra_cookies: &[(String, String)],
         mut extract: impl FnMut(&Response, &VantagePoint) -> PriceObservation,
     ) -> Vec<PriceObservation> {
-        // The distinct 200 copies extracted so far, each with the index
-        // of its observation in `observations`. Dropped with the call.
-        let mut extracted: Vec<(Country, Response, usize)> = Vec::new();
-        let mut observations: Vec<PriceObservation> = Vec::with_capacity(self.vantage_points.len());
-        for (i, vp) in self.vantage_points.iter().enumerate() {
-            let resp = self.fetch_copy(world, host, path, time, extra_cookies, i);
-            let country = vp.location.country;
-            let ok = resp.status.code() == 200;
-            let earlier = extracted
-                .iter()
-                .find(|(c, r, _)| ok && *c == country && r.body == resp.body);
-            let observation = match earlier {
-                Some(&(_, _, j)) => PriceObservation {
+        let mut copies = DistinctCopies::new();
+        self.vantage_points
+            .iter()
+            .enumerate()
+            .map(|(i, vp)| {
+                let resp = self.fetch_copy(world, host, path, time, extra_cookies, i);
+                let observation =
+                    copies.reuse_or_extract(vp.location.country, resp, |resp| extract(resp, vp));
+                PriceObservation {
                     vantage: vp.id,
-                    ..observations[j].clone()
-                },
-                None => {
-                    let observation = extract(&resp, vp);
-                    if ok {
-                        extracted.push((country, resp, i));
-                    }
-                    observation
+                    ..observation
                 }
-            };
-            observations.push(observation);
-        }
-        observations
+            })
+            .collect()
     }
 
     /// One copy of a check, fetched and extracted on its own: the

@@ -12,14 +12,13 @@
 //!   session, but the variation is uncorrelated with login — the paper's
 //!   exact observation.
 
-use pd_currency::{Locale, Price};
-use pd_extract::HighlightExtractor;
-use pd_html::Selector;
+use crate::copies::{own_page_price, CopyTally, DistinctCopies};
+use pd_currency::Price;
 use pd_net::clock::SimTime;
 use pd_net::geo::Location;
 use pd_util::Seed;
 use pd_web::template::price_selector;
-use pd_web::{Request, WebWorld};
+use pd_web::WebWorld;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
@@ -59,32 +58,6 @@ pub struct PersonaExperiment {
     pub total_pairs: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn fetch_price(
-    world: &WebWorld,
-    domain: &str,
-    highlight: &Selector,
-    slug: &str,
-    addr: Ipv4Addr,
-    time: SimTime,
-    location: &Location,
-    cookies: &[(&str, &str)],
-) -> Option<Price> {
-    let mut req = Request::get(domain, &format!("/product/{slug}"), addr, time);
-    for (name, value) in cookies {
-        req = req.with_cookie(name, value);
-    }
-    let resp = world.fetch(&req);
-    if resp.status.code() != 200 {
-        return None;
-    }
-    let doc = pd_html::parse_pooled(&resp.body);
-    let ex = HighlightExtractor::from_highlight(&doc, highlight)?;
-    ex.extract(&doc, Some(Locale::of_country(location.country)))
-        .ok()
-        .map(|e| e.price)
-}
-
 /// The ebook slugs the login experiment measures for `domain` (up to
 /// `products` of them). Splitting this out of [`login_experiment`] lets a
 /// scheduler fan [`login_row`] per product.
@@ -105,6 +78,9 @@ pub fn login_slugs(world: &WebWorld, domain: &str, products: usize) -> Vec<Strin
 /// Parallel-safe entry point: one product's Fig. 10 row — the four
 /// identities' prices for `slug`. Pure in all inputs; rows may be
 /// computed in any order, or concurrently, and merged by `product` index.
+/// The row's copies share one [`DistinctCopies`] scope, counted into
+/// `tally` (each identity is its own session, so on a retailer with
+/// session jitter every copy differs and all four are extracted).
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn login_row(
@@ -116,6 +92,7 @@ pub fn login_row(
     time: SimTime,
     product: usize,
     slug: &str,
+    tally: &mut CopyTally,
 ) -> LoginRow {
     // Four distinct browser sessions, fixed across products.
     let session_base = seed.derive("login-exp").value() | 1;
@@ -124,14 +101,23 @@ pub fn login_row(
     let highlight = world
         .server_by_domain(domain)
         .map(|server| price_selector(server.spec().template_style));
-    let price = |cookies: &[(&str, &str)]| {
+    let mut copies = DistinctCopies::new();
+    let mut price = |cookies: &[(&str, &str)]| {
         let highlight = highlight.as_ref()?;
-        fetch_price(
-            world, domain, highlight, slug, addr, time, location, cookies,
+        own_page_price(
+            world,
+            &mut copies,
+            highlight,
+            domain,
+            slug,
+            (addr, location.country),
+            time,
+            cookies,
         )
     };
     let without_login = price(&[("sid", &sid(0))]);
     let users = [1u64, 2, 3].map(|k| price(&[("sid", &sid(k)), ("login", &k.to_string())]));
+    *tally += copies.tally();
     LoginRow {
         product,
         slug: slug.to_owned(),
@@ -160,7 +146,19 @@ pub fn login_experiment(
     let rows = login_slugs(world, domain, products)
         .iter()
         .enumerate()
-        .map(|(i, slug)| login_row(world, seed, domain, location, addr, time, i, slug))
+        .map(|(i, slug)| {
+            login_row(
+                world,
+                seed,
+                domain,
+                location,
+                addr,
+                time,
+                i,
+                slug,
+                &mut CopyTally::default(),
+            )
+        })
         .collect();
     LoginExperiment {
         domain: domain.to_owned(),
@@ -233,7 +231,10 @@ impl LoginExperiment {
 /// Parallel-safe entry point: the persona A/B pairs for one domain.
 /// Returns `(differing_pairs, total_pairs)`; unknown domains yield
 /// `(0, 0)`. Pure in all inputs, so domains may be checked in any order,
-/// or concurrently, and the counts summed.
+/// or concurrently, and the counts summed. The domain's copies share one
+/// [`DistinctCopies`] scope, counted into `tally`: a retailer that
+/// ignores the persona cookie serves both personas the same bytes, and
+/// the second copy is not parsed again.
 #[must_use]
 pub fn persona_pairs(
     world: &WebWorld,
@@ -242,40 +243,28 @@ pub fn persona_pairs(
     addr: Ipv4Addr,
     time: SimTime,
     products: usize,
+    tally: &mut CopyTally,
 ) -> (usize, usize) {
     let Some(server) = world.server_by_domain(domain) else {
         return (0, 0);
     };
-    let slugs: Vec<String> = server
-        .catalog()
-        .iter()
-        .take(products)
-        .map(|p| p.slug.clone())
-        .collect();
     let highlight = price_selector(server.spec().template_style);
+    let mut copies = DistinctCopies::new();
     let mut differing = 0;
     let mut total = 0;
-    for slug in &slugs {
-        let affluent = fetch_price(
-            world,
-            domain,
-            &highlight,
-            slug,
-            addr,
-            time,
-            location,
-            &[("sid", "777"), ("ph", "affluent")],
-        );
-        let budget = fetch_price(
-            world,
-            domain,
-            &highlight,
-            slug,
-            addr,
-            time,
-            location,
-            &[("sid", "777"), ("ph", "budget")],
-        );
+    for product in server.catalog().iter().take(products) {
+        let [affluent, budget] = ["affluent", "budget"].map(|persona| {
+            own_page_price(
+                world,
+                &mut copies,
+                &highlight,
+                domain,
+                &product.slug,
+                (addr, location.country),
+                time,
+                &[("sid", "777"), ("ph", persona)],
+            )
+        });
         if let (Some(a), Some(b)) = (affluent, budget) {
             total += 1;
             if a != b {
@@ -283,6 +272,7 @@ pub fn persona_pairs(
             }
         }
     }
+    *tally += copies.tally();
     (differing, total)
 }
 
@@ -301,7 +291,15 @@ pub fn persona_experiment(
     let mut differing = 0;
     let mut total = 0;
     for domain in domains {
-        let (d, t) = persona_pairs(world, domain, location, addr, time, products);
+        let (d, t) = persona_pairs(
+            world,
+            domain,
+            location,
+            addr,
+            time,
+            products,
+            &mut CopyTally::default(),
+        );
         differing += d;
         total += t;
     }
@@ -392,6 +390,70 @@ mod tests {
         );
         assert!(exp.total_pairs >= 50);
         assert_eq!(exp.differing_pairs, 0, "personas must not affect prices");
+    }
+
+    /// `persona_pairs` with every copy extracted on its own (a scope per
+    /// fetch): the no-reuse reference.
+    fn reference_pairs(
+        world: &WebWorld,
+        domain: &str,
+        (addr, loc): (Ipv4Addr, &Location),
+        time: SimTime,
+        products: usize,
+    ) -> (usize, usize) {
+        let Some(server) = world.server_by_domain(domain) else {
+            return (0, 0);
+        };
+        let highlight = price_selector(server.spec().template_style);
+        let (mut differing, mut total) = (0, 0);
+        for product in server.catalog().iter().take(products) {
+            let price = |persona| {
+                own_page_price(
+                    world,
+                    &mut DistinctCopies::new(),
+                    &highlight,
+                    domain,
+                    &product.slug,
+                    (addr, loc.country),
+                    time,
+                    &[("sid", "777"), ("ph", persona)],
+                )
+            };
+            if let (Some(a), Some(b)) = (price("affluent"), price("budget")) {
+                total += 1;
+                differing += usize::from(a != b);
+            }
+        }
+        (differing, total)
+    }
+
+    #[test]
+    fn persona_pairs_match_an_extraction_per_copy() {
+        // With transient failures some pairs drop out: a failed copy must
+        // neither be reused nor stand in for a later successful one.
+        for failure_rate in [0.0, 0.3] {
+            let (mut world, addr, loc) = world();
+            world.set_failure_rate(failure_rate);
+            let mut dropped = 0;
+            for spec in paper_retailers(Seed::new(1307)) {
+                let domain = spec.domain.as_str();
+                for day in [40, 41, 42] {
+                    let time = SimTime::from_millis(day * 24 * 3_600_000);
+                    let mut tally = CopyTally::default();
+                    let (differing, total) =
+                        persona_pairs(&world, domain, &loc, addr, time, 8, &mut tally);
+                    assert_eq!(
+                        (differing, total),
+                        reference_pairs(&world, domain, (addr, &loc), time, 8),
+                        "{domain}, day {day}, failure rate {failure_rate}"
+                    );
+                    assert_eq!(tally.copies, 16, "{domain}");
+                    assert!(tally.extracted >= 8, "{domain}: {tally:?}");
+                    dropped += 8 - total;
+                }
+            }
+            assert_eq!(dropped > 0, failure_rate > 0.0, "dropped pairs: {dropped}");
+        }
     }
 
     #[test]

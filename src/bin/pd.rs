@@ -74,6 +74,7 @@ use pd_core::{
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// `print!` to stdout through [`emit`].
 macro_rules! out {
@@ -359,24 +360,38 @@ fn parse_rerun(mut args: std::env::Args) -> Result<RerunArgs, String> {
     Ok(rerun)
 }
 
-fn print_timings(observer: &TimingObserver) {
+/// One artifact-store save of a run: its arm label, the wall time of
+/// the stage and analysis saves together, and the stages written.
+struct StoreSave {
+    arm: String,
+    wall: Duration,
+    stages: Vec<&'static str>,
+}
+
+fn print_timings(observer: &TimingObserver, saves: &[StoreSave]) {
     outln!("stage wall-times:");
     for (stage, fp) in observer.loaded() {
         outln!("  {stage:<9} loaded from store (fingerprint {fp})");
     }
-    for t in observer.timings() {
-        let counters: Vec<String> = t.counters.iter().map(|(n, v)| format!("{n}={v}")).collect();
-        let stage = if t.arm.is_empty() {
-            t.stage.to_string()
+    let line = |arm: &str, name: &str, wall: Duration, detail: String| {
+        let name = if arm.is_empty() {
+            name.to_owned()
         } else {
-            format!("{}/{}", t.arm, t.stage)
+            format!("{arm}/{name}")
         };
         outln!(
             "  {:<22} {:>9.1} ms  {}",
-            stage,
-            t.wall.as_secs_f64() * 1000.0,
-            counters.join(" ")
+            name,
+            wall.as_secs_f64() * 1000.0,
+            detail
         );
+    };
+    for t in observer.timings() {
+        let counters: Vec<String> = t.counters.iter().map(|(n, v)| format!("{n}={v}")).collect();
+        line(&t.arm, t.stage.as_str(), t.wall, counters.join(" "));
+    }
+    for save in saves {
+        line(&save.arm, "save", save.wall, save.stages.join(", "));
     }
 }
 
@@ -455,6 +470,7 @@ fn execute_run(run: &RunArgs, registry: &ScenarioRegistry) -> Result<(), String>
     let arms = builder.run_sweep().map_err(|e| e.to_string())?;
 
     let mut reports = Vec::new();
+    let mut saves = Vec::new();
     for pd_core::SweepArmRun {
         label,
         engine,
@@ -486,6 +502,7 @@ fn execute_run(run: &RunArgs, registry: &ScenarioRegistry) -> Result<(), String>
                     dir.display()
                 );
             }
+            let started = Instant::now();
             let saved = match engine.save_artifacts(&dir) {
                 Ok(saved) => saved,
                 // A store from a different run or in an older layout is
@@ -505,9 +522,25 @@ fn execute_run(run: &RunArgs, registry: &ScenarioRegistry) -> Result<(), String>
                 }
                 Err(e) => return Err(e.to_string()),
             };
+            let analysis_fresh = ArtifactStore::open(&dir).is_ok_and(|store| {
+                store.entry(StageKind::Analysis.as_str()).is_some_and(|e| {
+                    e.fingerprint == store::analysis_fingerprint(engine.plan()).to_string()
+                })
+            });
             engine
                 .save_analysis(&dir, &analysis)
                 .map_err(|e| e.to_string())?;
+            let mut stages = saved.saved.clone();
+            if !analysis_fresh {
+                stages.push(StageKind::Analysis.as_str());
+            }
+            if !stages.is_empty() {
+                saves.push(StoreSave {
+                    arm: label.clone(),
+                    wall: started.elapsed(),
+                    stages,
+                });
+            }
             if saved.saved.is_empty() {
                 outln!("artifacts: store up to date ({})", dir.display());
             } else {
@@ -523,7 +556,7 @@ fn execute_run(run: &RunArgs, registry: &ScenarioRegistry) -> Result<(), String>
     }
 
     if run.timings {
-        print_timings(&observer);
+        print_timings(&observer, &saves);
     }
     if let Some(path) = &run.json {
         write_json(path, &reports)?;
@@ -599,7 +632,7 @@ fn execute_rerun(rerun: &RerunArgs) -> Result<(), String> {
     }
     outln!();
     if rerun.timings {
-        print_timings(&observer);
+        print_timings(&observer, &[]);
     }
     if let Some(path) = &rerun.json {
         write_json(path, &[(String::new(), report)])?;

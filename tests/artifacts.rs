@@ -536,6 +536,11 @@ fn rerun_at_another_product_count_builds_one_world() {
     let rerun = engine.analyze().report;
     assert_eq!(observer.starts(StageKind::Build), 1);
     assert_eq!(analysis_counter(&observer, "attributed_retailers"), 21);
+    // 21 retailers × 16 products × 12 probes, counted where they ran.
+    assert_eq!(
+        analysis_counter(&observer, "attribution_copies"),
+        21 * 16 * 12
+    );
 
     let mut config = ExperimentConfig::smoke(11);
     config.analysis.attribution_products = 16;
@@ -731,7 +736,7 @@ fn rerun_reanalyzes_a_stored_smoke_crawl_across_processes() {
     std::fs::create_dir_all(&dir).expect("mkdir");
 
     let run = pd()
-        .args(["run", "smoke", "--seed", "7", "--artifacts"])
+        .args(["run", "smoke", "--seed", "7", "--timings", "--artifacts"])
         .arg(&dir)
         .arg("--json")
         .arg(&direct_json)
@@ -744,6 +749,17 @@ fn rerun_reanalyzes_a_stored_smoke_crawl_across_processes() {
     assert!(
         stdout.starts_with("== smoke (profile smoke, seed 7,"),
         "header must name the resolved profile:\n{stdout}"
+    );
+    // `--timings` times the store save and names what it wrote...
+    let save_line = |stdout: &str| {
+        stdout
+            .lines()
+            .find(|l| l.starts_with("  save "))
+            .map(str::to_owned)
+    };
+    assert!(
+        save_line(&stdout).is_some_and(|l| l.ends_with(" ms  crowd, crawl, personas, analysis")),
+        "a first run must time its save:\n{stdout}"
     );
     // A second run against the store names the reused stages in run
     // order, and builds no world.
@@ -762,6 +778,8 @@ fn rerun_reanalyzes_a_stored_smoke_crawl_across_processes() {
         stdout.contains("14 probes") && !stdout.lines().any(|l| l.starts_with("  build ")),
         "a second run must build no world:\n{stdout}"
     );
+    // ...and prints no save line when nothing was written.
+    assert_eq!(save_line(&stdout), None, "a second run saves nothing");
 
     let rerun = pd()
         .arg("rerun")

@@ -1,8 +1,9 @@
 //! The attribution extension (the paper's Sec. 6 future work) validated
 //! end to end against ground truth across the whole crawled set.
 
-use pd_core::{Experiment, ExperimentConfig};
+use pd_core::{Experiment, ExperimentConfig, Profile, StageKind, TimingObserver};
 use pd_pricing::StrategyComponent;
+use std::sync::Arc;
 
 #[test]
 fn attribution_table_matches_ground_truth_for_all_crawled_retailers() {
@@ -71,4 +72,52 @@ fn location_attribution_flags_only_location_keyed_retailers() {
     // And a non-city retailer must not fire the city probe.
     let dr = exp.attribute_factors("www.digitalrev.com", 12).unwrap();
     assert!(!dr.effect(pd_analysis::Factor::CityWithinCountry).varies);
+}
+
+/// The personas stage's copy counters for paper@small at `seed` and
+/// `threads`: `(copies, extracted)` per probe family.
+fn probe_copy_counters(seed: u64, threads: usize) -> Vec<(String, u64)> {
+    let observer = Arc::new(TimingObserver::new());
+    let mut engine = Experiment::builder()
+        .scenario("paper")
+        .profile(Profile::Small)
+        .seed(seed)
+        .threads(threads)
+        .observer(observer.clone())
+        .build()
+        .expect("paper scenario builds");
+    engine.personas();
+    observer
+        .timings()
+        .iter()
+        .filter(|t| t.stage == StageKind::Personas)
+        .flat_map(|t| t.counters.iter().cloned())
+        .filter(|(name, _)| name.ends_with("_copies") || name.ends_with("_extracted"))
+        .collect()
+}
+
+/// Every probe page goes through one `DistinctCopies` scope, so a copy
+/// byte-identical to an earlier one from the same country is not parsed
+/// again. Pinned at paper@small seed 1307: a lost reuse raises an
+/// `_extracted` count, a key widened past (country, body) lowers it.
+#[test]
+fn probes_extract_each_distinct_copy_once() {
+    let pairs = |v: &[(&str, u64)]| -> Vec<(String, u64)> {
+        v.iter().map(|(n, c)| ((*n).to_owned(), *c)).collect()
+    };
+    let expected = pairs(&[
+        // 15 ebooks × 4 identities; amazon's session jitter makes every
+        // copy its own.
+        ("login_copies", 60),
+        ("login_extracted", 60),
+        // 4 domains × 8 products × 2 personas; no retailer reads the
+        // persona cookie, so the budget copy repeats the affluent one.
+        ("persona_copies", 64),
+        ("persona_extracted", 32),
+        // 21 retailers × 8 products × 12 probes.
+        ("attribution_copies", 2016),
+        ("attribution_extracted", 424),
+    ]);
+    assert_eq!(probe_copy_counters(1307, 1), expected);
+    assert_eq!(probe_copy_counters(1307, 2), expected);
 }

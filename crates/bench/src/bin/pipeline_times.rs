@@ -1,4 +1,4 @@
-//! Emits per-stage wall-times from the engine's `RunObserver` into
+//! Emits per-stage wall-times from the engine's `TimingObserver` into
 //! `BENCH_pipeline.json` (the repo's bench-artifact convention).
 //!
 //! ```text

@@ -60,7 +60,7 @@ use std::sync::{Arc, Mutex};
 /// frames it had to build versus how many it served from the cache, and
 /// how many binary chunks it decoded to do so. Surfaced as the
 /// `frames_built` / `frames_reused` / `frames_chunks_loaded` analysis
-/// counters on [`crate::RunObserver`].
+/// counters recorded into [`crate::TimingObserver`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameStats {
     /// Domain frames built by this call (the store's domain count on a

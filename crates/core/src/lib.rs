@@ -28,7 +28,7 @@
 //! (`pd run --spec`), not new code.
 //! Parallel sections run on the deterministic [`Executor`]: the report
 //! is **byte-identical at any thread count**. Progress and perf
-//! telemetry flow through the [`RunObserver`] hooks.
+//! telemetry are recorded into one [`TimingObserver`].
 //!
 //! Artifacts also **persist across processes**: the [`store`] module
 //! writes each stage artifact as a versioned, fingerprinted, chunked
@@ -78,9 +78,7 @@ pub mod world;
 pub use config::{AnalysisConfig, ExperimentConfig, WorldConfig};
 pub use executor::Executor;
 pub use frames::{FrameCache, FrameStats, StoreCache, StoreFrame};
-pub use observer::{
-    BufferedObserver, NullObserver, RunObserver, StageKind, StageTiming, TimingObserver,
-};
+pub use observer::{StageKind, StageTiming, TimingObserver};
 pub use pipeline::{
     BuildError, Engine, Experiment, ExperimentBuilder, LoadSummary, SaveSummary, SweepArmRun,
 };

@@ -1,24 +1,23 @@
-//! Run observation hooks: stage lifecycle events, counters, wall-times.
+//! Run observation: stage lifecycle, counters, wall-times, store loads.
 //!
-//! The engine reports progress through a [`RunObserver`] — stage
-//! started/finished events (with wall-clock duration) and named counters
-//! (checks executed, measurements kept, retries, …). Observers are for
-//! telemetry only: nothing an observer does can influence a run, so the
-//! report stays a pure function of the seed no matter who is watching.
-//!
-//! Two implementations ship with the crate: [`NullObserver`] (the
-//! default, ignores everything) and [`TimingObserver`] (collects
-//! per-stage wall-times, counters and artifact-store loads, e.g. for
-//! the `pipeline_times` bench bin or the `pd` CLI's `--timings` flag).
+//! The engine reports progress into one recorder, the
+//! [`TimingObserver`]: stage started/finished events (with wall-clock
+//! duration and the sweep arm that ran the stage), named counters
+//! (checks executed, measurements kept, retries, …) and artifact-store
+//! loads. Recording is telemetry only: nothing recorded can influence a
+//! run, so the report stays a pure function of the seed no matter who
+//! is watching. Its readers are the `pd` CLI's `--timings` flag, the
+//! `pipeline_times` bench bin and the `pd serve` daemon (per-job status
+//! and the `/metrics` totals it folds in when a job ends).
 //!
 //! ```
-//! use pd_core::{RunObserver, StageKind, TimingObserver};
+//! use pd_core::{StageKind, TimingObserver};
 //! use std::time::Duration;
 //!
 //! let obs = TimingObserver::new();
 //! obs.stage_started(StageKind::Crowd);
 //! obs.counter(StageKind::Crowd, "checks", 60);
-//! obs.stage_finished(StageKind::Crowd, Duration::from_millis(5));
+//! obs.stage_finished("", StageKind::Crowd, Duration::from_millis(5));
 //! obs.stage_loaded(StageKind::Crawl, "00000000deadbeef"); // store hit
 //!
 //! assert_eq!(obs.starts(StageKind::Crowd), 1);
@@ -66,38 +65,6 @@ impl std::fmt::Display for StageKind {
     }
 }
 
-/// Observation hooks for one engine run. All methods have no-op
-/// defaults; implement only what you need. Implementations must be
-/// `Send + Sync` (the engine is shareable across threads) but events are
-/// only ever emitted from the coordinating thread, in deterministic
-/// order.
-pub trait RunObserver: Send + Sync {
-    /// All following events belong to the named sweep arm (emitted once
-    /// per labeled arm, before its build stage; never emitted for
-    /// single-run scenarios). Arm events arrive merged in arm order —
-    /// concurrent arms record into per-arm buffers that are replayed
-    /// label-ordered, so observers need no locking discipline beyond
-    /// `Send + Sync`.
-    fn arm_started(&self, _label: &str) {}
-    /// A stage is about to run.
-    fn stage_started(&self, _stage: StageKind) {}
-    /// A stage finished after `wall` of wall-clock time.
-    fn stage_finished(&self, _stage: StageKind, _wall: Duration) {}
-    /// A named quantity observed while `stage` ran.
-    fn counter(&self, _stage: StageKind, _name: &str, _value: u64) {}
-    /// A stage's artifact was satisfied from an artifact store
-    /// ([`crate::store`]) instead of being computed: the stage will emit
-    /// no `stage_started`/`stage_finished` pair. `fingerprint` is the
-    /// hex stage fingerprint the load was validated against.
-    fn stage_loaded(&self, _stage: StageKind, _fingerprint: &str) {}
-}
-
-/// The do-nothing observer (the engine default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl RunObserver for NullObserver {}
-
 /// One completed stage as recorded by [`TimingObserver`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageTiming {
@@ -113,14 +80,17 @@ pub struct StageTiming {
 
 #[derive(Debug, Default)]
 struct TimingState {
-    arm: String,
     started: Vec<StageKind>,
     finished: Vec<StageTiming>,
     pending: Vec<(StageKind, String, u64)>,
     loaded: Vec<(StageKind, String)>,
 }
 
-/// Collects per-stage wall-times and counters.
+/// The engine's recorder: per-stage wall-times and counters, stage
+/// starts and store loads. Events may arrive from any thread (the
+/// engine is shareable); each is recorded under one short lock, never
+/// per page. Concurrent sweep arms each record into their own observer,
+/// merged in arm order when the sweep joins.
 #[derive(Debug, Default)]
 pub struct TimingObserver {
     state: Mutex<TimingState>,
@@ -133,14 +103,83 @@ impl TimingObserver {
         Self::default()
     }
 
+    fn state(&self) -> std::sync::MutexGuard<'_, TimingState> {
+        self.state.lock().expect("observer lock")
+    }
+
+    /// A stage is about to run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the internal lock is poisoned (a recording panicked).
+    pub fn stage_started(&self, stage: StageKind) {
+        self.state().started.push(stage);
+    }
+
+    /// A stage finished after `wall` of wall-clock time, run by the
+    /// sweep arm labeled `arm` (empty outside sweeps). The counters
+    /// `stage` emitted since it last finished become its counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the internal lock is poisoned (a recording panicked).
+    pub fn stage_finished(&self, arm: &str, stage: StageKind, wall: Duration) {
+        let mut state = self.state();
+        let (mine, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut state.pending)
+            .into_iter()
+            .partition(|(s, _, _)| *s == stage);
+        state.pending = rest;
+        state.finished.push(StageTiming {
+            arm: arm.to_owned(),
+            stage,
+            wall,
+            counters: mine.into_iter().map(|(_, n, v)| (n, v)).collect(),
+        });
+    }
+
+    /// A named quantity observed while `stage` ran.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the internal lock is poisoned (a recording panicked).
+    pub fn counter(&self, stage: StageKind, name: &str, value: u64) {
+        self.state().pending.push((stage, name.to_owned(), value));
+    }
+
+    /// A stage's artifact was satisfied from the stage memo or an
+    /// artifact store ([`crate::store`]) instead of being computed: the
+    /// stage records no start and no timing. `fingerprint` is the hex
+    /// stage fingerprint the load was validated against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the internal lock is poisoned (a recording panicked).
+    pub fn stage_loaded(&self, stage: StageKind, fingerprint: &str) {
+        self.state().loaded.push((stage, fingerprint.to_owned()));
+    }
+
+    /// Appends everything `other` recorded — starts, finished stages and
+    /// loads, each in `other`'s order — after this observer's own
+    /// records. A sweep merges its arms' observers this way, in arm
+    /// order, so the merged stream does not depend on how the arms
+    /// interleaved. Counters of a stage `other` never finished are not
+    /// carried over.
+    pub(crate) fn absorb(&self, other: &TimingObserver) {
+        let other = other.state();
+        let mut state = self.state();
+        state.started.extend_from_slice(&other.started);
+        state.finished.extend_from_slice(&other.finished);
+        state.loaded.extend_from_slice(&other.loaded);
+    }
+
     /// Every finished stage, in completion order.
     ///
     /// # Panics
     ///
-    /// Panics if the internal lock is poisoned (a stage panicked).
+    /// Panics if the internal lock is poisoned (a recording panicked).
     #[must_use]
     pub fn timings(&self) -> Vec<StageTiming> {
-        self.state.lock().expect("observer lock").finished.clone()
+        self.state().finished.clone()
     }
 
     /// How many times `stage` was started (cache-hit audits: a reused
@@ -148,16 +187,10 @@ impl TimingObserver {
     ///
     /// # Panics
     ///
-    /// Panics if the internal lock is poisoned (a stage panicked).
+    /// Panics if the internal lock is poisoned (a recording panicked).
     #[must_use]
     pub fn starts(&self, stage: StageKind) -> usize {
-        self.state
-            .lock()
-            .expect("observer lock")
-            .started
-            .iter()
-            .filter(|s| **s == stage)
-            .count()
+        self.state().started.iter().filter(|s| **s == stage).count()
     }
 
     /// How many times `stage` was satisfied from an artifact store
@@ -166,12 +199,10 @@ impl TimingObserver {
     ///
     /// # Panics
     ///
-    /// Panics if the internal lock is poisoned (a stage panicked).
+    /// Panics if the internal lock is poisoned (a recording panicked).
     #[must_use]
     pub fn loads(&self, stage: StageKind) -> usize {
-        self.state
-            .lock()
-            .expect("observer lock")
+        self.state()
             .loaded
             .iter()
             .filter(|(s, _)| *s == stage)
@@ -183,131 +214,10 @@ impl TimingObserver {
     ///
     /// # Panics
     ///
-    /// Panics if the internal lock is poisoned (a stage panicked).
+    /// Panics if the internal lock is poisoned (a recording panicked).
     #[must_use]
     pub fn loaded(&self) -> Vec<(StageKind, String)> {
-        self.state.lock().expect("observer lock").loaded.clone()
-    }
-}
-
-impl RunObserver for TimingObserver {
-    fn arm_started(&self, label: &str) {
-        self.state.lock().expect("observer lock").arm = label.to_owned();
-    }
-
-    fn stage_started(&self, stage: StageKind) {
-        self.state
-            .lock()
-            .expect("observer lock")
-            .started
-            .push(stage);
-    }
-
-    fn stage_finished(&self, stage: StageKind, wall: Duration) {
-        let mut state = self.state.lock().expect("observer lock");
-        let counters = {
-            let (mine, rest): (Vec<_>, Vec<_>) =
-                state.pending.drain(..).partition(|(s, _, _)| *s == stage);
-            state.pending = rest;
-            mine.into_iter().map(|(_, n, v)| (n, v)).collect()
-        };
-        let arm = state.arm.clone();
-        state.finished.push(StageTiming {
-            arm,
-            stage,
-            wall,
-            counters,
-        });
-    }
-
-    fn counter(&self, stage: StageKind, name: &str, value: u64) {
-        self.state
-            .lock()
-            .expect("observer lock")
-            .pending
-            .push((stage, name.to_owned(), value));
-    }
-
-    fn stage_loaded(&self, stage: StageKind, fingerprint: &str) {
-        self.state
-            .lock()
-            .expect("observer lock")
-            .loaded
-            .push((stage, fingerprint.to_owned()));
-    }
-}
-
-/// One recorded observer event (see [`BufferedObserver`]).
-#[derive(Debug, Clone)]
-enum ObsEvent {
-    ArmStarted(String),
-    Started(StageKind),
-    Finished(StageKind, Duration),
-    Counter(StageKind, String, u64),
-    Loaded(StageKind, String),
-}
-
-/// Records every observer event for later, in-order replay.
-///
-/// Concurrent sweep arms each run under their own `BufferedObserver`;
-/// after the arms join, the engine replays the buffers into the user's
-/// observer **in arm order**. The user-facing event stream is therefore
-/// deterministic and race-free no matter how the OS interleaved the
-/// arms — the same contract the [`crate::Executor`]'s index-ordered
-/// merge gives artifact data.
-#[derive(Debug, Default)]
-pub struct BufferedObserver {
-    events: Mutex<Vec<ObsEvent>>,
-}
-
-impl BufferedObserver {
-    /// A fresh, empty buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replays every recorded event into `target`, in recording order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal lock is poisoned (a stage panicked).
-    pub fn replay(&self, target: &dyn RunObserver) {
-        for event in self.events.lock().expect("observer lock").iter() {
-            match event {
-                ObsEvent::ArmStarted(label) => target.arm_started(label),
-                ObsEvent::Started(stage) => target.stage_started(*stage),
-                ObsEvent::Finished(stage, wall) => target.stage_finished(*stage, *wall),
-                ObsEvent::Counter(stage, name, value) => target.counter(*stage, name, *value),
-                ObsEvent::Loaded(stage, fp) => target.stage_loaded(*stage, fp),
-            }
-        }
-    }
-
-    fn record(&self, event: ObsEvent) {
-        self.events.lock().expect("observer lock").push(event);
-    }
-}
-
-impl RunObserver for BufferedObserver {
-    fn arm_started(&self, label: &str) {
-        self.record(ObsEvent::ArmStarted(label.to_owned()));
-    }
-
-    fn stage_started(&self, stage: StageKind) {
-        self.record(ObsEvent::Started(stage));
-    }
-
-    fn stage_finished(&self, stage: StageKind, wall: Duration) {
-        self.record(ObsEvent::Finished(stage, wall));
-    }
-
-    fn counter(&self, stage: StageKind, name: &str, value: u64) {
-        self.record(ObsEvent::Counter(stage, name.to_owned(), value));
-    }
-
-    fn stage_loaded(&self, stage: StageKind, fingerprint: &str) {
-        self.record(ObsEvent::Loaded(stage, fingerprint.to_owned()));
+        self.state().loaded.clone()
     }
 }
 
@@ -321,10 +231,10 @@ mod tests {
         obs.stage_started(StageKind::Crowd);
         obs.counter(StageKind::Crowd, "checks", 150);
         obs.counter(StageKind::Crowd, "kept", 120);
-        obs.stage_finished(StageKind::Crowd, Duration::from_millis(7));
+        obs.stage_finished("", StageKind::Crowd, Duration::from_millis(7));
         obs.stage_started(StageKind::Crawl);
         obs.counter(StageKind::Crawl, "retailers", 21);
-        obs.stage_finished(StageKind::Crawl, Duration::from_millis(3));
+        obs.stage_finished("", StageKind::Crawl, Duration::from_millis(3));
 
         let timings = obs.timings();
         assert_eq!(timings.len(), 2);
@@ -343,7 +253,7 @@ mod tests {
         let obs = TimingObserver::new();
         obs.stage_loaded(StageKind::Crowd, "00000000deadbeef");
         obs.stage_started(StageKind::Analysis);
-        obs.stage_finished(StageKind::Analysis, Duration::from_millis(1));
+        obs.stage_finished("", StageKind::Analysis, Duration::from_millis(1));
         assert_eq!(obs.loads(StageKind::Crowd), 1);
         assert_eq!(obs.starts(StageKind::Crowd), 0, "a load is not a start");
         assert_eq!(obs.loads(StageKind::Analysis), 0);
@@ -353,35 +263,66 @@ mod tests {
         );
     }
 
-    #[test]
-    fn buffered_observer_replays_in_recording_order() {
-        let buf = BufferedObserver::new();
-        buf.arm_started("seed-8");
-        buf.stage_started(StageKind::Crowd);
-        buf.counter(StageKind::Crowd, "checks", 9);
-        buf.stage_finished(StageKind::Crowd, Duration::from_millis(2));
-        buf.stage_loaded(StageKind::Crawl, "00000000deadbeef");
+    /// One arm's observer: a build, a crowd stage with one counter, and
+    /// a crawl load.
+    fn arm(label: &str, checks: u64) -> TimingObserver {
+        let obs = TimingObserver::new();
+        obs.stage_started(StageKind::Build);
+        obs.stage_finished(label, StageKind::Build, Duration::from_millis(1));
+        obs.stage_started(StageKind::Crowd);
+        obs.counter(StageKind::Crowd, "checks", checks);
+        obs.stage_finished(label, StageKind::Crowd, Duration::from_millis(2));
+        obs.stage_loaded(StageKind::Crawl, &format!("{checks:016x}"));
+        obs
+    }
 
+    #[test]
+    fn absorb_merges_arms_in_the_order_given() {
+        // The later arm records first, as a faster arm would: each arm
+        // has its own observer, so the merge follows the absorb order.
+        let second = arm("seed-8", 11);
+        let first = arm("seed-7", 9);
         let target = TimingObserver::new();
-        buf.replay(&target);
-        let timings = target.timings();
-        assert_eq!(timings.len(), 1);
-        assert_eq!(timings[0].arm, "seed-8");
-        assert_eq!(timings[0].counters, vec![("checks".to_owned(), 9)]);
-        assert_eq!(target.loads(StageKind::Crawl), 1);
-        // Replay is repeatable (the buffer is not drained).
-        buf.replay(&target);
-        assert_eq!(target.timings().len(), 2);
+        target.absorb(&first);
+        target.absorb(&second);
+        let merged: Vec<_> = target
+            .timings()
+            .into_iter()
+            .map(|t| (t.arm, t.stage, t.counters))
+            .collect();
+        let checks = |n| vec![("checks".to_owned(), n)];
+        assert_eq!(
+            merged,
+            vec![
+                ("seed-7".to_owned(), StageKind::Build, vec![]),
+                ("seed-7".to_owned(), StageKind::Crowd, checks(9)),
+                ("seed-8".to_owned(), StageKind::Build, vec![]),
+                ("seed-8".to_owned(), StageKind::Crowd, checks(11)),
+            ]
+        );
+        assert_eq!(target.starts(StageKind::Crowd), 2);
+        assert_eq!(
+            target.loaded(),
+            vec![
+                (StageKind::Crawl, format!("{:016x}", 9)),
+                (StageKind::Crawl, format!("{:016x}", 11)),
+            ]
+        );
+        // The arms keep their own records, and a merged observer keeps
+        // recording live after it.
+        assert_eq!(first.timings().len(), 2);
+        target.stage_started(StageKind::Analysis);
+        target.stage_finished("seed-7", StageKind::Analysis, Duration::ZERO);
+        assert_eq!(target.timings()[4].arm, "seed-7");
     }
 
     #[test]
     fn timing_observer_tags_stages_with_the_current_arm() {
         let obs = TimingObserver::new();
         obs.stage_started(StageKind::Build);
-        obs.stage_finished(StageKind::Build, Duration::ZERO);
-        obs.arm_started("us-heavy");
+        obs.stage_finished("", StageKind::Build, Duration::ZERO);
         obs.stage_started(StageKind::Crowd);
-        obs.stage_finished(StageKind::Crowd, Duration::ZERO);
+        obs.stage_finished("us-heavy", StageKind::Crowd, Duration::ZERO);
         let timings = obs.timings();
         assert_eq!(timings[0].arm, "", "pre-sweep stages are unlabeled");
         assert_eq!(timings[1].arm, "us-heavy");

@@ -16,7 +16,7 @@
 use crate::config::ExperimentConfig;
 use crate::executor::Executor;
 use crate::frames::{FrameCache, StoreCache};
-use crate::observer::{BufferedObserver, NullObserver, RunObserver, StageKind};
+use crate::observer::{StageKind, TimingObserver};
 use crate::report::Report;
 use crate::scenario::{Profile, RunPlan, ScenarioParams, ScenarioRegistry};
 use crate::spec::ScenarioSpec;
@@ -30,6 +30,7 @@ use pd_sheriff::MeasurementStore;
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// One measurement stage's artifact as the engine holds it.
 enum Slot<A> {
@@ -73,7 +74,8 @@ impl<A: store::Artifact> Slot<A> {
 }
 
 /// A measurement stage's artifact type: its stage, its slot in the
-/// engine, and how the engine computes it.
+/// engine, and how the engine computes it (the world built and the
+/// upstream resolved first, then the stage function in its window).
 trait Measured: store::Artifact + Send + Sync + 'static {
     const KIND: StageKind;
     fn slot(engine: &Engine) -> &Option<Slot<Self>>;
@@ -93,12 +95,10 @@ impl Measured for CrowdArtifact {
     }
 
     fn compute(engine: &mut Engine) -> Self {
-        stage::crowd_stage(
-            engine.world(),
-            &engine.plan,
-            &engine.executor,
-            engine.observer.as_ref(),
-        )
+        let world = engine.world();
+        engine.observed(Self::KIND, || {
+            stage::crowd_stage(world, &engine.plan, &engine.executor, &engine.observer)
+        })
     }
 }
 
@@ -124,13 +124,16 @@ impl Measured for CrawlArtifact {
             }
             None => engine.world().paper_crawl_targets(),
         };
-        stage::crawl_stage(
-            engine.world(),
-            &engine.plan.config,
-            &targets,
-            &engine.executor,
-            engine.observer.as_ref(),
-        )
+        let world = engine.world();
+        engine.observed(Self::KIND, || {
+            stage::crawl_stage(
+                world,
+                &engine.plan.config,
+                &targets,
+                &engine.executor,
+                &engine.observer,
+            )
+        })
     }
 }
 
@@ -146,12 +149,15 @@ impl Measured for PersonaArtifact {
     }
 
     fn compute(engine: &mut Engine) -> Self {
-        stage::persona_stage(
-            engine.world(),
-            &engine.plan.config,
-            &engine.executor,
-            engine.observer.as_ref(),
-        )
+        let world = engine.world();
+        engine.observed(Self::KIND, || {
+            stage::persona_stage(
+                world,
+                &engine.plan.config,
+                &engine.executor,
+                &engine.observer,
+            )
+        })
     }
 }
 
@@ -165,7 +171,10 @@ pub struct Engine {
     /// What the analysis reads of the world, derived from the plan.
     context: AnalysisContext,
     executor: Executor,
-    observer: Arc<dyn RunObserver>,
+    observer: Arc<TimingObserver>,
+    /// The sweep-arm label the engine's stages are recorded under: the
+    /// builder's arm label, empty for an engine built from a plan.
+    arm: String,
     /// Read-through artifact store directory (see [`Engine::with_artifacts`]).
     artifacts_dir: Option<PathBuf>,
     /// Provenance stamped into manifests this engine writes.
@@ -251,7 +260,7 @@ impl Engine {
     /// here but on first use ([`Engine::world`]); the plan's
     /// [`AnalysisContext`] is derived at once.
     #[must_use]
-    pub fn from_plan(plan: RunPlan, executor: Executor, observer: Arc<dyn RunObserver>) -> Self {
+    pub fn from_plan(plan: RunPlan, executor: Executor, observer: Arc<TimingObserver>) -> Self {
         let provenance = Provenance::new(
             "custom",
             "",
@@ -265,6 +274,7 @@ impl Engine {
             world: OnceLock::new(),
             executor,
             observer,
+            arm: String::new(),
             artifacts_dir: None,
             provenance,
             spec: None,
@@ -280,7 +290,7 @@ impl Engine {
     /// Attaches an artifact-store directory as a transparent
     /// read-through cache: every stage checks the store (by fingerprint,
     /// see [`crate::store`]) before computing. Loads are reported
-    /// through [`RunObserver::stage_loaded`]; nothing is written until
+    /// through [`TimingObserver::stage_loaded`]; nothing is written until
     /// [`Engine::save_artifacts`].
     #[must_use]
     pub fn with_artifacts(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -372,7 +382,7 @@ impl Engine {
     #[must_use]
     pub fn world(&self) -> &World {
         self.world.get_or_init(|| {
-            stage::observed(self.observer.as_ref(), StageKind::Build, || {
+            self.observed(StageKind::Build, || {
                 let mut world = World::build_on(&self.plan.config, &self.executor);
                 if let Some(labels) = &self.plan.vantage_labels {
                     world.sheriff = world.sheriff.clone().with_vantage_subset(labels);
@@ -380,8 +390,8 @@ impl Engine {
                 if self.plan.desync != pd_net::clock::SimDuration::ZERO {
                     world.sheriff = world.sheriff.clone().with_desync(self.plan.desync);
                 }
-                // Emitted inside the stage window so observers attribute
-                // it to this run's build stage.
+                // Emitted inside the stage window so it is recorded as
+                // this run's build stage's counter.
                 self.observer.counter(
                     StageKind::Build,
                     "vantage_points",
@@ -415,6 +425,17 @@ impl Engine {
     #[must_use]
     pub fn executor(&self) -> &Executor {
         &self.executor
+    }
+
+    /// Runs `f` as `stage`'s window: a recorded start, then a finish
+    /// with its wall time under this engine's arm label.
+    fn observed<T>(&self, stage: StageKind, f: impl FnOnce() -> T) -> T {
+        self.observer.stage_started(stage);
+        let start = Instant::now();
+        let result = f();
+        self.observer
+            .stage_finished(&self.arm, stage, start.elapsed());
+        result
     }
 
     /// The fingerprint `A`'s stage is stored and memoized under.
@@ -572,10 +593,11 @@ impl Engine {
 
     /// Persists every held measurement artifact to `dir`, creating the
     /// store (with this engine's provenance and plan) if needed. Stages
-    /// already in the store under the current fingerprint are skipped;
-    /// any other held stage is written, in memory or stored elsewhere
-    /// (the encode is deterministic, so a stage copied from another
-    /// store is byte-identical to its source).
+    /// the store holds under the current fingerprint
+    /// ([`ArtifactStore::held`]: the entry matches and its file is
+    /// present) are skipped; any other held stage is written, in memory
+    /// or stored elsewhere (the encode is deterministic, so a stage
+    /// copied from another store is byte-identical to its source).
     ///
     /// # Errors
     ///
@@ -605,9 +627,9 @@ impl Engine {
         Ok(summary)
     }
 
-    /// `A`'s artifact when the engine holds it and `store` lacks it under
-    /// this plan's fingerprint (a `Stored` slot is assembled), recording
-    /// the stage in `summary` as saved or fresh.
+    /// `A`'s artifact when the engine holds it and `store` does not hold
+    /// it under this plan's fingerprint (a `Stored` slot is assembled),
+    /// recording the stage in `summary` as saved or fresh.
     fn unsaved<A: Measured>(
         &self,
         store: &ArtifactStore,
@@ -617,8 +639,7 @@ impl Engine {
             return Ok(None);
         };
         let name = A::KIND.as_str();
-        let fp = self.fingerprint::<A>().to_string();
-        if store.entry(name).is_some_and(|e| e.fingerprint == fp) {
+        if store.held(name, self.fingerprint::<A>()).is_some() {
             summary.fresh.push(name);
             return Ok(None);
         }
@@ -635,8 +656,9 @@ impl Engine {
     /// Persists an analysis artifact to `dir`, recording the three
     /// measurement fingerprints as its upstream lineage. Call after
     /// [`Engine::save_artifacts`] so the manifest lists the full funnel.
-    /// Like `save_artifacts`, an entry already stored under the current
-    /// fingerprint is left untouched (returns its existing size).
+    /// Like `save_artifacts`, an entry the store holds under the current
+    /// fingerprint ([`ArtifactStore::held`]) is left untouched (returns
+    /// its existing size).
     ///
     /// # Errors
     ///
@@ -651,10 +673,8 @@ impl Engine {
         let mut store = self.open_or_create_store(dir)?;
         let name = StageKind::Analysis.as_str();
         let fp = store::analysis_fingerprint(&self.plan);
-        if let Some(entry) = store.entry(name) {
-            if entry.fingerprint == fp.to_string() {
-                return Ok(entry.bytes);
-            }
+        if let Some(entry) = store.held(name, fp) {
+            return Ok(entry.bytes);
         }
         let upstream = [
             store::crowd_fingerprint(&self.plan),
@@ -729,19 +749,22 @@ impl Engine {
             crowd: self.fingerprint::<CrowdArtifact>().as_u64(),
             crawl: self.fingerprint::<CrawlArtifact>().as_u64(),
         };
-        stage::analysis_over(
-            &self.context,
-            &self.plan.config,
-            crowd.source("raw"),
-            crowd.source("cleaned"),
-            crowd.meta().cleaning,
-            crawl.source("store"),
-            self.personas.as_ref().expect(resolved).meta(),
-            self.probe_world(),
-            Some(keys),
-            &self.executor,
-            self.observer.as_ref(),
-        )
+        let probe_world = self.probe_world();
+        self.observed(StageKind::Analysis, || {
+            stage::analysis_over(
+                &self.context,
+                &self.plan.config,
+                crowd.source("raw"),
+                crowd.source("cleaned"),
+                crowd.meta().cleaning,
+                crawl.source("store"),
+                self.personas.as_ref().expect(resolved).meta(),
+                probe_world,
+                Some(keys),
+                &self.executor,
+                &self.observer,
+            )
+        })
     }
 
     /// The world for the analysis's probe fallback: built — before the
@@ -827,7 +850,7 @@ pub struct ExperimentBuilder {
     seed: Option<u64>,
     profile: Profile,
     threads: usize,
-    observer: Arc<dyn RunObserver>,
+    observer: Arc<TimingObserver>,
     artifacts: Option<PathBuf>,
     frame_cache: Option<Arc<FrameCache>>,
     store_cache: Option<Arc<StoreCache>>,
@@ -854,7 +877,7 @@ impl Default for ExperimentBuilder {
             seed: None,
             profile: Profile::Paper,
             threads: 1,
-            observer: Arc::new(NullObserver),
+            observer: Arc::new(TimingObserver::new()),
             artifacts: None,
             frame_cache: None,
             store_cache: None,
@@ -864,7 +887,8 @@ impl Default for ExperimentBuilder {
 
 impl ExperimentBuilder {
     /// A builder with the built-in scenario registry, the `paper`
-    /// scenario, the paper seed and profile, one thread, no observer.
+    /// scenario, the paper seed and profile, one thread, a fresh
+    /// observer nobody reads.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -930,10 +954,10 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Attaches a run observer (keep a clone of the `Arc` to read
-    /// timings afterwards).
+    /// Records every engine this builder produces into `observer` (keep
+    /// a clone of the `Arc` to read timings afterwards).
     #[must_use]
-    pub fn observer(mut self, observer: Arc<dyn RunObserver>) -> Self {
+    pub fn observer(mut self, observer: Arc<TimingObserver>) -> Self {
         self.observer = observer;
         self
     }
@@ -1045,8 +1069,9 @@ impl ExperimentBuilder {
         Ok((spec.clone(), variants))
     }
 
-    /// Assembles one arm's engine: provenance from the scenario/label,
-    /// the shared caches, and (with
+    /// Assembles one arm's engine: provenance and the arm label its
+    /// stages are recorded under from the scenario/label, the shared
+    /// caches, and (with
     /// [`ExperimentBuilder::artifacts`]) the arm's store subdirectory.
     /// The single place this wiring exists — `build`, `build_variants`
     /// and `run_sweep` all go through it, so they cannot drift.
@@ -1059,7 +1084,7 @@ impl ExperimentBuilder {
         label: &str,
         plan: RunPlan,
         executor: Executor,
-        observer: Arc<dyn RunObserver>,
+        observer: Arc<TimingObserver>,
         caches: &SharedCaches,
     ) -> Engine {
         let provenance = Provenance::new(
@@ -1074,6 +1099,7 @@ impl ExperimentBuilder {
             .with_spec(spec.clone())
             .with_frame_cache(Arc::clone(&caches.frames))
             .with_store_cache(Arc::clone(&caches.stores));
+        engine.arm = label.to_owned();
         if let Some(dir) = &self.artifacts {
             let arm_dir = if label.is_empty() {
                 dir.clone()
@@ -1142,11 +1168,13 @@ impl ExperimentBuilder {
     /// the deterministic executor**. This is the engine's sweep hot
     /// path: the thread budget is split arm-level × intra-arm
     /// ([`Executor::split`], never oversubscribing `threads`), every arm
-    /// runs its full pipeline under an arm-scoped [`BufferedObserver`],
-    /// and when all arms have joined the buffers are replayed into the
-    /// builder's observer in label order — so observers see the exact
-    /// event stream a serial sweep would have produced, and reports stay
-    /// byte-identical at any thread count.
+    /// runs its full pipeline recording into its own [`TimingObserver`],
+    /// and when all arms have joined those are merged into the builder's
+    /// observer in label order (`TimingObserver::absorb`) — so the
+    /// observer holds the records a serial sweep would have produced,
+    /// and reports stay byte-identical at any thread count. The returned
+    /// engines record into the builder's observer again, each under its
+    /// own arm label.
     ///
     /// Single-run scenarios work too (one arm labeled `""`, the whole
     /// budget intra-arm), so callers like the `pd` CLI can treat every
@@ -1170,16 +1198,13 @@ impl ExperimentBuilder {
         let total = Executor::new(self.threads);
         let (arm_exec, intra) = total.split(variants.len());
         let caches = self.shared_caches();
-        let buffers: Vec<Arc<BufferedObserver>> = variants
+        let arm_observers: Vec<Arc<TimingObserver>> = variants
             .iter()
-            .map(|_| Arc::new(BufferedObserver::new()))
+            .map(|_| Arc::new(TimingObserver::new()))
             .collect();
-        let runs = arm_exec.map_indexed(variants.len(), |i| {
+        let mut runs = arm_exec.map_indexed(variants.len(), |i| {
             let (label, plan) = &variants[i];
-            let observer = Arc::clone(&buffers[i]);
-            if !label.is_empty() {
-                observer.arm_started(label);
-            }
+            let observer = Arc::clone(&arm_observers[i]);
             let mut engine = self.arm_engine(&spec, label, plan.clone(), intra, observer, &caches);
             let analysis = engine.analyze();
             // Between arms: drop interned strings only this arm's
@@ -1193,17 +1218,12 @@ impl ExperimentBuilder {
                 analysis,
             }
         });
-        // Arms may have finished in any order; the observer stream is
-        // re-serialized in arm (label) order.
-        for buffer in &buffers {
-            buffer.replay(self.observer.as_ref());
-        }
-        // The arm buffers are done for: re-attach the builder's
-        // observer so post-sweep engine calls (a re-analyze under new
-        // knobs, a store probe) report live instead of into a buffer
-        // nobody will replay.
-        let mut runs = runs;
-        for run in &mut runs {
+        // Arms may have finished in any order; their records are merged
+        // in arm (label) order, and post-sweep engine calls (a
+        // re-analyze under new knobs, a store probe) record live into
+        // the builder's observer.
+        for (arm, run) in arm_observers.iter().zip(&mut runs) {
+            self.observer.absorb(arm);
             run.engine.observer = Arc::clone(&self.observer);
         }
         Ok(runs)
@@ -1237,14 +1257,15 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Builds the world for `config` (sequential engine, no observer).
+    /// Builds the world for `config` (sequential engine, an observer
+    /// nobody reads).
     #[must_use]
     pub fn new(config: ExperimentConfig) -> Self {
         Experiment {
             engine: Engine::from_plan(
                 RunPlan::new(config),
                 Executor::serial(),
-                Arc::new(NullObserver),
+                Arc::new(TimingObserver::new()),
             ),
         }
     }
@@ -1283,7 +1304,7 @@ impl Experiment {
             self.engine.world(),
             self.engine.plan(),
             self.engine.executor(),
-            &NullObserver,
+            &TimingObserver::new(),
         );
         (artifact.raw, artifact.cleaned, artifact.cleaning)
     }
@@ -1320,7 +1341,7 @@ impl Experiment {
             self.engine.config(),
             &self.engine.world().paper_crawl_targets(),
             self.engine.executor(),
-            &NullObserver,
+            &TimingObserver::new(),
         );
         (artifact.store, artifact.stats)
     }
@@ -1350,7 +1371,7 @@ impl Experiment {
         let world = self.engine.world();
         let config = self.engine.config();
         let exec = self.engine.executor();
-        let personas = stage::persona_stage(world, config, exec, &NullObserver);
+        let personas = stage::persona_stage(world, config, exec, &TimingObserver::new());
         stage::analysis_over(
             self.engine.context(),
             config,
@@ -1362,7 +1383,7 @@ impl Experiment {
             Some(world),
             None,
             exec,
-            &NullObserver,
+            &TimingObserver::new(),
         )
         .expect("in-memory analysis sources cannot fail")
         .report
@@ -1500,7 +1521,6 @@ mod tests {
 
     #[test]
     fn save_then_load_artifacts_skips_measurement_stages() {
-        use crate::observer::TimingObserver;
         let dir = tmp_store("round-trip");
         let mut producer = Experiment::builder()
             .scenario("smoke")
@@ -1541,7 +1561,6 @@ mod tests {
 
     #[test]
     fn binary_store_round_trip_streams_chunks() {
-        use crate::observer::TimingObserver;
         let dir = tmp_store("binary-stream");
         let mut producer = Experiment::builder()
             .scenario("smoke")
@@ -1586,7 +1605,6 @@ mod tests {
 
     #[test]
     fn stale_store_forces_recompute() {
-        use crate::observer::TimingObserver;
         let dir = tmp_store("stale");
         let mut producer = Experiment::builder()
             .scenario("smoke")
@@ -1781,7 +1799,6 @@ mod tests {
 
     #[test]
     fn rows_that_fail_to_decode_mid_analysis_are_recomputed() {
-        use crate::observer::TimingObserver;
         let dir = tmp_store("rotted-chunk");
         let smoke = || Experiment::builder().scenario("smoke").seed(7);
         let mut producer = smoke().build().expect("smoke builds");
@@ -1870,7 +1887,7 @@ mod tests {
     fn memo_engine(
         config: ExperimentConfig,
         memo: &Arc<StoreCache>,
-        observer: Arc<dyn RunObserver>,
+        observer: Arc<TimingObserver>,
     ) -> Engine {
         Experiment::builder()
             .scenario("smoke")
@@ -1883,14 +1900,21 @@ mod tests {
 
     #[test]
     fn memo_keeps_computed_artifacts_on_their_second_request() {
-        use crate::observer::TimingObserver;
         let memo = Arc::new(StoreCache::new());
-        let mut first = memo_engine(ExperimentConfig::smoke(7), &memo, Arc::new(NullObserver));
+        let mut first = memo_engine(
+            ExperimentConfig::smoke(7),
+            &memo,
+            Arc::new(TimingObserver::new()),
+        );
         let reference = first.run().to_json();
         assert!(first.loaded_stages().is_empty(), "nothing to hit yet");
         assert!(memo.is_empty(), "a first request keeps no artifact");
 
-        let mut second = memo_engine(ExperimentConfig::smoke(7), &memo, Arc::new(NullObserver));
+        let mut second = memo_engine(
+            ExperimentConfig::smoke(7),
+            &memo,
+            Arc::new(TimingObserver::new()),
+        );
         assert_eq!(second.run().to_json(), reference);
         assert!(
             second.loaded_stages().is_empty(),
@@ -1979,13 +2003,13 @@ mod tests {
         let mut knob = base.clone();
         knob.filler_domains += 1;
         for _ in 0..2 {
-            memo_engine(base.clone(), &memo, Arc::new(NullObserver)).run();
+            memo_engine(base.clone(), &memo, Arc::new(TimingObserver::new())).run();
         }
         assert_eq!(memo.len(), 3);
-        let mut other = memo_engine(knob.clone(), &memo, Arc::new(NullObserver));
+        let mut other = memo_engine(knob.clone(), &memo, Arc::new(TimingObserver::new()));
         let other_report = other.run().to_json();
         assert!(other.loaded_stages().is_empty(), "another world computes");
-        let mut again = memo_engine(knob, &memo, Arc::new(NullObserver));
+        let mut again = memo_engine(knob, &memo, Arc::new(TimingObserver::new()));
         assert_eq!(again.run().to_json(), other_report);
         assert!(again.loaded_stages().is_empty());
         assert_eq!(memo.len(), 6, "each plan keeps its own entries");
@@ -1995,7 +2019,12 @@ mod tests {
     fn default_built_engines_own_their_memo() {
         let memo = Arc::new(StoreCache::new());
         for _ in 0..2 {
-            memo_engine(ExperimentConfig::smoke(7), &memo, Arc::new(NullObserver)).run();
+            memo_engine(
+                ExperimentConfig::smoke(7),
+                &memo,
+                Arc::new(TimingObserver::new()),
+            )
+            .run();
         }
         assert_eq!(memo.len(), 3);
         let mut private = Experiment::builder()

@@ -12,27 +12,29 @@
 //! * [`AnalysisArtifact`] — every figure and table ([`Report`]).
 //!
 //! The measurement stage functions are free functions over `(&World,
-//! plan/config, &Executor, &dyn RunObserver)`; the analysis takes the
-//! plan's [`AnalysisContext`] instead of the world. The caching engine
-//! ([`crate::Engine`]) and the legacy [`crate::Experiment`] shim both
-//! call them, so a stage behaves identically whether it is cached,
-//! re-run, loaded from an on-disk store ([`crate::store`]), sequential
-//! or fanned across worker threads.
+//! plan/config, &Executor, &TimingObserver)`; the analysis takes the
+//! plan's [`AnalysisContext`] instead of the world. A stage function
+//! reports its counters into the observer; the engine times it. The
+//! caching engine ([`crate::Engine`]) and the legacy
+//! [`crate::Experiment`] shim both call them, so a stage behaves
+//! identically whether it is cached, re-run, loaded from an on-disk
+//! store ([`crate::store`]), sequential or fanned across worker threads.
 //!
 //! ```
-//! use pd_core::{Executor, ExperimentConfig, NullObserver, RunPlan, World};
+//! use pd_core::{Executor, ExperimentConfig, RunPlan, TimingObserver, World};
 //!
 //! // A stage is just a function of the world and its plan.
 //! let plan = RunPlan::new(ExperimentConfig::smoke(7));
 //! let world = World::build(&plan.config);
-//! let crowd = pd_core::stage::crowd_stage(&world, &plan, &Executor::serial(), &NullObserver);
+//! let obs = TimingObserver::new();
+//! let crowd = pd_core::stage::crowd_stage(&world, &plan, &Executor::serial(), &obs);
 //! assert!(crowd.cleaned.len() <= crowd.raw.len(), "cleaning only drops");
 //! ```
 
 use crate::config::ExperimentConfig;
 use crate::executor::Executor;
 use crate::frames::{FrameCache, FrameStats, StoreFrame};
-use crate::observer::{RunObserver, StageKind};
+use crate::observer::{StageKind, TimingObserver};
 use crate::report::{Fig8Grid, Report};
 use crate::scenario::RunPlan;
 use crate::store::{Artifact, ChunkedPayload, StoreError};
@@ -163,15 +165,6 @@ impl Artifact for PersonaArtifact {}
 
 impl Artifact for AnalysisArtifact {}
 
-/// Runs a stage under observer start/finish events, timing it.
-pub(crate) fn observed<T>(obs: &dyn RunObserver, stage: StageKind, f: impl FnOnce() -> T) -> T {
-    obs.stage_started(stage);
-    let start = std::time::Instant::now();
-    let result = f();
-    obs.stage_finished(stage, start.elapsed());
-    result
-}
-
 /// Stage 2: the crowd campaign plus cleaning. The campaign is planned
 /// sequentially (one RNG stream) and the planned checks are fanned
 /// across the executor; plan-order merging keeps the store identical to
@@ -181,34 +174,32 @@ pub fn crowd_stage(
     world: &World,
     plan: &RunPlan,
     exec: &Executor,
-    obs: &dyn RunObserver,
+    obs: &TimingObserver,
 ) -> CrowdArtifact {
-    observed(obs, StageKind::Crowd, || {
-        let plans = world.crowd.plan_campaign(&world.web);
-        obs.counter(StageKind::Crowd, "planned_checks", plans.len() as u64);
-        let results = exec.map_indexed(plans.len(), |i| {
-            world
-                .crowd
-                .execute_check(&world.web, &world.sheriff, &plans[i])
-        });
-        let mut raw = MeasurementStore::new();
-        for m in results.into_iter().flatten() {
-            raw.push(m);
-        }
-        obs.counter(StageKind::Crowd, "measurements", raw.len() as u64);
+    let plans = world.crowd.plan_campaign(&world.web);
+    obs.counter(StageKind::Crowd, "planned_checks", plans.len() as u64);
+    let results = exec.map_indexed(plans.len(), |i| {
+        world
+            .crowd
+            .execute_check(&world.web, &world.sheriff, &plans[i])
+    });
+    let mut raw = MeasurementStore::new();
+    for m in results.into_iter().flatten() {
+        raw.push(m);
+    }
+    obs.counter(StageKind::Crowd, "measurements", raw.len() as u64);
 
-        let (cleaned, cleaning) = if plan.cleaning {
-            clean_crowd_store(world, &plan.config, &raw, exec)
-        } else {
-            skip_cleaning(&raw)
-        };
-        obs.counter(StageKind::Crowd, "kept", cleaning.kept as u64);
-        CrowdArtifact {
-            raw,
-            cleaned,
-            cleaning,
-        }
-    })
+    let (cleaned, cleaning) = if plan.cleaning {
+        clean_crowd_store(world, &plan.config, &raw, exec)
+    } else {
+        skip_cleaning(&raw)
+    };
+    obs.counter(StageKind::Crowd, "kept", cleaning.kept as u64);
+    CrowdArtifact {
+        raw,
+        cleaned,
+        cleaning,
+    }
 }
 
 /// The Sec. 3.2 cleaning rules plus the automated per-domain tax check.
@@ -378,32 +369,30 @@ pub fn crawl_stage(
     config: &ExperimentConfig,
     targets: &[String],
     exec: &Executor,
-    obs: &dyn RunObserver,
+    obs: &TimingObserver,
 ) -> CrawlArtifact {
-    observed(obs, StageKind::Crawl, || {
-        let crawler = Crawler::new(config.seed, config.crawl.clone());
-        obs.counter(StageKind::Crawl, "retailers", targets.len() as u64);
-        let shards = exec.map_indexed(targets.len(), |i| {
-            crawler.crawl_one(&world.web, &world.sheriff, &targets[i])
-        });
-        let mut store = MeasurementStore::new();
-        let mut stats = Vec::with_capacity(shards.len());
-        for (shard, s) in shards {
-            store.extend(shard);
-            stats.push(s);
-        }
-        obs.counter(
-            StageKind::Crawl,
-            "checks",
-            stats.iter().map(|s| s.checks as u64).sum(),
-        );
-        obs.counter(
-            StageKind::Crawl,
-            "retries",
-            stats.iter().map(|s| s.retries as u64).sum(),
-        );
-        CrawlArtifact { store, stats }
-    })
+    let crawler = Crawler::new(config.seed, config.crawl.clone());
+    obs.counter(StageKind::Crawl, "retailers", targets.len() as u64);
+    let shards = exec.map_indexed(targets.len(), |i| {
+        crawler.crawl_one(&world.web, &world.sheriff, &targets[i])
+    });
+    let mut store = MeasurementStore::new();
+    let mut stats = Vec::with_capacity(shards.len());
+    for (shard, s) in shards {
+        store.extend(shard);
+        stats.push(s);
+    }
+    obs.counter(
+        StageKind::Crawl,
+        "checks",
+        stats.iter().map(|s| s.checks as u64).sum(),
+    );
+    obs.counter(
+        StageKind::Crawl,
+        "retries",
+        stats.iter().map(|s| s.retries as u64).sum(),
+    );
+    CrawlArtifact { store, stats }
 }
 
 /// The fixed persona/login experiment site: Boston, the day after the
@@ -441,87 +430,85 @@ pub fn persona_stage(
     world: &World,
     config: &ExperimentConfig,
     exec: &Executor,
-    obs: &dyn RunObserver,
+    obs: &TimingObserver,
 ) -> PersonaArtifact {
-    observed(obs, StageKind::Personas, || {
-        let (boston, addr, exp_time) = persona_site(world, config);
-        let slugs = personas::login_slugs(&world.web, "www.amazon.com", config.login_products);
-        let (rows, tallies): (Vec<_>, Vec<_>) = exec
-            .map_indexed(slugs.len(), |i| {
-                let mut tally = CopyTally::default();
-                let row = personas::login_row(
-                    &world.web,
-                    config.seed,
-                    "www.amazon.com",
-                    &boston,
-                    addr,
-                    exp_time,
-                    i,
-                    &slugs[i],
-                    &mut tally,
-                );
-                (row, tally)
-            })
-            .into_iter()
-            .unzip();
-        let login = LoginExperiment {
-            domain: "www.amazon.com".to_owned(),
-            rows,
-        };
-        obs.counter(
-            StageKind::Personas,
-            "login_products",
-            login.rows.len() as u64,
-        );
-        copy_counters(obs, StageKind::Personas, "login", tallies.into_iter().sum());
+    let (boston, addr, exp_time) = persona_site(world, config);
+    let slugs = personas::login_slugs(&world.web, "www.amazon.com", config.login_products);
+    let (rows, tallies): (Vec<_>, Vec<_>) = exec
+        .map_indexed(slugs.len(), |i| {
+            let mut tally = CopyTally::default();
+            let row = personas::login_row(
+                &world.web,
+                config.seed,
+                "www.amazon.com",
+                &boston,
+                addr,
+                exp_time,
+                i,
+                &slugs[i],
+                &mut tally,
+            );
+            (row, tally)
+        })
+        .into_iter()
+        .unzip();
+    let login = LoginExperiment {
+        domain: "www.amazon.com".to_owned(),
+        rows,
+    };
+    obs.counter(
+        StageKind::Personas,
+        "login_products",
+        login.rows.len() as u64,
+    );
+    copy_counters(obs, StageKind::Personas, "login", tallies.into_iter().sum());
 
-        let (pairs, tallies): (Vec<_>, Vec<_>) = exec
-            .map_indexed(PERSONA_DOMAINS.len(), |i| {
-                let mut tally = CopyTally::default();
-                let pair = personas::persona_pairs(
-                    &world.web,
-                    PERSONA_DOMAINS[i],
-                    &boston,
-                    addr,
-                    exp_time,
-                    config.persona_products,
-                    &mut tally,
-                );
-                (pair, tally)
-            })
-            .into_iter()
-            .unzip();
-        let (differing, total) = pairs
-            .into_iter()
-            .fold((0, 0), |(d, t), (pd, pt)| (d + pd, t + pt));
-        let persona = PersonaExperiment {
-            domains: PERSONA_DOMAINS.iter().map(|d| (*d).to_owned()).collect(),
-            products_per_retailer: config.persona_products,
-            differing_pairs: differing,
-            total_pairs: total,
-        };
-        obs.counter(
-            StageKind::Personas,
-            "persona_pairs",
-            persona.total_pairs as u64,
-        );
-        copy_counters(
-            obs,
-            StageKind::Personas,
-            "persona",
-            tallies.into_iter().sum(),
-        );
-        let probes = run_probes(world, config, exec, obs, StageKind::Personas);
-        PersonaArtifact {
-            login,
-            persona,
-            probes: Some(probes),
-        }
-    })
+    let (pairs, tallies): (Vec<_>, Vec<_>) = exec
+        .map_indexed(PERSONA_DOMAINS.len(), |i| {
+            let mut tally = CopyTally::default();
+            let pair = personas::persona_pairs(
+                &world.web,
+                PERSONA_DOMAINS[i],
+                &boston,
+                addr,
+                exp_time,
+                config.persona_products,
+                &mut tally,
+            );
+            (pair, tally)
+        })
+        .into_iter()
+        .unzip();
+    let (differing, total) = pairs
+        .into_iter()
+        .fold((0, 0), |(d, t), (pd, pt)| (d + pd, t + pt));
+    let persona = PersonaExperiment {
+        domains: PERSONA_DOMAINS.iter().map(|d| (*d).to_owned()).collect(),
+        products_per_retailer: config.persona_products,
+        differing_pairs: differing,
+        total_pairs: total,
+    };
+    obs.counter(
+        StageKind::Personas,
+        "persona_pairs",
+        persona.total_pairs as u64,
+    );
+    copy_counters(
+        obs,
+        StageKind::Personas,
+        "persona",
+        tallies.into_iter().sum(),
+    );
+    let probes = run_probes(world, config, exec, obs, StageKind::Personas);
+    PersonaArtifact {
+        login,
+        persona,
+        probes: Some(probes),
+    }
 }
 
 /// Reports a probe family's fetched and extracted copies under `stage`.
-fn copy_counters(obs: &dyn RunObserver, stage: StageKind, family: &str, tally: CopyTally) {
+fn copy_counters(obs: &TimingObserver, stage: StageKind, family: &str, tally: CopyTally) {
     obs.counter(stage, &format!("{family}_copies"), tally.copies);
     obs.counter(stage, &format!("{family}_extracted"), tally.extracted);
 }
@@ -535,7 +522,7 @@ pub fn run_probes(
     world: &World,
     config: &ExperimentConfig,
     exec: &Executor,
-    obs: &dyn RunObserver,
+    obs: &TimingObserver,
     stage: StageKind,
 ) -> ProbeRecord {
     let targets = world.paper_crawl_targets();
@@ -743,176 +730,173 @@ pub(crate) fn analysis_over(
     probe_world: Option<&World>,
     frames: Option<FrameKeys<'_>>,
     exec: &Executor,
-    obs: &dyn RunObserver,
+    obs: &TimingObserver,
 ) -> Result<AnalysisArtifact, StoreError> {
-    observed(obs, StageKind::Analysis, || {
-        let fx = &ctx.fx;
-        let keyed = frames.is_some();
-        let (crowd_frame, crowd_stats) =
-            crowd_clean.frame(frames.as_ref().map(|k| (k.cache, k.crowd)), fx, exec)?;
-        let (crawl_frame, crawl_stats) =
-            crawl_store.frame(frames.as_ref().map(|k| (k.cache, k.crawl)), fx, exec)?;
-        if keyed {
-            obs.counter(
-                StageKind::Analysis,
-                "frames_built",
-                (crowd_stats.built + crawl_stats.built) as u64,
-            );
-            obs.counter(
-                StageKind::Analysis,
-                "frames_reused",
-                (crowd_stats.reused + crawl_stats.reused) as u64,
-            );
-            obs.counter(
-                StageKind::Analysis,
-                "frames_chunks_loaded",
-                (crowd_stats.chunks_loaded + crawl_stats.chunks_loaded) as u64,
-            );
-        }
-        let crowd_frame = &*crowd_frame.frame;
-        let crawl_tally = &*crawl_frame.tally;
-        let crawl_frame = &*crawl_frame.frame;
-
-        // Every figure, and the Sec. 3.2 summary's scan of the raw crowd
-        // rows, is a pure function of the frames and artifacts: they run
-        // as independent tasks across the executor, longest first.
-        let grid = |domain: &str, labels: &[&str]| Fig8Grid {
-            domain: domain.to_owned(),
-            cells: location::fig8_pairwise(crawl_frame, domain, &ctx.vantage_pairs(labels)),
-        };
-        let finland = ctx
-            .vantage_by_label("Finland - Tampere")
-            .expect("spec validation keeps the Finland probe");
-        let (mut fig1, mut fig2) = (Vec::new(), Vec::new());
-        let (mut fig3, mut fig4) = (Vec::new(), Vec::new());
-        let (mut fig5_points, mut fig5_envelope) = (Vec::new(), Vec::new());
-        let (mut fig6a, mut fig6b) = (Vec::new(), Vec::new());
-        let mut fig7 = Vec::new();
-        let (mut fig8a, mut fig8b, mut fig8c) = (None, None, None);
-        let mut fig9 = None;
-        let mut scan = summary::SummaryScan::new();
-        let mut raw_chunks = Ok(0);
-        exec.run_all(vec![
-            // Fig. 7 over the full fleet.
-            Box::new(|| fig7 = location::fig7_location_boxes(crawl_frame, &ctx.vantage)),
-            // The summary: the raw crowd rows stream through the scan
-            // (chunk by chunk for chunked sources); the crawl half is the
-            // tally cut alongside the crawl frame, so the crawl is not
-            // passed over twice.
-            Box::new(|| raw_chunks = crowd_raw.scan(|m| scan.crowd_row(m))),
-            // Fig. 8 grids.
-            Box::new(|| {
-                fig8a = Some(grid(
-                    "www.homedepot.com",
-                    &[
-                        "USA - Albany",
-                        "USA - Boston",
-                        "USA - Los Angeles",
-                        "USA - Chicago",
-                        "USA - Lincoln",
-                        "USA - New York",
-                    ],
-                ));
-            }),
-            Box::new(|| {
-                fig8b = Some(grid(
-                    "www.amazon.com",
-                    &[
-                        "Belgium - Liege",
-                        "Brazil - Sao Paulo",
-                        "Finland - Tampere",
-                        "Germany - Berlin",
-                        "Spain (Linux,FF)",
-                        "USA - New York",
-                    ],
-                ));
-            }),
-            Box::new(|| {
-                fig8c = Some(grid(
-                    "store.killah.com",
-                    &[
-                        "Brazil - Sao Paulo",
-                        "Finland - Tampere",
-                        "Germany - Berlin",
-                        "Spain (Linux,FF)",
-                        "UK - London",
-                        "USA - New York",
-                    ],
-                ));
-            }),
-            // Figs. 3–5 (crawl view).
-            Box::new(|| fig4 = crawl::fig4_magnitude(crawl_frame)),
-            Box::new(|| (fig5_points, fig5_envelope) = crawl::fig5_scatter(crawl_frame)),
-            // Fig. 9: Finland vs min.
-            Box::new(|| fig9 = Some(location::fig9_finland(crawl_frame, finland))),
-            Box::new(|| fig3 = crawl::fig3_extent(crawl_frame)),
-            // Fig. 1 + Fig. 2 (crowd view).
-            Box::new(|| {
-                fig1 = crowd_figs::fig1_ranking(crowd_frame, config.analysis.fig1_domains);
-                let fig1_domains: Vec<String> = fig1.iter().map(|b| b.domain.clone()).collect();
-                fig2 = crowd_figs::fig2_ratio_boxes(crowd_frame, &fig1_domains);
-            }),
-            // Fig. 6: digitalrev (multiplicative) and energie (additive),
-            // at the paper's three locations: New York, UK, Finland.
-            Box::new(|| {
-                let locs =
-                    ctx.vantage_pairs(&["USA - New York", "UK - London", "Finland - Tampere"]);
-                fig6a = strategy::fig6_curves(crawl_frame, "www.digitalrev.com", &locs);
-                fig6b = strategy::fig6_curves(crawl_frame, "www.energie.it", &locs);
-            }),
-        ]);
-        let raw_chunks = raw_chunks?;
-        scan.crawl(crawl_tally);
-        let summary = scan.finish(ctx.crowd_countries);
-
-        // Fig. 10 + persona summary, from the persona artifact.
-        let fig10 = login::fig10(&persona_art.login);
-        let persona = login::persona_summary(&persona_art.persona);
+    let fx = &ctx.fx;
+    let keyed = frames.is_some();
+    let (crowd_frame, crowd_stats) =
+        crowd_clean.frame(frames.as_ref().map(|k| (k.cache, k.crowd)), fx, exec)?;
+    let (crawl_frame, crawl_stats) =
+        crawl_store.frame(frames.as_ref().map(|k| (k.cache, k.crawl)), fx, exec)?;
+    if keyed {
         obs.counter(
             StageKind::Analysis,
-            "chunks_decoded",
-            (crowd_stats.chunks_loaded + crawl_stats.chunks_loaded + raw_chunks) as u64,
+            "frames_built",
+            (crowd_stats.built + crawl_stats.built) as u64,
         );
+        obs.counter(
+            StageKind::Analysis,
+            "frames_reused",
+            (crowd_stats.reused + crawl_stats.reused) as u64,
+        );
+        obs.counter(
+            StageKind::Analysis,
+            "frames_chunks_loaded",
+            (crowd_stats.chunks_loaded + crawl_stats.chunks_loaded) as u64,
+        );
+    }
+    let crowd_frame = &*crowd_frame.frame;
+    let crawl_tally = &*crawl_frame.tally;
+    let crawl_frame = &*crawl_frame.frame;
 
-        // Third-party presence and the per-retailer factor attribution
-        // (an extension): stored with the persona artifact, re-probed
-        // only for a record that predates them or was measured at
-        // another product count.
-        let ProbeRecord {
-            attribution,
+    // Every figure, and the Sec. 3.2 summary's scan of the raw crowd
+    // rows, is a pure function of the frames and artifacts: they run
+    // as independent tasks across the executor, longest first.
+    let grid = |domain: &str, labels: &[&str]| Fig8Grid {
+        domain: domain.to_owned(),
+        cells: location::fig8_pairwise(crawl_frame, domain, &ctx.vantage_pairs(labels)),
+    };
+    let finland = ctx
+        .vantage_by_label("Finland - Tampere")
+        .expect("spec validation keeps the Finland probe");
+    let (mut fig1, mut fig2) = (Vec::new(), Vec::new());
+    let (mut fig3, mut fig4) = (Vec::new(), Vec::new());
+    let (mut fig5_points, mut fig5_envelope) = (Vec::new(), Vec::new());
+    let (mut fig6a, mut fig6b) = (Vec::new(), Vec::new());
+    let mut fig7 = Vec::new();
+    let (mut fig8a, mut fig8b, mut fig8c) = (None, None, None);
+    let mut fig9 = None;
+    let mut scan = summary::SummaryScan::new();
+    let mut raw_chunks = Ok(0);
+    exec.run_all(vec![
+        // Fig. 7 over the full fleet.
+        Box::new(|| fig7 = location::fig7_location_boxes(crawl_frame, &ctx.vantage)),
+        // The summary: the raw crowd rows stream through the scan
+        // (chunk by chunk for chunked sources); the crawl half is the
+        // tally cut alongside the crawl frame, so the crawl is not
+        // passed over twice.
+        Box::new(|| raw_chunks = crowd_raw.scan(|m| scan.crowd_row(m))),
+        // Fig. 8 grids.
+        Box::new(|| {
+            fig8a = Some(grid(
+                "www.homedepot.com",
+                &[
+                    "USA - Albany",
+                    "USA - Boston",
+                    "USA - Los Angeles",
+                    "USA - Chicago",
+                    "USA - Lincoln",
+                    "USA - New York",
+                ],
+            ));
+        }),
+        Box::new(|| {
+            fig8b = Some(grid(
+                "www.amazon.com",
+                &[
+                    "Belgium - Liege",
+                    "Brazil - Sao Paulo",
+                    "Finland - Tampere",
+                    "Germany - Berlin",
+                    "Spain (Linux,FF)",
+                    "USA - New York",
+                ],
+            ));
+        }),
+        Box::new(|| {
+            fig8c = Some(grid(
+                "store.killah.com",
+                &[
+                    "Brazil - Sao Paulo",
+                    "Finland - Tampere",
+                    "Germany - Berlin",
+                    "Spain (Linux,FF)",
+                    "UK - London",
+                    "USA - New York",
+                ],
+            ));
+        }),
+        // Figs. 3–5 (crawl view).
+        Box::new(|| fig4 = crawl::fig4_magnitude(crawl_frame)),
+        Box::new(|| (fig5_points, fig5_envelope) = crawl::fig5_scatter(crawl_frame)),
+        // Fig. 9: Finland vs min.
+        Box::new(|| fig9 = Some(location::fig9_finland(crawl_frame, finland))),
+        Box::new(|| fig3 = crawl::fig3_extent(crawl_frame)),
+        // Fig. 1 + Fig. 2 (crowd view).
+        Box::new(|| {
+            fig1 = crowd_figs::fig1_ranking(crowd_frame, config.analysis.fig1_domains);
+            let fig1_domains: Vec<String> = fig1.iter().map(|b| b.domain.clone()).collect();
+            fig2 = crowd_figs::fig2_ratio_boxes(crowd_frame, &fig1_domains);
+        }),
+        // Fig. 6: digitalrev (multiplicative) and energie (additive),
+        // at the paper's three locations: New York, UK, Finland.
+        Box::new(|| {
+            let locs = ctx.vantage_pairs(&["USA - New York", "UK - London", "Finland - Tampere"]);
+            fig6a = strategy::fig6_curves(crawl_frame, "www.digitalrev.com", &locs);
+            fig6b = strategy::fig6_curves(crawl_frame, "www.energie.it", &locs);
+        }),
+    ]);
+    let raw_chunks = raw_chunks?;
+    scan.crawl(crawl_tally);
+    let summary = scan.finish(ctx.crowd_countries);
+
+    // Fig. 10 + persona summary, from the persona artifact.
+    let fig10 = login::fig10(&persona_art.login);
+    let persona = login::persona_summary(&persona_art.persona);
+    obs.counter(
+        StageKind::Analysis,
+        "chunks_decoded",
+        (crowd_stats.chunks_loaded + crawl_stats.chunks_loaded + raw_chunks) as u64,
+    );
+
+    // Third-party presence and the per-retailer factor attribution
+    // (an extension): stored with the persona artifact, re-probed
+    // only for a record that predates them or was measured at
+    // another product count.
+    let ProbeRecord {
+        attribution,
+        third_party,
+        ..
+    } = match stored_probes(persona_art, config) {
+        Some(p) => p.clone(),
+        None => {
+            let world =
+                probe_world.expect("the caller builds the world when the probes do not fit");
+            run_probes(world, config, exec, obs, StageKind::Analysis)
+        }
+    };
+
+    Ok(AnalysisArtifact {
+        report: Report {
+            summary,
+            cleaning,
+            fig1,
+            fig2,
+            fig3,
+            fig4,
+            fig5_points,
+            fig5_envelope,
+            fig6a,
+            fig6b,
+            fig7,
+            fig8a: fig8a.expect("fig. 8a task ran"),
+            fig8b: fig8b.expect("fig. 8b task ran"),
+            fig8c: fig8c.expect("fig. 8c task ran"),
+            fig9: fig9.expect("fig. 9 task ran"),
+            fig10,
+            persona,
             third_party,
-            ..
-        } = match stored_probes(persona_art, config) {
-            Some(p) => p.clone(),
-            None => {
-                let world =
-                    probe_world.expect("the caller builds the world when the probes do not fit");
-                run_probes(world, config, exec, obs, StageKind::Analysis)
-            }
-        };
-
-        Ok(AnalysisArtifact {
-            report: Report {
-                summary,
-                cleaning,
-                fig1,
-                fig2,
-                fig3,
-                fig4,
-                fig5_points,
-                fig5_envelope,
-                fig6a,
-                fig6b,
-                fig7,
-                fig8a: fig8a.expect("fig. 8a task ran"),
-                fig8b: fig8b.expect("fig. 8b task ran"),
-                fig8c: fig8c.expect("fig. 8c task ran"),
-                fig9: fig9.expect("fig. 9 task ran"),
-                fig10,
-                persona,
-                third_party,
-                attribution,
-            },
-        })
+            attribution,
+        },
     })
 }

@@ -657,6 +657,18 @@ impl ArtifactStore {
         self.manifest.entries.iter().find(|e| e.stage == stage)
     }
 
+    /// The manifest entry for `stage` when the store holds it under
+    /// `fingerprint`: the entry has that fingerprint and its file is
+    /// present. An entry whose file was deleted behind the manifest is
+    /// not held (what [`ArtifactStore::verify`] reports as
+    /// [`EntryHealth::MissingFile`]), so a save writes it again.
+    #[must_use]
+    pub fn held(&self, stage: &str, fingerprint: Fingerprint) -> Option<&ManifestEntry> {
+        self.entry(stage).filter(|e| {
+            e.fingerprint == fingerprint.to_string() && self.dir.join(&e.file).is_file()
+        })
+    }
+
     /// Saves an artifact under its fingerprint, replacing any previous
     /// entry for the same stage: [`ArtifactStore::save_all`] with one
     /// stage, on the calling thread. Returns the serialized size in

@@ -78,12 +78,10 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod observer;
 pub mod server;
 pub mod service;
 
 pub use client::Client;
-pub use observer::{ServiceObserver, TeeObserver};
 pub use server::Server;
 pub use service::{
     JobSnapshot, JobState, Metrics, PdService, RunsList, ServeConfig, SubmitError, SubmitReply,

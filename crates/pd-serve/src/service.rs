@@ -6,7 +6,7 @@
 //! every job's engine shares — warm-path re-analyses rebuild nothing,
 //! never copy a loaded store, and from a seed's third execution skip
 //! the measurement stages — the scenario registry, the job table, and
-//! the [`Metrics`] the [`crate::ServiceObserver`] feeds. Jobs execute on a
+//! the [`Metrics`] each finished job is folded into. Jobs execute on a
 //! **runner pool** ([`ServeConfig::runners`] threads) pulling from one
 //! bounded queue — submissions beyond the queue capacity are rejected
 //! immediately (the HTTP layer turns that into `503` + `Retry-After`),
@@ -28,10 +28,9 @@
 //! keeping its own copy (bodies that differ would be a determinism bug;
 //! they stay the job's own). Nothing is evicted yet.
 
-use crate::observer::{ServiceObserver, TeeObserver};
 use pd_core::{
-    reports_to_json, Experiment, FrameCache, Profile, RunObserver, ScenarioRegistry, ScenarioSpec,
-    StageKind, StoreCache, TimingObserver,
+    reports_to_json, Experiment, FrameCache, Profile, ScenarioRegistry, ScenarioSpec, StageKind,
+    StoreCache, TimingObserver,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -40,7 +39,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How the daemon is wired: address, pool sizes, warm-store directory.
 #[derive(Debug, Clone)]
@@ -286,23 +285,26 @@ impl Metrics {
         }
     }
 
-    pub(crate) fn add_stage_wall(&self, stage: StageKind, wall: Duration) {
-        let us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
-        self.stage_us[stage_index(stage)].fetch_add(us, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_named_counter(&self, name: &str, value: u64) {
-        let slot = match name {
-            "frames_built" => &self.frames_built,
-            "frames_reused" => &self.frames_reused,
-            "frames_chunks_loaded" => &self.frames_chunks_loaded,
-            _ => return,
-        };
-        slot.fetch_add(value, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_store_hit(&self) {
-        self.store_hits.fetch_add(1, Ordering::Relaxed);
+    /// Folds one ended job's observer into the process totals: each
+    /// recorded stage's wall time, the frame counters (`frames_built` /
+    /// `frames_reused` / `frames_chunks_loaded`) and one store hit per
+    /// stage load. Other counters are not aggregated.
+    pub(crate) fn add_job(&self, job: &TimingObserver) {
+        for timing in job.timings() {
+            let us = u64::try_from(timing.wall.as_micros()).unwrap_or(u64::MAX);
+            self.stage_us[stage_index(timing.stage)].fetch_add(us, Ordering::Relaxed);
+            for (name, value) in &timing.counters {
+                let slot = match name.as_str() {
+                    "frames_built" => &self.frames_built,
+                    "frames_reused" => &self.frames_reused,
+                    "frames_chunks_loaded" => &self.frames_chunks_loaded,
+                    _ => continue,
+                };
+                slot.fetch_add(*value, Ordering::Relaxed);
+            }
+        }
+        let loads = job.loaded().len() as u64;
+        self.store_hits.fetch_add(loads, Ordering::Relaxed);
     }
 
     /// The counters of the `/metrics` body, one `key value` pair per
@@ -481,7 +483,6 @@ pub struct PdService {
     frames: Arc<FrameCache>,
     stores: Arc<StoreCache>,
     metrics: Arc<Metrics>,
-    service_observer: Arc<ServiceObserver>,
     jobs: Mutex<JobTable>,
     queue: Mutex<SyncSender<QueueMsg>>,
     /// The drain sentinel has been queued (it is queued once).
@@ -514,7 +515,6 @@ impl PdService {
             registry: ScenarioRegistry::builtin(),
             frames: Arc::new(FrameCache::new()),
             stores: Arc::new(StoreCache::new()),
-            service_observer: Arc::new(ServiceObserver::new(Arc::clone(&metrics))),
             metrics,
             jobs: Mutex::new(JobTable::default()),
             queue: Mutex::new(queue),
@@ -805,14 +805,14 @@ impl PdService {
         self.metrics.jobs_running.fetch_add(1, Ordering::SeqCst);
 
         let per_job = Arc::new(TimingObserver::new());
-        let observer: Arc<dyn RunObserver> = Arc::new(TeeObserver::new(vec![
-            Arc::clone(&per_job) as Arc<dyn RunObserver>,
-            Arc::clone(&self.service_observer) as Arc<dyn RunObserver>,
-        ]));
         let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.execute(&work, observer)))
-            .unwrap_or_else(|panic| Err(format!("job panicked: {}", panic_message(&panic))));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.execute(&work, Arc::clone(&per_job))
+        }))
+        .unwrap_or_else(|panic| Err(format!("job panicked: {}", panic_message(&panic))));
         let run_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
+        // Whatever the job recorded, a panicking one included.
+        self.metrics.add_job(&per_job);
 
         let timings = per_job.timings();
         let counter_total = |name: &str| -> u64 {
@@ -882,7 +882,7 @@ impl PdService {
     fn execute(
         &self,
         work: &JobWork,
-        observer: Arc<dyn RunObserver>,
+        observer: Arc<TimingObserver>,
     ) -> Result<(String, String), String> {
         let mut builder = Experiment::builder()
             .spec(work.spec.clone())
@@ -948,6 +948,7 @@ pub fn parse_job_id(id: &str) -> Option<u64> {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     fn service(capacity: usize) -> (Arc<PdService>, Receiver<QueueMsg>) {
         let (tx, rx) = mpsc::sync_channel(capacity);
@@ -1265,6 +1266,26 @@ mod tests {
             "auto job threads take the whole machine: one runner"
         );
         assert!(config(0, usize::MAX).effective_runners() >= 1);
+    }
+
+    #[test]
+    fn metrics_fold_a_job_observer() {
+        let metrics = Metrics::new();
+        let job = TimingObserver::new();
+        job.stage_finished("", StageKind::Analysis, Duration::from_millis(12));
+        job.counter(StageKind::Analysis, "frames_built", 4);
+        job.counter(StageKind::Analysis, "frames_reused", 2);
+        job.counter(StageKind::Analysis, "frames_chunks_loaded", 9);
+        job.counter(StageKind::Analysis, "unrelated", 99);
+        job.stage_finished("", StageKind::Analysis, Duration::from_millis(5));
+        job.stage_loaded(StageKind::Crowd, "00000000deadbeef");
+        metrics.add_job(&job);
+        let text = metrics.render_text();
+        assert!(text.contains("frames_built 4\n"), "got:\n{text}");
+        assert!(text.contains("frames_reused 2\n"), "got:\n{text}");
+        assert!(text.contains("frames_chunks_loaded 9\n"), "got:\n{text}");
+        assert!(text.contains("store_hits 1\n"), "got:\n{text}");
+        assert!(text.contains("stage_ms_analysis 17\n"), "got:\n{text}");
     }
 
     #[test]

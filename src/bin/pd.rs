@@ -523,9 +523,8 @@ fn execute_run(run: &RunArgs, registry: &ScenarioRegistry) -> Result<(), String>
                 Err(e) => return Err(e.to_string()),
             };
             let analysis_fresh = ArtifactStore::open(&dir).is_ok_and(|store| {
-                store.entry(StageKind::Analysis.as_str()).is_some_and(|e| {
-                    e.fingerprint == store::analysis_fingerprint(engine.plan()).to_string()
-                })
+                let fp = store::analysis_fingerprint(engine.plan());
+                store.held(StageKind::Analysis.as_str(), fp).is_some()
             });
             engine
                 .save_analysis(&dir, &analysis)

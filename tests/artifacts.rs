@@ -676,6 +676,56 @@ fn loaded_stages_save_into_another_store_byte_identically() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A store file deleted behind the manifest is written again: the
+/// manifest entry alone does not make a stage held. After `crawl.bin`
+/// and `analysis.bin` are removed, a second run over the store
+/// recomputes the crawl, saves it, and rewrites the analysis, both
+/// byte-identical to the first save; every entry then verifies.
+#[test]
+fn deleted_store_files_are_written_again() {
+    let dir = tmp("deleted-files");
+    let save = || {
+        let mut arms = Experiment::builder()
+            .scenario("smoke")
+            .seed(7)
+            .artifacts(dir.clone())
+            .run_sweep()
+            .expect("smoke runs");
+        let arm = arms.remove(0);
+        let summary = arm.engine.save_artifacts(&dir).expect("save");
+        arm.engine
+            .save_analysis(&dir, &arm.analysis)
+            .expect("save analysis");
+        summary
+    };
+    assert_eq!(save().saved, vec!["crowd", "crawl", "personas"]);
+    let files = ["crawl.bin", "analysis.bin"];
+    let first: Vec<Vec<u8>> = files
+        .iter()
+        .map(|f| std::fs::read(dir.join(f)).expect("saved file"))
+        .collect();
+    for f in files {
+        std::fs::remove_file(dir.join(f)).expect("remove");
+    }
+    let summary = save();
+    assert_eq!(summary.saved, vec!["crawl"], "{summary:?}");
+    assert_eq!(summary.fresh, vec!["crowd", "personas"], "{summary:?}");
+    for (f, bytes) in files.iter().zip(&first) {
+        assert_eq!(
+            &std::fs::read(dir.join(f)).expect("rewritten file"),
+            bytes,
+            "{f} must come back byte-identical"
+        );
+    }
+    let store = ArtifactStore::open(&dir).expect("store opens");
+    let health = store.verify();
+    assert_eq!(health.len(), 4);
+    for (entry, health) in health {
+        assert_eq!(health, EntryHealth::Ok, "{}", entry.stage);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The store does not depend on the thread count: a full run saved at 1
 /// and at 4 threads (world build, cleaning, figures and the batched
 /// save all fan across the executor) writes byte-identical `.bin` files

@@ -85,7 +85,7 @@ fn concurrent_sweep_reports_byte_identical_at_any_thread_count() {
 /// The arm-level scheduler splits the thread budget instead of
 /// oversubscribing: with 8 threads over 3 arms each arm engine gets 2
 /// intra-arm workers (3 × 2 ≤ 8), and arm-scoped observer events are
-/// replayed complete and in label order.
+/// merged complete and in label order.
 #[test]
 fn run_sweep_splits_the_thread_budget_and_orders_observer_events() {
     let observer = Arc::new(TimingObserver::new());
@@ -103,7 +103,7 @@ fn run_sweep_splits_the_thread_budget_and_orders_observer_events() {
     for arm in &arms {
         assert_eq!(arm.engine.executor().threads(), 2, "8 threads / 3 arms");
     }
-    // Every arm's five stages ran exactly once, and the replayed stream
+    // Every arm's five stages ran exactly once, and the merged stream
     // is grouped per arm in label order.
     assert_eq!(observer.starts(StageKind::Crowd), 3);
     assert_eq!(observer.starts(StageKind::Analysis), 3);
@@ -123,13 +123,47 @@ fn run_sweep_splits_the_thread_budget_and_orders_observer_events() {
         .collect();
     assert_eq!(arm_order, vec!["seed-1307", "seed-1308", "seed-1309"]);
     // Post-sweep engine calls must report to the builder's observer
-    // again (not into the already-replayed arm buffer).
+    // again (not into the already-merged arm observer), under the arm
+    // that made them.
     arms[0].engine.analyze();
     assert_eq!(
         observer.starts(StageKind::Analysis),
         4,
         "a re-analysis after the sweep must be observed live"
     );
+    let last = observer.timings().pop().expect("the re-analysis is timed");
+    assert_eq!(
+        (last.arm.as_str(), last.stage),
+        ("seed-1307", StageKind::Analysis)
+    );
+}
+
+/// A sweep's merged records do not depend on the thread count: the
+/// `(arm, stage, counters)` sequence and the loads are the same at 1
+/// and 8 threads (the seed arms share no upstream, so every counter is
+/// deterministic; only wall times differ).
+#[test]
+fn sweep_records_are_identical_at_any_thread_count() {
+    let records = |threads: usize| {
+        let observer = Arc::new(TimingObserver::new());
+        Experiment::builder()
+            .scenario("seed-sweep")
+            .profile(Profile::Smoke)
+            .seed(1307)
+            .threads(threads)
+            .observer(observer.clone())
+            .run_sweep()
+            .expect("sweep runs");
+        let timings: Vec<_> = observer
+            .timings()
+            .into_iter()
+            .map(|t| (t.arm, t.stage, t.counters))
+            .collect();
+        (timings, observer.loaded())
+    };
+    let serial = records(1);
+    assert_eq!(serial.0.len(), 15, "five stages per arm");
+    assert_eq!(serial, records(8));
 }
 
 /// A single-run scenario through `run_sweep` is the one-arm degenerate

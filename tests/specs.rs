@@ -16,8 +16,8 @@
 use pd_core::spec::builtin_specs;
 use pd_core::store::ArtifactStore;
 use pd_core::{
-    BuildError, ConfigPatch, Executor, Experiment, ExperimentConfig, NullObserver, Profile,
-    RunPlan, ScenarioParams, ScenarioSpec, SweepAxis, World,
+    BuildError, ConfigPatch, Executor, Experiment, ExperimentConfig, Profile, RunPlan,
+    ScenarioParams, ScenarioSpec, SweepAxis, TimingObserver, World,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -133,7 +133,12 @@ fn failure_rate_drops_the_same_requests_at_any_thread_count() {
     let world = World::build(&plan.config);
 
     let crowd = |threads: usize| {
-        pd_core::stage::crowd_stage(&world, &plan, &Executor::new(threads), &NullObserver)
+        pd_core::stage::crowd_stage(
+            &world,
+            &plan,
+            &Executor::new(threads),
+            &TimingObserver::new(),
+        )
     };
     let serial = crowd(1);
     let fanned = crowd(4);
@@ -152,7 +157,7 @@ fn failure_rate_drops_the_same_requests_at_any_thread_count() {
         &clean_world,
         &clean_plan,
         &Executor::serial(),
-        &NullObserver,
+        &TimingObserver::new(),
     );
     assert!(
         serial.raw.len() < clean.raw.len(),
@@ -167,7 +172,7 @@ fn failure_rate_drops_the_same_requests_at_any_thread_count() {
         &plan.config,
         &targets,
         &Executor::new(4),
-        &NullObserver,
+        &TimingObserver::new(),
     );
     let retries: usize = crawl.stats.iter().map(|s| s.retries).sum();
     assert!(retries > 0, "the crawler must retry injected failures");

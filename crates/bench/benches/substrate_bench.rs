@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pd_currency::{FxSeries, Locale};
 use pd_extract::HighlightExtractor;
-use pd_html::{parse, NodeId, Selector};
+use pd_html::{parse, LastParse, NodeId, Selector};
 use pd_net::clock::SimTime;
 use pd_net::geo::{Country, Location};
 use pd_pricing::quote::QuoteContext;
@@ -56,8 +56,18 @@ fn bench_html(c: &mut Criterion) {
     // only as far as the highlight's anchor target. Family 0 is anchored
     // on `#product-detail` and stops early; family 3 has no id, so its
     // prefix parse is the whole page and the two cases should tie.
+    // Resumed: two copies that differ in their price alternate through
+    // one `LastParse`, so every extraction resumes the parse of the
+    // other copy after the bytes they share, as a check's later copies do.
     for style in [0, 3] {
         let page = render_html(style, &sample_input());
+        let other = render_html(
+            style,
+            &RenderInput {
+                price_text: "1.199,00\u{a0}€".to_owned(),
+                ..sample_input()
+            },
+        );
         let own = parse(&page);
         let ex = HighlightExtractor::from_highlight(&own, &price_selector(style)).unwrap();
         let hint = Some(Locale::of_country(Country::Germany));
@@ -65,7 +75,20 @@ fn bench_html(c: &mut Criterion) {
             b.iter(|| black_box(ex.extract(&pd_html::parse_pooled(&page), hint).unwrap()));
         });
         g.bench_function(&format!("extract_prefix_parse_family_{style}"), |b| {
-            b.iter(|| black_box(ex.extract_html(&page, hint).unwrap()));
+            b.iter(|| {
+                black_box(
+                    ex.extract(&ex.path().parse_pooled_prefix(&page), hint)
+                        .unwrap(),
+                )
+            });
+        });
+        let mut last = LastParse::new();
+        let mut copies = [&page, &other].into_iter().cycle();
+        g.bench_function(&format!("extract_resumed_family_{style}"), |b| {
+            b.iter(|| {
+                let copy = copies.next().expect("cycles forever");
+                black_box(ex.extract_html(copy, hint, &mut last).unwrap())
+            });
         });
     }
     g.bench_function("highlight_capture_and_resolve", |b| {

@@ -179,15 +179,22 @@ pub fn crowd_stage(
     let plans = world.crowd.plan_campaign(&world.web);
     obs.counter(StageKind::Crowd, "planned_checks", plans.len() as u64);
     let results = exec.map_indexed(plans.len(), |i| {
-        world
+        let mut tally = CopyTally::default();
+        let m = world
             .crowd
-            .execute_check(&world.web, &world.sheriff, &plans[i])
+            .execute_check(&world.web, &world.sheriff, &plans[i], &mut tally);
+        (m, tally)
     });
     let mut raw = MeasurementStore::new();
-    for m in results.into_iter().flatten() {
-        raw.push(m);
+    let mut tally = CopyTally::default();
+    for (m, t) in results {
+        if let Some(m) = m {
+            raw.push(m);
+        }
+        tally += t;
     }
     obs.counter(StageKind::Crowd, "measurements", raw.len() as u64);
+    fanout_counters(obs, StageKind::Crowd, tally);
 
     let (cleaned, cleaning) = if plan.cleaning {
         clean_crowd_store(world, &plan.config, &raw, exec)
@@ -374,13 +381,15 @@ pub fn crawl_stage(
     let crawler = Crawler::new(config.seed, config.crawl.clone());
     obs.counter(StageKind::Crawl, "retailers", targets.len() as u64);
     let shards = exec.map_indexed(targets.len(), |i| {
-        crawler.crawl_one(&world.web, &world.sheriff, &targets[i])
+        crawler.crawl_one_tallied(&world.web, &world.sheriff, &targets[i])
     });
     let mut store = MeasurementStore::new();
     let mut stats = Vec::with_capacity(shards.len());
-    for (shard, s) in shards {
+    let mut tally = CopyTally::default();
+    for (shard, s, t) in shards {
         store.extend(shard);
         stats.push(s);
+        tally += t;
     }
     obs.counter(
         StageKind::Crawl,
@@ -392,6 +401,7 @@ pub fn crawl_stage(
         "retries",
         stats.iter().map(|s| s.retries as u64).sum(),
     );
+    fanout_counters(obs, StageKind::Crawl, tally);
     CrawlArtifact { store, stats }
 }
 
@@ -505,6 +515,14 @@ pub fn persona_stage(
         persona,
         probes: Some(probes),
     }
+}
+
+/// Reports the synchronized checks' fetched copies, extracted copies and
+/// extractions that resumed the parse of the copy before, under `stage`.
+fn fanout_counters(obs: &TimingObserver, stage: StageKind, tally: CopyTally) {
+    obs.counter(stage, "copies", tally.copies);
+    obs.counter(stage, "extracted", tally.extracted);
+    obs.counter(stage, "resumed", tally.resumed);
 }
 
 /// Reports a probe family's fetched and extracted copies under `stage`.

@@ -436,7 +436,8 @@ mod tests {
             tally,
             CopyTally {
                 copies: 4 * 12,
-                extracted: 4 * 12
+                extracted: 4 * 12,
+                resumed: 0
             }
         );
     }

@@ -15,7 +15,7 @@
 use pd_extract::HighlightExtractor;
 use pd_net::clock::{SimDuration, SimTime};
 use pd_sheriff::measurement::{Measurement, NoiseTruth};
-use pd_sheriff::{MeasurementStore, Sheriff};
+use pd_sheriff::{CopyTally, MeasurementStore, Sheriff};
 use pd_util::{ProductId, RequestId, Seed, UserId};
 use pd_web::template::price_selector;
 use pd_web::{Request, WebWorld};
@@ -122,9 +122,24 @@ impl Crawler {
         sheriff: &Sheriff,
         domain: &str,
     ) -> (MeasurementStore, RetailerCrawlStats) {
-        let mut store = MeasurementStore::new();
-        let stats = self.crawl_retailer(world, sheriff, domain, &mut store);
+        let (store, stats, _) = self.crawl_one_tallied(world, sheriff, domain);
         (store, stats)
+    }
+
+    /// [`crawl_one`](Crawler::crawl_one), with the copies its checks
+    /// fetched, extracted and parsed by resuming
+    /// ([`Sheriff::check_tallied`]).
+    #[must_use]
+    pub fn crawl_one_tallied(
+        &self,
+        world: &WebWorld,
+        sheriff: &Sheriff,
+        domain: &str,
+    ) -> (MeasurementStore, RetailerCrawlStats, CopyTally) {
+        let mut store = MeasurementStore::new();
+        let mut tally = CopyTally::default();
+        let stats = self.crawl_retailer(world, sheriff, domain, &mut store, &mut tally);
+        (store, stats, tally)
     }
 
     fn crawl_retailer(
@@ -133,6 +148,7 @@ impl Crawler {
         sheriff: &Sheriff,
         domain: &str,
         store: &mut MeasurementStore,
+        tally: &mut CopyTally,
     ) -> RetailerCrawlStats {
         let mut stats = RetailerCrawlStats {
             domain: domain.to_owned(),
@@ -163,14 +179,23 @@ impl Crawler {
             for &pid in &sample {
                 let product = catalog.product(pid);
                 let path = format!("/product/{}", product.slug);
-                let mut observations = sheriff.check(world, domain, &path, &extractor, t, &[]);
+                let mut observations =
+                    sheriff.check_tallied(world, domain, &path, &extractor, t, &[], tally);
                 // Retry any failed observation once — transient failures
                 // are the normal case on the real web; here the path is
                 // exercised by unknown-host tests.
                 if observations.iter().any(|o| o.price.is_none()) {
                     stats.retries += 1;
                     let retry_t = t + SimDuration::from_secs(30);
-                    let retried = sheriff.check(world, domain, &path, &extractor, retry_t, &[]);
+                    let retried = sheriff.check_tallied(
+                        world,
+                        domain,
+                        &path,
+                        &extractor,
+                        retry_t,
+                        &[],
+                        tally,
+                    );
                     for (slot, new) in observations.iter_mut().zip(retried) {
                         if slot.price.is_none() && new.price.is_some() {
                             *slot = new;

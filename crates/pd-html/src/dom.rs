@@ -116,6 +116,29 @@ impl Node {
     };
 }
 
+/// The arena lengths of a [`Document`] at one moment of its build; see
+/// [`Document::rewind`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Mark {
+    nodes: u32,
+    attrs: u32,
+    buf: u32,
+}
+
+impl Mark {
+    /// A document holding only its root.
+    pub(crate) const ROOT: Mark = Mark {
+        nodes: 1,
+        attrs: 0,
+        buf: 0,
+    };
+
+    /// The number of nodes kept, the root included.
+    pub(crate) fn nodes(self) -> usize {
+        self.nodes as usize
+    }
+}
+
 /// An HTML document: an arena of nodes rooted at [`NodeId::ROOT`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
@@ -153,10 +176,47 @@ impl Document {
     /// Empties the document back to the root, keeping its buffers'
     /// capacity.
     pub(crate) fn clear(&mut self) {
-        self.nodes.truncate(1);
-        self.nodes[0] = Node::ROOT;
-        self.attrs.clear();
-        self.buf.clear();
+        self.rewind(Mark::ROOT, NodeId::ROOT);
+    }
+
+    /// The lengths of the three arenas, for a later [`Document::rewind`].
+    pub(crate) fn mark(&self) -> Mark {
+        let len = |n: usize| u32::try_from(n).expect("document arena overflow");
+        Mark {
+            nodes: len(self.nodes.len()),
+            attrs: len(self.attrs.len()),
+            buf: len(self.buf.len()),
+        }
+    }
+
+    /// Rolls the document back to `mark`, taken while `top` was the
+    /// insertion point of a tree builder that appends every node under
+    /// its insertion point: the nodes, attributes and bytes appended
+    /// since are dropped and unlinked, leaving exactly the document as
+    /// it was at the mark.
+    ///
+    /// Only open elements (`top` and its ancestors) gained children
+    /// after the mark, and `top` is an ancestor of (or is) the last node
+    /// kept. Every node on that last node's ancestor path was its
+    /// parent's last child at the mark: a later sibling is appended only
+    /// once the earlier one has closed. So relinking that path restores
+    /// every link the dropped nodes changed.
+    pub(crate) fn rewind(&mut self, mark: Mark, top: NodeId) {
+        self.nodes.truncate(mark.nodes as usize);
+        self.attrs.truncate(mark.attrs as usize);
+        self.buf.truncate(mark.buf as usize);
+        let last = NodeId::new(self.nodes.len() - 1);
+        if last == top {
+            let node = &mut self.nodes[top.index()];
+            node.first_child = None;
+            node.last_child = None;
+        }
+        let mut child = last;
+        while let Some(parent) = self.nodes[child.index()].parent {
+            self.nodes[child.index()].next_sibling = None;
+            self.nodes[parent.index()].last_child = Some(child);
+            child = parent;
+        }
     }
 
     /// Number of nodes, including the root.

@@ -15,8 +15,10 @@
 //! * [`escape`] — entity escaping/unescaping,
 //! * [`token`] — a streaming tokenizer whose tokens borrow the input,
 //! * [`dom`] — an arena-backed document tree over one string buffer,
-//! * [`parser`] — tree construction from tokens, and [`parse_pooled`],
-//!   which reuses each thread's documents across pages,
+//! * [`parser`] — tree construction from tokens, [`parse_pooled`],
+//!   which reuses each thread's documents across pages, and
+//!   [`LastParse`], which parses a check's next copy from where it
+//!   differs from the last one,
 //! * [`selector`] — a CSS-like selector engine (tag / `#id` / `.class` /
 //!   `[attr]`, descendant and child combinators),
 //! * [`path`] — structural node paths, the representation of a user's
@@ -52,5 +54,5 @@ pub use build::{
 pub use dom::{Document, NodeData, NodeId};
 pub use parser::parse;
 pub use path::NodePath;
-pub use pool::{parse_pooled, pooled_live, PooledDocument};
+pub use pool::{parse_pooled, pooled_live, LastParse, PooledDocument};
 pub use selector::Selector;

@@ -17,9 +17,14 @@
 //! The one tree-building loop, `parse_into_until`, can stop after any
 //! token that closes an element; [`parse`] and [`crate::parse_pooled`]
 //! never stop it, and [`crate::NodePath::parse_pooled_prefix`] stops it
-//! once the highlighted element has closed.
+//! once the highlighted element has closed. It can also start from a
+//! checkpoint an earlier parse recorded: the tree is append-only, so
+//! rolling a document back to a checkpoint ([`Document`]'s crate-private
+//! `rewind`) restores exactly what the parse held there, and a body that
+//! shares every byte the tokens before it read continues from it as a
+//! fresh parse would ([`crate::LastParse`]).
 
-use crate::dom::{is_void, Document, NodeData, NodeId};
+use crate::dom::{is_void, Document, Mark, NodeData, NodeId};
 use crate::token::{Token, Tokenizer};
 
 /// Parses HTML text into a document. Total: never fails, never panics;
@@ -38,29 +43,96 @@ use crate::token::{Token, Tokenizer};
 #[must_use]
 pub fn parse(input: &str) -> Document {
     let mut doc = Document::with_capacity_for(input.len());
-    parse_into_until(input, &mut doc, |_, _| false);
+    parse_into_until(input, &mut doc, Checkpoint::START, |_| {}, |_, _| false);
     doc
 }
 
-/// Builds the tree of `input` under the root of `doc`, which must hold
-/// only its root, until `done` says to stop: after each token that
+/// A token boundary of a parse that a later parse can resume from:
+/// where the tokenizer stood, the insertion point, and how far the
+/// document's arenas reached.
+///
+/// Checkpoints are recorded only after a token other than text and
+/// outside `<script>`/`<style>` raw text. The tokens before one then
+/// read no byte at or past `pos`, save that an unterminated construct
+/// may have run into the end of input there. (A text run reads one byte
+/// past the `<` that ends it; raw text reads its whole close tag.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Checkpoint {
+    /// Where the next token starts.
+    pos: usize,
+    /// The insertion point.
+    top: NodeId,
+    /// The document's arena lengths.
+    mark: Mark,
+}
+
+impl Checkpoint {
+    /// Before the first token, on an empty document.
+    pub(crate) const START: Checkpoint = Checkpoint {
+        pos: 0,
+        top: NodeId::ROOT,
+        mark: Mark::ROOT,
+    };
+
+    /// Whether a parse of another input reaches this checkpoint exactly
+    /// as the parse that recorded it did, given that the two inputs share
+    /// their first `common` bytes: byte `pos` is shared too, so neither
+    /// input ends at `pos`.
+    pub(crate) fn holds_within(self, common: usize) -> bool {
+        self.pos < common
+    }
+
+    /// Where the next token starts.
+    pub(crate) fn pos(self) -> usize {
+        self.pos
+    }
+
+    /// The nodes the document holds here, the root included.
+    pub(crate) fn nodes(self) -> usize {
+        self.mark.nodes()
+    }
+
+    /// Rolls `doc`, built by a parse that passed this checkpoint, back to
+    /// what it held here.
+    pub(crate) fn rewind(self, doc: &mut Document) {
+        doc.rewind(self.mark, self.top);
+    }
+}
+
+/// Builds the tree of `input` into `doc` from checkpoint `from` on,
+/// until `done` says to stop; `doc` must hold what the parse held at
+/// `from` ([`Checkpoint::START`]: only its root). After each token that
 /// closes an element (a matched end tag, an implicit close, or a void or
 /// self-closing start tag) it asks `done(doc, top)`, where `top` is the
 /// new insertion point. The tree is append-only, so a stopped parse has
 /// built exactly what the whole input builds at those nodes, and a
 /// closed element's subtree is final.
+///
+/// Every checkpoint passed is handed to `record`; returns the position
+/// after the token `done` stopped at, or `None` at the end of input.
 pub(crate) fn parse_into_until(
     input: &str,
     doc: &mut Document,
+    from: Checkpoint,
+    mut record: impl FnMut(Checkpoint),
     mut done: impl FnMut(&Document, NodeId) -> bool,
-) {
-    debug_assert_eq!(doc.len(), 1, "parse_into_until needs an empty document");
-    let mut tokens = Tokenizer::new(input);
+) -> Option<usize> {
+    debug_assert_eq!(
+        doc.mark(),
+        from.mark,
+        "the document is not at the checkpoint"
+    );
+    let mut tokens = Tokenizer::at(input, from.pos);
     // The insertion point: the innermost open element (or the root).
-    let mut top = NodeId::ROOT;
+    let mut top = from.top;
+    // A doctype after the first element is appended off the open chain,
+    // where `Document::rewind` cannot relink it: no checkpoint follows.
+    let mut resumable = true;
     while let Some(token) = tokens.next() {
+        let text = matches!(token, Token::Text(_));
         let closed = match token {
             Token::Doctype(d) => {
+                resumable &= top == NodeId::ROOT;
                 doc.append(NodeId::ROOT, NodeData::Doctype(d));
                 false
             }
@@ -111,10 +183,18 @@ pub(crate) fn parse_into_until(
                 }
             }
         };
+        if resumable && !text && !tokens.raw_text_pending() {
+            record(Checkpoint {
+                pos: tokens.pos(),
+                top,
+                mark: doc.mark(),
+            });
+        }
         if closed && done(doc, top) {
-            return;
+            return Some(tokens.pos());
         }
     }
+    None
 }
 
 /// The innermost open element named `tag` — `top` or one of its

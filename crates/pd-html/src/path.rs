@@ -24,7 +24,7 @@
 //! them, and a closed element's subtree is final.
 
 use crate::dom::{Document, NodeId};
-use crate::pool::{parse_pooled, parse_pooled_until, PooledDocument};
+use crate::pool::{parse_pooled, parse_pooled_until, LastParse, PooledDocument, StopRule, ToEnd};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -137,15 +137,24 @@ impl NodePath {
         let Some((id, steps)) = &self.anchor else {
             return parse_pooled(html);
         };
-        let mut stop = AnchorStop {
-            id,
-            steps,
-            tag: &self.tag,
-            scanned: 1,
-            anchor: None,
-            target: None,
-        };
+        let mut stop = AnchorStop::new(id, steps, &self.tag, AnchorMemo::default());
         parse_pooled_until(html, |doc, top| stop.closed(doc, top))
+    }
+
+    /// [`NodePath::parse_pooled_prefix`] of `html`, parsed into `last`
+    /// from the last checkpoint of the copy `last` parsed before that
+    /// lies inside the two bodies' common byte prefix; the document is
+    /// the same either way. `last` must only ever parse for this path.
+    pub fn parse_prefix_after<'l>(&self, html: &str, last: &'l mut LastParse) -> &'l Document {
+        match &self.anchor {
+            None => last.parse(html, &mut ToEnd),
+            Some((id, steps)) => {
+                let mut stop = AnchorStop::new(id, steps, &self.tag, last.anchor);
+                last.parse(html, &mut stop);
+                last.anchor = stop.memo;
+            }
+        }
+        last.document()
     }
 
     fn resolve_by_anchor(&self, doc: &Document) -> Option<NodeId> {
@@ -196,36 +205,76 @@ pub enum ResolveStrategy {
     Absolute,
 }
 
+/// What the anchor stop rule has learned of a document, kept by a
+/// [`LastParse`] across the copies it parses.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AnchorMemo {
+    /// Arena nodes already searched for the anchor id. Elements are
+    /// appended in document order, so the first hit among the new nodes
+    /// is the page's first element with the id.
+    scanned: usize,
+    anchor: Option<NodeId>,
+}
+
+impl Default for AnchorMemo {
+    fn default() -> Self {
+        AnchorMemo {
+            scanned: 1,
+            anchor: None,
+        }
+    }
+}
+
+impl AnchorMemo {
+    /// What was learned from the first `kept` nodes alone.
+    fn rewind(self, kept: usize) -> Self {
+        match self.anchor {
+            Some(anchor) if anchor.index() < kept => self,
+            _ => AnchorMemo {
+                scanned: self.scanned.min(kept),
+                anchor: None,
+            },
+        }
+    }
+}
+
 /// The stop rule of [`NodePath::parse_pooled_prefix`], asked after each
 /// token that closes an element.
 struct AnchorStop<'p> {
     id: &'p str,
     steps: &'p [Step],
     tag: &'p str,
-    /// Arena nodes already searched for the anchor id. Elements are
-    /// appended in document order, so the first hit among the new nodes
-    /// is the page's first element with the id.
-    scanned: usize,
-    anchor: Option<NodeId>,
+    memo: AnchorMemo,
     /// The resolved target: `Some(None)` when it has another tag, so the
     /// anchor strategy fails whatever follows.
     target: Option<Option<NodeId>>,
 }
 
-impl AnchorStop<'_> {
+impl<'p> AnchorStop<'p> {
+    fn new(id: &'p str, steps: &'p [Step], tag: &'p str, memo: AnchorMemo) -> Self {
+        AnchorStop {
+            id,
+            steps,
+            tag,
+            memo,
+            target: None,
+        }
+    }
+
     /// Whether the anchor target exists, has the captured tag and is no
     /// longer on the open-element chain that ends at `top`.
     fn closed(&mut self, doc: &Document, top: NodeId) -> bool {
         let target = match self.target {
             Some(target) => target,
             None => {
-                if self.anchor.is_none() {
-                    self.anchor = (self.scanned..doc.len())
+                let memo = &mut self.memo;
+                if memo.anchor.is_none() {
+                    memo.anchor = (memo.scanned..doc.len())
                         .map(NodeId::new)
                         .find(|&n| doc.element_id(n) == Some(self.id));
-                    self.scanned = doc.len();
+                    memo.scanned = doc.len();
                 }
-                let Some(target) = self.anchor.and_then(|a| walk_steps(doc, a, self.steps)) else {
+                let Some(target) = memo.anchor.and_then(|a| walk_steps(doc, a, self.steps)) else {
                     return false;
                 };
                 let target = (doc.tag(target) == Some(self.tag)).then_some(target);
@@ -236,6 +285,17 @@ impl AnchorStop<'_> {
         target.is_some_and(|target| {
             !std::iter::successors(Some(top), |&n| doc.parent(n)).any(|n| n == target)
         })
+    }
+}
+
+impl StopRule for AnchorStop<'_> {
+    fn rewind(&mut self, kept: usize) {
+        self.memo = self.memo.rewind(kept);
+        self.target = None;
+    }
+
+    fn done(&mut self, doc: &Document, top: NodeId) -> bool {
+        self.closed(doc, top)
     }
 }
 

@@ -1,4 +1,5 @@
-//! Per-thread document reuse for parsing fetched pages.
+//! Per-thread document reuse for parsing fetched pages, and resumed
+//! parses of a check's later copies.
 //!
 //! Every synchronized check fetches 14 copies of a page and parses each
 //! distinct one (same-country copies with identical bytes are parsed
@@ -7,11 +8,21 @@
 //! thousands of checks, so a run still parses thousands of pages.
 //! [`parse_pooled`] keeps each worker thread's finished documents on a
 //! small free list and parses the next page into one of them, so a page
-//! costs no arena or buffer allocation once the thread has warmed up. A global live count (documents currently checked
-//! out) lets tests prove every guard gave its document back.
+//! costs no arena or buffer allocation once the thread has warmed up.
+//! A global live count (documents currently checked out) lets tests
+//! prove every guard gave its document back.
+//!
+//! The copies of one check are one page with different price strings,
+//! byte for byte equal up to the first price. [`LastParse`] keeps a
+//! check's last parsed copy: its body, its pooled document and the
+//! checkpoints its parse passed. The next copy is parsed by rolling that
+//! document back to the last checkpoint inside the two bodies' common
+//! byte prefix and resuming there, which builds exactly the document a
+//! fresh parse builds.
 
 use crate::dom::{Document, NodeId};
-use crate::parser::parse_into_until;
+use crate::parser::{parse_into_until, Checkpoint};
+use crate::path::AnchorMemo;
 use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,10 +60,17 @@ pub(crate) fn parse_pooled_until(
     input: &str,
     done: impl FnMut(&Document, NodeId) -> bool,
 ) -> PooledDocument {
-    let mut doc = FREE
+    let mut guard = checkout(input.len());
+    parse_into_until(input, guard.doc_mut(), Checkpoint::START, |_| {}, done);
+    guard
+}
+
+/// An empty document from this thread's free list (or a new one with
+/// room for a page of `len` bytes), checked out.
+fn checkout(len: usize) -> PooledDocument {
+    let doc = FREE
         .with(|free| free.borrow_mut().pop())
-        .unwrap_or_else(|| Document::with_capacity_for(input.len()));
-    parse_into_until(input, &mut doc, done);
+        .unwrap_or_else(|| Document::with_capacity_for(len));
     LIVE.fetch_add(1, Ordering::Relaxed);
     PooledDocument { doc: Some(doc) }
 }
@@ -69,6 +87,12 @@ pub fn pooled_live() -> usize {
 pub struct PooledDocument {
     /// Always `Some` until dropped.
     doc: Option<Document>,
+}
+
+impl PooledDocument {
+    fn doc_mut(&mut self) -> &mut Document {
+        self.doc.as_mut().expect("a live guard holds its document")
+    }
 }
 
 impl Deref for PooledDocument {
@@ -96,4 +120,128 @@ impl Drop for PooledDocument {
             }
         });
     }
+}
+
+/// When a resumable parse stops; see [`LastParse`].
+pub(crate) trait StopRule {
+    /// Forgets what it learned from the nodes at index `kept` and beyond,
+    /// which a rewind has just dropped.
+    fn rewind(&mut self, kept: usize);
+
+    /// Whether to stop after a token that closed an element, with `top`
+    /// the new insertion point.
+    fn done(&mut self, doc: &Document, top: NodeId) -> bool;
+}
+
+/// The stop rule of a whole-page parse: never.
+pub(crate) struct ToEnd;
+
+impl StopRule for ToEnd {
+    fn rewind(&mut self, _: usize) {}
+
+    fn done(&mut self, _: &Document, _: NodeId) -> bool {
+        false
+    }
+}
+
+/// The last page copy parsed in one scope (one synchronized check):
+/// its body, its pooled document and the checkpoints its parse passed,
+/// so that the next copy is parsed only from where the two differ.
+///
+/// [`crate::NodePath::parse_prefix_after`] parses a copy into it: the
+/// document is rolled back to the last checkpoint that lies inside the
+/// common byte prefix of the new body and the last one, and the parse
+/// resumes there. The result equals
+/// [`crate::NodePath::parse_pooled_prefix`] of the new body. One
+/// `LastParse` serves one [`crate::NodePath`]; it holds its document
+/// (counted by [`pooled_live`]) until dropped.
+#[derive(Debug, Default)]
+pub struct LastParse {
+    /// `None` until the first parse.
+    doc: Option<PooledDocument>,
+    body: String,
+    checkpoints: Vec<Checkpoint>,
+    /// The position after the token the last parse stopped at, if the
+    /// stop rule ended it before the end of input.
+    stopped_at: Option<usize>,
+    /// The anchor stop rule's memo, valid for `doc`.
+    pub(crate) anchor: AnchorMemo,
+    resumed: u64,
+}
+
+impl LastParse {
+    /// A scope with no copy parsed yet.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// How many parses resumed from a checkpoint of the copy before them
+    /// rather than starting over.
+    #[must_use]
+    pub fn resumed(&self) -> u64 {
+        self.resumed
+    }
+
+    /// The last copy's document.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the first parse.
+    pub(crate) fn document(&self) -> &Document {
+        self.doc.as_ref().expect("a copy was parsed")
+    }
+
+    /// Parses `input` in place of the last copy, stopping where `stop`
+    /// says, from the last checkpoint the two bodies share.
+    pub(crate) fn parse(&mut self, input: &str, stop: &mut impl StopRule) {
+        let LastParse {
+            doc,
+            body,
+            checkpoints,
+            stopped_at,
+            resumed,
+            ..
+        } = self;
+        let doc = doc.get_or_insert_with(|| checkout(input.len())).doc_mut();
+        let common = common_prefix(body.as_bytes(), input.as_bytes());
+        let kept = checkpoints.partition_point(|c| c.holds_within(common));
+        let from = match kept.checked_sub(1) {
+            Some(last) => {
+                *resumed += 1;
+                checkpoints[last]
+            }
+            None => Checkpoint::START,
+        };
+        checkpoints.truncate(kept);
+        from.rewind(doc);
+        stop.rewind(from.nodes());
+        // At the token the last parse stopped at, a fresh parse of `input`
+        // stops too: nothing is left to parse.
+        if *stopped_at != Some(from.pos()) {
+            *stopped_at = parse_into_until(
+                input,
+                doc,
+                from,
+                |c| checkpoints.push(c),
+                |doc, top| stop.done(doc, top),
+            );
+        }
+        body.clear();
+        body.push_str(input);
+    }
+}
+
+/// The length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    const CHUNK: usize = 16;
+    let len = a.len().min(b.len());
+    let mut at = 0;
+    while at + CHUNK <= len && a[at..at + CHUNK] == b[at..at + CHUNK] {
+        at += CHUNK;
+    }
+    while at < len && a[at] == b[at] {
+        at += 1;
+    }
+    at
 }

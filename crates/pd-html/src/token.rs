@@ -72,13 +72,31 @@ impl<'a> Tokenizer<'a> {
     /// Starts tokenizing `input` from the beginning.
     #[must_use]
     pub(crate) fn new(input: &'a str) -> Self {
+        Self::at(input, 0)
+    }
+
+    /// Starts tokenizing `input` at byte `pos`, a position this
+    /// tokenizer reported ([`Tokenizer::pos`]) outside raw text.
+    #[must_use]
+    pub(crate) fn at(input: &'a str, pos: usize) -> Self {
         Tokenizer {
             input,
             bytes: input.as_bytes(),
-            pos: 0,
+            pos,
             raw_text_of: None,
             spare_attrs: Vec::new(),
         }
+    }
+
+    /// Where the next token starts.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Whether a `<script>`/`<style>` start tag's raw text comes next,
+    /// which a tokenizer started with [`Tokenizer::at`] would not know.
+    pub(crate) fn raw_text_pending(&self) -> bool {
+        self.raw_text_of.is_some()
     }
 
     /// Returns a start tag's attribute list for reuse by the next one.

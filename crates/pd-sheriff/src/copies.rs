@@ -17,6 +17,13 @@
 //! `pd-analysis` (scope: one product) and `pd-core`'s cleaning refetch
 //! and tax check (scope: one fetch). Bodies are compared whole, not
 //! hashed, and the memo is dropped with its scope.
+//!
+//! The distinct copies of one check still share most of their bytes:
+//! the same page up to the first price string. So `Sheriff::check` also
+//! keeps its last parsed 200 copy ([`pd_html::LastParse`]) and parses
+//! each later distinct copy only from where the two differ; its
+//! [`CopyTally`] counts those resumed parses. The probes parse each
+//! copy whole and never resume.
 
 use pd_currency::{Locale, Price};
 use pd_extract::HighlightExtractor;
@@ -28,20 +35,26 @@ use std::iter::Sum;
 use std::net::Ipv4Addr;
 use std::ops::AddAssign;
 
-/// How many copies a scope was handed and how many of them it
-/// extracted; the rest reused an earlier extraction.
+/// How many copies a scope was handed, how many of them it extracted
+/// (the rest reused an earlier extraction), and how many of those
+/// extractions resumed the parse of the copy before them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CopyTally {
     /// Copies handed to [`DistinctCopies::reuse_or_extract`].
     pub copies: u64,
     /// Copies whose extraction actually ran.
     pub extracted: u64,
+    /// Extractions whose parse resumed from a checkpoint of the scope's
+    /// last parsed copy ([`pd_html::LastParse`]); only
+    /// [`crate::Sheriff::check`] resumes.
+    pub resumed: u64,
 }
 
 impl AddAssign for CopyTally {
     fn add_assign(&mut self, other: CopyTally) {
         self.copies += other.copies;
         self.extracted += other.extracted;
+        self.resumed += other.resumed;
     }
 }
 
@@ -183,7 +196,8 @@ mod tests {
             copies.tally(),
             CopyTally {
                 copies: 4,
-                extracted: 3
+                extracted: 3,
+                resumed: 0
             }
         );
     }

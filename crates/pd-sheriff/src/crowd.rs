@@ -15,6 +15,7 @@
 //! * a small fraction of checks carry the paper's noise: product
 //!   customization not encoded in the URI, and mis-highlights.
 
+use crate::copies::CopyTally;
 use crate::fanout::Sheriff;
 use crate::measurement::{Measurement, MeasurementStore, NoiseTruth, PriceObservation};
 use pd_currency::Locale;
@@ -278,9 +279,10 @@ impl Crowd {
     }
 
     /// Parallel-safe entry point: executes one planned check end to end
-    /// (render the user's own page, capture the highlight, fan out).
-    /// Pure in all inputs — plans may be executed in any order, or
-    /// concurrently, and merged by plan order.
+    /// (render the user's own page, capture the highlight, fan out),
+    /// adding the fan-out's copies to `tally`
+    /// ([`Sheriff::check_tallied`]). Pure in all inputs — plans may be
+    /// executed in any order, or concurrently, and merged by plan order.
     ///
     /// # Panics
     ///
@@ -291,6 +293,7 @@ impl Crowd {
         world: &WebWorld,
         sheriff: &Sheriff,
         plan: &CheckPlan,
+        tally: &mut CopyTally,
     ) -> Option<Measurement> {
         // Highlight: the price element, or — mis-highlight noise — the promo.
         let highlight = if plan.noise == NoiseTruth::MisHighlight {
@@ -308,6 +311,7 @@ impl Crowd {
             plan.time,
             plan.noise,
             plan.check_idx,
+            tally,
         )
     }
 
@@ -319,7 +323,7 @@ impl Crowd {
     pub fn run_campaign(&self, world: &WebWorld, sheriff: &Sheriff) -> MeasurementStore {
         let mut store = MeasurementStore::new();
         for plan in self.plan_campaign(world) {
-            if let Some(m) = self.execute_check(world, sheriff, &plan) {
+            if let Some(m) = self.execute_check(world, sheriff, &plan, &mut CopyTally::default()) {
                 store.push(m);
             }
         }
@@ -362,6 +366,7 @@ fn run_one_check(
     time: SimTime,
     noise: NoiseTruth,
     check_idx: usize,
+    tally: &mut CopyTally,
 ) -> Option<Measurement> {
     let path = format!("/product/{slug}");
     let own_req = Request::get(domain, &path, user.addr, time);
@@ -385,7 +390,7 @@ fn run_one_check(
     });
 
     let observations: Vec<PriceObservation> =
-        sheriff.check(world, domain, &path, &extractor, time, &[]);
+        sheriff.check_tallied(world, domain, &path, &extractor, time, &[], tally);
 
     Some(Measurement {
         request: RequestId::new(check_idx as u32), // overwritten by store
@@ -515,7 +520,7 @@ mod tests {
             .rev()
             .filter_map(|p| {
                 crowd
-                    .execute_check(&world, &sheriff, p)
+                    .execute_check(&world, &sheriff, p, &mut CopyTally::default())
                     .map(|m| (p.check_idx, m))
             })
             .collect();

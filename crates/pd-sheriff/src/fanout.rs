@@ -6,10 +6,11 @@
 //! instant plus its one-way network latency (hundreds of ms at most — the
 //! ablation bench removes this synchronization to show what breaks).
 
-use crate::copies::DistinctCopies;
+use crate::copies::{CopyTally, DistinctCopies};
 use crate::measurement::PriceObservation;
 use pd_currency::Locale;
-use pd_extract::HighlightExtractor;
+use pd_extract::{ExtractError, Extracted, HighlightExtractor};
+use pd_html::LastParse;
 use pd_net::clock::{SimDuration, SimTime};
 use pd_net::geo::Country;
 use pd_net::latency::LatencyModel;
@@ -90,11 +91,16 @@ impl Sheriff {
     /// own vantage id: the extractor is fixed for the check and the locale
     /// hint depends only on the country, so re-extracting it would give
     /// exactly that observation. Failed (non-200) copies are never
-    /// reused. An extracted copy is parsed only until the highlight's
-    /// anchor target has closed ([`HighlightExtractor::extract_html`]),
-    /// which gives what the whole page would; a copy the anchor does not
-    /// resolve on is parsed whole.
-    /// The result equals [`check_one`] at every index.
+    /// reused.
+    ///
+    /// An extracted copy is parsed only until the highlight's anchor
+    /// target has closed, which gives what the whole page would; a copy
+    /// the anchor does not resolve on is parsed whole. The check keeps
+    /// its last parsed 200 copy ([`LastParse`]), and each later one is
+    /// parsed only from the last checkpoint inside the bytes the two
+    /// share ([`HighlightExtractor::extract_html`]); a failed copy is
+    /// never a resume base. The result equals [`check_one`] at every
+    /// index.
     ///
     /// [`check_one`]: Sheriff::check_one
     #[must_use]
@@ -107,36 +113,56 @@ impl Sheriff {
         time: SimTime,
         extra_cookies: &[(String, String)],
     ) -> Vec<PriceObservation> {
-        self.check_with(world, host, path, time, extra_cookies, |resp, vp| {
-            extract_copy(resp, vp, extractor)
-        })
+        let mut tally = CopyTally::default();
+        self.check_tallied(
+            world,
+            host,
+            path,
+            extractor,
+            time,
+            extra_cookies,
+            &mut tally,
+        )
     }
 
-    /// [`check`](Sheriff::check) with the per-copy extraction passed in,
-    /// so tests can count how many copies were actually extracted.
-    fn check_with(
+    /// [`check`](Sheriff::check), adding its copies, extractions and
+    /// resumed parses to `tally`.
+    #[must_use]
+    #[allow(clippy::too_many_arguments)]
+    pub fn check_tallied(
         &self,
         world: &WebWorld,
         host: &str,
         path: &str,
+        extractor: &HighlightExtractor,
         time: SimTime,
         extra_cookies: &[(String, String)],
-        mut extract: impl FnMut(&Response, &VantagePoint) -> PriceObservation,
+        tally: &mut CopyTally,
     ) -> Vec<PriceObservation> {
         let mut copies = DistinctCopies::new();
-        self.vantage_points
+        let mut last = LastParse::new();
+        let observations = self
+            .vantage_points
             .iter()
             .enumerate()
             .map(|(i, vp)| {
                 let resp = self.fetch_copy(world, host, path, time, extra_cookies, i);
-                let observation =
-                    copies.reuse_or_extract(vp.location.country, resp, |resp| extract(resp, vp));
+                let observation = copies.reuse_or_extract(vp.location.country, resp, |resp| {
+                    extract_copy(resp, vp, |html, hint| {
+                        extractor.extract_html(html, hint, &mut last)
+                    })
+                });
                 PriceObservation {
                     vantage: vp.id,
                     ..observation
                 }
             })
-            .collect()
+            .collect();
+        *tally += CopyTally {
+            resumed: last.resumed(),
+            ..copies.tally()
+        };
+        observations
     }
 
     /// One copy of a check, fetched and extracted on its own: the
@@ -161,7 +187,9 @@ impl Sheriff {
         i: usize,
     ) -> PriceObservation {
         let resp = self.fetch_copy(world, host, path, time, extra_cookies, i);
-        extract_copy(&resp, &self.vantage_points[i], extractor)
+        extract_copy(&resp, &self.vantage_points[i], |html, hint| {
+            extractor.extract(&extractor.path().parse_pooled_prefix(html), hint)
+        })
     }
 
     /// Fetches the copy of vantage index `i`: a fresh session arriving at
@@ -194,18 +222,17 @@ impl Sheriff {
     }
 }
 
-/// Replays the highlight on one fetched copy, parsed only as far as the
-/// highlight needs, with the vantage point's country as the locale hint.
+/// Replays the highlight on one fetched copy with `extract`, given the
+/// body and the vantage point's country as the locale hint.
 fn extract_copy(
     resp: &Response,
     vp: &VantagePoint,
-    extractor: &HighlightExtractor,
+    extract: impl FnOnce(&str, Option<Locale>) -> Result<Extracted, ExtractError>,
 ) -> PriceObservation {
     if resp.status.code() != 200 {
         return PriceObservation::failed(vp.id, format!("http {}", resp.status.code()));
     }
-    let hint = Locale::of_country(vp.location.country);
-    match extractor.extract_html(&resp.body, Some(hint)) {
+    match extract(&resp.body, Some(Locale::of_country(vp.location.country))) {
         Ok(ex) => PriceObservation::ok(vp.id, ex.price, ex.raw_text),
         Err(e) => PriceObservation::failed(vp.id, e.to_string()),
     }
@@ -487,22 +514,56 @@ mod tests {
         }
     }
 
-    /// Runs a check through a counting extraction: the observations and
-    /// the number of copies actually extracted.
+    #[test]
+    fn check_one_matches_full_check_when_copies_fail() {
+        // Transient failures between distinct copies: a failed copy is
+        // never a resume base, so the next 200 copy resumes from the last
+        // one parsed, and every index still equals its lone reference.
+        let mut r = rig();
+        // The highlights come from the users' own pages, fetched before
+        // anything fails.
+        let mut cases = Vec::new();
+        for spec in paper_retailers(Seed::new(1307)) {
+            for slug in slugs(&r, &spec.domain, 2) {
+                let ex = highlight_for(&r, &spec.domain, &slug);
+                cases.push((spec.domain.clone(), format!("/product/{slug}"), ex));
+            }
+        }
+        r.world.set_failure_rate(0.3);
+        let time = SimTime::from_millis(40 * 24 * 3_600_000);
+        let (mut failed, mut resumed) = (0, 0);
+        for (domain, path, ex) in &cases {
+            let mut tally = CopyTally::default();
+            let full = r
+                .sheriff
+                .check_tallied(&r.world, domain, path, ex, time, &[], &mut tally);
+            resumed += tally.resumed;
+            for (i, obs) in full.iter().enumerate() {
+                let one = r
+                    .sheriff
+                    .check_one(&r.world, domain, path, ex, time, &[], i);
+                assert_eq!(one, *obs, "{domain}{path} vantage {i}");
+                failed += usize::from(obs.price.is_none());
+            }
+        }
+        assert!(failed > 100, "{failed} failed copies");
+        assert!(resumed > 100, "{resumed} resumed parses");
+    }
+
+    /// Runs a check: the observations and the number of copies actually
+    /// extracted.
     fn counted_check(
         r: &Rig,
         host: &str,
         path: &str,
         ex: &HighlightExtractor,
     ) -> (Vec<PriceObservation>, usize) {
-        let mut extractions = 0;
-        let obs = r
-            .sheriff
-            .check_with(&r.world, host, path, SimTime::EPOCH, &[], |resp, vp| {
-                extractions += 1;
-                extract_copy(resp, vp, ex)
-            });
-        (obs, extractions)
+        let mut tally = CopyTally::default();
+        let obs =
+            r.sheriff
+                .check_tallied(&r.world, host, path, ex, SimTime::EPOCH, &[], &mut tally);
+        assert_eq!(tally.copies, 14);
+        (obs, tally.extracted as usize)
     }
 
     /// The distinct `(country, body)` pairs among the 200 copies of a

@@ -533,21 +533,19 @@ fn execute_run(run: &RunArgs, registry: &ScenarioRegistry) -> Result<(), String>
             if !analysis_fresh {
                 stages.push(StageKind::Analysis.as_str());
             }
-            if !stages.is_empty() {
+            if stages.is_empty() {
+                outln!("artifacts: store up to date ({})", dir.display());
+            } else {
+                outln!(
+                    "artifacts: saved {} to {}",
+                    stages.join(", "),
+                    dir.display()
+                );
                 saves.push(StoreSave {
                     arm: label.clone(),
                     wall: started.elapsed(),
                     stages,
                 });
-            }
-            if saved.saved.is_empty() {
-                outln!("artifacts: store up to date ({})", dir.display());
-            } else {
-                outln!(
-                    "artifacts: saved {} + analysis to {}",
-                    saved.saved.join(", "),
-                    dir.display()
-                );
             }
         }
         outln!();

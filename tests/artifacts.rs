@@ -830,6 +830,35 @@ fn rerun_reanalyzes_a_stored_smoke_crawl_across_processes() {
     );
     // ...and prints no save line when nothing was written.
     assert_eq!(save_line(&stdout), None, "a second run saves nothing");
+    assert!(
+        stdout.contains("artifacts: store up to date"),
+        "a second run must say the store is up to date:\n{stdout}"
+    );
+    // A stage file deleted behind the manifest is written again, and both
+    // the message and the save line name that stage alone: the analysis
+    // entry is held and not rewritten.
+    let crawl_bin = dir.join("crawl.bin");
+    let crawl_bytes = std::fs::read(&crawl_bin).expect("crawl.bin written");
+    std::fs::remove_file(&crawl_bin).expect("rm crawl.bin");
+    let third = pd()
+        .args(["run", "smoke", "--seed", "7", "--timings", "--artifacts"])
+        .arg(&dir)
+        .output()
+        .expect("pd run executes");
+    assert!(third.status.success(), "pd run failed: {third:?}");
+    let stdout = String::from_utf8_lossy(&third.stdout);
+    assert!(
+        stdout.contains(&format!("artifacts: saved crawl to {}\n", dir.display())),
+        "the message must name the crawl only:\n{stdout}"
+    );
+    assert!(
+        save_line(&stdout).is_some_and(|l| l.ends_with(" ms  crawl")),
+        "the save line must name the crawl only:\n{stdout}"
+    );
+    assert_eq!(
+        std::fs::read(&crawl_bin).expect("crawl.bin rewritten"),
+        crawl_bytes
+    );
 
     let rerun = pd()
         .arg("rerun")

@@ -121,3 +121,48 @@ fn probes_extract_each_distinct_copy_once() {
     assert_eq!(probe_copy_counters(1307, 1), expected);
     assert_eq!(probe_copy_counters(1307, 2), expected);
 }
+
+/// The crowd and crawl stages' fan-out counters for paper@small at
+/// `seed` and `threads`: `(stage, counter, value)` for the copies, the
+/// extracted copies and the extractions that resumed a parse.
+fn fanout_copy_counters(seed: u64, threads: usize) -> Vec<(StageKind, String, u64)> {
+    let observer = Arc::new(TimingObserver::new());
+    let mut engine = Experiment::builder()
+        .scenario("paper")
+        .profile(Profile::Small)
+        .seed(seed)
+        .threads(threads)
+        .observer(observer.clone())
+        .build()
+        .expect("paper scenario builds");
+    engine.crowd();
+    engine.crawl();
+    observer
+        .timings()
+        .iter()
+        .filter(|t| matches!(t.stage, StageKind::Crowd | StageKind::Crawl))
+        .flat_map(|t| t.counters.iter().map(|(n, c)| (t.stage, n.clone(), *c)))
+        .filter(|(_, name, _)| matches!(name.as_str(), "copies" | "extracted" | "resumed"))
+        .collect()
+}
+
+/// Every synchronized check extracts each distinct copy once and parses
+/// each later distinct copy by resuming the parse of the one before it
+/// (`LastParse`). Pinned at paper@small seed 1307: a lost reuse raises
+/// `extracted`, a copy that no longer resumes lowers `resumed`.
+#[test]
+fn checks_resume_every_later_distinct_copy() {
+    let expected = vec![
+        // 150 checks × 14 copies; every check's first extracted copy is
+        // parsed from scratch, every later one resumes.
+        (StageKind::Crowd, "copies".to_owned(), 2100),
+        (StageKind::Crowd, "extracted".to_owned(), 1287),
+        (StageKind::Crowd, "resumed".to_owned(), 1137),
+        // 756 checks × 14 copies, no retries.
+        (StageKind::Crawl, "copies".to_owned(), 10_584),
+        (StageKind::Crawl, "extracted".to_owned(), 5781),
+        (StageKind::Crawl, "resumed".to_owned(), 5025),
+    ];
+    assert_eq!(fanout_copy_counters(1307, 1), expected);
+    assert_eq!(fanout_copy_counters(1307, 2), expected);
+}

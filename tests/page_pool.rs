@@ -3,11 +3,13 @@
 //! after parsing across a scoped executor), nested guards on one thread
 //! are independent, and a reused document parses exactly like a fresh
 //! one — also when the parse that held it before stopped early
-//! (`NodePath::parse_pooled_prefix`). One test function, so nothing else
-//! in this binary moves the process-wide live count while it is checked.
+//! (`NodePath::parse_pooled_prefix`). A `LastParse` holds one pooled
+//! document across the resumed parses of its copies and gives it back
+//! when dropped. One test function, so nothing else in this binary moves
+//! the process-wide live count while it is checked.
 
 use pd_core::Executor;
-use pd_html::{parse, parse_pooled, pooled_live, NodeId, NodePath, Selector};
+use pd_html::{parse, parse_pooled, pooled_live, LastParse, NodeId, NodePath, Selector};
 
 const PAGES: [&str; 3] = [
     "<!DOCTYPE html><html><body><div id=product><span class=\"price main\">$1,299.00</span>\
@@ -87,6 +89,38 @@ fn pooled_documents_return_to_the_pool_and_parse_like_fresh_ones() {
         let page = PAGES[i % PAGES.len()];
         let nested = parse_pooled(page);
         stopped.len() < whole.len() && *nested == parse(page)
+    });
+    assert!(matched.iter().all(|&ok| ok));
+    assert_eq!(pooled_live(), base);
+
+    // Resumed parses: a `LastParse` holds one pooled document across the
+    // copies it parses, and gives it back when dropped.
+    let copies = [
+        PAGES[0].to_owned(),
+        PAGES[0].replace("$1,299.00", "1.199,00&nbsp;&euro;"),
+        PAGES[0].replace("<li>b", "<li>c"),
+        PAGES[2].to_owned(),
+    ];
+    {
+        let mut last = LastParse::new();
+        assert_eq!(pooled_live(), base, "nothing is checked out before a parse");
+        for copy in copies.iter().chain(&copies) {
+            let doc = path.parse_prefix_after(copy, &mut last);
+            assert_eq!(*doc, *path.parse_pooled_prefix(copy));
+            assert_eq!(pooled_live(), base + 1);
+        }
+        assert!(last.resumed() > 0);
+    }
+    assert_eq!(pooled_live(), base);
+
+    // One `LastParse` per task across the executor, beside other guards.
+    let matched = executor.map_indexed(240, |i| {
+        let mut last = LastParse::new();
+        let nested = parse_pooled(PAGES[i % PAGES.len()]);
+        (0..copies.len()).all(|k| {
+            let copy = &copies[(i + k) % copies.len()];
+            *path.parse_prefix_after(copy, &mut last) == *path.parse_pooled_prefix(copy)
+        }) && *nested == parse(PAGES[i % PAGES.len()])
     });
     assert!(matched.iter().all(|&ok| ok));
     assert_eq!(pooled_live(), base);

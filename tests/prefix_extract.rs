@@ -1,12 +1,18 @@
 //! Prefix extraction: `HighlightExtractor::extract_html` parses a vantage
 //! copy only until the highlight's anchor target has closed, and must
 //! extract exactly what `extract` does on the whole parsed page — price,
-//! strategy, raw text and error alike. The reference here is always a
-//! full `pd_html::parse`, never another prefix parse.
+//! strategy, raw text and error alike. The reference for an extraction
+//! is always a full `pd_html::parse`, never another prefix parse.
+//!
+//! Resumed parses: a `LastParse` rolls the previous copy's document back
+//! to the last checkpoint inside the bytes two copies share and parses
+//! the rest. The resumed document must equal (`==`, the whole arena) a
+//! fresh `NodePath::parse_pooled_prefix` of the same body, and extract
+//! like the whole page.
 
 use pd_currency::Locale;
 use pd_extract::HighlightExtractor;
-use pd_html::{parse, Selector};
+use pd_html::{parse, LastParse, Selector};
 use pd_net::clock::SimTime;
 use pd_net::geo::Country;
 use pd_net::ip::IpAllocator;
@@ -67,14 +73,43 @@ fn highlight(style: u8) -> HighlightExtractor {
 fn assert_prefix_exact(ex: &HighlightExtractor, html: &str, country: Country) -> bool {
     let hint = Some(Locale::of_country(country));
     let full = parse(html);
+    let prefix = ex.path().parse_pooled_prefix(html);
     assert_eq!(
-        ex.extract_html(html, hint),
+        ex.extract(&prefix, hint),
         ex.extract(&full, hint),
         "{country:?} on {html}"
     );
-    let prefix = ex.path().parse_pooled_prefix(html);
     assert!(prefix.len() <= full.len());
     prefix.len() < full.len()
+}
+
+/// Parses `html` into `last`, resuming from the copy it parsed before:
+/// the document equals a fresh prefix parse of `html`, and
+/// `extract_html` through `last` extracts what the whole page does.
+/// Returns whether the parse resumed.
+fn assert_resumed_exact(
+    ex: &HighlightExtractor,
+    last: &mut LastParse,
+    html: &str,
+    country: Country,
+) -> bool {
+    let before = last.resumed();
+    let resumed = ex.path().parse_prefix_after(html, last).clone();
+    let did_resume = last.resumed() > before;
+    assert_eq!(
+        resumed,
+        *ex.path().parse_pooled_prefix(html),
+        "resumed parse differs on {html}"
+    );
+    let hint = Some(Locale::of_country(country));
+    // Once more through the extractor: the same bytes again, so the
+    // resumed parse starts at the last checkpoint of this very copy.
+    assert_eq!(
+        ex.extract_html(html, hint, last),
+        ex.extract(&parse(html), hint),
+        "{country:?} on {html}"
+    );
+    did_resume
 }
 
 #[test]
@@ -87,6 +122,23 @@ fn every_family_and_vantage_country_extracts_from_a_prefix_as_from_the_whole_pag
             // Family 3 ("minimal") has no id to anchor on.
             assert_eq!(stopped, style != 3, "family {style}, vantage {i}");
         }
+    }
+}
+
+#[test]
+fn every_family_resumes_each_later_vantage_copy_and_builds_the_fresh_document() {
+    for style in 0..FAMILY_COUNT {
+        let ex = highlight(style);
+        let mut last = LastParse::new();
+        for (i, &country) in vantage_countries().iter().enumerate() {
+            let (html, _) = page(style, country, 100_000 + 977 * i as i64);
+            let resumed = assert_resumed_exact(&ex, &mut last, &html, country);
+            // The copies are one page up to the main price, family 3
+            // ("minimal", parsed whole) included.
+            assert_eq!(resumed, i > 0, "family {style}, vantage {i}");
+        }
+        // Each copy was parsed twice: once here, once by extract_html.
+        assert_eq!(last.resumed(), 2 * 14 - 1, "family {style}");
     }
 }
 
@@ -116,10 +168,14 @@ fn served_copies_of_every_paper_retailer_extract_from_a_prefix_as_from_the_whole
             let ex =
                 HighlightExtractor::from_highlight(&parse(&fetch(USER)), &price_selector(style))
                     .unwrap_or_else(|| panic!("{domain}{path}: highlight failed"));
+            let mut last = LastParse::new();
             for (i, vp) in vps.iter().enumerate() {
-                let stopped = assert_prefix_exact(&ex, &fetch(i), vp.location.country);
+                let copy = fetch(i);
+                let stopped = assert_prefix_exact(&ex, &copy, vp.location.country);
                 assert_eq!(stopped, style % FAMILY_COUNT != 3, "{domain}{path} {i}");
+                assert_resumed_exact(&ex, &mut last, &copy, vp.location.country);
             }
+            assert!(last.resumed() >= 14, "{domain}{path}: {}", last.resumed());
         }
     }
 }
@@ -318,4 +374,186 @@ fn an_anchor_on_the_target_itself_stops_at_its_end_tag() {
     // that is the target itself can resolve to another tag.)
     let other = r#"<div><i id="px">7,00 €</i><b>8,00 €</b></div>"#;
     assert!(!assert_prefix_exact(&ex, other, Country::Germany));
+}
+
+/// Places inside a page where two copies can first differ, each marked
+/// `|`: the copies fill the mark with different strings.
+const SPOTS: [&str; 10] = [
+    // Mid-tag.
+    r#"<di|v class="a">x</div>"#,
+    // Mid-attribute value.
+    r#"<span title="ab|cd">y</span>"#,
+    // Mid-entity.
+    "<b>&eu|ro;5</b>",
+    // Inside a comment.
+    "<!-- co|mment -->",
+    // Inside `<script>` raw text.
+    r#"<script>var a = "<d|iv>";</script>"#,
+    // At a `<` that a non-letter may follow.
+    "<p>a <| 3</p>",
+    // Inside implicit-close runs.
+    "<ul><li>a<li>b|<li>c</ul>",
+    "<p>x<p>y|<p>z",
+    "<table><tr><td>1<td>2|<td>3</table>",
+    // A doctype inside the page, which goes to the root.
+    "<!doctype h|tml><i>d</i>",
+];
+
+/// The two bodies of case `kind`: a page of family `style` from `country`
+/// at 129,900 minor units and at `amount2` (the same amount: the copies
+/// differ only at the spot; another: at the price too), differing at a
+/// spot chosen by `kind` and `at`, filled with `fill1` and `fill2`.
+fn differing_bodies(
+    style: u8,
+    country: Country,
+    amount2: i64,
+    kind: usize,
+    at: usize,
+    (fill1, fill2): (&str, &str),
+) -> (String, String) {
+    let (page1, _) = page(style, country, 129_900);
+    let (page2, _) = page(style, country, amount2);
+    let boundary = |html: &str, mut p: usize| {
+        p %= html.len() + 1;
+        while !html.is_char_boundary(p) {
+            p -= 1;
+        }
+        p
+    };
+    let splice = |html: &str, p: usize, fill: &str| {
+        let mut out = html.to_owned();
+        out.insert_str(p, fill);
+        out
+    };
+    match kind {
+        // A spot spliced in at a tag boundary.
+        k if k < SPOTS.len() => {
+            let starts = tag_starts(&page1);
+            let p = starts[at % starts.len()];
+            let spot = |fill: &str| SPOTS[k].replace('|', fill);
+            (
+                splice(&page1, p, &spot(fill1)),
+                splice(&page2, p, &spot(fill2)),
+            )
+        }
+        // Anywhere in the page.
+        10 => {
+            let p = boundary(&page1, at);
+            (splice(&page1, p, fill1), splice(&page2, p, fill2))
+        }
+        // Before the anchor id.
+        11 => {
+            let id = page1.find(" id=").unwrap_or(page1.len());
+            let p = boundary(&page1, at % (id + 1));
+            (splice(&page1, p, fill1), splice(&page2, p, fill2))
+        }
+        // At byte 0.
+        12 => (splice(&page1, 0, fill1), splice(&page2, 0, fill2)),
+        // Nowhere: the same bytes twice.
+        13 => (page1.clone(), page1),
+        // One body a prefix of the other, either way round.
+        _ => {
+            let cut = boundary(&page1, at);
+            let short = page1[..cut].to_owned();
+            if at.is_multiple_of(2) {
+                (short, page1)
+            } else {
+                (page1, short)
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn prop_resumed_parse_equals_a_fresh_parse_wherever_two_copies_differ(
+        style in 0u8..5,
+        vantage in 0usize..14,
+        amount2 in 129_800i64..130_000,
+        kind in 0usize..15,
+        at in 0usize..4000,
+        fill1 in "[<>/a-z \"'=!&;#?€-]{0,6}",
+        fill2 in "[<>/a-z \"'=!&;#?€-]{0,6}"
+    ) {
+        let country = vantage_countries()[vantage];
+        let ex = highlight(style);
+        let (first, second) =
+            differing_bodies(style, country, amount2, kind, at, (&fill1, &fill2));
+        let mut last = LastParse::new();
+        // First copy, second copy, then back to the first.
+        assert_resumed_exact(&ex, &mut last, &first, country);
+        assert_resumed_exact(&ex, &mut last, &second, country);
+        assert_resumed_exact(&ex, &mut last, &first, country);
+    }
+}
+
+#[test]
+fn a_resumed_parse_equals_a_fresh_one_at_every_first_differing_byte() {
+    // Every char boundary of a family 0 and a family 3 page, with markup
+    // that changes how the bytes around it tokenize.
+    for style in [0, 3] {
+        let ex = highlight(style);
+        let (base, _) = page(style, Country::Germany, 129_900);
+        let mut last = LastParse::new();
+        for p in (0..=base.len()).filter(|&p| base.is_char_boundary(p)) {
+            for fill in ["<", "\"", "-"] {
+                let mut copy = base.clone();
+                copy.insert_str(p, fill);
+                assert_resumed_exact(&ex, &mut last, &base, Country::Germany);
+                assert_resumed_exact(&ex, &mut last, &copy, Country::Germany);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_resumed_parse_equals_a_fresh_one_when_one_copy_is_cut_short_anywhere() {
+    // A copy that ends inside a tag, an attribute value or a comment ran
+    // its last token into the end of input: resuming the whole page from
+    // there would read that token differently.
+    for style in [0, 3] {
+        let ex = highlight(style);
+        let (whole, _) = page(style, Country::Finland, 129_900);
+        let mut last = LastParse::new();
+        for cut in (0..=whole.len()).filter(|&p| whole.is_char_boundary(p)) {
+            let short = &whole[..cut];
+            assert_resumed_exact(&ex, &mut last, short, Country::Finland);
+            assert_resumed_exact(&ex, &mut last, &whole, Country::Finland);
+            assert_resumed_exact(&ex, &mut last, short, Country::Finland);
+        }
+    }
+}
+
+#[test]
+fn every_spot_resumes_to_the_fresh_document_for_every_fill() {
+    let fills = [
+        "",
+        "x",
+        "<",
+        ">",
+        "/",
+        "!",
+        "&",
+        ";",
+        "\"",
+        "-->",
+        "</script>",
+        "<li>",
+        "€",
+        " ",
+    ];
+    for style in [0, 3] {
+        let ex = highlight(style);
+        for kind in 0..SPOTS.len() {
+            for at in [0, 7, 19] {
+                for fill in fills {
+                    let (first, second) =
+                        differing_bodies(style, Country::Spain, 129_900, kind, at, ("x", fill));
+                    let mut last = LastParse::new();
+                    assert_resumed_exact(&ex, &mut last, &first, Country::Spain);
+                    assert_resumed_exact(&ex, &mut last, &second, Country::Spain);
+                }
+            }
+        }
+    }
 }

@@ -87,7 +87,10 @@ fn bench_html(c: &mut Criterion) {
         g.bench_function(&format!("extract_resumed_family_{style}"), |b| {
             b.iter(|| {
                 let copy = copies.next().expect("cycles forever");
-                black_box(ex.extract_html(copy, hint, &mut last).unwrap())
+                black_box(
+                    ex.extract(ex.path().parse_prefix_after(copy, &mut last), hint)
+                        .unwrap(),
+                )
             });
         });
     }

@@ -49,7 +49,7 @@ use pd_net::clock::SimTime;
 use pd_net::geo::{Country, Location};
 use pd_sheriff::cleaning::{clean, reaches_refetch, CleaningReport};
 use pd_sheriff::personas::{self, LoginExperiment, PersonaExperiment};
-use pd_sheriff::{own_page_price, CopyTally, DistinctCopies, MeasurementStore};
+use pd_sheriff::{CopyTally, MeasurementStore, PageReader};
 use pd_web::template::{price_selector, FAMILY_COUNT};
 use pd_web::Request;
 use serde::{Deserialize, Serialize};
@@ -229,9 +229,8 @@ fn clean_crowd_store(
         let user = crowd.users().get(m.user.index())?;
         let server = web.server_by_domain(&m.domain)?;
         let family = usize::from(server.spec().template_style % FAMILY_COUNT);
-        own_page_price(
+        PageReader::new().own_page_price(
             web,
-            &mut DistinctCopies::new(),
             &selectors[family],
             &m.domain,
             &m.product_slug,
@@ -318,10 +317,12 @@ pub fn is_tax_explained(world: &World, config: &ExperimentConfig, domain: &str) 
     let time = SimTime::from_millis(config.crowd.window_days * 24 * 3_600_000 + 9 * 3_600_000);
     let day = (time.day_index() as usize).min(fx.days().saturating_sub(1));
 
-    let page_price = |addr, country| {
-        own_page_price(
+    // The two product pages share one scope: the second resumes the
+    // parse of the first.
+    let mut reader = PageReader::new();
+    let mut page_price = |addr, country| {
+        reader.own_page_price(
             web,
-            &mut DistinctCopies::new(),
             &selector,
             domain,
             &product.slug,
@@ -525,10 +526,12 @@ fn fanout_counters(obs: &TimingObserver, stage: StageKind, tally: CopyTally) {
     obs.counter(stage, "resumed", tally.resumed);
 }
 
-/// Reports a probe family's fetched and extracted copies under `stage`.
+/// Reports a probe family's fetched copies, extracted copies and parses
+/// that resumed the parse of the copy before, under `stage`.
 fn copy_counters(obs: &TimingObserver, stage: StageKind, family: &str, tally: CopyTally) {
     obs.counter(stage, &format!("{family}_copies"), tally.copies);
     obs.counter(stage, &format!("{family}_extracted"), tally.extracted);
+    obs.counter(stage, &format!("{family}_resumed"), tally.resumed);
 }
 
 /// The analysis's web probes: factor attribution of every paper crawl

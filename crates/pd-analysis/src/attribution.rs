@@ -16,7 +16,7 @@
 use pd_currency::{band_filter, Price};
 use pd_net::clock::SimTime;
 use pd_net::geo::Location;
-use pd_sheriff::copies::{own_page_price, CopyTally, DistinctCopies};
+use pd_sheriff::copies::{CopyTally, PageReader};
 use pd_web::template::price_selector;
 use pd_web::WebWorld;
 use serde::{Deserialize, Serialize};
@@ -123,7 +123,7 @@ const SESSIONS_PER_PRODUCT: usize = 6;
 ///
 /// `products` bounds the probe size; `base_day` must leave one spare day
 /// in the FX series for the day factor. Each product's probes share one
-/// [`DistinctCopies`] scope, counted into `tally`: a probe whose page is
+/// [`PageReader`] scope, counted into `tally`: a probe whose page is
 /// byte-identical to an earlier one from the same country (a retailer
 /// that ignores the probed factor) is not parsed again.
 #[must_use]
@@ -174,11 +174,10 @@ pub fn attribute(
     let mut verdicts = [(false, 1.0f64); Factor::ALL.len()];
     let sid = [("sid", "9001")];
     for slug in slugs.iter().copied() {
-        let mut copies = DistinctCopies::new();
+        let mut reader = PageReader::new();
         let mut price = |(addr, loc): &(Ipv4Addr, Location), time, cookies: &[(&str, &str)]| {
-            own_page_price(
+            reader.own_page_price(
                 world,
-                &mut copies,
                 &selector,
                 domain,
                 slug,
@@ -236,7 +235,7 @@ pub fn attribute(
             verdict.0 |= v;
             verdict.1 = verdict.1.max(r);
         }
-        *tally += copies.tally();
+        *tally += reader.tally();
     }
     let effects = Factor::ALL
         .iter()
@@ -308,9 +307,8 @@ mod tests {
         let (t0, t1) = (day_ms(base_day), day_ms(base_day + 1));
         let price =
             |slug: &str, (addr, loc): &(Ipv4Addr, Location), time, cookies: &[(&str, &str)]| {
-                own_page_price(
+                PageReader::new().own_page_price(
                     world,
-                    &mut DistinctCopies::new(),
                     &selector,
                     domain,
                     slug,

@@ -14,8 +14,8 @@
 
 use pd_extract::HighlightExtractor;
 use pd_net::clock::{SimDuration, SimTime};
-use pd_sheriff::measurement::{Measurement, NoiseTruth};
-use pd_sheriff::{CopyTally, MeasurementStore, Sheriff};
+use pd_sheriff::measurement::{Measurement, NoiseTruth, PriceObservation};
+use pd_sheriff::{CopyTally, MeasurementStore, PageReader, Sheriff};
 use pd_util::{ProductId, RequestId, Seed, UserId};
 use pd_web::template::price_selector;
 use pd_web::{Request, WebWorld};
@@ -128,7 +128,7 @@ impl Crawler {
 
     /// [`crawl_one`](Crawler::crawl_one), with the copies its checks
     /// fetched, extracted and parsed by resuming
-    /// ([`Sheriff::check_tallied`]).
+    /// ([`PageReader::tally`]).
     #[must_use]
     pub fn crawl_one_tallied(
         &self,
@@ -179,23 +179,14 @@ impl Crawler {
             for &pid in &sample {
                 let product = catalog.product(pid);
                 let path = format!("/product/{}", product.slug);
-                let mut observations =
-                    sheriff.check_tallied(world, domain, &path, &extractor, t, &[], tally);
+                let mut observations = check(sheriff, world, domain, &path, &extractor, t, tally);
                 // Retry any failed observation once — transient failures
                 // are the normal case on the real web; here the path is
                 // exercised by unknown-host tests.
                 if observations.iter().any(|o| o.price.is_none()) {
                     stats.retries += 1;
                     let retry_t = t + SimDuration::from_secs(30);
-                    let retried = sheriff.check_tallied(
-                        world,
-                        domain,
-                        &path,
-                        &extractor,
-                        retry_t,
-                        &[],
-                        tally,
-                    );
+                    let retried = check(sheriff, world, domain, &path, &extractor, retry_t, tally);
                     for (slot, new) in observations.iter_mut().zip(retried) {
                         if slot.price.is_none() && new.price.is_some() {
                             *slot = new;
@@ -248,6 +239,24 @@ impl Crawler {
         let doc = pd_html::parse_pooled(&resp.body);
         HighlightExtractor::from_highlight(&doc, &price_selector(server.spec().template_style))
     }
+}
+
+/// One synchronized check of `domain`'s `path` at `time`, in a scope of
+/// its own, adding its copies, extractions and resumed parses to
+/// `tally`.
+fn check(
+    sheriff: &Sheriff,
+    world: &WebWorld,
+    domain: &str,
+    path: &str,
+    extractor: &HighlightExtractor,
+    time: SimTime,
+    tally: &mut CopyTally,
+) -> Vec<PriceObservation> {
+    let mut reader = PageReader::new();
+    let observations = sheriff.check_with(world, domain, path, extractor, time, &[], &mut reader);
+    *tally += reader.tally();
+    observations
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use crate::parse_price::parse_price_text;
 use pd_currency::{Locale, Price};
 use pd_html::path::ResolveStrategy;
-use pd_html::{Document, LastParse, NodePath, Selector};
+use pd_html::{Document, NodePath, Selector};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -106,27 +106,6 @@ impl HighlightExtractor {
             strategy,
             raw_text: trimmed.to_owned(),
         })
-    }
-
-    /// Extracts the price from one page copy given as HTML text: equal
-    /// to [`extract`](HighlightExtractor::extract) on the whole parsed
-    /// page, but the copy is parsed only as far as
-    /// [`NodePath::parse_pooled_prefix`] needs, and only from where it
-    /// differs from the copy `last` parsed before it
-    /// ([`NodePath::parse_prefix_after`]). `last` must only ever be used
-    /// with this extractor.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExtractError`].
-    pub fn extract_html(
-        &self,
-        html: &str,
-        locale_hint: Option<Locale>,
-        last: &mut LastParse,
-    ) -> Result<Extracted, ExtractError> {
-        let doc = self.path.parse_prefix_after(html, last);
-        self.extract(doc, locale_hint)
     }
 }
 

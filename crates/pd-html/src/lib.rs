@@ -17,7 +17,7 @@
 //! * [`dom`] — an arena-backed document tree over one string buffer,
 //! * [`parser`] — tree construction from tokens, [`parse_pooled`],
 //!   which reuses each thread's documents across pages, and
-//!   [`LastParse`], which parses a check's next copy from where it
+//!   [`LastParse`], which parses a scope's next copy from where it
 //!   differs from the last one,
 //! * [`selector`] — a CSS-like selector engine (tag / `#id` / `.class` /
 //!   `[attr]`, descendant and child combinators),

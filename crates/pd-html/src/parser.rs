@@ -87,6 +87,11 @@ impl Checkpoint {
         self.pos
     }
 
+    /// The insertion point.
+    pub(crate) fn top(self) -> NodeId {
+        self.top
+    }
+
     /// The nodes the document holds here, the root included.
     pub(crate) fn nodes(self) -> usize {
         self.mark.nodes()

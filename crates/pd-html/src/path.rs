@@ -24,7 +24,8 @@
 //! them, and a closed element's subtree is final.
 
 use crate::dom::{Document, NodeId};
-use crate::pool::{parse_pooled, parse_pooled_until, LastParse, PooledDocument, StopRule, ToEnd};
+use crate::parser::Checkpoint;
+use crate::pool::{parse_pooled, parse_pooled_until, LastParse, PooledDocument};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -137,23 +138,23 @@ impl NodePath {
         let Some((id, steps)) = &self.anchor else {
             return parse_pooled(html);
         };
-        let mut stop = AnchorStop::new(id, steps, &self.tag, AnchorMemo::default());
-        parse_pooled_until(html, |doc, top| stop.closed(doc, top))
+        let mut stop = AnchorStop::new(id, steps, &self.tag);
+        let mut memo = AnchorMemo::default();
+        parse_pooled_until(html, |doc, top| stop.closed(doc, top, &mut memo))
     }
 
     /// [`NodePath::parse_pooled_prefix`] of `html`, parsed into `last`
     /// from the last checkpoint of the copy `last` parsed before that
     /// lies inside the two bodies' common byte prefix; the document is
-    /// the same either way. `last` must only ever parse for this path.
+    /// the same either way. Every prefix parse through `last` must be
+    /// for this path; whole parses ([`LastParse::parse_whole`]) may come
+    /// between them.
     pub fn parse_prefix_after<'l>(&self, html: &str, last: &'l mut LastParse) -> &'l Document {
-        match &self.anchor {
-            None => last.parse(html, &mut ToEnd),
-            Some((id, steps)) => {
-                let mut stop = AnchorStop::new(id, steps, &self.tag, last.anchor);
-                last.parse(html, &mut stop);
-                last.anchor = stop.memo;
-            }
-        }
+        let stop = self
+            .anchor
+            .as_ref()
+            .map(|(id, steps)| AnchorStop::new(id, steps, &self.tag));
+        last.parse(html, stop);
         last.document()
     }
 
@@ -227,7 +228,7 @@ impl Default for AnchorMemo {
 
 impl AnchorMemo {
     /// What was learned from the first `kept` nodes alone.
-    fn rewind(self, kept: usize) -> Self {
+    pub(crate) fn rewind(self, kept: usize) -> Self {
         match self.anchor {
             Some(anchor) if anchor.index() < kept => self,
             _ => AnchorMemo {
@@ -240,34 +241,32 @@ impl AnchorMemo {
 
 /// The stop rule of [`NodePath::parse_pooled_prefix`], asked after each
 /// token that closes an element.
-struct AnchorStop<'p> {
+pub(crate) struct AnchorStop<'p> {
     id: &'p str,
     steps: &'p [Step],
     tag: &'p str,
-    memo: AnchorMemo,
     /// The resolved target: `Some(None)` when it has another tag, so the
     /// anchor strategy fails whatever follows.
     target: Option<Option<NodeId>>,
 }
 
 impl<'p> AnchorStop<'p> {
-    fn new(id: &'p str, steps: &'p [Step], tag: &'p str, memo: AnchorMemo) -> Self {
+    fn new(id: &'p str, steps: &'p [Step], tag: &'p str) -> Self {
         AnchorStop {
             id,
             steps,
             tag,
-            memo,
             target: None,
         }
     }
 
     /// Whether the anchor target exists, has the captured tag and is no
-    /// longer on the open-element chain that ends at `top`.
-    fn closed(&mut self, doc: &Document, top: NodeId) -> bool {
+    /// longer on the open-element chain that ends at `top`; `memo` is
+    /// what was learned of `doc` before.
+    pub(crate) fn closed(&mut self, doc: &Document, top: NodeId, memo: &mut AnchorMemo) -> bool {
         let target = match self.target {
             Some(target) => target,
             None => {
-                let memo = &mut self.memo;
                 if memo.anchor.is_none() {
                     memo.anchor = (memo.scanned..doc.len())
                         .map(NodeId::new)
@@ -282,21 +281,31 @@ impl<'p> AnchorStop<'p> {
                 target
             }
         };
-        target.is_some_and(|target| {
-            !std::iter::successors(Some(top), |&n| doc.parent(n)).any(|n| n == target)
-        })
+        target.is_some_and(|target| !on_chain(doc, top, target))
+    }
+
+    /// How many of `checkpoints`, passed by a whole parse that built
+    /// `doc`, come before the token this rule stops at: those where the
+    /// target did not exist yet or was still open. Once closed, an
+    /// element never reopens, so they are a prefix.
+    pub(crate) fn open_checkpoints(&self, doc: &Document, checkpoints: &[Checkpoint]) -> usize {
+        let target = doc
+            .elements()
+            .find(|&el| doc.element_id(el) == Some(self.id))
+            .and_then(|anchor| walk_steps(doc, anchor, self.steps))
+            .filter(|&target| doc.tag(target) == Some(self.tag));
+        let Some(target) = target else {
+            // The rule never stops on this page.
+            return checkpoints.len();
+        };
+        checkpoints
+            .partition_point(|c| target.index() >= c.nodes() || on_chain(doc, c.top(), target))
     }
 }
 
-impl StopRule for AnchorStop<'_> {
-    fn rewind(&mut self, kept: usize) {
-        self.memo = self.memo.rewind(kept);
-        self.target = None;
-    }
-
-    fn done(&mut self, doc: &Document, top: NodeId) -> bool {
-        self.closed(doc, top)
-    }
+/// Whether `node` is `top` or one of its ancestors.
+fn on_chain(doc: &Document, top: NodeId, node: NodeId) -> bool {
+    std::iter::successors(Some(top), |&n| doc.parent(n)).any(|n| n == node)
 }
 
 fn walk_steps(doc: &Document, from: NodeId, steps: &[Step]) -> Option<NodeId> {

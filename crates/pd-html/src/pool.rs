@@ -1,5 +1,5 @@
 //! Per-thread document reuse for parsing fetched pages, and resumed
-//! parses of a check's later copies.
+//! parses of the later copies of one page.
 //!
 //! Every synchronized check fetches 14 copies of a page and parses each
 //! distinct one (same-country copies with identical bytes are parsed
@@ -12,23 +12,27 @@
 //! A global live count (documents currently checked out) lets tests
 //! prove every guard gave its document back.
 //!
-//! The copies of one check are one page with different price strings,
+//! The copies a scope reads are one page with different price strings,
 //! byte for byte equal up to the first price. [`LastParse`] keeps a
-//! check's last parsed copy: its body, its pooled document and the
+//! scope's last parsed copy: its body, its pooled document and the
 //! checkpoints its parse passed. The next copy is parsed by rolling that
 //! document back to the last checkpoint inside the two bodies' common
 //! byte prefix and resuming there, which builds exactly the document a
-//! fresh parse builds.
+//! fresh parse builds. A scope may mix whole parses
+//! ([`LastParse::parse_whole`]: a crowd user's own copy, a probe's copy)
+//! with parses that stop at a highlight's anchor
+//! ([`crate::NodePath::parse_prefix_after`]: the vantage copies).
 
 use crate::dom::{Document, NodeId};
 use crate::parser::{parse_into_until, Checkpoint};
-use crate::path::AnchorMemo;
+use crate::path::{AnchorMemo, AnchorStop};
 use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Documents a thread keeps for reuse: enough for the nested parses of
-/// one check (the user's own page, then each vantage copy).
+/// Documents a thread keeps for reuse. A scope holds one document (its
+/// [`LastParse`]) while it reads; a test or a caller may nest a few
+/// [`parse_pooled`] guards beside it.
 const FREE_LIST_MAX: usize = 4;
 
 thread_local! {
@@ -122,38 +126,20 @@ impl Drop for PooledDocument {
     }
 }
 
-/// When a resumable parse stops; see [`LastParse`].
-pub(crate) trait StopRule {
-    /// Forgets what it learned from the nodes at index `kept` and beyond,
-    /// which a rewind has just dropped.
-    fn rewind(&mut self, kept: usize);
-
-    /// Whether to stop after a token that closed an element, with `top`
-    /// the new insertion point.
-    fn done(&mut self, doc: &Document, top: NodeId) -> bool;
-}
-
-/// The stop rule of a whole-page parse: never.
-pub(crate) struct ToEnd;
-
-impl StopRule for ToEnd {
-    fn rewind(&mut self, _: usize) {}
-
-    fn done(&mut self, _: &Document, _: NodeId) -> bool {
-        false
-    }
-}
-
-/// The last page copy parsed in one scope (one synchronized check):
-/// its body, its pooled document and the checkpoints its parse passed,
-/// so that the next copy is parsed only from where the two differ.
+/// The last page copy parsed in one scope (one synchronized check, one
+/// probe scope): its body, its pooled document and the checkpoints its
+/// parse passed, so that the next copy is parsed only from where the
+/// two differ.
 ///
-/// [`crate::NodePath::parse_prefix_after`] parses a copy into it: the
-/// document is rolled back to the last checkpoint that lies inside the
-/// common byte prefix of the new body and the last one, and the parse
-/// resumes there. The result equals
-/// [`crate::NodePath::parse_pooled_prefix`] of the new body. One
-/// `LastParse` serves one [`crate::NodePath`]; it holds its document
+/// [`LastParse::parse_whole`] and [`crate::NodePath::parse_prefix_after`]
+/// parse a copy into it: the document is rolled back to the last
+/// checkpoint that lies inside the common byte prefix of the new body
+/// and the last one (and, for a parse that stops at an anchor, before
+/// that anchor's target closed), and the parse resumes there. The
+/// result equals [`crate::parse`] or
+/// [`crate::NodePath::parse_pooled_prefix`] of the new body. The parses
+/// that stop at an anchor must all be for one [`crate::NodePath`]; whole
+/// parses may come between them. A `LastParse` holds its document
 /// (counted by [`pooled_live`]) until dropped.
 #[derive(Debug, Default)]
 pub struct LastParse {
@@ -161,11 +147,14 @@ pub struct LastParse {
     doc: Option<PooledDocument>,
     body: String,
     checkpoints: Vec<Checkpoint>,
-    /// The position after the token the last parse stopped at, if the
-    /// stop rule ended it before the end of input.
+    /// The position after the token the last parse stopped at, if its
+    /// anchor ended it before the end of input.
     stopped_at: Option<usize>,
+    /// Whether the last parse was a whole one, so that its checkpoints
+    /// may lie past where an anchored parse stops.
+    whole: bool,
     /// The anchor stop rule's memo, valid for `doc`.
-    pub(crate) anchor: AnchorMemo,
+    anchor: AnchorMemo,
     resumed: u64,
 }
 
@@ -183,6 +172,14 @@ impl LastParse {
         self.resumed
     }
 
+    /// Parses the whole of `input` in place of the last copy, from the
+    /// last checkpoint the two bodies share: the document equals
+    /// [`crate::parse`] of `input`.
+    pub fn parse_whole(&mut self, input: &str) -> &Document {
+        self.parse(input, None);
+        self.document()
+    }
+
     /// The last copy's document.
     ///
     /// # Panics
@@ -192,20 +189,26 @@ impl LastParse {
         self.doc.as_ref().expect("a copy was parsed")
     }
 
-    /// Parses `input` in place of the last copy, stopping where `stop`
-    /// says, from the last checkpoint the two bodies share.
-    pub(crate) fn parse(&mut self, input: &str, stop: &mut impl StopRule) {
+    /// Parses `input` in place of the last copy, from the last checkpoint
+    /// the two bodies share, to its end or until `stop`'s target closes.
+    pub(crate) fn parse(&mut self, input: &str, mut stop: Option<AnchorStop<'_>>) {
         let LastParse {
             doc,
             body,
             checkpoints,
             stopped_at,
+            whole,
+            anchor,
             resumed,
-            ..
         } = self;
         let doc = doc.get_or_insert_with(|| checkout(input.len())).doc_mut();
         let common = common_prefix(body.as_bytes(), input.as_bytes());
-        let kept = checkpoints.partition_point(|c| c.holds_within(common));
+        let mut kept = checkpoints.partition_point(|c| c.holds_within(common));
+        if let (Some(stop), true) = (&stop, *whole) {
+            // A fresh anchored parse stops once the target has closed, so
+            // it never passes the whole parse's later checkpoints.
+            kept = stop.open_checkpoints(doc, &checkpoints[..kept]);
+        }
         let from = match kept.checked_sub(1) {
             Some(last) => {
                 *resumed += 1;
@@ -215,18 +218,19 @@ impl LastParse {
         };
         checkpoints.truncate(kept);
         from.rewind(doc);
-        stop.rewind(from.nodes());
-        // At the token the last parse stopped at, a fresh parse of `input`
-        // stops too: nothing is left to parse.
-        if *stopped_at != Some(from.pos()) {
+        *anchor = anchor.rewind(from.nodes());
+        // At the token the last anchored parse stopped at, an anchored
+        // parse of `input` stops too: nothing is left to parse.
+        if stop.is_none() || *stopped_at != Some(from.pos()) {
             *stopped_at = parse_into_until(
                 input,
                 doc,
                 from,
                 |c| checkpoints.push(c),
-                |doc, top| stop.done(doc, top),
+                |doc, top| stop.as_mut().is_some_and(|s| s.closed(doc, top, anchor)),
             );
         }
+        *whole = stop.is_none();
         body.clear();
         body.push_str(input);
     }

@@ -15,11 +15,9 @@
 //! * a small fraction of checks carry the paper's noise: product
 //!   customization not encoded in the URI, and mis-highlights.
 
-use crate::copies::CopyTally;
+use crate::copies::{CopyTally, PageReader};
 use crate::fanout::Sheriff;
-use crate::measurement::{Measurement, MeasurementStore, NoiseTruth, PriceObservation};
-use pd_currency::Locale;
-use pd_extract::HighlightExtractor;
+use crate::measurement::{Measurement, MeasurementStore, NoiseTruth};
 use pd_html::Selector;
 use pd_net::clock::{SimDuration, SimTime};
 use pd_net::geo::{Country, Location};
@@ -280,8 +278,8 @@ impl Crowd {
 
     /// Parallel-safe entry point: executes one planned check end to end
     /// (render the user's own page, capture the highlight, fan out),
-    /// adding the fan-out's copies to `tally`
-    /// ([`Sheriff::check_tallied`]). Pure in all inputs — plans may be
+    /// adding the check's copies, extractions and resumed parses to
+    /// `tally` ([`PageReader::tally`]). Pure in all inputs — plans may be
     /// executed in any order, or concurrently, and merged by plan order.
     ///
     /// # Panics
@@ -370,27 +368,24 @@ fn run_one_check(
 ) -> Option<Measurement> {
     let path = format!("/product/{slug}");
     let own_req = Request::get(domain, &path, user.addr, time);
-    let own_resp = world.fetch(&own_req);
-    if own_resp.status.code() != 200 {
-        return None;
-    }
-    let own_doc = pd_html::parse_pooled(&own_resp.body);
-    let extractor = HighlightExtractor::from_highlight(&own_doc, highlight)?;
-    let own_locale = Locale::of_country(user.location.country);
-    let own_extract = extractor.extract(&own_doc, Some(own_locale)).ok();
+    // The user's own copy opens the check's scope: the vantage copies
+    // resume from its parse.
+    let mut reader = PageReader::new();
+    let (extractor, own_price) =
+        reader.own_copy(&world.fetch(&own_req), highlight, user.location.country)?;
 
     // Customization noise: the user actually configured a +15 % variant;
     // their *displayed* price differs from what the URI serves.
-    let user_price = own_extract.as_ref().map(|e| {
+    let user_price = own_price.map(|price| {
         if noise == NoiseTruth::Customization {
-            pd_currency::Price::new(e.price.amount.scale(1.15), e.price.currency)
+            pd_currency::Price::new(price.amount.scale(1.15), price.currency)
         } else {
-            e.price
+            price
         }
     });
 
-    let observations: Vec<PriceObservation> =
-        sheriff.check_tallied(world, domain, &path, &extractor, time, &[], tally);
+    let observations = sheriff.check_with(world, domain, &path, &extractor, time, &[], &mut reader);
+    *tally += reader.tally();
 
     Some(Measurement {
         request: RequestId::new(check_idx as u32), // overwritten by store
@@ -532,6 +527,78 @@ mod tests {
         assert_eq!(direct.len(), merged.len());
         for (a, b) in direct.records().iter().zip(merged.records()) {
             assert_eq!(a, b);
+        }
+    }
+
+    /// `execute_check` with nothing reused: the user's own page parsed
+    /// alone with `pd_html::parse`, and observation `i` fetched and
+    /// extracted on its own by `Sheriff::check_one`.
+    fn reference_check(
+        crowd: &Crowd,
+        world: &WebWorld,
+        sheriff: &Sheriff,
+        plan: &CheckPlan,
+    ) -> Option<Measurement> {
+        let user = &crowd.users[plan.user_index];
+        let highlight = if plan.noise == NoiseTruth::MisHighlight {
+            &crowd.promo_highlight
+        } else {
+            &crowd.price_highlights[usize::from(plan.template_style % FAMILY_COUNT)]
+        };
+        let path = format!("/product/{}", plan.slug);
+        let own = world.fetch(&Request::get(&plan.domain, &path, user.addr, plan.time));
+        if own.status.code() != 200 {
+            return None;
+        }
+        let own_doc = pd_html::parse(&own.body);
+        let extractor = pd_extract::HighlightExtractor::from_highlight(&own_doc, highlight)?;
+        let locale = pd_currency::Locale::of_country(user.location.country);
+        let user_price = extractor.extract(&own_doc, Some(locale)).ok().map(|e| {
+            if plan.noise == NoiseTruth::Customization {
+                pd_currency::Price::new(e.price.amount.scale(1.15), e.price.currency)
+            } else {
+                e.price
+            }
+        });
+        let observations = (0..sheriff.vantage_points().len())
+            .map(|i| sheriff.check_one(world, &plan.domain, &path, &extractor, plan.time, &[], i))
+            .collect();
+        Some(Measurement {
+            request: RequestId::new(plan.check_idx as u32),
+            user: user.id,
+            domain: plan.domain.clone(),
+            product_slug: plan.slug.clone(),
+            time: plan.time,
+            user_price,
+            observations,
+            noise_truth: plan.noise,
+        })
+    }
+
+    #[test]
+    fn executed_checks_match_a_reference_that_reuses_nothing() {
+        // The own copy seeds the vantage copies' parses; with transient
+        // failures some own pages, and some vantage copies, fail.
+        for failure_rate in [0.0, 0.3] {
+            let (mut world, sheriff) = small_world();
+            let crowd = Crowd::new(Seed::new(1307), small_config(), &mut world);
+            world.set_failure_rate(failure_rate);
+            let (mut dropped, mut failed) = (0, 0);
+            let mut tally = CopyTally::default();
+            for plan in crowd.plan_campaign(&world) {
+                let executed = crowd.execute_check(&world, &sheriff, &plan, &mut tally);
+                let reference = reference_check(&crowd, &world, &sheriff, &plan);
+                assert_eq!(executed, reference, "check {}", plan.check_idx);
+                dropped += usize::from(executed.is_none());
+                failed += executed
+                    .iter()
+                    .flat_map(|m| &m.observations)
+                    .filter(|o| o.price.is_none())
+                    .count();
+            }
+            assert_eq!(dropped > 0, failure_rate > 0.0, "dropped checks: {dropped}");
+            assert_eq!(failed > 0, failure_rate > 0.0, "failed copies: {failed}");
+            assert!(tally.resumed > 0, "{tally:?}");
         }
     }
 

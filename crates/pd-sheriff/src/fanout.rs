@@ -6,11 +6,9 @@
 //! instant plus its one-way network latency (hundreds of ms at most — the
 //! ablation bench removes this synchronization to show what breaks).
 
-use crate::copies::{CopyTally, DistinctCopies};
+use crate::copies::{extract_copy, PageReader};
 use crate::measurement::PriceObservation;
-use pd_currency::Locale;
-use pd_extract::{ExtractError, Extracted, HighlightExtractor};
-use pd_html::LastParse;
+use pd_extract::HighlightExtractor;
 use pd_net::clock::{SimDuration, SimTime};
 use pd_net::geo::Country;
 use pd_net::latency::LatencyModel;
@@ -84,23 +82,23 @@ impl Sheriff {
     /// `login=<key>`; normal checks pass none). Each vantage fetch is a
     /// fresh session, as $heriff's probes were.
     ///
-    /// Every copy is fetched at its own instant, but a copy is parsed and
-    /// extracted only if no earlier copy of this check came from the same
-    /// country with the same body bytes ([`DistinctCopies`], scoped to the
-    /// check). Such a copy takes the earlier copy's observation under its
-    /// own vantage id: the extractor is fixed for the check and the locale
-    /// hint depends only on the country, so re-extracting it would give
-    /// exactly that observation. Failed (non-200) copies are never
-    /// reused.
+    /// Every copy is fetched at its own instant and read through one
+    /// [`PageReader`] scoped to the check
+    /// ([`PageReader::vantage_copy`]). A copy is parsed and extracted
+    /// only if no earlier copy of this check came from the same country
+    /// with the same body bytes; such a copy takes the earlier copy's
+    /// observation under its own vantage id: the extractor is fixed for
+    /// the check and the locale hint depends only on the country, so
+    /// re-extracting it would give exactly that observation. Failed
+    /// (non-200) copies are never reused.
     ///
     /// An extracted copy is parsed only until the highlight's anchor
     /// target has closed, which gives what the whole page would; a copy
-    /// the anchor does not resolve on is parsed whole. The check keeps
-    /// its last parsed 200 copy ([`LastParse`]), and each later one is
-    /// parsed only from the last checkpoint inside the bytes the two
-    /// share ([`HighlightExtractor::extract_html`]); a failed copy is
-    /// never a resume base. The result equals [`check_one`] at every
-    /// index.
+    /// the anchor does not resolve on is parsed whole. Each copy after
+    /// the scope's first parse is parsed only from the last checkpoint
+    /// inside the bytes it shares with the last parsed copy; a failed
+    /// copy is never a resume base. The result equals [`check_one`] at
+    /// every index.
     ///
     /// [`check_one`]: Sheriff::check_one
     #[must_use]
@@ -113,23 +111,23 @@ impl Sheriff {
         time: SimTime,
         extra_cookies: &[(String, String)],
     ) -> Vec<PriceObservation> {
-        let mut tally = CopyTally::default();
-        self.check_tallied(
+        self.check_with(
             world,
             host,
             path,
             extractor,
             time,
             extra_cookies,
-            &mut tally,
+            &mut PageReader::new(),
         )
     }
 
-    /// [`check`](Sheriff::check), adding its copies, extractions and
-    /// resumed parses to `tally`.
+    /// [`check`](Sheriff::check) through `reader`, which may already hold
+    /// the crowd user's own copy ([`PageReader::own_copy`]) and counts
+    /// the check's copies, extractions and resumed parses.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
-    pub fn check_tallied(
+    pub fn check_with(
         &self,
         world: &WebWorld,
         host: &str,
@@ -137,32 +135,16 @@ impl Sheriff {
         extractor: &HighlightExtractor,
         time: SimTime,
         extra_cookies: &[(String, String)],
-        tally: &mut CopyTally,
+        reader: &mut PageReader<PriceObservation>,
     ) -> Vec<PriceObservation> {
-        let mut copies = DistinctCopies::new();
-        let mut last = LastParse::new();
-        let observations = self
-            .vantage_points
+        self.vantage_points
             .iter()
             .enumerate()
             .map(|(i, vp)| {
                 let resp = self.fetch_copy(world, host, path, time, extra_cookies, i);
-                let observation = copies.reuse_or_extract(vp.location.country, resp, |resp| {
-                    extract_copy(resp, vp, |html, hint| {
-                        extractor.extract_html(html, hint, &mut last)
-                    })
-                });
-                PriceObservation {
-                    vantage: vp.id,
-                    ..observation
-                }
+                reader.vantage_copy(vp, resp, extractor)
             })
-            .collect();
-        *tally += CopyTally {
-            resumed: last.resumed(),
-            ..copies.tally()
-        };
-        observations
+            .collect()
     }
 
     /// One copy of a check, fetched and extracted on its own: the
@@ -219,22 +201,6 @@ impl Sheriff {
             req = req.with_cookie(name, value);
         }
         world.fetch(&req)
-    }
-}
-
-/// Replays the highlight on one fetched copy with `extract`, given the
-/// body and the vantage point's country as the locale hint.
-fn extract_copy(
-    resp: &Response,
-    vp: &VantagePoint,
-    extract: impl FnOnce(&str, Option<Locale>) -> Result<Extracted, ExtractError>,
-) -> PriceObservation {
-    if resp.status.code() != 200 {
-        return PriceObservation::failed(vp.id, format!("http {}", resp.status.code()));
-    }
-    match extract(&resp.body, Some(Locale::of_country(vp.location.country))) {
-        Ok(ex) => PriceObservation::ok(vp.id, ex.price, ex.raw_text),
-        Err(e) => PriceObservation::failed(vp.id, e.to_string()),
     }
 }
 
@@ -533,11 +499,11 @@ mod tests {
         let time = SimTime::from_millis(40 * 24 * 3_600_000);
         let (mut failed, mut resumed) = (0, 0);
         for (domain, path, ex) in &cases {
-            let mut tally = CopyTally::default();
+            let mut reader = PageReader::new();
             let full = r
                 .sheriff
-                .check_tallied(&r.world, domain, path, ex, time, &[], &mut tally);
-            resumed += tally.resumed;
+                .check_with(&r.world, domain, path, ex, time, &[], &mut reader);
+            resumed += reader.tally().resumed;
             for (i, obs) in full.iter().enumerate() {
                 let one = r
                     .sheriff
@@ -558,10 +524,11 @@ mod tests {
         path: &str,
         ex: &HighlightExtractor,
     ) -> (Vec<PriceObservation>, usize) {
-        let mut tally = CopyTally::default();
-        let obs =
-            r.sheriff
-                .check_tallied(&r.world, host, path, ex, SimTime::EPOCH, &[], &mut tally);
+        let mut reader = PageReader::new();
+        let obs = r
+            .sheriff
+            .check_with(&r.world, host, path, ex, SimTime::EPOCH, &[], &mut reader);
+        let tally = reader.tally();
         assert_eq!(tally.copies, 14);
         (obs, tally.extracted as usize)
     }

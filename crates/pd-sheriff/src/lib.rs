@@ -8,8 +8,9 @@
 //!
 //! * [`measurement`] — the measurement records and store,
 //! * [`fanout`] — the synchronized 14-point check itself,
-//! * [`copies`] — one extraction per distinct fetched copy, the memo
-//!   the check and every probe share,
+//! * [`copies`] — the per-scope page reader the check and every probe
+//!   share: one extraction per distinct fetched copy, one parse from
+//!   where copies differ,
 //! * [`crowd`] — the simulated user population (340 users, 18 countries,
 //!   1 500 checks over Jan–May 2013) including the noise sources the
 //!   paper had to clean (mis-highlights, product customization not
@@ -29,7 +30,7 @@ pub mod fanout;
 pub mod measurement;
 pub mod personas;
 
-pub use copies::{own_page_price, CopyTally, DistinctCopies};
+pub use copies::{CopyTally, PageReader};
 pub use crowd::{Crowd, CrowdConfig};
 pub use fanout::Sheriff;
 pub use measurement::{Measurement, MeasurementStore, PriceObservation};

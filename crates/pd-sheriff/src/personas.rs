@@ -12,7 +12,7 @@
 //!   session, but the variation is uncorrelated with login — the paper's
 //!   exact observation.
 
-use crate::copies::{own_page_price, CopyTally, DistinctCopies};
+use crate::copies::{CopyTally, PageReader};
 use pd_currency::Price;
 use pd_net::clock::SimTime;
 use pd_net::geo::Location;
@@ -78,9 +78,10 @@ pub fn login_slugs(world: &WebWorld, domain: &str, products: usize) -> Vec<Strin
 /// Parallel-safe entry point: one product's Fig. 10 row — the four
 /// identities' prices for `slug`. Pure in all inputs; rows may be
 /// computed in any order, or concurrently, and merged by `product` index.
-/// The row's copies share one [`DistinctCopies`] scope, counted into
+/// The row's copies share one [`PageReader`] scope, counted into
 /// `tally` (each identity is its own session, so on a retailer with
-/// session jitter every copy differs and all four are extracted).
+/// session jitter every copy differs and all four are extracted, the
+/// last three by resuming the parse of the one before).
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn login_row(
@@ -101,12 +102,11 @@ pub fn login_row(
     let highlight = world
         .server_by_domain(domain)
         .map(|server| price_selector(server.spec().template_style));
-    let mut copies = DistinctCopies::new();
+    let mut reader = PageReader::new();
     let mut price = |cookies: &[(&str, &str)]| {
         let highlight = highlight.as_ref()?;
-        own_page_price(
+        reader.own_page_price(
             world,
-            &mut copies,
             highlight,
             domain,
             slug,
@@ -117,7 +117,7 @@ pub fn login_row(
     };
     let without_login = price(&[("sid", &sid(0))]);
     let users = [1u64, 2, 3].map(|k| price(&[("sid", &sid(k)), ("login", &k.to_string())]));
-    *tally += copies.tally();
+    *tally += reader.tally();
     LoginRow {
         product,
         slug: slug.to_owned(),
@@ -232,9 +232,9 @@ impl LoginExperiment {
 /// Returns `(differing_pairs, total_pairs)`; unknown domains yield
 /// `(0, 0)`. Pure in all inputs, so domains may be checked in any order,
 /// or concurrently, and the counts summed. The domain's copies share one
-/// [`DistinctCopies`] scope, counted into `tally`: a retailer that
-/// ignores the persona cookie serves both personas the same bytes, and
-/// the second copy is not parsed again.
+/// [`PageReader`] scope, counted into `tally`: a retailer that ignores
+/// the persona cookie serves both personas the same bytes, and the
+/// second copy is not parsed again.
 #[must_use]
 pub fn persona_pairs(
     world: &WebWorld,
@@ -249,14 +249,13 @@ pub fn persona_pairs(
         return (0, 0);
     };
     let highlight = price_selector(server.spec().template_style);
-    let mut copies = DistinctCopies::new();
+    let mut reader = PageReader::new();
     let mut differing = 0;
     let mut total = 0;
     for product in server.catalog().iter().take(products) {
         let [affluent, budget] = ["affluent", "budget"].map(|persona| {
-            own_page_price(
+            reader.own_page_price(
                 world,
-                &mut copies,
                 &highlight,
                 domain,
                 &product.slug,
@@ -272,7 +271,7 @@ pub fn persona_pairs(
             }
         }
     }
-    *tally += copies.tally();
+    *tally += reader.tally();
     (differing, total)
 }
 
@@ -408,9 +407,8 @@ mod tests {
         let (mut differing, mut total) = (0, 0);
         for product in server.catalog().iter().take(products) {
             let price = |persona| {
-                own_page_price(
+                PageReader::new().own_page_price(
                     world,
-                    &mut DistinctCopies::new(),
                     &highlight,
                     domain,
                     &product.slug,
@@ -453,6 +451,90 @@ mod tests {
                 }
             }
             assert_eq!(dropped > 0, failure_rate > 0.0, "dropped pairs: {dropped}");
+        }
+    }
+
+    /// `login_row` with every copy extracted on its own (a scope per
+    /// fetch): the no-reuse reference.
+    fn reference_row(
+        world: &WebWorld,
+        seed: Seed,
+        domain: &str,
+        (addr, loc): (Ipv4Addr, &Location),
+        time: SimTime,
+        slug: &str,
+    ) -> [Option<Price>; 4] {
+        let session_base = seed.derive("login-exp").value() | 1;
+        let sid = |k: u64| (session_base.wrapping_add(k * 7919)).to_string();
+        let highlight = price_selector(
+            world
+                .server_by_domain(domain)
+                .unwrap()
+                .spec()
+                .template_style,
+        );
+        [0u64, 1, 2, 3].map(|k| {
+            let login = k.to_string();
+            let sid = sid(k);
+            let mut cookies = vec![("sid", sid.as_str())];
+            if k > 0 {
+                cookies.push(("login", login.as_str()));
+            }
+            PageReader::new().own_page_price(
+                world,
+                &highlight,
+                domain,
+                slug,
+                (addr, loc.country),
+                time,
+                &cookies,
+            )
+        })
+    }
+
+    #[test]
+    fn login_rows_match_an_extraction_per_copy() {
+        // With transient failures some identities see no price: a failed
+        // copy must neither be reused nor be a later copy's resume base.
+        let seed = Seed::new(1307);
+        for failure_rate in [0.0, 0.3] {
+            let (mut world, addr, loc) = world();
+            world.set_failure_rate(failure_rate);
+            let (mut missing, mut resumed) = (0, 0);
+            for spec in paper_retailers(seed) {
+                let domain = spec.domain.as_str();
+                let server = world.server_by_domain(domain).unwrap();
+                for (i, product) in server.catalog().iter().take(3).enumerate() {
+                    for day in [40, 41] {
+                        let time = SimTime::from_millis(day * 24 * 3_600_000);
+                        let mut tally = CopyTally::default();
+                        let row = login_row(
+                            &world,
+                            seed,
+                            domain,
+                            &loc,
+                            addr,
+                            time,
+                            i,
+                            &product.slug,
+                            &mut tally,
+                        );
+                        let [without, a, b, c] =
+                            reference_row(&world, seed, domain, (addr, &loc), time, &product.slug);
+                        assert_eq!(
+                            (row.without_login, row.users),
+                            (without, [a, b, c]),
+                            "{domain} {}, day {day}, failure rate {failure_rate}",
+                            product.slug
+                        );
+                        assert_eq!(tally.copies, 4, "{domain}");
+                        missing += [without, a, b, c].iter().filter(|p| p.is_none()).count();
+                        resumed += tally.resumed;
+                    }
+                }
+            }
+            assert_eq!(missing > 0, failure_rate > 0.0, "missing prices: {missing}");
+            assert!(resumed > 0, "failure rate {failure_rate}");
         }
     }
 

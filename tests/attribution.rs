@@ -92,14 +92,20 @@ fn probe_copy_counters(seed: u64, threads: usize) -> Vec<(String, u64)> {
         .iter()
         .filter(|t| t.stage == StageKind::Personas)
         .flat_map(|t| t.counters.iter().cloned())
-        .filter(|(name, _)| name.ends_with("_copies") || name.ends_with("_extracted"))
+        .filter(|(name, _)| {
+            ["_copies", "_extracted", "_resumed"]
+                .iter()
+                .any(|suffix| name.ends_with(suffix))
+        })
         .collect()
 }
 
-/// Every probe page goes through one `DistinctCopies` scope, so a copy
+/// Every probe page goes through one `PageReader` scope, so a copy
 /// byte-identical to an earlier one from the same country is not parsed
-/// again. Pinned at paper@small seed 1307: a lost reuse raises an
-/// `_extracted` count, a key widened past (country, body) lowers it.
+/// again, and every later extracted copy resumes the parse of the one
+/// before it. Pinned at paper@small seed 1307: a lost reuse raises an
+/// `_extracted` count, a key widened past (country, body) lowers it, a
+/// copy that no longer resumes lowers a `_resumed` count.
 #[test]
 fn probes_extract_each_distinct_copy_once() {
     let pairs = |v: &[(&str, u64)]| -> Vec<(String, u64)> {
@@ -110,13 +116,19 @@ fn probes_extract_each_distinct_copy_once() {
         // copy its own.
         ("login_copies", 60),
         ("login_extracted", 60),
+        // Each row's first copy is parsed from scratch: 15 × 3.
+        ("login_resumed", 45),
         // 4 domains × 8 products × 2 personas; no retailer reads the
         // persona cookie, so the budget copy repeats the affluent one.
         ("persona_copies", 64),
         ("persona_extracted", 32),
+        // One scope per domain: 4 × (8 - 1).
+        ("persona_resumed", 28),
         // 21 retailers × 8 products × 12 probes.
         ("attribution_copies", 2016),
         ("attribution_extracted", 424),
+        // One scope per product: 424 - 21 × 8.
+        ("attribution_resumed", 256),
     ]);
     assert_eq!(probe_copy_counters(1307, 1), expected);
     assert_eq!(probe_copy_counters(1307, 2), expected);
@@ -147,18 +159,19 @@ fn fanout_copy_counters(seed: u64, threads: usize) -> Vec<(StageKind, String, u6
 }
 
 /// Every synchronized check extracts each distinct copy once and parses
-/// each later distinct copy by resuming the parse of the one before it
-/// (`LastParse`). Pinned at paper@small seed 1307: a lost reuse raises
+/// each distinct copy by resuming the parse of the one before it
+/// (`PageReader`). Pinned at paper@small seed 1307: a lost reuse raises
 /// `extracted`, a copy that no longer resumes lowers `resumed`.
 #[test]
 fn checks_resume_every_later_distinct_copy() {
     let expected = vec![
-        // 150 checks × 14 copies; every check's first extracted copy is
-        // parsed from scratch, every later one resumes.
+        // 150 checks × 14 copies; the user's own copy is parsed whole
+        // first, so every extracted copy resumes, the first from it.
         (StageKind::Crowd, "copies".to_owned(), 2100),
         (StageKind::Crowd, "extracted".to_owned(), 1287),
-        (StageKind::Crowd, "resumed".to_owned(), 1137),
-        // 756 checks × 14 copies, no retries.
+        (StageKind::Crowd, "resumed".to_owned(), 1287),
+        // 756 checks × 14 copies, no retries; every check's first
+        // extracted copy is parsed from scratch, every later one resumes.
         (StageKind::Crawl, "copies".to_owned(), 10_584),
         (StageKind::Crawl, "extracted".to_owned(), 5781),
         (StageKind::Crawl, "resumed".to_owned(), 5025),

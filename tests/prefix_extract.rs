@@ -1,5 +1,6 @@
-//! Prefix extraction: `HighlightExtractor::extract_html` parses a vantage
-//! copy only until the highlight's anchor target has closed, and must
+//! Prefix extraction: `NodePath::parse_pooled_prefix` and
+//! `NodePath::parse_prefix_after` parse a vantage copy only until the
+//! highlight's anchor target has closed, and extraction from it must
 //! extract exactly what `extract` does on the whole parsed page — price,
 //! strategy, raw text and error alike. The reference for an extraction
 //! is always a full `pd_html::parse`, never another prefix parse.
@@ -8,7 +9,9 @@
 //! to the last checkpoint inside the bytes two copies share and parses
 //! the rest. The resumed document must equal (`==`, the whole arena) a
 //! fresh `NodePath::parse_pooled_prefix` of the same body, and extract
-//! like the whole page.
+//! like the whole page. A `LastParse` also parses whole pages
+//! (`LastParse::parse_whole`, equal to a fresh `parse`), and whole and
+//! prefix parses may alternate through it.
 
 use pd_currency::Locale;
 use pd_extract::HighlightExtractor;
@@ -84,8 +87,8 @@ fn assert_prefix_exact(ex: &HighlightExtractor, html: &str, country: Country) ->
 }
 
 /// Parses `html` into `last`, resuming from the copy it parsed before:
-/// the document equals a fresh prefix parse of `html`, and
-/// `extract_html` through `last` extracts what the whole page does.
+/// the document equals a fresh prefix parse of `html`, and extraction
+/// from a parse through `last` gives what the whole page does.
 /// Returns whether the parse resumed.
 fn assert_resumed_exact(
     ex: &HighlightExtractor,
@@ -105,7 +108,7 @@ fn assert_resumed_exact(
     // Once more through the extractor: the same bytes again, so the
     // resumed parse starts at the last checkpoint of this very copy.
     assert_eq!(
-        ex.extract_html(html, hint, last),
+        ex.extract(ex.path().parse_prefix_after(html, last), hint),
         ex.extract(&parse(html), hint),
         "{country:?} on {html}"
     );
@@ -137,7 +140,8 @@ fn every_family_resumes_each_later_vantage_copy_and_builds_the_fresh_document() 
             // ("minimal", parsed whole) included.
             assert_eq!(resumed, i > 0, "family {style}, vantage {i}");
         }
-        // Each copy was parsed twice: once here, once by extract_html.
+        // Each copy was parsed twice: once for the document, once for the
+        // extraction.
         assert_eq!(last.resumed(), 2 * 14 - 1, "family {style}");
     }
 }
@@ -553,6 +557,77 @@ fn every_spot_resumes_to_the_fresh_document_for_every_fill() {
                     assert_resumed_exact(&ex, &mut last, &first, Country::Spain);
                     assert_resumed_exact(&ex, &mut last, &second, Country::Spain);
                 }
+            }
+        }
+    }
+}
+
+/// Parses `html` whole through `last`: the document equals a fresh
+/// `parse`.
+fn assert_whole_exact(last: &mut LastParse, html: &str) {
+    assert_eq!(
+        *last.parse_whole(html),
+        parse(html),
+        "whole parse differs on {html}"
+    );
+}
+
+#[test]
+fn whole_and_prefix_parses_alternate_through_one_last_parse() {
+    // A scope reads a crowd user's own copy (and every probe copy) whole
+    // and the vantage copies up to the anchor. A whole parse passes the
+    // checkpoints after the anchor target, which a prefix parse never
+    // reaches, and leaves the anchor memo of another document behind.
+    for style in 0..FAMILY_COUNT {
+        let ex = highlight(style);
+        let countries = vantage_countries();
+        for kind in [0, 4, 6, 10, 11, 13, 14] {
+            for at in [5, 400, 1900] {
+                let (first, second) = differing_bodies(
+                    style,
+                    countries[at % countries.len()],
+                    129_950,
+                    kind,
+                    at,
+                    ("<i>", "x"),
+                );
+                let mut last = LastParse::new();
+                // Whole, prefix, whole, prefix, over both bodies and each
+                // body after itself.
+                for (whole, prefix) in [
+                    (&first, &second),
+                    (&second, &first),
+                    (&first, &first),
+                    (&second, &second),
+                ] {
+                    assert_whole_exact(&mut last, whole);
+                    assert_resumed_exact(&ex, &mut last, prefix, Country::Spain);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn each_vantage_copy_resumes_from_the_users_whole_copy() {
+    // The crowd's order: the user's own copy whole, then every vantage
+    // copy up to the anchor, then (another check's scope in miniature)
+    // the whole copy again.
+    for style in 0..FAMILY_COUNT {
+        let ex = highlight(style);
+        let countries = vantage_countries();
+        let (own, _) = page(style, countries[USER], 129_900);
+        for (i, &country) in countries.iter().enumerate() {
+            let mut last = LastParse::new();
+            assert_whole_exact(&mut last, &own);
+            // The user's own bytes and another vantage's copy.
+            let (copy, _) = page(style, country, 100_000 + 977 * i as i64);
+            for html in [&own, &copy] {
+                assert!(
+                    assert_resumed_exact(&ex, &mut last, html, country),
+                    "family {style}, vantage {i}"
+                );
+                assert_whole_exact(&mut last, &own);
             }
         }
     }

@@ -15,7 +15,6 @@
 //! 5. crowd size — discriminating retailers discovered per crowd budget.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pd_bench::Scale;
 use pd_core::scenario::ScenarioRun;
 use pd_core::{Experiment, ExperimentConfig, Profile, ScenarioRegistry, World};
 use pd_currency::{band_filter, Locale};
@@ -31,14 +30,13 @@ use std::hint::black_box;
 /// exceed the daily extreme-rate band.
 fn ablation_currency_filter(c: &mut Criterion) {
     // Crawl non-discriminating filler retailers: every flag is false.
-    let mut config = Scale::Small.config(1307);
+    let mut config = Profile::Small.config(1307);
     config.filler_domains = 40;
-    let exp = Experiment::new(config);
+    let world = World::build(&config);
     // Uniform AND not a tax-inliner: the tax confound produces *real*
     // (but non-discrimination) variation and is handled by the pipeline's
     // tax check, not the currency filter under ablation here.
-    let uniform_domains: Vec<String> = exp
-        .world()
+    let uniform_domains: Vec<String> = world
         .web
         .servers()
         .iter()
@@ -55,8 +53,8 @@ fn ablation_currency_filter(c: &mut Criterion) {
             ..pd_crawler::CrawlConfig::default()
         },
     );
-    let (store, _) = crawler.crawl(&exp.world().web, &exp.world().sheriff, &uniform_domains);
-    let fx = exp.world().web.fx();
+    let (store, _) = crawler.crawl(&world.web, &world.sheriff, &uniform_domains);
+    let fx = world.web.fx();
 
     let naive_fp = store
         .records()
@@ -287,9 +285,7 @@ fn ablation_extraction(c: &mut Criterion) {
 /// probability collapses with the repeat count, while a genuinely
 /// location-keyed retailer stays at 100 %.
 fn ablation_repeats(c: &mut Criterion) {
-    let config = Scale::Small.config(1307);
-    let exp = Experiment::new(config);
-    let world = exp.world();
+    let world = &World::build(&Profile::Small.config(1307));
     let fx = world.web.fx();
 
     let consistent_with_repeats = |domain: &str, k: usize| -> usize {

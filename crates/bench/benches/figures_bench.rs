@@ -7,12 +7,14 @@
 //! building, per-product grouping, box statistics) are visible.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pd_bench::Scale;
-use pd_core::{Experiment, ExperimentConfig};
+use pd_core::{
+    stage, CrawlArtifact, CrowdArtifact, Engine, Executor, Profile, RunPlan, TimingObserver, World,
+};
 use std::hint::black_box;
+use std::sync::Arc;
 
 struct Prebuilt {
-    exp: Experiment,
+    world: World,
     crowd_raw: pd_sheriff::MeasurementStore,
     crowd_clean: pd_sheriff::MeasurementStore,
     cleaning: pd_sheriff::cleaning::CleaningReport,
@@ -21,15 +23,34 @@ struct Prebuilt {
     crawl_frame: pd_analysis::CheckFrame,
 }
 
+/// The crowd stage over `world`, recomputed (sequential, unobserved).
+fn crowd_phase(world: &World, plan: &RunPlan) -> CrowdArtifact {
+    stage::crowd_stage(world, plan, &Executor::serial(), &TimingObserver::new())
+}
+
+/// The paper's crawl over `world`, recomputed (sequential, unobserved).
+fn crawl_phase(world: &World, plan: &RunPlan) -> CrawlArtifact {
+    let targets = world.paper_crawl_targets();
+    stage::crawl_stage(
+        world,
+        &plan.config,
+        &targets,
+        &Executor::serial(),
+        &TimingObserver::new(),
+    )
+}
+
 fn prebuild() -> Prebuilt {
-    let mut exp = Experiment::new(Scale::Small.config(1307));
-    let (crowd_raw, crowd_clean, cleaning) = exp.run_crowd_phase();
-    let (crawl_store, _) = exp.run_crawl_phase();
-    let fx = exp.world().web.fx();
+    let plan = RunPlan::new(Profile::Small.config(1307));
+    let world = World::build(&plan.config);
+    let crowd = crowd_phase(&world, &plan);
+    let (crowd_raw, crowd_clean, cleaning) = (crowd.raw, crowd.cleaned, crowd.cleaning);
+    let crawl_store = crawl_phase(&world, &plan).store;
+    let fx = world.web.fx();
     let crowd_frame = pd_analysis::CheckFrame::build(&crowd_clean, fx);
     let crawl_frame = pd_analysis::CheckFrame::build(&crawl_store, fx);
     Prebuilt {
-        exp,
+        world,
         crowd_raw,
         crowd_clean,
         cleaning,
@@ -44,22 +65,25 @@ fn bench_pipeline_phases(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("t0_dataset_summary_full_small_run", |b| {
         b.iter(|| {
-            let report = Experiment::run(ExperimentConfig::small(1307));
+            let plan = RunPlan::new(Profile::Small.config(1307));
+            let observer = Arc::new(TimingObserver::new());
+            let report = Engine::from_plan(plan, Executor::serial(), observer).run();
             black_box(report.summary.crowd_requests)
         });
     });
     group.bench_function("crowd_phase", |b| {
         b.iter(|| {
-            let mut exp = Experiment::new(Scale::Small.config(7));
-            let (raw, clean, _) = exp.run_crowd_phase();
-            black_box((raw.len(), clean.len()))
+            let plan = RunPlan::new(Profile::Small.config(7));
+            let crowd = crowd_phase(&World::build(&plan.config), &plan);
+            black_box((crowd.raw.len(), crowd.cleaned.len()))
         });
     });
     group.bench_function("crawl_phase", |b| {
-        let exp = Experiment::new(Scale::Small.config(7));
+        let plan = RunPlan::new(Profile::Small.config(7));
+        let world = World::build(&plan.config);
         b.iter(|| {
-            let (store, stats) = exp.run_crawl_phase();
-            black_box((store.len(), stats.len()))
+            let crawl = crawl_phase(&world, &plan);
+            black_box((crawl.store.len(), crawl.stats.len()))
         });
     });
     group.finish();
@@ -67,13 +91,8 @@ fn bench_pipeline_phases(c: &mut Criterion) {
 
 fn bench_figures(c: &mut Criterion) {
     let pre = prebuild();
-    let labels = pre.exp.world().vantage_labels();
-    let finland = pre
-        .exp
-        .world()
-        .vantage_by_label("Finland - Tampere")
-        .unwrap()
-        .id;
+    let labels = pre.world.vantage_labels();
+    let finland = pre.world.vantage_by_label("Finland - Tampere").unwrap().id;
 
     let mut group = c.benchmark_group("figures");
     group.bench_function("fig1_crowd_ranking", |b| {
@@ -143,7 +162,7 @@ fn bench_figures(c: &mut Criterion) {
     let mut heavy = c.benchmark_group("figure_harnesses");
     heavy.sample_size(10);
     heavy.bench_function("fig10_login", |b| {
-        let world = pre.exp.world();
+        let world = &pre.world;
         let boston = world.vantage_by_label("USA - Boston").unwrap().clone();
         b.iter(|| {
             let exp = pd_sheriff::personas::login_experiment(
@@ -159,7 +178,7 @@ fn bench_figures(c: &mut Criterion) {
         });
     });
     heavy.bench_function("t1_thirdparty", |b| {
-        let world = pre.exp.world();
+        let world = &pre.world;
         let boston = world.vantage_by_label("USA - Boston").unwrap().clone();
         let targets = world.paper_crawl_targets();
         b.iter(|| {
@@ -172,7 +191,7 @@ fn bench_figures(c: &mut Criterion) {
         });
     });
     heavy.bench_function("cleaning", |b| {
-        let fx = pre.exp.world().web.fx();
+        let fx = pre.world.web.fx();
         b.iter(|| {
             let (kept, report) = pd_sheriff::cleaning::clean(&pre.crowd_raw, fx, |m| m.user_price);
             black_box((kept.len(), report))

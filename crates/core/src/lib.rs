@@ -55,9 +55,12 @@
 //! println!("{}", report.render_fig1());
 //! ```
 //!
-//! The monolithic one-call API still works and produces the identical
-//! report (guarded by `pipeline::tests::legacy_run_equals_builder_paper_scenario`):
-//! `Experiment::run(ExperimentConfig::smoke(1307))`.
+//! An engine can also be built straight from a [`RunPlan`]
+//! ([`Engine::from_plan`]); the `paper` scenario is the default plan of
+//! its profile, so both give the identical report (guarded by
+//! `pipeline::tests::default_plan_equals_builder_paper_scenario`). A
+//! single stage can be recomputed on its own through the [`stage`]
+//! functions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

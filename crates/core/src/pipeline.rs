@@ -1,17 +1,16 @@
 //! The experiment engine: scenario-driven, staged, deterministic.
 //!
-//! Three layers:
+//! Two layers:
 //!
-//! * [`ExperimentBuilder`] — the entry point: pick a named scenario (or
-//!   a raw config), a seed, a profile, a thread count and an observer,
-//!   and get an [`Engine`].
+//! * [`ExperimentBuilder`] (from [`Experiment::builder`]) — the entry
+//!   point: pick a named scenario (or a raw config), a seed, a profile,
+//!   a thread count and an observer, and get an [`Engine`].
 //! * [`Engine`] — runs the typed stages ([`crate::stage`]) with artifact
 //!   caching: `crowd()` runs the campaign once and every later call
 //!   (including `analyze()`) reuses the artifact. All parallel sections
 //!   go through the deterministic [`Executor`], so the report is
-//!   byte-identical at any thread count.
-//! * [`Experiment`] — the original monolithic API, kept as a thin
-//!   compatibility shim over the stage functions.
+//!   byte-identical at any thread count. [`Engine::from_plan`] builds
+//!   one straight from a [`RunPlan`].
 
 use crate::config::ExperimentConfig;
 use crate::executor::Executor;
@@ -25,8 +24,6 @@ use crate::store::{
     self, ArtifactStore, ChunkedPayload, Provenance, StageWrite, StoreError, StoreFormat,
 };
 use crate::world::{AnalysisContext, World};
-use pd_sheriff::cleaning::CleaningReport;
-use pd_sheriff::MeasurementStore;
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -760,7 +757,7 @@ impl Engine {
                 crawl.source("store"),
                 self.personas.as_ref().expect(resolved).meta(),
                 probe_world,
-                Some(keys),
+                keys,
                 &self.executor,
                 &self.observer,
             )
@@ -1249,144 +1246,16 @@ pub struct SweepArmRun {
     pub analysis: AnalysisArtifact,
 }
 
-/// The original experiment driver, kept as a compatibility shim over the
-/// staged engine. New code should prefer [`Experiment::builder`].
+/// The namespace of [`Experiment::builder`], the entry point for
+/// building [`Engine`]s.
 #[derive(Debug)]
-pub struct Experiment {
-    engine: Engine,
-}
+pub struct Experiment;
 
 impl Experiment {
-    /// Builds the world for `config` (sequential engine, an observer
-    /// nobody reads).
-    #[must_use]
-    pub fn new(config: ExperimentConfig) -> Self {
-        Experiment {
-            engine: Engine::from_plan(
-                RunPlan::new(config),
-                Executor::serial(),
-                Arc::new(TimingObserver::new()),
-            ),
-        }
-    }
-
-    /// The scenario/engine builder (the redesigned entry point).
+    /// The scenario/engine builder.
     #[must_use]
     pub fn builder() -> ExperimentBuilder {
         ExperimentBuilder::new()
-    }
-
-    /// The world (read access for examples and diagnostics).
-    #[must_use]
-    pub fn world(&self) -> &World {
-        self.engine.world()
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &ExperimentConfig {
-        self.engine.config()
-    }
-
-    /// Runs the full pipeline and produces the report.
-    #[must_use]
-    pub fn run(config: ExperimentConfig) -> Report {
-        let mut exp = Experiment::new(config);
-        exp.engine.run()
-    }
-
-    /// Stage 2: the crowd campaign plus cleaning. Returns (raw, cleaned,
-    /// report). Recomputes on every call; use
-    /// [`Engine::crowd`] for the cached artifact.
-    #[must_use]
-    pub fn run_crowd_phase(&mut self) -> (MeasurementStore, MeasurementStore, CleaningReport) {
-        let artifact = stage::crowd_stage(
-            self.engine.world(),
-            self.engine.plan(),
-            self.engine.executor(),
-            &TimingObserver::new(),
-        );
-        (artifact.raw, artifact.cleaned, artifact.cleaning)
-    }
-
-    /// The paper's stated future work, implemented: attribute a
-    /// retailer's price variation to specific request factors (country,
-    /// city, session, day, login) by controlled probing. Returns `None`
-    /// for unknown domains.
-    #[must_use]
-    pub fn attribute_factors(
-        &self,
-        domain: &str,
-        products: usize,
-    ) -> Option<pd_analysis::Attribution> {
-        stage::attribute_factors(self.engine.world(), self.engine.config(), domain, products)
-    }
-
-    /// The automated version of the paper's manual tax/shipping check
-    /// (see [`stage::is_tax_explained`]).
-    #[must_use]
-    pub fn is_tax_explained(&self, domain: &str) -> bool {
-        stage::is_tax_explained(self.engine.world(), self.engine.config(), domain)
-    }
-
-    /// Stage 3: the systematic crawl of the paper's 21 retailers.
-    /// Recomputes on every call; use [`Engine::crawl`] for the cached
-    /// artifact.
-    #[must_use]
-    pub fn run_crawl_phase(
-        &self,
-    ) -> (MeasurementStore, Vec<pd_crawler::crawl::RetailerCrawlStats>) {
-        let artifact = stage::crawl_stage(
-            self.engine.world(),
-            self.engine.config(),
-            &self.engine.world().paper_crawl_targets(),
-            self.engine.executor(),
-            &TimingObserver::new(),
-        );
-        (artifact.store, artifact.stats)
-    }
-
-    /// Data-driven variant of target selection (used by the
-    /// `crawl_retailers` example and the crowd-value ablation): rank
-    /// domains by confirmed crowd variation instead of taking the
-    /// paper's list.
-    #[must_use]
-    pub fn targets_from_crowd(
-        &self,
-        cleaned: &MeasurementStore,
-        min_confirmed: usize,
-    ) -> Vec<String> {
-        stage::targets_from_crowd(self.engine.world(), cleaned, min_confirmed)
-    }
-
-    /// Stage 4: every figure and table.
-    #[must_use]
-    pub fn analyze(
-        &self,
-        crowd_raw: &MeasurementStore,
-        crowd_clean: &MeasurementStore,
-        cleaning: CleaningReport,
-        crawl_store: &MeasurementStore,
-    ) -> Report {
-        let world = self.engine.world();
-        let config = self.engine.config();
-        let exec = self.engine.executor();
-        let personas = stage::persona_stage(world, config, exec, &TimingObserver::new());
-        stage::analysis_over(
-            self.engine.context(),
-            config,
-            stage::StoreSource::Memory(crowd_raw),
-            stage::StoreSource::Memory(crowd_clean),
-            cleaning,
-            stage::StoreSource::Memory(crawl_store),
-            &personas,
-            Some(world),
-            None,
-            exec,
-            &TimingObserver::new(),
-        )
-        .expect("in-memory analysis sources cannot fail")
-        .report
     }
 }
 
@@ -1394,9 +1263,29 @@ impl Experiment {
 mod tests {
     use super::*;
 
+    /// An engine straight from `config`'s default plan: sequential, an
+    /// observer nobody reads.
+    fn plan_engine(config: ExperimentConfig) -> Engine {
+        Engine::from_plan(
+            RunPlan::new(config),
+            Executor::serial(),
+            Arc::new(TimingObserver::new()),
+        )
+    }
+
+    /// The crowd stage recomputed over `engine`'s world (no cache).
+    fn crowd_of(engine: &Engine) -> CrowdArtifact {
+        stage::crowd_stage(
+            engine.world(),
+            engine.plan(),
+            engine.executor(),
+            &TimingObserver::new(),
+        )
+    }
+
     #[test]
     fn full_small_pipeline_runs() {
-        let report = Experiment::run(ExperimentConfig::small(1307));
+        let report = plan_engine(ExperimentConfig::small(1307)).run();
         assert!(report.summary.crowd_requests > 100);
         assert!(report.summary.crawled_retailers == 21);
         assert!(!report.fig1.is_empty());
@@ -1408,8 +1297,9 @@ mod tests {
 
     #[test]
     fn crowd_phase_cleaning_drops_noise() {
-        let mut exp = Experiment::new(ExperimentConfig::small(2));
-        let (raw, cleaned, report) = exp.run_crowd_phase();
+        let engine = plan_engine(ExperimentConfig::small(2));
+        let crowd = crowd_of(&engine);
+        let (raw, cleaned, report) = (crowd.raw, crowd.cleaned, crowd.cleaning);
         assert!(cleaned.len() <= raw.len());
         assert_eq!(report.kept, cleaned.len());
         // Default noise rates (7 %) over 150 checks: some drops expected.
@@ -1418,26 +1308,28 @@ mod tests {
 
     #[test]
     fn tax_check_catches_the_inliner_confound() {
-        let exp = Experiment::new(ExperimentConfig::small(3));
+        let engine = plan_engine(ExperimentConfig::small(3));
+        let tax_explained =
+            |domain: &str| stage::is_tax_explained(engine.world(), engine.config(), domain);
         // Filler #0 inlines tax by construction (the injected confound).
-        assert!(exp.is_tax_explained("www.shop-000.example"));
+        assert!(tax_explained("www.shop-000.example"));
         // Real discriminators are not explained away by taxes.
-        assert!(!exp.is_tax_explained("www.digitalrev.com"));
-        assert!(!exp.is_tax_explained("www.energie.it"));
+        assert!(!tax_explained("www.digitalrev.com"));
+        assert!(!tax_explained("www.energie.it"));
         // Unknown domains are trivially not tax-explained.
-        assert!(!exp.is_tax_explained("gone.example"));
+        assert!(!tax_explained("gone.example"));
     }
 
     #[test]
     fn targets_from_crowd_rank_real_discriminators() {
-        let mut exp = Experiment::new(ExperimentConfig::small(3));
-        let (_, cleaned, _) = exp.run_crowd_phase();
-        let targets = exp.targets_from_crowd(&cleaned, 1);
+        let engine = plan_engine(ExperimentConfig::small(3));
+        let cleaned = crowd_of(&engine).cleaned;
+        let targets = stage::targets_from_crowd(engine.world(), &cleaned, 1);
         assert!(!targets.is_empty());
         // Every selected target must actually be discriminating (no
         // false positives at threshold 1 thanks to the band filter).
         for t in &targets {
-            let spec = exp
+            let spec = engine
                 .world()
                 .web
                 .server_by_domain(t)
@@ -1451,16 +1343,19 @@ mod tests {
         }
     }
 
+    /// The `paper` scenario is the default plan: an engine built straight
+    /// from `RunPlan::new(config)` reports what the builder's scenario
+    /// does.
     #[test]
-    fn legacy_run_equals_builder_paper_scenario() {
-        let legacy = Experiment::run(ExperimentConfig::smoke(1307));
+    fn default_plan_equals_builder_paper_scenario() {
+        let direct = plan_engine(ExperimentConfig::smoke(1307)).run();
         let mut engine = Experiment::builder()
             .scenario("paper")
             .profile(Profile::Smoke)
             .seed(1307)
             .build()
             .expect("paper scenario builds");
-        assert_eq!(legacy.to_json(), engine.run().to_json());
+        assert_eq!(direct.to_json(), engine.run().to_json());
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! plan/config, &Executor, &TimingObserver)`; the analysis takes the
 //! plan's [`AnalysisContext`] instead of the world. A stage function
 //! reports its counters into the observer; the engine times it. The
-//! caching engine ([`crate::Engine`]) and the legacy
-//! [`crate::Experiment`] shim both call them, so a stage behaves
-//! identically whether it is cached, re-run, loaded from an on-disk
-//! store ([`crate::store`]), sequential or fanned across worker threads.
+//! caching engine ([`crate::Engine`]) calls them, and so can any caller
+//! that wants a stage recomputed, so a stage behaves identically whether
+//! it is cached, re-run, loaded from an on-disk store
+//! ([`crate::store`]), sequential or fanned across worker threads.
 //!
 //! ```
 //! use pd_core::{Executor, ExperimentConfig, RunPlan, TimingObserver, World};
@@ -648,23 +648,15 @@ pub(crate) enum StoreSource<'a> {
 }
 
 impl StoreSource<'_> {
-    /// The analysis frame and crawl tally for this source — through the
-    /// cache under `key` when one is given, through a throwaway cache
-    /// otherwise.
+    /// The analysis frame and crawl tally for this source, through
+    /// `cache` under `key`.
     fn frame(
         &self,
-        keyed: Option<(&FrameCache, u64)>,
+        cache: &FrameCache,
+        key: u64,
         fx: &pd_currency::FxSeries,
         exec: &Executor,
     ) -> Result<(StoreFrame, FrameStats), StoreError> {
-        let scratch;
-        let (cache, key) = match keyed {
-            Some(keyed) => keyed,
-            None => {
-                scratch = FrameCache::new();
-                (&scratch, 0)
-            }
-        };
         match self {
             Self::Memory(store) => Ok(cache.frame_for(key, store, fx, exec)),
             Self::Chunked(payload, section) => {
@@ -725,10 +717,7 @@ pub(crate) struct FrameKeys<'a> {
 /// Stage 5: every figure and table, from the upstream stores (in memory
 /// or streamed one domain chunk at a time off disk, see
 /// [`StoreSource`]), the persona artifact and the plan's
-/// [`AnalysisContext`]. Shared by [`crate::Engine::analyze`] and the
-/// legacy `Experiment::analyze` shim (which receives bare store
-/// references with no plan lineage, so it passes no frame keys and
-/// builds uncached).
+/// [`AnalysisContext`], for [`crate::Engine::analyze`].
 ///
 /// The web probes come from the persona artifact's [`ProbeRecord`];
 /// `probe_world` is read only when there is no record measured at the
@@ -749,33 +738,28 @@ pub(crate) fn analysis_over(
     crawl_store: StoreSource<'_>,
     persona_art: &PersonaArtifact,
     probe_world: Option<&World>,
-    frames: Option<FrameKeys<'_>>,
+    frames: FrameKeys<'_>,
     exec: &Executor,
     obs: &TimingObserver,
 ) -> Result<AnalysisArtifact, StoreError> {
     let fx = &ctx.fx;
-    let keyed = frames.is_some();
-    let (crowd_frame, crowd_stats) =
-        crowd_clean.frame(frames.as_ref().map(|k| (k.cache, k.crowd)), fx, exec)?;
-    let (crawl_frame, crawl_stats) =
-        crawl_store.frame(frames.as_ref().map(|k| (k.cache, k.crawl)), fx, exec)?;
-    if keyed {
-        obs.counter(
-            StageKind::Analysis,
-            "frames_built",
-            (crowd_stats.built + crawl_stats.built) as u64,
-        );
-        obs.counter(
-            StageKind::Analysis,
-            "frames_reused",
-            (crowd_stats.reused + crawl_stats.reused) as u64,
-        );
-        obs.counter(
-            StageKind::Analysis,
-            "frames_chunks_loaded",
-            (crowd_stats.chunks_loaded + crawl_stats.chunks_loaded) as u64,
-        );
-    }
+    let (crowd_frame, crowd_stats) = crowd_clean.frame(frames.cache, frames.crowd, fx, exec)?;
+    let (crawl_frame, crawl_stats) = crawl_store.frame(frames.cache, frames.crawl, fx, exec)?;
+    obs.counter(
+        StageKind::Analysis,
+        "frames_built",
+        (crowd_stats.built + crawl_stats.built) as u64,
+    );
+    obs.counter(
+        StageKind::Analysis,
+        "frames_reused",
+        (crowd_stats.reused + crawl_stats.reused) as u64,
+    );
+    obs.counter(
+        StageKind::Analysis,
+        "frames_chunks_loaded",
+        (crowd_stats.chunks_loaded + crawl_stats.chunks_loaded) as u64,
+    );
     let crowd_frame = &*crowd_frame.frame;
     let crawl_tally = &*crawl_frame.tally;
     let crawl_frame = &*crawl_frame.frame;

@@ -11,6 +11,7 @@
 //! pd scenarios show <NAME> [--json]
 //! pd artifacts ls <DIR>
 //! pd artifacts cat <DIR> <crowd|crawl|personas|analysis>
+//! pd artifacts export <DIR> <OUT>
 //! pd serve [--addr HOST:PORT] [--threads N] [--job-threads N]
 //!          [--runners N] [--artifacts DIR] [--queue N]
 //! pd submit <scenario>|--spec FILE_OR_NAME [--addr HOST:PORT]
@@ -40,7 +41,11 @@
 //! fingerprint matches a stored artifact is loaded instead of computed,
 //! and freshly computed artifacts are persisted after the run. Stores
 //! are chunked binary files (loads stream one domain chunk at a time);
-//! `pd artifacts cat DIR STAGE` prints a stored stage as JSON. A store
+//! `pd artifacts cat DIR STAGE` prints a stored stage as JSON, and `pd
+//! artifacts export DIR OUT` writes the cleaned crowd and the crawl as
+//! CSV and JSON Lines (`crowd.csv`, `crowd.jsonl`, `crawl.csv`,
+//! `crawl.jsonl`) for external analysis. `pd run … --render` prints
+//! every figure and table of the paper. A store
 //! produced by a *different* run, or in an older layout this build no
 //! longer reads, is never silently replaced — that takes
 //! `--overwrite-artifacts`. `pd rerun DIR` re-analyzes a stored crawl —
@@ -67,10 +72,11 @@
 //! go to stderr. A closed stdout (`pd … | head -1`) ends the process
 //! quietly with status 0.
 
+use pd_core::sheriff::export;
 use pd_core::store::{self, Artifact, ArtifactStore, Fingerprint, Provenance, StoreError};
 use pd_core::{
     AnalysisArtifact, ConfigPatch, CrawlArtifact, CrowdArtifact, Engine, Executor, Experiment,
-    PersonaArtifact, Profile, ScenarioRegistry, ScenarioSpec, StageKind, TimingObserver,
+    PersonaArtifact, Profile, RunPlan, ScenarioRegistry, ScenarioSpec, StageKind, TimingObserver,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -196,6 +202,7 @@ fn usage(registry: &ScenarioRegistry) -> String {
          \x20 pd scenarios show <NAME> [--json]\n\
          \x20 pd artifacts ls <DIR>\n\
          \x20 pd artifacts cat <DIR> <crowd|crawl|personas|analysis>\n\
+         \x20 pd artifacts export <DIR> <OUT>\n\
          \x20 pd serve [--addr HOST:PORT] [--threads N] [--job-threads N]\n\
          \x20          [--runners N] [--artifacts DIR] [--queue N]\n\
          \x20 pd submit <scenario>|--spec FILE_OR_NAME [--addr HOST:PORT]\n\
@@ -227,7 +234,9 @@ fn usage(registry: &ScenarioRegistry) -> String {
          \x20                  files; loads stream per-domain chunks) and reuse\n\
          \x20                  any stored artifact whose fingerprint matches the\n\
          \x20                  run (measure once, re-analyze forever).\n\
-         \x20                  `pd artifacts cat DIR STAGE` prints a stage as JSON\n\
+         \x20                  `pd artifacts cat DIR STAGE` prints a stage as JSON;\n\
+         \x20                  `pd artifacts export DIR OUT` writes the cleaned\n\
+         \x20                  crowd and the crawl to OUT as CSV and JSON Lines\n\
          \x20 --overwrite-artifacts  allow --artifacts to replace a store\n\
          \x20                  produced by a different run or in an older\n\
          \x20                  layout (refused otherwise)\n\
@@ -690,29 +699,72 @@ fn execute_artifacts_ls(dir: &Path) -> Result<(), String> {
 /// The stages `pd artifacts cat` prints.
 const CAT_STAGES: &str = "crowd|crawl|personas|analysis";
 
+/// The usage line of each `pd artifacts` verb.
+const ARTIFACTS_USAGE: [(&str, &str); 3] = [
+    ("ls", "pd artifacts ls <DIR>"),
+    (
+        "cat",
+        "pd artifacts cat <DIR> <crowd|crawl|personas|analysis>",
+    ),
+    ("export", "pd artifacts export <DIR> <OUT>"),
+];
+
+/// Loads `stage` of `store` as its typed artifact like any load: under
+/// the fingerprint `fingerprint` derives from the store's own plan,
+/// every chunk checksum verified.
+fn load_stage<T: Artifact>(
+    store: &ArtifactStore,
+    stage: &str,
+    fingerprint: fn(&RunPlan) -> Fingerprint,
+) -> Result<T, String> {
+    let plan = store.manifest().plan.to_plan();
+    store
+        .load(stage, fingerprint(&plan))
+        .map_err(|e| e.to_string())
+}
+
 /// `pd artifacts cat DIR STAGE`: print one stored stage as compact
-/// JSON. The typed artifact is loaded like any load — under the
-/// fingerprint the store's own plan gives the stage, every chunk
-/// checksum verified — and rendered with `serde_json::to_string`.
+/// JSON ([`load_stage`], then `serde_json::to_string`).
 fn execute_artifacts_cat(dir: &Path, stage: &str) -> Result<(), String> {
     fn render<T: Artifact>(
         store: &ArtifactStore,
         stage: &str,
-        fp: Fingerprint,
+        fingerprint: fn(&RunPlan) -> Fingerprint,
     ) -> Result<String, String> {
-        let artifact: T = store.load(stage, fp).map_err(|e| e.to_string())?;
+        let artifact: T = load_stage(store, stage, fingerprint)?;
         serde_json::to_string(&artifact).map_err(|e| e.to_string())
     }
     let store = ArtifactStore::open(dir).map_err(|e| e.to_string())?;
-    let plan = store.manifest().plan.to_plan();
     let json = match stage {
-        "crowd" => render::<CrowdArtifact>(&store, stage, store::crowd_fingerprint(&plan)),
-        "crawl" => render::<CrawlArtifact>(&store, stage, store::crawl_fingerprint(&plan)),
-        "personas" => render::<PersonaArtifact>(&store, stage, store::personas_fingerprint(&plan)),
-        "analysis" => render::<AnalysisArtifact>(&store, stage, store::analysis_fingerprint(&plan)),
+        "crowd" => render::<CrowdArtifact>(&store, stage, store::crowd_fingerprint),
+        "crawl" => render::<CrawlArtifact>(&store, stage, store::crawl_fingerprint),
+        "personas" => render::<PersonaArtifact>(&store, stage, store::personas_fingerprint),
+        "analysis" => render::<AnalysisArtifact>(&store, stage, store::analysis_fingerprint),
         other => unreachable!("main admits only {CAT_STAGES}, not {other:?}"),
     }?;
     outln!("{json}");
+    Ok(())
+}
+
+/// `pd artifacts export DIR OUT`: write the store's cleaned crowd and
+/// its crawl to `OUT` as CSV (one row per observation) and JSON Lines
+/// (one measurement per line), both loaded through [`load_stage`].
+fn execute_artifacts_export(dir: &Path, out: &Path) -> Result<(), String> {
+    let store = ArtifactStore::open(dir).map_err(|e| e.to_string())?;
+    let crowd: CrowdArtifact = load_stage(&store, "crowd", store::crowd_fingerprint)?;
+    let crawl: CrawlArtifact = load_stage(&store, "crawl", store::crawl_fingerprint)?;
+    std::fs::create_dir_all(out).map_err(|e| format!("creating {}: {e}", out.display()))?;
+    let files = [
+        ("crowd.csv", export::to_csv(&crowd.cleaned)),
+        ("crowd.jsonl", export::to_jsonl(&crowd.cleaned)),
+        ("crawl.csv", export::to_csv(&crawl.store)),
+        ("crawl.jsonl", export::to_jsonl(&crawl.store)),
+    ];
+    for (name, body) in files {
+        let path = out.join(name);
+        std::fs::write(&path, body).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        outln!("dataset written to {}", path.display());
+    }
     Ok(())
 }
 
@@ -1004,25 +1056,32 @@ fn main() {
                 fail(1, &e);
             }
         }
-        Some("artifacts") => match (args.next().as_deref(), args.next()) {
-            (Some("ls"), Some(dir)) => {
-                if let Err(e) = execute_artifacts_ls(Path::new(&dir)) {
-                    fail(1, &e);
+        Some("artifacts") => {
+            let words: Vec<String> = args.collect();
+            let words: Vec<&str> = words.iter().map(String::as_str).collect();
+            let done = match words.as_slice() {
+                ["ls", dir] => execute_artifacts_ls(Path::new(dir)),
+                ["cat", dir, stage] if CAT_STAGES.split('|').any(|s| s == *stage) => {
+                    execute_artifacts_cat(Path::new(dir), stage)
                 }
+                ["export", dir, out] => execute_artifacts_export(Path::new(dir), Path::new(out)),
+                // A known verb with the wrong arguments gets its own
+                // usage line; anything else gets all of them.
+                _ => {
+                    let usage = ARTIFACTS_USAGE
+                        .iter()
+                        .find(|(verb, _)| words.first() == Some(verb))
+                        .map_or_else(
+                            || ARTIFACTS_USAGE.map(|(_, line)| line).join(" | "),
+                            |(_, line)| (*line).to_owned(),
+                        );
+                    fail(2, &format!("usage: {usage}"))
+                }
+            };
+            if let Err(e) = done {
+                fail(1, &e);
             }
-            (Some("cat"), Some(dir)) => match (args.next(), args.next()) {
-                (Some(stage), None) if CAT_STAGES.split('|').any(|s| s == stage) => {
-                    if let Err(e) = execute_artifacts_cat(Path::new(&dir), &stage) {
-                        fail(1, &e);
-                    }
-                }
-                _ => fail(2, &format!("usage: pd artifacts cat <DIR> <{CAT_STAGES}>")),
-            },
-            _ => fail(
-                2,
-                &format!("usage: pd artifacts ls <DIR> | pd artifacts cat <DIR> <{CAT_STAGES}>"),
-            ),
-        },
+        }
         Some("scenarios") => match (args.next().as_deref(), args.next(), args.next().as_deref()) {
             (Some("show"), Some(name), json) if json.is_none() || json == Some("--json") => {
                 if let Err(e) = execute_scenarios_show(&registry, &name, json.is_some()) {
@@ -1067,9 +1126,10 @@ fn main() {
             }
             outln!("shutdown requested; {addr} is draining");
         }
-        Some("list") => {
-            out!("{}", scenario_lines(&registry));
-        }
+        Some("list") => match args.next() {
+            None => out!("{}", scenario_lines(&registry)),
+            Some(extra) => fail(2, &format!("unexpected argument {extra:?}; usage: pd list")),
+        },
         Some("--help" | "-h" | "help") | None => out!("{}", usage(&registry)),
         Some(other) => {
             fail(

@@ -1050,6 +1050,95 @@ fn cli_errors_hit_stderr_with_nonzero_exit() {
     let bad_flag = pd().args(["run", "smoke", "--wat"]).output().expect("runs");
     assert_eq!(bad_flag.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&bad_flag.stderr).contains("unknown flag"));
+
+    // A trailing argument is a usage error, never silently ignored.
+    let dir = std::env::temp_dir().join("pd-definitely-not-a-store");
+    let dir = dir.to_str().expect("utf-8 temp dir");
+    for (args, usage) in [
+        (&["list", "extra"][..], "usage: pd list"),
+        (
+            &["artifacts", "ls", dir, "extra"],
+            "usage: pd artifacts ls <DIR>",
+        ),
+        (&["artifacts", "ls"], "usage: pd artifacts ls <DIR>"),
+        (
+            &["artifacts", "export", dir, "out", "extra"],
+            "usage: pd artifacts export <DIR> <OUT>",
+        ),
+        (
+            &["artifacts", "export", dir],
+            "usage: pd artifacts export <DIR> <OUT>",
+        ),
+    ] {
+        let out = pd().args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "pd {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(usage), "pd {args:?}: {err}");
+        assert!(out.stdout.is_empty(), "pd {args:?} wrote to stdout");
+    }
+}
+
+/// `pd artifacts export DIR OUT` writes the stored cleaned crowd and
+/// crawl exactly as `pd_sheriff::export` renders an in-process run of
+/// the same plan; a directory that is not a store fails at run time.
+#[test]
+fn export_writes_the_stored_datasets_across_processes() {
+    let dir = tmp("export");
+    let store_dir = dir.join("store");
+    let out_dir = dir.join("out");
+    let run = pd()
+        .args(["run", "smoke", "--seed", "7", "--artifacts"])
+        .arg(&store_dir)
+        .output()
+        .expect("pd run executes");
+    assert!(run.status.success(), "pd run failed: {run:?}");
+    let export = pd()
+        .args(["artifacts", "export"])
+        .arg(&store_dir)
+        .arg(&out_dir)
+        .output()
+        .expect("pd artifacts export executes");
+    assert!(
+        export.status.success(),
+        "pd artifacts export failed: {export:?}"
+    );
+
+    let mut engine = Experiment::builder()
+        .scenario("smoke")
+        .seed(7)
+        .build()
+        .expect("smoke builds");
+    let cleaned = engine.crowd().cleaned.clone();
+    let crawl = engine.crawl().store.clone();
+    for (name, expected) in [
+        ("crowd.csv", pd_sheriff::export::to_csv(&cleaned)),
+        ("crowd.jsonl", pd_sheriff::export::to_jsonl(&cleaned)),
+        ("crawl.csv", pd_sheriff::export::to_csv(&crawl)),
+        ("crawl.jsonl", pd_sheriff::export::to_jsonl(&crawl)),
+    ] {
+        let written = std::fs::read_to_string(out_dir.join(name)).expect("exported file");
+        assert!(!written.is_empty(), "{name} is empty");
+        assert!(
+            written == expected,
+            "{name} differs from the in-process export"
+        );
+    }
+
+    let no_store = pd()
+        .args(["artifacts", "export"])
+        .arg(&out_dir)
+        .arg(dir.join("out2"))
+        .output()
+        .expect("runs");
+    assert_eq!(no_store.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&no_store.stderr).contains("not an artifact store"));
+    let bad_count = pd()
+        .args(["artifacts", "export"])
+        .arg(&store_dir)
+        .output()
+        .expect("runs");
+    assert_eq!(bad_count.status.code(), Some(2));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `pd rerun --attribution-products N` over a store probed at another

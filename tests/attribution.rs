@@ -1,24 +1,18 @@
 //! The attribution extension (the paper's Sec. 6 future work) validated
 //! end to end against ground truth across the whole crawled set.
 
-use pd_core::{Experiment, ExperimentConfig, Profile, StageKind, TimingObserver};
+use pd_core::{stage, Experiment, ExperimentConfig, Profile, StageKind, TimingObserver, World};
 use pd_pricing::StrategyComponent;
 use std::sync::Arc;
 
 #[test]
 fn attribution_table_matches_ground_truth_for_all_crawled_retailers() {
-    let exp = Experiment::new(ExperimentConfig::small(1307));
-    for domain in exp.world().paper_crawl_targets() {
-        let attribution = exp
-            .attribute_factors(&domain, 12)
-            .expect("crawled domain exists");
-        let spec = exp
-            .world()
-            .web
-            .server_by_domain(&domain)
-            .unwrap()
-            .spec()
-            .clone();
+    let config = ExperimentConfig::small(1307);
+    let world = World::build(&config);
+    for domain in world.paper_crawl_targets() {
+        let attribution =
+            stage::attribute_factors(&world, &config, &domain, 12).expect("crawled domain exists");
+        let spec = world.web.server_by_domain(&domain).unwrap().spec().clone();
 
         // Ground truth: which factor *kinds* the strategy pipeline uses.
         let has = |f: &dyn Fn(&StrategyComponent) -> bool| spec.components.iter().any(f);
@@ -54,12 +48,14 @@ fn attribution_table_matches_ground_truth_for_all_crawled_retailers() {
 
 #[test]
 fn location_attribution_flags_only_location_keyed_retailers() {
-    let exp = Experiment::new(ExperimentConfig::small(1307));
+    let config = ExperimentConfig::small(1307);
+    let world = World::build(&config);
+    let attribute = |domain: &str| stage::attribute_factors(&world, &config, domain, 12);
     // Location-keyed retailers must attribute to Country (probed with a
     // US/Finland pair; every crawled spec prices Finland or US away from
     // base except the pure city-level one).
     for domain in ["www.digitalrev.com", "www.energie.it", "www.hotels.com"] {
-        let a = exp.attribute_factors(domain, 12).unwrap();
+        let a = attribute(domain).unwrap();
         assert!(
             a.effect(pd_analysis::Factor::Country).varies,
             "{domain} must vary by country"
@@ -67,10 +63,10 @@ fn location_attribution_flags_only_location_keyed_retailers() {
     }
     // homedepot's country-level Finland factor is small (1.06) but real;
     // its city factor must *also* fire — the unique city-keyed retailer.
-    let hd = exp.attribute_factors("www.homedepot.com", 12).unwrap();
+    let hd = attribute("www.homedepot.com").unwrap();
     assert!(hd.effect(pd_analysis::Factor::CityWithinCountry).varies);
     // And a non-city retailer must not fire the city probe.
-    let dr = exp.attribute_factors("www.digitalrev.com", 12).unwrap();
+    let dr = attribute("www.digitalrev.com").unwrap();
     assert!(!dr.effect(pd_analysis::Factor::CityWithinCountry).varies);
 }
 

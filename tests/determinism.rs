@@ -1,7 +1,11 @@
 //! Reproducibility guarantees: the whole study is a deterministic
 //! function of the seed.
 
-use pd_core::{Experiment, ExperimentConfig, Profile};
+use pd_core::{
+    stage, Engine, Executor, Experiment, ExperimentConfig, Profile, Report, RunPlan,
+    TimingObserver, World,
+};
+use std::sync::Arc;
 
 /// FNV-1a64 over (seed, report JSON) of `pd run paper --profile small`
 /// at seed 1307, then seed 2024. Pinned so that a crawl-side speedup
@@ -9,6 +13,12 @@ use pd_core::{Experiment, ExperimentConfig, Profile};
 /// without failing here; the cross-thread goldens only compare a build
 /// with itself.
 const PAPER_SMALL_REPORT_DIGEST: u64 = 0x7a38_b8b1_92c7_fb87;
+
+/// The whole pipeline over `config`'s default plan, sequentially.
+fn run(config: ExperimentConfig) -> Report {
+    let observer = Arc::new(TimingObserver::new());
+    Engine::from_plan(RunPlan::new(config), Executor::serial(), observer).run()
+}
 
 fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -20,16 +30,16 @@ fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
 
 #[test]
 fn same_seed_same_report() {
-    let a = Experiment::run(ExperimentConfig::small(77));
-    let b = Experiment::run(ExperimentConfig::small(77));
+    let a = run(ExperimentConfig::small(77));
+    let b = run(ExperimentConfig::small(77));
     // JSON is the strictest practical equality over the whole report.
     assert_eq!(a.to_json(), b.to_json());
 }
 
 #[test]
 fn different_seed_different_data() {
-    let a = Experiment::run(ExperimentConfig::small(77));
-    let b = Experiment::run(ExperimentConfig::small(78));
+    let a = run(ExperimentConfig::small(77));
+    let b = run(ExperimentConfig::small(78));
     assert_ne!(a.to_json(), b.to_json());
     // ...but the qualitative conclusions are seed-independent:
     for r in [&a, &b] {
@@ -62,8 +72,8 @@ fn same_seed_same_rendered_reports_across_runs() {
     // human-facing rendering path — every figure renderer and the table
     // renderer must be a pure function of the seed, with no iteration-order
     // or formatting nondeterminism.
-    let a = Experiment::run(ExperimentConfig::small(1307));
-    let b = Experiment::run(ExperimentConfig::small(1307));
+    let a = run(ExperimentConfig::small(1307));
+    let b = run(ExperimentConfig::small(1307));
     assert_eq!(a.render_all(), b.render_all());
     // Spot-check individual renderers too, so a failure names the figure.
     assert_eq!(a.render_summary(), b.render_summary());
@@ -74,8 +84,8 @@ fn same_seed_same_rendered_reports_across_runs() {
 
 #[test]
 fn different_seeds_render_different_reports() {
-    let a = Experiment::run(ExperimentConfig::small(1307));
-    let b = Experiment::run(ExperimentConfig::small(2024));
+    let a = run(ExperimentConfig::small(1307));
+    let b = run(ExperimentConfig::small(2024));
     assert_ne!(
         a.render_all(),
         b.render_all(),
@@ -85,11 +95,25 @@ fn different_seeds_render_different_reports() {
 
 #[test]
 fn phases_are_independently_rerunnable() {
-    // Re-running a phase on the same Experiment must not change results
-    // (no hidden RNG state is consumed across calls).
-    let exp = Experiment::new(ExperimentConfig::small(5));
-    let (s1, st1) = exp.run_crawl_phase();
-    let (s2, st2) = exp.run_crawl_phase();
+    // Re-running a phase on the same world must not change results
+    // (no hidden RNG state is consumed across calls). The stage function
+    // is called twice: the engine's cached `crawl()` would hand back the
+    // same artifact.
+    let config = ExperimentConfig::small(5);
+    let world = World::build(&config);
+    let crawl = || {
+        let targets = world.paper_crawl_targets();
+        let art = stage::crawl_stage(
+            &world,
+            &config,
+            &targets,
+            &Executor::serial(),
+            &TimingObserver::new(),
+        );
+        (art.store, art.stats)
+    };
+    let (s1, st1) = crawl();
+    let (s2, st2) = crawl();
     assert_eq!(st1, st2);
     assert_eq!(s1.len(), s2.len());
     for (a, b) in s1.records().iter().zip(s2.records()) {

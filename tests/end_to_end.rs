@@ -1,10 +1,12 @@
 //! End-to-end pipeline test: one small-scale run, every paper claim
 //! checked against the report.
 
-use pd_core::{Experiment, ExperimentConfig};
+use pd_core::{Engine, Executor, ExperimentConfig, RunPlan, TimingObserver};
+use std::sync::Arc;
 
 fn report() -> pd_core::Report {
-    Experiment::run(ExperimentConfig::small(1307))
+    let plan = RunPlan::new(ExperimentConfig::small(1307));
+    Engine::from_plan(plan, Executor::serial(), Arc::new(TimingObserver::new())).run()
 }
 
 #[test]

@@ -3,14 +3,13 @@
 //! how; the measurement pipeline must rediscover that — no more, no
 //! less.
 
-use pd_core::{Experiment, ExperimentConfig};
+use pd_core::{stage, Executor, ExperimentConfig, RunPlan, TimingObserver, World};
 use pd_crawler::{CrawlConfig, Crawler};
 use pd_util::Seed;
 
 #[test]
 fn every_crawled_discriminator_is_detected() {
-    let exp = Experiment::new(ExperimentConfig::small(1307));
-    let world = exp.world();
+    let world = &World::build(&ExperimentConfig::small(1307));
     let targets = world.paper_crawl_targets();
     let crawler = Crawler::new(
         Seed::new(1),
@@ -38,8 +37,7 @@ fn every_crawled_discriminator_is_detected() {
 fn uniform_retailers_are_never_flagged() {
     // Zero false positives: crawling non-discriminating long-tail
     // domains must yield zero confirmed variations, across currencies.
-    let exp = Experiment::new(ExperimentConfig::small(1307));
-    let world = exp.world();
+    let world = &World::build(&ExperimentConfig::small(1307));
     let uniform: Vec<String> = world
         .web
         .servers()
@@ -76,8 +74,7 @@ fn measured_ratios_match_ground_truth_factors() {
     // For a pure multiplicative retailer the measured per-location ratio
     // must equal the configured factor to within cent rounding and FX
     // noise.
-    let exp = Experiment::new(ExperimentConfig::small(1307));
-    let world = exp.world();
+    let world = &World::build(&ExperimentConfig::small(1307));
     let crawler = Crawler::new(
         Seed::new(3),
         CrawlConfig {
@@ -113,8 +110,9 @@ fn cleaning_catches_injected_noise_with_high_recall() {
     config.crowd.checks = 250;
     config.crowd.customization_noise = 0.15;
     config.crowd.mis_highlight_noise = 0.0;
-    let mut exp = Experiment::new(config);
-    let (raw, _, report) = exp.run_crowd_phase();
+    let (world, plan) = (World::build(&config), RunPlan::new(config));
+    let crowd = stage::crowd_stage(&world, &plan, &Executor::serial(), &TimingObserver::new());
+    let (raw, report) = (crowd.raw, crowd.cleaning);
     let truly_noisy = raw
         .records()
         .iter()
@@ -135,10 +133,10 @@ fn tax_inliners_are_excluded_from_crowd_analysis() {
     // cleaned crowd dataset (the paper's manual tax check).
     let mut config = ExperimentConfig::small(13);
     config.crowd.checks = 300;
-    let mut exp = Experiment::new(config);
-    let (_, cleaned, _) = exp.run_crowd_phase();
-    let inliners: Vec<String> = exp
-        .world()
+    let (world, plan) = (World::build(&config), RunPlan::new(config));
+    let crowd = stage::crowd_stage(&world, &plan, &Executor::serial(), &TimingObserver::new());
+    let cleaned = crowd.cleaned;
+    let inliners: Vec<String> = world
         .web
         .servers()
         .iter()

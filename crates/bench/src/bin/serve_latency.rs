@@ -12,8 +12,8 @@
 //! 1. **cold** — the first job builds the analysis frames (and, with
 //!    `--artifacts`, streams the store),
 //! 2. **warm** — every later sequential job hits the daemon's
-//!    process-wide warm `FrameCache`; the service-layer claim is that
-//!    warm jobs rebuild nothing (`frames_built == 0`),
+//!    process-wide warm memo (`StoreCache`); the service-layer claim is
+//!    that warm jobs rebuild nothing (`frames_built == 0`),
 //! 3. **coalesced burst** — the runner pool is gated, `--burst`
 //!    identical submissions land (one leader + N-1 followers), then the
 //!    pool resumes: the whole burst settles in ~one warm run's wall

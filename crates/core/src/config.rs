@@ -10,16 +10,17 @@ use serde::{Deserialize, Serialize};
 /// Changing an analysis knob re-derives figures from the same crowd,
 /// crawl and persona artifacts, which is why the artifact store's
 /// measurement-stage fingerprints exclude this section (see
-/// [`crate::store`]): `pd rerun --fig1-top 10` reuses a stored crawl
-/// instead of re-measuring it.
+/// [`crate::store`]): `pd rerun DIR --set analysis.fig1_domains=10`
+/// reuses a stored crawl instead of re-measuring it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AnalysisConfig {
     /// How many top-variation domains Fig. 1 ranks (paper: 27).
     pub fig1_domains: usize,
     /// Products probed per retailer by the factor-attribution extension.
     /// The persona stage probes at this count and stores the result; an
-    /// analysis at another count (`pd rerun --attribution-products N`)
-    /// re-probes, so the knob stays out of the measurement fingerprints.
+    /// analysis at another count (`pd rerun DIR --set
+    /// analysis.attribution_products=N`) re-probes, so the knob stays
+    /// out of the measurement fingerprints.
     pub attribution_products: usize,
 }
 

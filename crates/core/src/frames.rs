@@ -1,24 +1,26 @@
-//! The analysis frame cache.
+//! The engine's memo: stage artifacts, and the analysis frames cut
+//! from them.
 //!
 //! Every `analyze()` call used to rebuild the full [`CheckFrame`] from
 //! the measurement stores — at paper scale that is hundreds of
 //! thousands of band-filter evaluations repeated for every re-analysis,
-//! every `pd rerun`, and every sweep arm. The [`FrameCache`] memoizes
-//! each store's assembled frame, keyed by the **measurement
-//! fingerprint** of the store it was cut from ([`crate::store`]):
-//! `fingerprint →` [`StoreFrame`]. A miss builds one shard per domain —
-//! the domain's `CheckFrame` and its [`CrawlTally`], cut from the same
-//! rows in one pass — in parallel (one task per retailer) on the
-//! deterministic [`Executor`], splices them back into exact store order
-//! with [`CheckFrame::merge_shards`] and merges their tallies beside
-//! them. The shards themselves are not kept.
+//! every `pd rerun`, and every sweep arm. Beside the stage artifacts,
+//! the [`StoreCache`] memoizes each store's assembled frame, keyed by
+//! the **measurement fingerprint** of the store it was cut from
+//! ([`crate::store`]): `fingerprint →` [`StoreFrame`]. A miss builds
+//! one shard per domain — the domain's `CheckFrame` and its
+//! [`CrawlTally`], cut from the same rows in one pass — in parallel (one
+//! task per retailer) on the deterministic [`Executor`], splices them
+//! back into exact store order with [`CheckFrame::merge_shards`] and
+//! merges their tallies beside them. The shards themselves are not
+//! kept.
 //!
 //! Because the key is the fingerprint — a digest of everything that can
-//! reshape the store — a cache hit is exactly as trustworthy as the
-//! artifact store's read-through: same plan, same bytes. The cache pays
+//! reshape the store — a frame hit is exactly as trustworthy as the
+//! artifact store's read-through: same plan, same bytes. Frames pay
 //! off on *repeated analysis of the same measurements*: a second
 //! `analyze()`, a `pd rerun` under different figure knobs. Engines
-//! built from one [`crate::ExperimentBuilder`] also share a cache, but
+//! built from one [`crate::ExperimentBuilder`] also share a memo, but
 //! note the built-in sweeps never collide on a key (their arms differ
 //! through seed, config or engine knobs, all part of the fingerprint) —
 //! cross-arm reuse only materializes for custom sweeps whose arms vary
@@ -28,12 +30,12 @@
 //! counters over-report.
 //!
 //! ```
-//! use pd_core::{Executor, FrameCache};
+//! use pd_core::{Executor, StoreCache};
 //! use pd_currency::FxSeries;
 //! use pd_sheriff::MeasurementStore;
 //! use pd_util::Seed;
 //!
-//! let cache = FrameCache::new();
+//! let cache = StoreCache::new();
 //! let fx = FxSeries::generate(Seed::new(1), 10);
 //! let store = MeasurementStore::new();
 //! let exec = Executor::serial();
@@ -55,9 +57,9 @@ use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-/// What one [`FrameCache::frame_for`] (or
-/// [`FrameCache::frame_for_chunked`]) call did: how many per-domain
-/// frames it had to build versus how many it served from the cache, and
+/// What one [`StoreCache::frame_for`] (or
+/// [`StoreCache::frame_for_chunked`]) call did: how many per-domain
+/// frames it had to build versus how many it served from the memo, and
 /// how many binary chunks it decoded to do so. Surfaced as the
 /// `frames_built` / `frames_reused` / `frames_chunks_loaded` analysis
 /// counters recorded into [`crate::TimingObserver`].
@@ -66,11 +68,11 @@ pub struct FrameStats {
     /// Domain frames built by this call (the store's domain count on a
     /// miss).
     pub built: usize,
-    /// Domain frames served from cache (the store's domain count on a
-    /// hit).
+    /// Domain frames served from the memo (the store's domain count on
+    /// a hit).
     pub reused: usize,
     /// Binary store chunks decoded from a [`ChunkedPayload`] by this
-    /// call. Zero on the in-memory path and on every cache hit — a
+    /// call. Zero on the in-memory path and on every memo hit — a
     /// non-zero value proves the call streamed rows from disk without
     /// materializing the whole payload.
     pub chunks_loaded: usize,
@@ -79,7 +81,7 @@ pub struct FrameStats {
 /// A store's assembled analysis frame and the [`CrawlTally`] cut from
 /// the same rows in the same pass — so the Sec. 3.2 summary's crawl
 /// half needs no second decode of a chunked store, and none at all on a
-/// cache hit.
+/// memo hit.
 #[derive(Debug, Clone)]
 pub struct StoreFrame {
     /// The frame, row-for-row `CheckFrame::build` over the store.
@@ -91,183 +93,14 @@ pub struct StoreFrame {
 /// One domain's frame shard and the tally of its rows.
 type Shard = (CheckFrame, CrawlTally);
 
-/// Shared, thread-safe cache of assembled [`CheckFrame`]s keyed by
-/// store fingerprint. See the [module docs](self).
-#[derive(Debug, Default)]
-pub struct FrameCache {
-    /// `store fingerprint → (full frame, number of domains)`.
-    assembled: Mutex<HashMap<u64, (StoreFrame, usize)>>,
-}
-
-impl FrameCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The analysis-ready frame for `store`, identified by `key` (the
-    /// producing stage's fingerprint). On a miss one shard per domain is
-    /// built in parallel on `exec` — one task per retailer — and the
-    /// shards are spliced into store order; a hit returns the memoized
-    /// frame. The returned frame is row-for-row identical to
-    /// `CheckFrame::build(store, fx)` at any thread count.
-    ///
-    /// Correctness rests on the fingerprint contract: `key` must change
-    /// whenever the store's content could ([`crate::store`] derives it
-    /// from the full measurement configuration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock is poisoned (a frame build panicked).
-    #[must_use]
-    pub fn frame_for(
-        &self,
-        key: u64,
-        store: &MeasurementStore,
-        fx: &FxSeries,
-        exec: &Executor,
-    ) -> (StoreFrame, FrameStats) {
-        let domains = || store.domains();
-        // One pass over the store partitions its rows by domain
-        // (`build_domain` per domain would rescan the whole store once
-        // per domain — quadratic at paper scale).
-        let build = |domains: &[String]| {
-            let slot_of: HashMap<&str, usize> = domains
-                .iter()
-                .enumerate()
-                .map(|(slot, domain)| (domain.as_str(), slot))
-                .collect();
-            let mut members: Vec<Vec<&Measurement>> = vec![Vec::new(); domains.len()];
-            for m in store.records() {
-                if let Some(&slot) = slot_of.get(m.domain.as_str()) {
-                    members[slot].push(m);
-                }
-            }
-            exec.map_indexed(domains.len(), |j| Ok(shard(members[j].iter().copied(), fx)))
-        };
-        self.assemble(key, domains, build)
-            .expect("in-memory shards cannot fail")
-    }
-
-    /// Like [`FrameCache::frame_for`], but cut from a **chunked binary
-    /// payload** instead of an in-memory [`MeasurementStore`]: each
-    /// domain shard is produced by decoding only that domain's chunk of
-    /// `section` from `payload` — the whole measurement store is never
-    /// materialized. `FrameStats::chunks_loaded` reports how many
-    /// chunks were actually decoded (zero on a cache hit), which is
-    /// what the `frames_chunks_loaded` counter surfaces.
-    ///
-    /// Chunks are partitioned by domain in store first-seen order and
-    /// each chunk keeps original store order internally, so the result
-    /// is row-for-row identical to `frame_for` over the assembled
-    /// store — the two paths share one cache key space.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] when a chunk is missing, fails its
-    /// checksum, or a row does not deserialize as a [`Measurement`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock is poisoned (a frame build panicked).
-    pub fn frame_for_chunked(
-        &self,
-        key: u64,
-        payload: &ChunkedPayload,
-        section: &str,
-        fx: &FxSeries,
-        exec: &Executor,
-    ) -> Result<(StoreFrame, FrameStats), StoreError> {
-        let domains = || {
-            payload
-                .chunk_names(section)
-                .into_iter()
-                .map(str::to_owned)
-                .collect()
-        };
-        // Decode the domains' chunks in parallel — one row decode per
-        // retailer, nothing else leaves the payload.
-        let build = |domains: &[String]| {
-            exec.map_indexed(domains.len(), |j| {
-                let rows: Vec<Measurement> = payload.read_chunk_rows(section, &domains[j])?;
-                Ok(shard(&rows, fx))
-            })
-        };
-        let (frame, mut stats) = self.assemble(key, domains, build)?;
-        stats.chunks_loaded = stats.built;
-        Ok((frame, stats))
-    }
-
-    /// The one assembly path behind both sources: an assembled-frame
-    /// hit, else `build(domains)` producing one shard per domain (in
-    /// `domains` order), spliced into store order with their tallies
-    /// merged alongside.
-    fn assemble(
-        &self,
-        key: u64,
-        domains: impl FnOnce() -> Vec<String>,
-        build: impl FnOnce(&[String]) -> Vec<Result<Shard, StoreError>>,
-    ) -> Result<(StoreFrame, FrameStats), StoreError> {
-        if let Some((frame, count)) = self.assembled.lock().expect("frame cache lock").get(&key) {
-            return Ok((
-                frame.clone(),
-                FrameStats {
-                    built: 0,
-                    reused: *count,
-                    chunks_loaded: 0,
-                },
-            ));
-        }
-
-        // Built outside the lock; the executor's index-ordered merge
-        // keeps this deterministic.
-        let domains = domains();
-        let shards = build(&domains).into_iter().collect::<Result<Vec<_>, _>>()?;
-        let mut tally = CrawlTally::default();
-        for (_, domain_tally) in &shards {
-            tally.merge(domain_tally);
-        }
-        let frame = StoreFrame {
-            frame: Arc::new(CheckFrame::merge_shards(shards.iter().map(|(f, _)| f))),
-            tally: Arc::new(tally),
-        };
-        self.assembled
-            .lock()
-            .expect("frame cache lock")
-            .entry(key)
-            .or_insert_with(|| (frame.clone(), domains.len()));
-        Ok((
-            frame,
-            FrameStats {
-                built: domains.len(),
-                reused: 0,
-                chunks_loaded: 0,
-            },
-        ))
-    }
-}
-
-/// One domain's shard: its check frame and its crawl tally, both cut
-/// from the same rows in one pass.
-fn shard<'a>(rows: impl IntoIterator<Item = &'a Measurement> + Clone, fx: &FxSeries) -> Shard {
-    let frame = CheckFrame::from_rows(
-        rows.clone()
-            .into_iter()
-            .filter_map(|m| pd_analysis::CheckRow::from_measurement(m, fx))
-            .collect(),
-    );
-    (frame, CrawlTally::of_domain(rows))
-}
-
-/// The engine's **stage memo**: a shared, thread-safe map from
+/// The engine's **memo**: a shared, thread-safe map from
 /// `(stage, measurement fingerprint)` to the stage's artifact
-/// (`CrowdArtifact`, `CrawlArtifact`, …) — the store-level sibling of
-/// [`FrameCache`]. Where the frame cache memoizes the analysis-ready
-/// frames cut *from* a store, this memo holds the artifact itself, so a
-/// repeated run (a sweep arm, a `pd serve` job) skips the measurement
-/// stages, and N concurrent re-analyses of one crawl share a single
-/// `Arc` instead of each holding its own copy.
+/// (`CrowdArtifact`, `CrawlArtifact`, …), and beside it a map from a
+/// store's fingerprint to the analysis frame cut from that store (see
+/// the [module docs](self)). The artifacts let a repeated run (a sweep
+/// arm, a `pd serve` job) skip the measurement stages, and N concurrent
+/// re-analyses of one crawl share a single `Arc` instead of each
+/// holding its own copy; the frames let it skip the frame build.
 ///
 /// Every engine resolves a measurement stage through one chain: its own
 /// slot, then this memo, then the attached disk store, then compute.
@@ -279,12 +112,16 @@ fn shard<'a>(rows: impl IntoIterator<Item = &'a Measurement> + Clone, fx: &FxSer
 ///   ([`StoreCache::insert`]) — loads are bounded by the one store dir;
 /// * a computed artifact is kept only on its second offer
 ///   ([`StoreCache::admit`]): a fingerprint computed once leaves just
-///   its 16-byte key behind, so one-off runs cost no artifact memory.
+///   its 16-byte key behind, so one-off runs cost no artifact memory;
+/// * a frame is kept on its first build ([`StoreCache::frame_for`]),
+///   whatever its store's origin — the rows of a stored stage never
+///   enter the memo, so its frame is all a warm re-analysis has.
 ///
-/// Values are type-erased as `Arc<dyn Any>` so one memo covers every
+/// Artifacts are type-erased as `Arc<dyn Any>` so one memo covers every
 /// stage's artifact type — the typed accessors downcast, and a key can
 /// never alias across types because the [`StageKind`] half of the key
-/// pins the artifact type stored under it.
+/// pins the artifact type stored under it. Frames live in their own
+/// map, so a frame key never aliases an artifact key.
 #[derive(Default)]
 pub struct StoreCache {
     memo: Mutex<Memo>,
@@ -299,6 +136,8 @@ struct Memo {
     entries: HashMap<MemoKey, Arc<dyn Any + Send + Sync>>,
     /// Keys whose computed artifact was offered once and not kept.
     seen: HashSet<MemoKey>,
+    /// `store fingerprint → (assembled frame, number of domains)`.
+    frames: HashMap<u64, (StoreFrame, usize)>,
 }
 
 impl Memo {
@@ -335,7 +174,8 @@ impl StoreCache {
         self.memo.lock().expect("store cache lock")
     }
 
-    /// Number of resident artifacts (keys seen only once not counted).
+    /// Number of resident artifacts (keys seen only once and frames not
+    /// counted).
     ///
     /// # Panics
     ///
@@ -407,6 +247,158 @@ impl StoreCache {
         }
         memo.keep(key, artifact)
     }
+
+    /// The analysis-ready frame for `store`, identified by `key` (the
+    /// producing stage's fingerprint). On a miss one shard per domain is
+    /// built in parallel on `exec` — one task per retailer — and the
+    /// shards are spliced into store order; a hit returns the memoized
+    /// frame. The returned frame is row-for-row identical to
+    /// `CheckFrame::build(store, fx)` at any thread count.
+    ///
+    /// Correctness rests on the fingerprint contract: `key` must change
+    /// whenever the store's content could ([`crate::store`] derives it
+    /// from the full measurement configuration).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memo lock is poisoned (a frame build panicked).
+    #[must_use]
+    pub fn frame_for(
+        &self,
+        key: u64,
+        store: &MeasurementStore,
+        fx: &FxSeries,
+        exec: &Executor,
+    ) -> (StoreFrame, FrameStats) {
+        let domains = || store.domains();
+        // One pass over the store partitions its rows by domain
+        // (`build_domain` per domain would rescan the whole store once
+        // per domain — quadratic at paper scale).
+        let build = |domains: &[String]| {
+            let slot_of: HashMap<&str, usize> = domains
+                .iter()
+                .enumerate()
+                .map(|(slot, domain)| (domain.as_str(), slot))
+                .collect();
+            let mut members: Vec<Vec<&Measurement>> = vec![Vec::new(); domains.len()];
+            for m in store.records() {
+                if let Some(&slot) = slot_of.get(m.domain.as_str()) {
+                    members[slot].push(m);
+                }
+            }
+            exec.map_indexed(domains.len(), |j| Ok(shard(members[j].iter().copied(), fx)))
+        };
+        self.assemble(key, domains, build)
+            .expect("in-memory shards cannot fail")
+    }
+
+    /// Like [`StoreCache::frame_for`], but cut from a **chunked binary
+    /// payload** instead of an in-memory [`MeasurementStore`]: each
+    /// domain shard is produced by decoding only that domain's chunk of
+    /// `section` from `payload` — the whole measurement store is never
+    /// materialized. `FrameStats::chunks_loaded` reports how many
+    /// chunks were actually decoded (zero on a memo hit), which is
+    /// what the `frames_chunks_loaded` counter surfaces.
+    ///
+    /// Chunks are partitioned by domain in store first-seen order and
+    /// each chunk keeps original store order internally, so the result
+    /// is row-for-row identical to `frame_for` over the assembled
+    /// store — the two paths share one key space.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] when a chunk is missing, fails its
+    /// checksum, or a row does not deserialize as a [`Measurement`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memo lock is poisoned (a frame build panicked).
+    pub fn frame_for_chunked(
+        &self,
+        key: u64,
+        payload: &ChunkedPayload,
+        section: &str,
+        fx: &FxSeries,
+        exec: &Executor,
+    ) -> Result<(StoreFrame, FrameStats), StoreError> {
+        let domains = || {
+            payload
+                .chunk_names(section)
+                .into_iter()
+                .map(str::to_owned)
+                .collect()
+        };
+        // Decode the domains' chunks in parallel — one row decode per
+        // retailer, nothing else leaves the payload.
+        let build = |domains: &[String]| {
+            exec.map_indexed(domains.len(), |j| {
+                let rows: Vec<Measurement> = payload.read_chunk_rows(section, &domains[j])?;
+                Ok(shard(&rows, fx))
+            })
+        };
+        let (frame, mut stats) = self.assemble(key, domains, build)?;
+        stats.chunks_loaded = stats.built;
+        Ok((frame, stats))
+    }
+
+    /// The one assembly path behind both sources: an assembled-frame
+    /// hit, else `build(domains)` producing one shard per domain (in
+    /// `domains` order), spliced into store order with their tallies
+    /// merged alongside.
+    fn assemble(
+        &self,
+        key: u64,
+        domains: impl FnOnce() -> Vec<String>,
+        build: impl FnOnce(&[String]) -> Vec<Result<Shard, StoreError>>,
+    ) -> Result<(StoreFrame, FrameStats), StoreError> {
+        if let Some((frame, count)) = self.lock().frames.get(&key) {
+            return Ok((
+                frame.clone(),
+                FrameStats {
+                    built: 0,
+                    reused: *count,
+                    chunks_loaded: 0,
+                },
+            ));
+        }
+
+        // Built outside the lock; the executor's index-ordered merge
+        // keeps this deterministic.
+        let domains = domains();
+        let shards = build(&domains).into_iter().collect::<Result<Vec<_>, _>>()?;
+        let mut tally = CrawlTally::default();
+        for (_, domain_tally) in &shards {
+            tally.merge(domain_tally);
+        }
+        let frame = StoreFrame {
+            frame: Arc::new(CheckFrame::merge_shards(shards.iter().map(|(f, _)| f))),
+            tally: Arc::new(tally),
+        };
+        self.lock()
+            .frames
+            .entry(key)
+            .or_insert_with(|| (frame.clone(), domains.len()));
+        Ok((
+            frame,
+            FrameStats {
+                built: domains.len(),
+                reused: 0,
+                chunks_loaded: 0,
+            },
+        ))
+    }
+}
+
+/// One domain's shard: its check frame and its crawl tally, both cut
+/// from the same rows in one pass.
+fn shard<'a>(rows: impl IntoIterator<Item = &'a Measurement> + Clone, fx: &FxSeries) -> Shard {
+    let frame = CheckFrame::from_rows(
+        rows.clone()
+            .into_iter()
+            .filter_map(|m| pd_analysis::CheckRow::from_measurement(m, fx))
+            .collect(),
+    );
+    (frame, CrawlTally::of_domain(rows))
 }
 
 #[cfg(test)]
@@ -456,7 +448,7 @@ mod tests {
 
     #[test]
     fn cached_frame_equals_direct_build_and_counts_reuse() {
-        let cache = FrameCache::new();
+        let cache = StoreCache::new();
         let store = sample_store();
         let fx = fx();
         for threads in [1, 4] {
@@ -530,11 +522,11 @@ mod tests {
         let fx = fx();
         for threads in [1, 4] {
             let exec = Executor::new(threads);
-            let memory = FrameCache::new();
+            let memory = StoreCache::new();
             let (direct, _) = memory.frame_for(11, &store, &fx, &exec);
             let direct_tally = direct.tally;
             let direct = direct.frame;
-            let cache = FrameCache::new();
+            let cache = StoreCache::new();
             let (chunked, stats) = cache
                 .frame_for_chunked(11, &payload, "store", &fx, &exec)
                 .expect("chunked build");
@@ -599,7 +591,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_alias() {
-        let cache = FrameCache::new();
+        let cache = StoreCache::new();
         let store = sample_store();
         let mut other = MeasurementStore::new();
         other.push(meas("a.example", "p1", &[99_000, 99_000]));
@@ -610,5 +602,23 @@ mod tests {
         assert_eq!(stats.built, 1, "same domain under a new key rebuilds");
         assert_eq!(full.frame.len(), 4);
         assert_eq!(small.frame.len(), 1);
+    }
+
+    #[test]
+    fn frames_and_artifacts_under_one_key_do_not_alias() {
+        let cache = StoreCache::new();
+        let fx = fx();
+        let exec = Executor::serial();
+        let artifact = cache.insert(StageKind::Crawl, 5, Arc::new(vec![5u64]));
+        let (frame, stats) = cache.frame_for(5, &sample_store(), &fx, &exec);
+        assert_eq!(stats.built, 3, "an artifact under the key is no frame");
+        assert_eq!(frame.frame.len(), 4);
+        let (_, stats) = cache.frame_for(5, &sample_store(), &fx, &exec);
+        assert_eq!(stats.reused, 3);
+        let hit = cache
+            .get::<Vec<u64>>(StageKind::Crawl, 5)
+            .expect("the artifact survives the frame");
+        assert!(Arc::ptr_eq(&artifact, &hit));
+        assert_eq!(cache.len(), 1, "len counts artifacts, not frames");
     }
 }

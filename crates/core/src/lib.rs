@@ -80,7 +80,7 @@ pub mod world;
 
 pub use config::{AnalysisConfig, ExperimentConfig, WorldConfig};
 pub use executor::Executor;
-pub use frames::{FrameCache, FrameStats, StoreCache, StoreFrame};
+pub use frames::{FrameStats, StoreCache, StoreFrame};
 pub use observer::{StageKind, StageTiming, TimingObserver};
 pub use pipeline::{
     BuildError, Engine, Experiment, ExperimentBuilder, LoadSummary, SaveSummary, SweepArmRun,

@@ -14,7 +14,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::executor::Executor;
-use crate::frames::{FrameCache, StoreCache};
+use crate::frames::StoreCache;
 use crate::observer::{StageKind, TimingObserver};
 use crate::report::Report;
 use crate::scenario::{Profile, RunPlan, ScenarioParams, ScenarioRegistry};
@@ -182,12 +182,10 @@ pub struct Engine {
     /// Stages whose artifact came from the stage memo or off disk
     /// rather than being computed here.
     loaded_stages: Vec<StageKind>,
-    /// Per-store frame cache the analysis stage reuses across repeated
-    /// `analyze()` calls; shared across sweep arms built by one builder.
-    frames: Arc<FrameCache>,
-    /// The stage memo (see [`StoreCache`]): consulted before the disk
-    /// store on every measurement stage; per engine unless shared by the
-    /// builder or injected by a long-lived caller.
+    /// The memo (see [`StoreCache`]): consulted before the disk store
+    /// on every measurement stage, and for the frames every `analyze()`
+    /// reuses; per engine unless shared by the builder or injected by a
+    /// long-lived caller.
     stores: Arc<StoreCache>,
     crowd: Option<Slot<CrowdArtifact>>,
     crawl: Option<Slot<CrawlArtifact>>,
@@ -276,7 +274,6 @@ impl Engine {
             provenance,
             spec: None,
             loaded_stages: Vec::new(),
-            frames: Arc::new(FrameCache::new()),
             stores: Arc::new(StoreCache::new()),
             crowd: None,
             crawl: None,
@@ -325,33 +322,19 @@ impl Engine {
         self.spec.as_ref()
     }
 
-    /// Replaces the engine's frame cache with a shared one (the builder
-    /// does this so every sweep arm reuses per-domain frames keyed by
-    /// the same upstream fingerprints).
-    #[must_use]
-    pub fn with_frame_cache(mut self, frames: Arc<FrameCache>) -> Self {
-        self.frames = frames;
-        self
-    }
-
-    /// The per-domain frame cache in force.
-    #[must_use]
-    pub fn frame_cache(&self) -> &Arc<FrameCache> {
-        &self.frames
-    }
-
-    /// Replaces the engine's stage memo with a shared one: every
-    /// measurement stage checks it before the disk store, loaded
-    /// artifacts are kept there on first load and computed ones on
-    /// their second offer (see [`StoreCache`]) — so engines over the
-    /// same measurements share one `Arc` per artifact.
+    /// Replaces the engine's memo with a shared one: every measurement
+    /// stage checks it before the disk store, loaded artifacts are kept
+    /// there on first load and computed ones on their second offer, and
+    /// analysis frames on their first build (see [`StoreCache`]) — so
+    /// engines over the same measurements share one `Arc` per artifact
+    /// and per frame.
     #[must_use]
     pub fn with_store_cache(mut self, stores: Arc<StoreCache>) -> Self {
         self.stores = stores;
         self
     }
 
-    /// The stage memo in force.
+    /// The memo in force.
     #[must_use]
     pub fn store_cache(&self) -> &Arc<StoreCache> {
         &self.stores
@@ -742,7 +725,7 @@ impl Engine {
         let crowd = self.crowd.as_ref().expect(resolved);
         let crawl = self.crawl.as_ref().expect(resolved);
         let keys = stage::FrameKeys {
-            cache: self.frames.as_ref(),
+            cache: self.stores.as_ref(),
             crowd: self.fingerprint::<CrowdArtifact>().as_u64(),
             crawl: self.fingerprint::<CrawlArtifact>().as_u64(),
         };
@@ -849,7 +832,6 @@ pub struct ExperimentBuilder {
     threads: usize,
     observer: Arc<TimingObserver>,
     artifacts: Option<PathBuf>,
-    frame_cache: Option<Arc<FrameCache>>,
     store_cache: Option<Arc<StoreCache>>,
 }
 
@@ -876,7 +858,6 @@ impl Default for ExperimentBuilder {
             threads: 1,
             observer: Arc::new(TimingObserver::new()),
             artifacts: None,
-            frame_cache: None,
             store_cache: None,
         }
     }
@@ -905,14 +886,6 @@ impl ExperimentBuilder {
     #[must_use]
     pub fn spec(mut self, spec: ScenarioSpec) -> Self {
         self.spec = Some(spec);
-        self
-    }
-
-    /// Replaces the scenario registry (to add custom scenarios before
-    /// selecting one by name).
-    #[must_use]
-    pub fn registry(mut self, registry: ScenarioRegistry) -> Self {
-        self.registry = registry;
         self
     }
 
@@ -975,46 +948,23 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Shares a caller-owned [`FrameCache`] with every engine this
-    /// builder produces, instead of the per-build cache it would
+    /// Shares a caller-owned [`StoreCache`] (the memo) with every engine
+    /// this builder produces, instead of the per-build memo it would
     /// otherwise create. Long-lived callers (the `pd serve` daemon) pass
-    /// one process-wide cache here so repeated runs over the same
-    /// measurements reuse assembled frames across builds — frames are
-    /// keyed by measurement fingerprint, so unrelated workloads never
-    /// collide.
-    #[must_use]
-    pub fn frame_cache(mut self, frames: Arc<FrameCache>) -> Self {
-        self.frame_cache = Some(frames);
-        self
-    }
-
-    /// Shares a caller-owned [`StoreCache`] (the stage memo) with every
-    /// engine this builder produces, instead of the per-build memo it
-    /// would otherwise create. Long-lived callers (the `pd serve`
-    /// daemon) pass one process-wide memo here, so a repeated run skips
-    /// the measurement stages and concurrent runs over one on-disk crawl
-    /// hold one `Arc` per artifact. Like the frame cache, entries are
-    /// keyed by measurement fingerprint — unrelated workloads never
-    /// collide.
+    /// one process-wide memo here, so a repeated run skips the
+    /// measurement stages and the frame build, and concurrent runs over
+    /// one on-disk crawl hold one `Arc` per artifact. Entries are keyed
+    /// by measurement fingerprint — unrelated workloads never collide.
     #[must_use]
     pub fn store_cache(mut self, stores: Arc<StoreCache>) -> Self {
         self.store_cache = Some(stores);
         self
     }
 
-    /// The caches the built engines will share: the injected ones, or
-    /// fresh per-build ones.
-    fn shared_caches(&self) -> SharedCaches {
-        SharedCaches {
-            frames: self
-                .frame_cache
-                .clone()
-                .unwrap_or_else(|| Arc::new(FrameCache::new())),
-            stores: self
-                .store_cache
-                .clone()
-                .unwrap_or_else(|| Arc::new(StoreCache::new())),
-        }
+    /// The memo the built engines will share: the injected one, or a
+    /// fresh per-build one.
+    fn shared_memo(&self) -> Arc<StoreCache> {
+        self.store_cache.clone().unwrap_or_default()
     }
 
     /// Resolves the scenario (an explicit spec, or a registry name) into
@@ -1068,7 +1018,7 @@ impl ExperimentBuilder {
 
     /// Assembles one arm's engine: provenance and the arm label its
     /// stages are recorded under from the scenario/label, the shared
-    /// caches, and (with
+    /// memo, and (with
     /// [`ExperimentBuilder::artifacts`]) the arm's store subdirectory.
     /// The single place this wiring exists — `build`, `build_variants`
     /// and `run_sweep` all go through it, so they cannot drift.
@@ -1082,7 +1032,7 @@ impl ExperimentBuilder {
         plan: RunPlan,
         executor: Executor,
         observer: Arc<TimingObserver>,
-        caches: &SharedCaches,
+        memo: &Arc<StoreCache>,
     ) -> Engine {
         let provenance = Provenance::new(
             &spec.name,
@@ -1094,8 +1044,7 @@ impl ExperimentBuilder {
         let mut engine = Engine::from_plan(plan, executor, observer)
             .with_provenance(provenance)
             .with_spec(spec.clone())
-            .with_frame_cache(Arc::clone(&caches.frames))
-            .with_store_cache(Arc::clone(&caches.stores));
+            .with_store_cache(Arc::clone(memo));
         engine.arm = label.to_owned();
         if let Some(dir) = &self.artifacts {
             let arm_dir = if label.is_empty() {
@@ -1127,7 +1076,7 @@ impl ExperimentBuilder {
             plan,
             Executor::new(self.threads),
             Arc::clone(&self.observer),
-            &self.shared_caches(),
+            &self.shared_memo(),
         ))
     }
 
@@ -1141,10 +1090,9 @@ impl ExperimentBuilder {
     pub fn build_variants(self) -> Result<Vec<(String, Engine)>, BuildError> {
         let (spec, variants) = self.resolve()?;
         let executor = Executor::new(self.threads);
-        // One frame cache and memo for the whole sweep: arms whose
-        // upstream measurement fingerprints coincide reuse each other's
-        // frames and artifacts.
-        let caches = self.shared_caches();
+        // One memo for the whole sweep: arms whose upstream measurement
+        // fingerprints coincide reuse each other's frames and artifacts.
+        let memo = self.shared_memo();
         Ok(variants
             .into_iter()
             .map(|(label, plan)| {
@@ -1154,7 +1102,7 @@ impl ExperimentBuilder {
                     plan,
                     executor,
                     Arc::clone(&self.observer),
-                    &caches,
+                    &memo,
                 );
                 (label, engine)
             })
@@ -1177,7 +1125,7 @@ impl ExperimentBuilder {
     /// budget intra-arm), so callers like the `pd` CLI can treat every
     /// scenario uniformly.
     ///
-    /// Arms share the builder's [`FrameCache`] and [`StoreCache`]; with
+    /// Arms share the builder's [`StoreCache`]; with
     /// [`ExperimentBuilder::artifacts`], each labeled arm reads (and its
     /// returned engine later writes) its own store subdirectory.
     ///
@@ -1194,7 +1142,7 @@ impl ExperimentBuilder {
         let (spec, variants) = self.resolve()?;
         let total = Executor::new(self.threads);
         let (arm_exec, intra) = total.split(variants.len());
-        let caches = self.shared_caches();
+        let memo = self.shared_memo();
         let arm_observers: Vec<Arc<TimingObserver>> = variants
             .iter()
             .map(|_| Arc::new(TimingObserver::new()))
@@ -1202,7 +1150,7 @@ impl ExperimentBuilder {
         let mut runs = arm_exec.map_indexed(variants.len(), |i| {
             let (label, plan) = &variants[i];
             let observer = Arc::clone(&arm_observers[i]);
-            let mut engine = self.arm_engine(&spec, label, plan.clone(), intra, observer, &caches);
+            let mut engine = self.arm_engine(&spec, label, plan.clone(), intra, observer, &memo);
             let analysis = engine.analyze();
             // Between arms: drop interned strings only this arm's
             // transient frame shards were holding, so a long multi-arm
@@ -1225,12 +1173,6 @@ impl ExperimentBuilder {
         }
         Ok(runs)
     }
-}
-
-/// The caches every engine of one build shares.
-struct SharedCaches {
-    frames: Arc<FrameCache>,
-    stores: Arc<StoreCache>,
 }
 
 /// One completed arm of [`ExperimentBuilder::run_sweep`]: its label, the
@@ -1484,13 +1426,7 @@ mod tests {
             assert_eq!(observer.loads(kind), 1, "{kind} load must be observed");
         }
         assert_eq!(observer.starts(StageKind::Build), 0, "no stage computes");
-        let chunks: u64 = observer
-            .timings()
-            .iter()
-            .flat_map(|t| t.counters.iter())
-            .filter(|(name, _)| name == "frames_chunks_loaded")
-            .map(|(_, value)| *value)
-            .sum();
+        let chunks = counter_total(&observer, "frames_chunks_loaded");
         assert!(
             chunks > 0,
             "analysis must stream domain chunks instead of whole payloads"
@@ -1847,6 +1783,35 @@ mod tests {
             .expect("resident crawl");
         assert!(matches!(&third.crawl, Some(Slot::Memory(held)) if Arc::ptr_eq(&crawl, held)));
         assert_eq!(memo.len(), 3, "hits admit nothing new");
+    }
+
+    /// One counter summed over every stage `observer` recorded.
+    fn counter_total(observer: &TimingObserver, name: &str) -> u64 {
+        observer
+            .timings()
+            .iter()
+            .flat_map(|t| t.counters.iter())
+            .filter(|(counter, _)| counter == name)
+            .map(|(_, value)| *value)
+            .sum()
+    }
+
+    #[test]
+    fn a_second_engine_on_one_memo_reuses_every_frame() {
+        let memo = Arc::new(StoreCache::new());
+        let first = Arc::new(TimingObserver::new());
+        let reference = memo_engine(ExperimentConfig::smoke(7), &memo, first.clone())
+            .run()
+            .to_json();
+        assert!(counter_total(&first, "frames_built") > 0);
+
+        let second = Arc::new(TimingObserver::new());
+        let report = memo_engine(ExperimentConfig::smoke(7), &memo, second.clone())
+            .run()
+            .to_json();
+        assert_eq!(report, reference, "warm frames report the same bytes");
+        assert_eq!(counter_total(&second, "frames_built"), 0);
+        assert!(counter_total(&second, "frames_reused") > 0);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::executor::Executor;
-use crate::frames::{FrameCache, FrameStats, StoreFrame};
+use crate::frames::{FrameStats, StoreCache, StoreFrame};
 use crate::observer::{StageKind, TimingObserver};
 use crate::report::{Fig8Grid, Report};
 use crate::scenario::RunPlan;
@@ -652,7 +652,7 @@ impl StoreSource<'_> {
     /// `cache` under `key`.
     fn frame(
         &self,
-        cache: &FrameCache,
+        cache: &StoreCache,
         key: u64,
         fx: &pd_currency::FxSeries,
         exec: &Executor,
@@ -704,10 +704,10 @@ pub(crate) fn stored_probes<'a>(
 }
 
 /// How [`analysis_over`] should obtain its frames: through a
-/// [`FrameCache`] under the plan's measurement fingerprints.
+/// [`StoreCache`] under the plan's measurement fingerprints.
 pub(crate) struct FrameKeys<'a> {
-    /// The shared cache.
-    pub cache: &'a FrameCache,
+    /// The shared memo.
+    pub cache: &'a StoreCache,
     /// The crowd-stage fingerprint (keys the cleaned-crowd frame).
     pub crowd: u64,
     /// The crawl-stage fingerprint (keys the crawl frame).
@@ -722,7 +722,7 @@ pub(crate) struct FrameKeys<'a> {
 /// The web probes come from the persona artifact's [`ProbeRecord`];
 /// `probe_world` is read only when there is no record measured at the
 /// plan's `attribution_products`, and must then be given. The check
-/// frames come from the [`FrameCache`]: built in parallel on the first
+/// frames come from the [`StoreCache`]: built in parallel on the first
 /// call, reused (`frames_built = 0`) by every later analysis on the same
 /// measurement fingerprints — including `pd rerun` and sweep arms
 /// sharing an upstream crawl. Each stored chunk is decoded at most

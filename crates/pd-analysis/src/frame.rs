@@ -122,7 +122,7 @@ impl CheckFrame {
 
     /// Builds a frame from pre-built rows, trusting the caller's
     /// filtering (advanced: for callers that partition a store
-    /// themselves, like the engine's frame cache, where re-scanning the
+    /// themselves, like the engine's frame memo, where re-scanning the
     /// store per domain would be quadratic).
     #[must_use]
     pub fn from_rows(rows: Vec<CheckRow>) -> Self {

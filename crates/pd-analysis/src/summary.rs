@@ -30,9 +30,9 @@ pub struct DatasetSummary {
 /// domains: built per domain from that domain's rows
 /// ([`CrawlTally::of_domain`]) and merged across domains
 /// ([`CrawlTally::merge`]). Every figure is a count, a sum or a set
-/// union, so the merge is order-free — the frame cache keeps one tally
-/// beside each domain shard and the summary needs no second pass over
-/// the crawl.
+/// union, so the merge is order-free — the engine's memo keeps the
+/// merged tally beside each assembled frame and the summary needs no
+/// second pass over the crawl.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrawlTally {
     retailers: usize,

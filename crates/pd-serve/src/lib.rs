@@ -4,9 +4,9 @@
 //! detection system: many users submitting checks against measurements
 //! that were crawled once — not a batch CLI. This crate is that shape: a
 //! real TCP daemon (`std::net`, blocking listener, fixed worker pool)
-//! owning warm state behind `Arc`s — one process-wide
-//! [`pd_core::FrameCache`], the opened artifact stores, the interner —
-//! and answering an HTTP/1.1 JSON API:
+//! owning warm state behind `Arc`s — one process-wide memo of stage
+//! artifacts and analysis frames ([`pd_core::StoreCache`]), the opened
+//! artifact stores, the interner — and answering an HTTP/1.1 JSON API:
 //!
 //! | Endpoint | Meaning |
 //! |---|---|
@@ -28,9 +28,7 @@
 //! finishes, every follower settles with the same (byte-identical)
 //! report, its snapshot naming the leader in `coalesced_into`. The
 //! `/metrics` counter `jobs_coalesced` counts followers. Every engine
-//! shares the daemon's [`pd_core::FrameCache`] and stage memo
-//! [`pd_core::StoreCache`] (injected through
-//! [`pd_core::ExperimentBuilder::frame_cache`] /
+//! shares the daemon's memo [`pd_core::StoreCache`] (injected through
 //! [`pd_core::ExperimentBuilder::store_cache`]), so a repeated analysis
 //! is served from warm frames (`frames_built == 0`,
 //! `frames_reused > 0`), concurrent jobs load each measurement store

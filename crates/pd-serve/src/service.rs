@@ -2,15 +2,16 @@
 //! warm caches and `/metrics` aggregates.
 //!
 //! A [`PdService`] is everything the HTTP layer needs behind one `Arc`:
-//! the process-wide [`FrameCache`] and [`StoreCache`] (the stage memo)
-//! every job's engine shares — warm-path re-analyses rebuild nothing,
-//! never copy a loaded store, and from a seed's third execution skip
-//! the measurement stages — the scenario registry, the job table, and
-//! the [`Metrics`] each finished job is folded into. Jobs execute on a
-//! **runner pool** ([`ServeConfig::runners`] threads) pulling from one
-//! bounded queue — submissions beyond the queue capacity are rejected
-//! immediately (the HTTP layer turns that into `503` + `Retry-After`),
-//! so the accept loop never blocks on a slow pipeline.
+//! the process-wide [`StoreCache`] (the memo of stage artifacts and
+//! analysis frames) every job's engine shares — warm-path re-analyses
+//! rebuild nothing, never copy a loaded store, and from a seed's third
+//! execution skip the measurement stages — the scenario registry, the
+//! job table, and the [`Metrics`] each finished job is folded into.
+//! Jobs execute on a **runner pool** ([`ServeConfig::runners`] threads)
+//! pulling from one bounded queue — submissions beyond the queue
+//! capacity are rejected immediately (the HTTP layer turns that into
+//! `503` + `Retry-After`), so the accept loop never blocks on a slow
+//! pipeline.
 //!
 //! Identical submissions **coalesce**: while a job for a given
 //! fingerprint key (spec fingerprint + seed + profile) is queued or
@@ -29,8 +30,8 @@
 //! they stay the job's own). Nothing is evicted yet.
 
 use pd_core::{
-    reports_to_json, Experiment, FrameCache, Profile, ScenarioRegistry, ScenarioSpec, StageKind,
-    StoreCache, TimingObserver,
+    reports_to_json, Experiment, Profile, ScenarioRegistry, ScenarioSpec, StageKind, StoreCache,
+    TimingObserver,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -186,7 +187,7 @@ pub struct JobSnapshot {
     pub run_ms: Option<u64>,
     /// Analysis frames built by this job (0 on a fully warm path).
     pub frames_built: u64,
-    /// Analysis frames served from the shared warm cache.
+    /// Analysis frames served from the shared warm memo.
     pub frames_reused: u64,
     /// Domain chunks streamed from chunked binary stores.
     pub frames_chunks_loaded: u64,
@@ -480,7 +481,6 @@ impl JobTable {
 pub struct PdService {
     config: ServeConfig,
     registry: ScenarioRegistry,
-    frames: Arc<FrameCache>,
     stores: Arc<StoreCache>,
     metrics: Arc<Metrics>,
     jobs: Mutex<JobTable>,
@@ -513,7 +513,6 @@ impl PdService {
         PdService {
             config,
             registry: ScenarioRegistry::builtin(),
-            frames: Arc::new(FrameCache::new()),
             stores: Arc::new(StoreCache::new()),
             metrics,
             jobs: Mutex::new(JobTable::default()),
@@ -537,7 +536,7 @@ impl PdService {
 
     /// The `/metrics` body: the [`Metrics`] counters plus the
     /// `memo_entries` gauge (measurement artifacts resident in the
-    /// shared stage memo).
+    /// shared memo; its frames are not counted).
     #[must_use]
     pub fn metrics_text(&self) -> String {
         let mut text = self.metrics.render_text();
@@ -890,7 +889,6 @@ impl PdService {
             .profile(work.profile)
             .threads(self.config.job_threads)
             .observer(observer)
-            .frame_cache(Arc::clone(&self.frames))
             .store_cache(Arc::clone(&self.stores));
         if let Some(dir) = &self.config.artifacts {
             builder = builder.artifacts(dir.clone());

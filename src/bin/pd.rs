@@ -6,7 +6,7 @@
 //!                   [--profile smoke|small|medium|paper]
 //!                   [--json PATH] [--render] [--timings]
 //!                   [--artifacts DIR [--overwrite-artifacts]]
-//! pd rerun <DIR> [--threads N] [--fig1-top N] [--attribution-products N]
+//! pd rerun <DIR> [--set key=value]... [--threads N]
 //!                [--json PATH] [--render] [--timings]
 //! pd scenarios show <NAME> [--json]
 //! pd artifacts ls <DIR>
@@ -49,10 +49,12 @@
 //! produced by a *different* run, or in an older layout this build no
 //! longer reads, is never silently replaced — that takes
 //! `--overwrite-artifacts`. `pd rerun DIR` re-analyzes a stored crawl —
-//! optionally under different analysis knobs — without re-measuring
-//! anything. The persona stage stores the analysis's web probes too;
-//! `--attribution-products N` reuses them when N is the stored count
-//! and re-probes otherwise.
+//! optionally under different analysis knobs, given as `--set
+//! analysis.KEY=VALUE` like `pd run`'s — without re-measuring anything;
+//! a key that changes the measurements makes the store stale, and the
+//! rerun refuses it. The persona stage stores the analysis's web probes
+//! too; `--set analysis.attribution_products=N` reuses them when N is
+//! the stored count and re-probes otherwise.
 //!
 //! `--spec` accepts a file path or a bare name: bare names resolve
 //! against the spec search path (`examples/specs/`, then each
@@ -60,8 +62,8 @@
 //! hint over every spec found on the path.
 //!
 //! `pd serve` starts the long-running measurement service (see the
-//! `pd-serve` crate): a TCP daemon with one process-wide warm
-//! `FrameCache` shared across jobs, an HTTP/1.1 JSON API, and live
+//! `pd-serve` crate): a TCP daemon with one process-wide warm memo
+//! shared across jobs, an HTTP/1.1 JSON API, and live
 //! `/metrics`. `pd submit` queues a job on a running daemon (printing
 //! its `j-N` id to stdout), `pd poll` waits for one and can fetch its
 //! report — byte-identical to `pd run --json` for the same inputs —
@@ -127,9 +129,8 @@ struct RunArgs {
 
 struct RerunArgs {
     dir: PathBuf,
+    overrides: ConfigPatch,
     threads: usize,
-    fig1_top: Option<usize>,
-    attribution_products: Option<usize>,
     json: Option<String>,
     render: bool,
     timings: bool,
@@ -197,7 +198,7 @@ fn usage(registry: &ScenarioRegistry) -> String {
          \x20                   [--profile smoke|small|medium|paper]\n\
          \x20                   [--json PATH] [--render] [--timings]\n\
          \x20                   [--artifacts DIR [--overwrite-artifacts]]\n\
-         \x20 pd rerun <DIR> [--threads N] [--fig1-top N] [--attribution-products N]\n\
+         \x20 pd rerun <DIR> [--set key=value]... [--threads N]\n\
          \x20                [--json PATH] [--render] [--timings]\n\
          \x20 pd scenarios show <NAME> [--json]\n\
          \x20 pd artifacts ls <DIR>\n\
@@ -242,9 +243,11 @@ fn usage(registry: &ScenarioRegistry) -> String {
          \x20                  layout (refused otherwise)\n\
          \n\
          RERUN OPTIONS (re-analyze a stored crawl without re-measuring):\n\
-         \x20 --fig1-top N              rank N domains in Fig. 1 (default 27)\n\
-         \x20 --attribution-products N  products probed per retailer by the\n\
-         \x20                           attribution extension (default 8)\n\
+         \x20 --set key=value  override one field of the stored plan, e.g.\n\
+         \x20                  --set analysis.fig1_domains=10 or\n\
+         \x20                  --set analysis.attribution_products=16; a key\n\
+         \x20                  outside analysis.* changes the measurements,\n\
+         \x20                  so the stored stages are stale and refused\n\
          \n\
          SERVICE (pd serve / submit / poll / metrics / shutdown):\n\
          \x20 --addr HOST:PORT daemon address (default {DEFAULT_ADDR})\n\
@@ -258,13 +261,24 @@ fn usage(registry: &ScenarioRegistry) -> String {
          \x20                  a full queue answers 503 + Retry-After)\n\
          \x20 --timeout-secs N poll: give up waiting after N seconds\n\
          \x20                  (default 300)\n\
-         \x20 Jobs share the daemon's warm frame cache; a repeated analysis\n\
+         \x20 Jobs share the daemon's warm memo; a repeated analysis\n\
          \x20 reports frames built=0. `pd poll --json PATH` writes the\n\
          \x20 report byte-identically to an offline `pd run --json`.\n\
          \n\
          SCENARIOS:\n{}",
         scenario_lines(registry)
     )
+}
+
+/// Reads one `--set key=value` argument into `patch`. The value is
+/// parsed eagerly, so a bad key or value is a usage error (exit 2)
+/// before any work happens.
+fn set_override(args: &mut std::env::Args, patch: &mut ConfigPatch) -> Result<(), String> {
+    let kv = args.next().ok_or("--set needs key=value")?;
+    let (key, value) = kv
+        .split_once('=')
+        .ok_or_else(|| format!("--set {kv:?} is not key=value"))?;
+    patch.set(key, value)
 }
 
 fn parse_run(mut args: std::env::Args, registry: &ScenarioRegistry) -> Result<RunArgs, String> {
@@ -294,15 +308,7 @@ fn parse_run(mut args: std::env::Args, registry: &ScenarioRegistry) -> Result<Ru
             "--spec" => {
                 run.spec = Some(args.next().ok_or("--spec needs a file path or name")?);
             }
-            "--set" => {
-                let kv = args.next().ok_or("--set needs key=value")?;
-                let (key, value) = kv
-                    .split_once('=')
-                    .ok_or_else(|| format!("--set {kv:?} is not key=value"))?;
-                // Parse eagerly so a bad key or value is a usage error
-                // (exit 2) before any work happens.
-                run.overrides.set(key, value)?;
-            }
+            "--set" => set_override(&mut args, &mut run.overrides)?,
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
                 run.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
@@ -338,27 +344,18 @@ fn parse_rerun(mut args: std::env::Args) -> Result<RerunArgs, String> {
     let dir = args.next().ok_or("`pd rerun` needs a store directory")?;
     let mut rerun = RerunArgs {
         dir: PathBuf::from(dir),
+        overrides: ConfigPatch::default(),
         threads: 1,
-        fig1_top: None,
-        attribution_products: None,
         json: None,
         render: false,
         timings: false,
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
+            "--set" => set_override(&mut args, &mut rerun.overrides)?,
             "--threads" => {
                 let v = args.next().ok_or("--threads needs a value")?;
                 rerun.threads = v.parse().map_err(|_| format!("bad thread count {v:?}"))?;
-            }
-            "--fig1-top" => {
-                let v = args.next().ok_or("--fig1-top needs a value")?;
-                rerun.fig1_top = Some(v.parse().map_err(|_| format!("bad count {v:?}"))?);
-            }
-            "--attribution-products" => {
-                let v = args.next().ok_or("--attribution-products needs a value")?;
-                rerun.attribution_products =
-                    Some(v.parse().map_err(|_| format!("bad count {v:?}"))?);
             }
             "--json" => rerun.json = Some(args.next().ok_or("--json needs a path")?),
             "--render" => rerun.render = true,
@@ -576,12 +573,9 @@ fn execute_rerun(rerun: &RerunArgs) -> Result<(), String> {
     drop(store);
 
     let mut plan = manifest.plan.to_plan();
-    if let Some(n) = rerun.fig1_top {
-        plan.config.analysis.fig1_domains = n;
-    }
-    if let Some(n) = rerun.attribution_products {
-        plan.config.analysis.attribution_products = n;
-    }
+    // A key outside `analysis.` moves a measurement fingerprint; the
+    // load below then finds the stored stages stale and refuses them.
+    rerun.overrides.apply(&mut plan);
 
     let observer = Arc::new(TimingObserver::new());
     let p = &manifest.provenance;
@@ -870,11 +864,7 @@ fn parse_submit(
                 submit.spec = Some(args.next().ok_or("--spec needs a file path or name")?);
             }
             "--set" => {
-                let kv = args.next().ok_or("--set needs key=value")?;
-                let (key, value) = kv
-                    .split_once('=')
-                    .ok_or_else(|| format!("--set {kv:?} is not key=value"))?;
-                submit.overrides.set(key, value)?;
+                set_override(&mut args, &mut submit.overrides)?;
                 submit.has_overrides = true;
             }
             "--seed" => {
@@ -1003,7 +993,7 @@ fn execute_submit(submit: &SubmitArgs, registry: &ScenarioRegistry) -> Result<()
     Ok(())
 }
 
-/// `pd poll`: wait for a job, print its frame-cache counters (one
+/// `pd poll`: wait for a job, print its frame counters (one
 /// greppable line) and rendered summary, optionally write the report —
 /// byte-identical to the offline `pd run --json` output.
 fn execute_poll(poll: &PollArgs) -> Result<(), String> {

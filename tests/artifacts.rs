@@ -1141,9 +1141,9 @@ fn export_writes_the_stored_datasets_across_processes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `pd rerun --attribution-products N` over a store probed at another
-/// count re-probes at N: the report equals a direct run with the knob
-/// set to N.
+/// `pd rerun --set analysis.attribution_products=N` over a store probed
+/// at another count re-probes at N: the report equals a direct run with
+/// the knob set to N.
 #[test]
 fn rerun_at_another_attribution_count_equals_a_direct_run() {
     let dir = tmp("attribution-16");
@@ -1167,7 +1167,7 @@ fn rerun_at_another_attribution_count_equals_a_direct_run() {
     let rerun = pd()
         .arg("rerun")
         .arg(&store_dir)
-        .args(["--attribution-products", "16", "--json"])
+        .args(["--set", "analysis.attribution_products=16", "--json"])
         .arg(&rerun_json)
         .output()
         .expect("pd rerun executes");
@@ -1177,6 +1177,40 @@ fn rerun_at_another_attribution_count_equals_a_direct_run() {
         std::fs::read(&rerun_json).expect("rerun report"),
         "rerun at 16 products must equal the direct run at 16"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `pd rerun --set` takes any plan key, but a key outside `analysis.`
+/// changes a measurement fingerprint, so the stored stages are stale
+/// and the rerun refuses them (exit 1); an unknown key is a usage error
+/// (exit 2).
+#[test]
+fn rerun_set_refuses_measurement_keys_and_unknown_keys() {
+    let dir = tmp("rerun-set");
+    let run = pd()
+        .args(["run", "smoke", "--seed", "11", "--artifacts"])
+        .arg(&dir)
+        .output()
+        .expect("pd run executes");
+    assert!(run.status.success(), "pd run failed: {run:?}");
+    let stale = pd()
+        .arg("rerun")
+        .arg(&dir)
+        .args(["--set", "crowd.users=5"])
+        .output()
+        .expect("pd rerun executes");
+    assert_eq!(stale.status.code(), Some(1), "{stale:?}");
+    assert!(
+        String::from_utf8_lossy(&stale.stderr).contains("stale fingerprints"),
+        "{stale:?}"
+    );
+    let unknown = pd()
+        .arg("rerun")
+        .arg(&dir)
+        .args(["--set", "analysis.nope=1"])
+        .output()
+        .expect("pd rerun executes");
+    assert_eq!(unknown.status.code(), Some(2), "{unknown:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

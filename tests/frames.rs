@@ -6,11 +6,11 @@
 //!   `CheckFrame::build` on the full store row-for-row. This is the
 //!   invariant that lets the engine build frames one retailer at a time
 //!   (in parallel, cached) without perturbing a single figure.
-//! * **FrameCache reuse** — a second `analyze()` on the same engine
+//! * **Frame reuse** — a second `analyze()` on the same engine
 //!   rebuilds zero domain frames, proven by the `frames_built` /
 //!   `frames_reused` observer counters.
 
-use pd_core::{Executor, Experiment, FrameCache, Profile, StageKind, TimingObserver};
+use pd_core::{Executor, Experiment, Profile, StageKind, StoreCache, TimingObserver};
 use pd_currency::{Currency, FxSeries, Price};
 use pd_net::clock::SimTime;
 use pd_sheriff::measurement::NoiseTruth;
@@ -80,7 +80,7 @@ proptest! {
         prop_assert_eq!(merged.rows(), full.rows());
     }
 
-    /// The cache returns that same frame at any thread count, and a
+    /// The memo returns that same frame at any thread count, and a
     /// second call under the same key builds nothing.
     #[test]
     fn prop_frame_cache_equals_direct_build(
@@ -93,7 +93,7 @@ proptest! {
         for (domain_idx, slug_idx, obs, minor) in &draws {
             store.push(measurement(*domain_idx, *slug_idx, *obs, *minor, false));
         }
-        let cache = FrameCache::new();
+        let cache = StoreCache::new();
         let exec = Executor::new(threads);
         let (cached, first) = cache.frame_for(key, &store, &fx, &exec);
         let direct = pd_analysis::CheckFrame::build(&store, &fx);
@@ -122,8 +122,8 @@ fn analysis_counter(observer: &TimingObserver, idx: usize, name: &str) -> u64 {
 }
 
 /// The acceptance criterion: a second `analyze()` on the same crawl
-/// rebuilds zero domain frames — everything comes from the engine's
-/// `FrameCache`.
+/// rebuilds zero domain frames — everything comes from the frames in
+/// the engine's `StoreCache`.
 #[test]
 fn second_analyze_rebuilds_zero_domain_frames() {
     let observer = Arc::new(TimingObserver::new());

@@ -22,8 +22,8 @@ fn sweeps_purge_unreferenced_interned_strings() {
     let alive = intern::interned_count();
     assert!(alive > 0, "analysis frames must intern domains");
 
-    // While the arms' engines (and their frame caches) are alive, every
-    // interned domain is still referenced: purging now is a no-op.
+    // While the arms' engines (and the frames in their memo) are alive,
+    // every interned domain is still referenced: purging now is a no-op.
     assert_eq!(
         intern::purge_unreferenced(),
         0,

@@ -5,10 +5,10 @@
 //!   the same smoke run to one daemon; every fetched report equals the
 //!   offline `reports_to_json` output byte-for-byte, whether the job
 //!   executed or settled as a coalesced follower,
-//! * **warm frame cache** — after the first execution, a repeat
-//!   analysis that actually runs reports `frames_built == 0` and
-//!   `frames_reused > 0` (the daemon's one process-wide `FrameCache`
-//!   is shared across jobs),
+//! * **warm frames** — after the first execution, a repeat analysis
+//!   that actually runs reports `frames_built == 0` and
+//!   `frames_reused > 0` (the daemon's one process-wide memo,
+//!   `StoreCache`, is shared across jobs),
 //! * **backpressure** — a full bounded queue answers `503` +
 //!   `Retry-After` for *distinct* specs and never blocks the accept
 //!   loop; an *identical* spec coalesces instead of bouncing,
